@@ -199,6 +199,7 @@ let sequential_report obs ~horizon =
     rp_bytes = 0;
     rp_retransmits = 0;
     rp_metrics = m;
+    rp_domains = 1;
   }
 
 (* --edit-session: keep FILE resident and replay a script of edits against

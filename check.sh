@@ -26,6 +26,15 @@ dune exec bin/pagc.exe -- --machines 3 --schedule steal \
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_seq_smoke.s > /tmp/pagc_seq_smoke.masked
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_steal_smoke.s > /tmp/pagc_steal_smoke.masked
 cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_steal_smoke.masked
+# Domains transport smoke: the static protocol on real domains (all
+# machines on the calling domain at 1, one fragment per core beyond) must
+# emit the sequential compile's masked assembly.
+for m in 1 2 4; do
+  dune exec bin/pagc.exe -- --transport domains --machines $m \
+    examples/primes.pas -o /tmp/pagc_domains_smoke.s 2>/dev/null
+  sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_domains_smoke.s > /tmp/pagc_domains_smoke.masked
+  cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_domains_smoke.masked
+done
 # Multi-tenant service smoke: three tenants over two simulated machines;
 # pagc exits nonzero unless every tenant's resident code matches a
 # from-scratch compile.

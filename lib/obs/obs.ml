@@ -385,6 +385,7 @@ module Report = struct
     rp_bytes : int;
     rp_retransmits : int;
     rp_metrics : Metrics.t;
+    rp_domains : int;
   }
 
   let dynamic_fraction t =
@@ -398,6 +399,7 @@ module Report = struct
     line "== evaluation report %s" (String.make 43 '=');
     line "%-16s %s" "run" t.rp_label;
     line "%-16s %.3f s (%s)" "finished at" t.rp_horizon t.rp_clock;
+    line "%-16s %d" "domains" t.rp_domains;
     if t.rp_machines <> [] then begin
       line "%-16s %-12s %9s %9s %6s %7s %6s" "machines" "" "active" "idle"
         "util" "sends" "maxq";

@@ -184,6 +184,9 @@ module Report : sig
     rp_bytes : int;
     rp_retransmits : int;
     rp_metrics : Metrics.t;  (** everything else, by name *)
+    rp_domains : int;
+        (** OCaml domains the run used, the calling one included; 1 for
+            simulated and sequential runs *)
   }
 
   (** dynamic / (dynamic + static); 0 when no rules ran. *)

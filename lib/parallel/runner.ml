@@ -82,17 +82,17 @@ let worker_config opts g plan =
     wc_engine_hook = ignore (* patched per run: engine capture *);
   }
 
-let make_task plan (f : Split.fragment) nodes_by_id =
+let make_task plan (f : Split.fragment) =
   let cuts =
     List.map
-      (fun cut_id ->
+      (fun (cut : Tree.t) ->
         let frag =
-          match Split.fragment_of_cut_node plan cut_id with
+          match Split.fragment_of_cut_node plan cut.Tree.id with
           | Some fr -> fr
           | None -> assert false
         in
-        (Hashtbl.find nodes_by_id cut_id, frag + 1))
-      (Split.cuts_of plan f.Split.fr_id)
+        (cut, frag + 1))
+      (Split.cut_nodes plan f.Split.fr_id)
   in
   {
     Worker.t_frag_id = f.Split.fr_id;
@@ -110,11 +110,8 @@ let dynamic_fraction stats =
   let st = Array.fold_left (fun a s -> a + s.Worker.ws_static_rules) 0 stats in
   if dyn + st = 0 then 0.0 else float_of_int dyn /. float_of_int (dyn + st)
 
-let prepare opts g tree =
-  let plan = Split.decompose g tree ~machines:opts.machines ~granularity:opts.granularity in
-  let nodes_by_id = Hashtbl.create 1024 in
-  Tree.iter (fun n -> Hashtbl.replace nodes_by_id n.Tree.id n) tree;
-  (plan, nodes_by_id)
+let decompose opts g tree =
+  Split.decompose g tree ~machines:opts.machines ~granularity:opts.granularity
 
 let sum_retransmits links =
   List.fold_left (fun a l -> a + (Reliable.stats l).Reliable.rs_retransmits) 0 links
@@ -202,7 +199,7 @@ let merge_recorders ctxs extra =
   Obs.merge (extra @ rs)
 
 let build_report ~label ~clock ~horizon ~machines ~worker_stats ~messages
-    ~bytes ~retransmits ~metrics =
+    ~bytes ~retransmits ~metrics ~domains =
   let dyn =
     Array.fold_left (fun a s -> a + s.Worker.ws_dynamic_rules) 0 worker_stats
   in
@@ -220,6 +217,7 @@ let build_report ~label ~clock ~horizon ~machines ~worker_stats ~messages
     rp_bytes = bytes;
     rp_retransmits = retransmits;
     rp_metrics = metrics;
+    rp_domains = domains;
   }
 
 (* A worker that never reported under fault injection was crashed or called
@@ -312,7 +310,7 @@ let sim_env sim id =
   }
 
 let run_sim_static opts g plan tree =
-  let split, nodes_by_id = prepare opts g tree in
+  let split = decompose opts g tree in
   (* Sharing classes are computed once on the numbered tree; the immutable
      arrays are read concurrently by every machine's memo. On the static
      schedule [--dag] collapses on the same unit as [--hashcons] — the
@@ -398,7 +396,7 @@ let run_sim_static opts g plan tree =
                 wc_engine_hook = (fun e -> prov_engs.(id + 1) <- Some e);
               }
             in
-            stats.(id) <- Some (Worker.run env cfg (make_task split f nodes_by_id)))
+            stats.(id) <- Some (Worker.run env cfg (make_task split f)))
       in
       ())
     (Split.fragments split);
@@ -443,7 +441,7 @@ let run_sim_static opts g plan tree =
       ~label:(run_label opts ~transport:"sim")
       ~clock:"simulated" ~horizon ~machines:machine_rows ~worker_stats
       ~messages:(Ethernet.messages_sent net) ~bytes:(Ethernet.bytes_sent net)
-      ~retransmits:(sum_retransmits !links) ~metrics
+      ~retransmits:(sum_retransmits !links) ~metrics ~domains:1
   in
   let r_obs =
     if opts.telemetry then Some (merge_recorders ctxs [ recorder_of_trace tr ])
@@ -521,7 +519,7 @@ let probe_reply_bytes k = 32 + (8 * k)
    paid twice; crashes are a static-protocol notion and are ignored —
    DESIGN §11 discusses why). *)
 let run_sim_steal opts g tree =
-  let split, _nodes_by_id = prepare opts g tree in
+  let split = decompose opts g tree in
   let m = max 1 opts.machines in
   let sim = S.create ~params:opts.net_params () in
   let net = S.network sim in
@@ -917,7 +915,7 @@ let run_sim_steal opts g tree =
       ~label:(run_label opts ~transport:"sim")
       ~clock:"simulated" ~horizon ~machines:machine_rows ~worker_stats
       ~messages:(Ethernet.messages_sent net) ~bytes:(Ethernet.bytes_sent net)
-      ~retransmits:0 ~metrics
+      ~retransmits:0 ~metrics ~domains:1
   in
   let r_obs =
     if opts.telemetry then Some (merge_recorders ctxs [ recorder_of_trace tr ])
@@ -949,47 +947,6 @@ let run_sim opts g plan tree =
 
 (* ------------------------- domains ------------------------- *)
 
-module Chan = struct
-  type 'a t = { q : 'a Queue.t; m : Mutex.t; c : Condition.t }
-
-  let create () = { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
-
-  let push t v =
-    Mutex.lock t.m;
-    Queue.add v t.q;
-    Condition.signal t.c;
-    Mutex.unlock t.m
-
-  let pop t =
-    Mutex.lock t.m;
-    while Queue.is_empty t.q do
-      Condition.wait t.c t.m
-    done;
-    let v = Queue.take t.q in
-    Mutex.unlock t.m;
-    v
-
-  (* Stdlib [Condition] has no timed wait; poll instead. The 0.5 ms tick is
-     far below the retransmission timeout it serves. *)
-  let pop_timeout t d =
-    let deadline = Unix.gettimeofday () +. d in
-    let rec go () =
-      Mutex.lock t.m;
-      match Queue.take_opt t.q with
-      | Some v ->
-          Mutex.unlock t.m;
-          Some v
-      | None ->
-          Mutex.unlock t.m;
-          if Unix.gettimeofday () >= deadline then None
-          else begin
-            Unix.sleepf 0.0005;
-            go ()
-          end
-    in
-    go ()
-end
-
 (* Real-time counterparts of the simulator's timeouts: domain message
    latency is microseconds, so these sit orders of magnitude above it. *)
 let dom_rto = 0.02
@@ -1003,7 +960,7 @@ let dom_watchdog = 0.2
    through metrics only. *)
 let run_domains_steal opts g tree =
   let t0 = Unix.gettimeofday () in
-  let split, _nodes_by_id = prepare opts g tree in
+  let split = decompose opts g tree in
   let m = max 1 opts.machines in
   let store = ESt.create_shared g tree in
   let dplan =
@@ -1092,7 +1049,7 @@ let run_domains_steal opts g tree =
     build_report
       ~label:(run_label opts ~transport:"domains")
       ~clock:"wall clock" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:0 ~bytes:0 ~retransmits:0 ~metrics
+      ~messages:0 ~bytes:0 ~retransmits:0 ~metrics ~domains:m
   in
   let r_obs =
     if opts.telemetry then Some (merge_recorders ctxs []) else None
@@ -1119,8 +1076,21 @@ let run_domains_steal opts g tree =
     r_tree = tree;
   }
 
+(* Placement of the static protocol's machines on domains: never more
+   domains than fragments or cores. The calling domain hosts the
+   coordinator, the librarian and fragment 0; fragments 1..N-1 go
+   round-robin onto the other domains. On each domain the machines run as
+   cooperative fibers ({!Fibers}). *)
+let domain_count ~fragments =
+  max 1 (min fragments (Domain.recommended_domain_count ()))
+
+let home_domain ~fragments ~domains machine =
+  let frag = machine - 1 in
+  if frag < 1 || frag >= fragments || domains = 1 then 0
+  else 1 + ((frag - 1) mod (domains - 1))
+
 let run_domains_static opts g plan tree =
-  let split, nodes_by_id = prepare opts g tree in
+  let split = decompose opts g tree in
   (* Same collapse unit as the sim static path: [--dag] = class-keyed memo. *)
   let sharing =
     if opts.use_hashcons || opts.use_dag then Some (Tree.sharing tree)
@@ -1129,7 +1099,7 @@ let run_domains_static opts g plan tree =
   let nfrags = Split.count split in
   let librarian_id = if opts.use_librarian then Some (nfrags + 1) else None in
   let nmachines = nfrags + 2 in
-  let chans = Array.init nmachines (fun _ -> Chan.create ()) in
+  let hosts = Fibers.create ~machines:nmachines in
   let faulty = Option.is_some opts.faults in
   (* Crashed machines never start on the domains transport (crash times are
      a simulator notion); their mail is discarded unread. *)
@@ -1141,7 +1111,7 @@ let run_domains_static opts g plan tree =
         sp.Faults.fs_crashes
   | None -> ());
   (* One fault injector and one reorder stash per machine: each is touched
-     only by its owner's domain, keeping the PRNG streams race-free and
+     only by its owner's fiber, keeping the PRNG streams race-free and
      per-sender deterministic. *)
   let injectors =
     match opts.faults with
@@ -1155,10 +1125,11 @@ let run_domains_static opts g plan tree =
   in
   let provs = make_provs opts g ~tree ~n:nmachines in
   let prov_engs = Array.make nmachines None in
+  let push ~dst m = Fibers.push hosts ~dst m in
   let send_from src ~dst m =
     if not crashed.(dst) then
       match injectors.(src) with
-      | None -> Chan.push chans.(dst) m
+      | None -> push ~dst m
       | Some inj -> (
           let v = Faults.judge inj ~src ~dst in
           let stash = stashes.(src) in
@@ -1167,16 +1138,17 @@ let run_domains_static opts g plan tree =
             (* Hold this message back past the sender's next transmission. *)
             stash := Some (dst, m)
           else begin
-            Chan.push chans.(dst) m;
-            if v.Faults.v_dup then Chan.push chans.(dst) m;
+            push ~dst m;
+            if v.Faults.v_dup then push ~dst m;
             match !stash with
             | Some (sdst, sm) ->
-                Chan.push chans.(sdst) sm;
+                push ~dst:sdst sm;
                 stash := None
             | None -> ()
           end)
   in
-  let links = Mutex.create () in
+  (* Every machine's env is built on the calling domain before
+     [Fibers.run] starts any other, so this list needs no lock. *)
   let all_links = ref [] in
   let machine_env id =
     let obs = ctxs.(id) in
@@ -1185,8 +1157,8 @@ let run_domains_static opts g plan tree =
         Transport.e_id = id;
         e_delay = (fun _ -> ());
         e_send = (fun ~dst m -> send_from id ~dst m);
-        e_recv = (fun () -> Chan.pop chans.(id));
-        e_recv_timeout = (fun d -> Chan.pop_timeout chans.(id) d);
+        e_recv = (fun () -> Fibers.recv hosts id);
+        e_recv_timeout = (fun d -> Fibers.recv_timeout hosts id d);
         e_time = Unix.gettimeofday;
         e_mark = (fun _ -> ());
         e_flush = (fun () -> ());
@@ -1195,9 +1167,7 @@ let run_domains_static opts g plan tree =
     let base, link =
       if faulty then begin
         let l = Reliable.wrap ~obs ~rto:dom_rto raw in
-        Mutex.lock links;
         all_links := l :: !all_links;
-        Mutex.unlock links;
         (Reliable.env l, Some l)
       end
       else (raw, None)
@@ -1207,59 +1177,72 @@ let run_domains_static opts g plan tree =
     in
     (env, link, obs)
   in
-  let t0 = Unix.gettimeofday () in
-  let worker_domains =
-    Array.map
-      (fun (f : Split.fragment) ->
-        let id = f.Split.fr_id in
-        if crashed.(id + 1) then None
-        else
-          Some
-            (Domain.spawn (fun () ->
-                 let env, _, wobs = machine_env (id + 1) in
-                 let cfg =
-                   { (worker_config opts g plan) with
-                     Worker.wc_librarian = librarian_id;
-                     wc_obs = wobs;
-                     wc_sharing = sharing;
-                     wc_prov = provs.(id + 1);
-                     wc_prov_dwell = false (* wall clock advances in-firing *);
-                     wc_engine_hook = (fun e -> prov_engs.(id + 1) <- Some e);
-                   }
-                 in
-                 Worker.run env cfg (make_task split f nodes_by_id))))
-      (Split.fragments split)
+  let stats = Array.make nfrags None in
+  let attrs = ref [] and recovered = ref false in
+  let coordinator () =
+    let coord_env, coord_link, coord_obs = machine_env 0 in
+    let recovery =
+      Option.map
+        (fun link ->
+          {
+            Coordinator.rc_link = link;
+            rc_kplan = plan;
+            rc_cost = opts.cost;
+            rc_watchdog = dom_watchdog;
+          })
+        coord_link
+    in
+    fun () ->
+      let a, rec_ =
+        Coordinator.run ~obs:coord_obs ?recovery ?sharing coord_env g ~tree
+          ~plan:split ~librarian:librarian_id
+      in
+      attrs := a;
+      recovered := rec_
   in
-  let librarian_domain =
+  let worker (f : Split.fragment) =
+    let id = f.Split.fr_id in
+    let env, _, wobs = machine_env (id + 1) in
+    let cfg =
+      { (worker_config opts g plan) with
+        Worker.wc_librarian = librarian_id;
+        wc_obs = wobs;
+        wc_sharing = sharing;
+        wc_prov = provs.(id + 1);
+        wc_prov_dwell = false (* wall clock advances in-firing *);
+        wc_engine_hook = (fun e -> prov_engs.(id + 1) <- Some e);
+      }
+    in
+    fun () -> stats.(id) <- Some (Worker.run env cfg (make_task split f))
+  in
+  let librarian lid =
+    let env, _, lobs = machine_env lid in
+    fun () -> Librarian.run ~obs:lobs env ~coordinator:0
+  in
+  (* Machine-id order: on the calling domain the coordinator ships every
+     fragment before fragment 0's evaluator takes the domain. *)
+  let bodies =
+    (0, coordinator ())
+    :: List.filter_map
+         (fun (f : Split.fragment) ->
+           if crashed.(f.Split.fr_id + 1) then None
+           else Some (f.Split.fr_id + 1, worker f))
+         (Array.to_list (Split.fragments split))
+    @
     match librarian_id with
-    | Some lid when not crashed.(lid) ->
-        Some
-          (Domain.spawn (fun () ->
-               let env, _, lobs = machine_env lid in
-               Librarian.run ~obs:lobs env ~coordinator:0))
-    | _ -> None
+    | Some lid when not crashed.(lid) -> [ (lid, librarian lid) ]
+    | _ -> []
   in
-  let coord_env, coord_link, coord_obs = machine_env 0 in
-  let recovery =
-    Option.map
-      (fun link ->
-        {
-          Coordinator.rc_link = link;
-          rc_kplan = plan;
-          rc_cost = opts.cost;
-          rc_watchdog = dom_watchdog;
-        })
-      coord_link
+  let domains = domain_count ~fragments:nfrags in
+  let t0 = Unix.gettimeofday () in
+  let used =
+    Fibers.run hosts
+      (List.map
+         (fun (id, body) ->
+           (id, home_domain ~fragments:nfrags ~domains id, body))
+         bodies)
   in
-  let attrs, recovered =
-    Coordinator.run ~obs:coord_obs ?recovery ?sharing coord_env g ~tree
-      ~plan:split ~librarian:librarian_id
-  in
-  let worker_stats =
-    collect_worker_stats ~faulty
-      (Array.map (Option.map Domain.join) worker_domains)
-  in
-  Option.iter (fun d -> ignore (Domain.join d)) librarian_domain;
+  let worker_stats = collect_worker_stats ~faulty stats in
   let t1 = Unix.gettimeofday () in
   let fault_stats =
     if faulty then begin
@@ -1313,12 +1296,13 @@ let run_domains_static opts g plan tree =
       ~label:(run_label opts ~transport:"domains")
       ~clock:"wall clock" ~horizon ~machines:machine_rows ~worker_stats
       ~messages:0 ~bytes:0 ~retransmits:(sum_retransmits !all_links) ~metrics
+      ~domains:used
   in
   let r_obs =
     if opts.telemetry then Some (merge_recorders ctxs []) else None
   in
   {
-    r_attrs = attrs;
+    r_attrs = !attrs;
     r_time = t1 -. t0;
     r_worker_stats = worker_stats;
     r_trace = None;
@@ -1328,7 +1312,7 @@ let run_domains_static opts g plan tree =
     r_split = split;
     r_dynamic_fraction = dynamic_fraction worker_stats;
     r_retransmits = sum_retransmits !all_links;
-    r_recovered = recovered;
+    r_recovered = !recovered;
     r_fault_stats = fault_stats;
     r_obs;
     r_report = report;

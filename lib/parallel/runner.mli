@@ -6,8 +6,13 @@
     activity trace (the data behind the paper's figures 5 and 6).
 
     {!run_domains} executes the same protocol on OCaml 5 domains with
-    in-memory message queues and reports wall-clock time: the modern
-    multicore counterpart of the paper's workstation network.
+    in-memory mailboxes and reports wall-clock time: the modern multicore
+    counterpart of the paper's workstation network. An [N]-fragment static
+    run places its [N + 2] machines on [min N cores] domains as cooperative
+    fibers ({!Fibers}): the calling domain hosts the coordinator, the
+    librarian and fragment 0, the other fragments go round-robin onto the
+    rest, so one fragment spawns no domain. The report's [rp_domains] is
+    the count used.
 
     With [machines = 1] the combined evaluator degenerates to the sequential
     static evaluator and the dynamic evaluator to the sequential dynamic

@@ -17,7 +17,7 @@ type work = {
 type plan = {
   frags : fragment array;
   cut_to_frag : (int, int) Hashtbl.t;
-  cut_lists : int list array;
+  cut_lists : Tree.t list array;
 }
 
 let node_bytes node =
@@ -26,38 +26,63 @@ let node_bytes node =
       (fun a (_, v) -> a + Value.byte_size v)
       0 node.Tree.term_attrs
 
+(* The nodes in preorder, and each node's preorder index. The split
+   algorithm wants preorder indices (every subtree is an interval
+   [i, i + count)), but it must not renumber the tree to get them: an edit
+   session re-decomposes its resident tree between edits, and that tree's
+   ids are the evaluator store's node identity. Ids stay as they are unless
+   they are negative or duplicate, in which case the tree is numbered once.
+   The index map is an array over [min id .. max id]; edits leave gaps
+   there ({!Tree.number_from} numbers a graft past the host's ids), so a
+   range much wider than the tree falls back to a hash table. *)
+let preorder tree =
+  let n = ref 0 and lo = ref max_int and hi = ref min_int in
+  Tree.iter
+    (fun nd ->
+      incr n;
+      if nd.Tree.id < !lo then lo := nd.Tree.id;
+      if nd.Tree.id > !hi then hi := nd.Tree.id)
+    tree;
+  let nodes = Array.make !n tree in
+  let k = ref 0 in
+  Tree.iter
+    (fun nd ->
+      nodes.(!k) <- nd;
+      incr k)
+    tree;
+  let add, find =
+    if !hi - !lo < 4 * !n then begin
+      let lo = !lo in
+      let pre = Array.make (!hi - lo + 1) (-1) in
+      ( (fun id i -> pre.(id - lo) < 0 && (pre.(id - lo) <- i; true)),
+        fun id -> pre.(id - lo) )
+    end
+    else begin
+      let pre = Hashtbl.create !n in
+      ( (fun id i -> (not (Hashtbl.mem pre id)) && (Hashtbl.add pre id i; true)),
+        Hashtbl.find pre )
+    end
+  in
+  let i = ref (-1) in
+  let unique =
+    !lo >= 0
+    && Array.for_all
+         (fun (nd : Tree.t) ->
+           incr i;
+           add nd.Tree.id !i)
+         nodes
+  in
+  if unique then (nodes, fun (nd : Tree.t) -> find nd.Tree.id)
+  else begin
+    ignore (Tree.number tree);
+    (nodes, fun (nd : Tree.t) -> nd.Tree.id)
+  end
+
 let decompose g tree ~machines ~granularity =
   if machines < 1 then invalid_arg "Split.decompose: machines < 1";
   if granularity <= 0.0 then invalid_arg "Split.decompose: granularity <= 0";
-  (* The split algorithm wants preorder indices (every subtree is an
-     interval [i, i + count)), but it must not renumber the tree to get
-     them: an edit session re-decomposes its resident tree between edits,
-     and that tree's ids are the evaluator store's node identity. Trees
-     arriving unnumbered (or with duplicate ids) are numbered once; on an
-     already uniquely-numbered tree the ids are left alone and a side
-     table maps id -> preorder index. *)
-  let ids_unique =
-    let seen = Hashtbl.create 256 in
-    let ok = ref true in
-    Tree.iter
-      (fun nd ->
-        if nd.Tree.id < 0 || Hashtbl.mem seen nd.Tree.id then ok := false
-        else Hashtbl.add seen nd.Tree.id ())
-      tree;
-    !ok
-  in
-  if not ids_unique then ignore (Tree.number tree);
-  let n = Tree.size tree in
-  let nodes = Array.make n tree in
-  let pre_tbl = Hashtbl.create n in
-  let next = ref 0 in
-  Tree.iter
-    (fun nd ->
-      nodes.(!next) <- nd;
-      Hashtbl.replace pre_tbl nd.Tree.id !next;
-      incr next)
-    tree;
-  let pre (nd : Tree.t) = Hashtbl.find pre_tbl nd.Tree.id in
+  let nodes, pre = preorder tree in
+  let n = Array.length nodes in
   let counts = Array.make n 1 in
   let bytes = Array.make n 0 in
   for i = n - 1 downto 0 do
@@ -192,7 +217,7 @@ let decompose g tree ~machines ~granularity =
             List.find (fun w' -> w'.w_root.Tree.id = c.Tree.id) works
           in
           Hashtbl.replace cut_to_frag c.Tree.id owner.w_id;
-          cut_lists.(w.w_id) <- c.Tree.id :: cut_lists.(w.w_id))
+          cut_lists.(w.w_id) <- c :: cut_lists.(w.w_id))
         w.w_cuts)
     works;
   { frags; cut_to_frag; cut_lists }
@@ -263,8 +288,12 @@ let rec enc_value b (v : Value.t) =
   | Value.Tab _ | Value.Ext _ ->
       invalid_arg "Split.encode: non-literal terminal attribute"
 
+let cuts_of p frag_id = List.map (fun (c : Tree.t) -> c.Tree.id) p.cut_lists.(frag_id)
+
+let cut_nodes p frag_id = p.cut_lists.(frag_id)
+
 let encode ?sharing p (f : fragment) =
-  let cuts = p.cut_lists.(f.fr_id) in
+  let cuts = cuts_of p f.fr_id in
   (* the class of [n] when eligible for once-per-machine shipping:
      multiply occurring, at least two nodes (a keyword leaf is cheaper to
      reship than to reference — a backreference is 5 bytes, its body
@@ -435,7 +464,7 @@ let owner_of p (node : Tree.t) =
     if i >= Array.length p.frags then None
     else begin
       let f = p.frags.(i) in
-      let cuts = p.cut_lists.(f.fr_id) in
+      let cuts = cuts_of p f.fr_id in
       let rec go n =
         n == node
         || Array.exists
@@ -446,8 +475,6 @@ let owner_of p (node : Tree.t) =
     end
   in
   find 0
-
-let cuts_of p frag_id = p.cut_lists.(frag_id)
 
 let count p = Array.length p.frags
 

@@ -25,9 +25,12 @@ type fragment = {
 
 type plan
 
-(** [decompose g tree ~machines ~granularity]. The tree must already be
-    numbered (global node ids). [machines] ≥ 1; granularity > 0 scales every
-    split symbol's minimum size. *)
+(** [decompose g tree ~machines ~granularity]. Node ids are kept as they
+    are — gapped or out of preorder, as edits leave them — unless they are
+    negative or duplicate, in which case the tree is numbered in preorder
+    first. Time is linear in the tree for a fixed fragment count.
+    [machines] ≥ 1; granularity > 0 scales every split symbol's minimum
+    size. *)
 val decompose :
   Grammar.t -> Tree.t -> machines:int -> granularity:float -> plan
 
@@ -46,6 +49,10 @@ val owner_of : plan -> Tree.t -> int option
 
 (** Node ids of the stubs cut out of the given fragment. *)
 val cuts_of : plan -> int -> int list
+
+(** The same stubs as tree nodes, in the same order: each is the root of
+    the fragment {!fragment_of_cut_node} names. *)
+val cut_nodes : plan -> int -> Tree.t list
 
 (** Fragment count (≤ machines). *)
 val count : plan -> int

@@ -5,7 +5,9 @@
     On the {!Runner.run_sim} transport, [delay] advances virtual time and
     [send]/[recv] go through the Ethernet model; on the {!Runner.run_domains}
     transport, [delay] is a no-op (the CPU does the actual work) and messages
-    travel over blocking in-memory queues. The process code is identical.
+    travel through the in-memory mailboxes of {!Fibers}, where a receive on
+    an empty mailbox yields the domain to the machines sharing it. The
+    process code is identical.
 
     When fault injection is active, processes do not use these raw
     environments directly: {!Reliable.wrap} layers sequence numbers,

@@ -130,19 +130,21 @@ let run_protocol (env : Transport.env) cfg task =
       ~clock:env.Transport.e_time eng cfg.wc_prov
   end;
   cfg.wc_engine_hook eng;
-  (* Owned nodes: fragment nodes excluding the stubs; parents recorded. *)
-  let parent = Hashtbl.create 256 in
-  let owned = ref [] in
+  (* Owned nodes: fragment nodes excluding the stubs. The same walk finds
+     the ancestors of cuts: [collect] answers whether a cut lies below [n],
+     and every node on the path from the root down to a cut says yes. *)
+  let owned = ref [] and cut_ancestors = ref [] in
   let rec collect (n : Tree.t) =
     owned := n :: !owned;
-    if not (is_cut n) then
-      Array.iter
-        (fun c ->
-          Hashtbl.replace parent c.Tree.id n;
-          collect c)
-        n.Tree.children
+    if is_cut n then true
+    else begin
+      let below = ref false in
+      Array.iter (fun c -> if collect c then below := true) n.Tree.children;
+      if !below then cut_ancestors := n :: !cut_ancestors;
+      !below
+    end
   in
-  collect task.t_root;
+  ignore (collect task.t_root);
   let owned = List.rev !owned in
   (* ---- 3. Spine. ---- *)
   (* Membership over the fragment's node ids, packed into a bitset: the ids
@@ -163,19 +165,8 @@ let run_protocol (env : Transport.env) cfg task =
         owned
   | `Combined ->
       List.iter
-        (fun ((c : Tree.t), _) ->
-          let rec up id =
-            match Hashtbl.find_opt parent id with
-            | None -> ()
-            | Some (p : Tree.t) ->
-                if not (Pag_util.Bitset.mem spine p.Tree.id) then begin
-                  Pag_util.Bitset.add spine p.Tree.id;
-                  up p.Tree.id
-                end
-          in
-          up c.Tree.id)
-        task.t_cuts;
-      if task.t_cuts <> [] then Pag_util.Bitset.add spine task.t_root.Tree.id);
+        (fun (n : Tree.t) -> Pag_util.Bitset.add spine n.Tree.id)
+        !cut_ancestors);
   let on_spine (n : Tree.t) = Pag_util.Bitset.mem spine n.Tree.id in
   (* ---- 4. Items. ---- *)
   let items = ref [] and n_items = ref 0 in

@@ -193,6 +193,49 @@ let test_crash_before_start () =
   check_bool "recovered" true r.Runner.r_recovered;
   check_int "value" (oracle_value t) (int_attr r.Runner.r_attrs "value")
 
+(* --------------- faults on domains --------------- *)
+
+let test_domains_drop_dup () =
+  (* Two fragments, one per core: the coordinator, the librarian and
+     fragment 0 share the calling domain, and every cross-domain message
+     may be dropped or duplicated. *)
+  let t = sc_tree 41 in
+  let spec = chaos_spec 0.1 0.1 0.0 9 in
+  let r =
+    Runner.run_domains (opts ~machines:2 spec) Stackcode_ag.grammar
+      (Some (Lazy.force sc_plan)) t
+  in
+  check_bool "no recovery needed" false r.Runner.r_recovered;
+  check_int "value" (oracle_value t) (int_attr r.Runner.r_attrs "value");
+  Alcotest.(check string) "code" (seq_code t) (code_attr r.Runner.r_attrs)
+
+let test_domains_crash_fragment1 () =
+  (* Fragment 1 (machine 2) never starts. The coordinator's watchdog runs on
+     the domain fragment 0's evaluator keeps busy, so its timeouts only
+     fire when that fiber yields; recovery must still happen, and the
+     recovered program must behave like the interpreter's. *)
+  let prog, reads =
+    Pascal.Progen.gen (Random.State.make [| 7 |]) Pascal.Progen.medium
+  in
+  let input = List.init reads (fun i -> (i * 37 mod 90) + 1) in
+  let spec = { Faults.none with Faults.fs_crashes = [ (2, 0.0) ] } in
+  let o =
+    { (opts ~machines:2 spec) with Runner.phase_label = Pascal.Driver.phase_label }
+  in
+  let result, compiled = Pascal.Driver.compile_parallel_domains o prog in
+  check_int "two fragments" 2 result.Runner.r_fragments;
+  check_int "crashed fragment's domain not spawned" 1
+    result.Runner.r_report.Pag_obs.Obs.Report.rp_domains;
+  check_bool "coordinator recovered locally" true result.Runner.r_recovered;
+  let run_out =
+    match Pascal.Driver.run_compiled ~input compiled with
+    | Ok out -> out
+    | Error e -> Alcotest.failf "compiled program failed: %s" e
+  in
+  match Pascal.Interp.run ~input prog with
+  | Ok out -> Alcotest.(check string) "compiled = interpreted" out run_out
+  | Error _ -> Alcotest.fail "interpreter failed"
+
 (* --------------- edits under faults --------------- *)
 
 (* An edit session over a lossy network: every edit wave must terminate
@@ -460,6 +503,9 @@ let suite =
         Alcotest.test_case "crash + drops completes" `Quick
           test_crash_with_drops_still_completes;
         Alcotest.test_case "crash before start" `Quick test_crash_before_start;
+        Alcotest.test_case "domains drop + dup" `Quick test_domains_drop_dup;
+        Alcotest.test_case "domains crash of fragment 1" `Quick
+          test_domains_crash_fragment1;
         prop_edit_chaos;
         Alcotest.test_case "edit wave retransmits" `Quick
           test_edit_wave_retransmits;

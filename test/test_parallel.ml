@@ -186,6 +186,111 @@ let test_domains_dynamic () =
   let r = Runner.run_domains (opts ~mode:`Dynamic ~machines:3 ()) Stackcode_ag.grammar None t in
   check_int "value" (Stackcode_ag.reference_value t) (int_attr r.Runner.r_attrs "value")
 
+(* The static protocol's N + 2 machines share min(N, cores) domains: the
+   calling one hosts coordinator, librarian and fragment 0, so one
+   fragment spawns no domain at all. *)
+let test_domains_placement () =
+  let t = sc_tree 33 in
+  let cores = Domain.recommended_domain_count () in
+  for m = 1 to 6 do
+    let r =
+      Runner.run_domains (opts ~machines:m ()) Stackcode_ag.grammar
+        (Some (Lazy.force sc_plan)) t
+    in
+    let frags = r.Runner.r_fragments in
+    check_int
+      (Printf.sprintf "domains @ %d machines (%d fragments)" m frags)
+      (max 1 (min frags cores))
+      r.Runner.r_report.Pag_obs.Obs.Report.rp_domains;
+    check_int (Printf.sprintf "value @ %d machines" m)
+      (Stackcode_ag.reference_value t)
+      (int_attr r.Runner.r_attrs "value")
+  done
+
+(* --------------- fibers --------------- *)
+
+let test_fibers_ping_pong () =
+  (* Machines 0 and 2 share the calling domain, 1 and 3 another; every
+     message crosses or stays on a domain, and the relay runs until the
+     token has gone round 50 times. *)
+  let h = Fibers.create ~machines:4 in
+  let hops = ref 0 in
+  let relay id () =
+    let rec go () =
+      match Fibers.recv h id with
+      | 0 -> Fibers.push h ~dst:((id + 1) mod 4) 0
+      | k ->
+          if id = 0 then incr hops;
+          Fibers.push h ~dst:((id + 1) mod 4) (if id = 0 then k - 1 else k);
+          go ()
+    in
+    go ()
+  in
+  let used =
+    Fibers.run h
+      (( 0,
+         0,
+         fun () ->
+           Fibers.push h ~dst:1 50;
+           relay 0 () )
+      :: List.map (fun id -> (id, id mod 2, relay id)) [ 1; 2; 3 ])
+  in
+  check_int "domains" 2 used;
+  check_int "round trips" 50 !hops
+
+let test_fibers_deadlock () =
+  let h = Fibers.create ~machines:3 in
+  match
+    Fibers.run h
+      [
+        (0, 0, fun () -> ignore (Fibers.recv h 0));
+        (1, 1, fun () -> ignore (Fibers.recv h 1));
+        (2, 0, fun () -> Fibers.push h ~dst:0 ());
+      ]
+  with
+  | _ -> Alcotest.fail "expected Deadlock"
+  | exception Fibers.Deadlock ids ->
+      Alcotest.(check (list int)) "blocked machines" [ 1 ] ids
+
+let test_fibers_timeout_behind_busy_fiber () =
+  (* A timed receive expires even though its domain is held by a
+     computing fiber; it fires as soon as that fiber yields. *)
+  let h = Fibers.create ~machines:2 in
+  let timed_out = ref false and busy_done = ref false in
+  let _ =
+    Fibers.run h
+      [
+        ( 0,
+          0,
+          fun () ->
+            timed_out := Fibers.recv_timeout h 0 0.01 = None;
+            Fibers.push h ~dst:1 () );
+        ( 1,
+          0,
+          fun () ->
+            let t0 = Unix.gettimeofday () in
+            while Unix.gettimeofday () -. t0 < 0.05 do
+              ()
+            done;
+            busy_done := true;
+            Fibers.recv h 1 );
+      ]
+  in
+  check_bool "busy fiber ran" true !busy_done;
+  check_bool "timeout fired" true !timed_out
+
+let test_fibers_failure_propagates () =
+  let h = Fibers.create ~machines:2 in
+  match
+    Fibers.run h
+      [
+        (0, 0, fun () -> ignore (Fibers.recv h 0));
+        (1, 1, fun () -> failwith "boom");
+      ]
+  with
+  | _ -> Alcotest.fail "expected the body's exception"
+  | exception Failure msg -> Alcotest.(check string) "exception" "boom" msg
+
 (* --------------- properties --------------- *)
 
 let arb_cfg =
@@ -237,6 +342,13 @@ let suite =
         Alcotest.test_case "trace present" `Quick test_trace_present;
         Alcotest.test_case "domains combined" `Quick test_domains_combined;
         Alcotest.test_case "domains dynamic" `Quick test_domains_dynamic;
+        Alcotest.test_case "domains placement" `Quick test_domains_placement;
+        Alcotest.test_case "fibers ping-pong" `Quick test_fibers_ping_pong;
+        Alcotest.test_case "fibers deadlock" `Quick test_fibers_deadlock;
+        Alcotest.test_case "fibers timeout behind busy fiber" `Quick
+          test_fibers_timeout_behind_busy_fiber;
+        Alcotest.test_case "fibers failure" `Quick
+          test_fibers_failure_propagates;
         prop_sim_value_correct;
         prop_sim_deterministic;
       ] );

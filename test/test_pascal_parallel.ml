@@ -103,6 +103,66 @@ let test_domains_output () =
   | Ok out -> check_str "domains output" expected out
   | Error e -> Alcotest.failf "domains-compiled program failed: %s" e
 
+(* Runs [f] under a watchdog: a run that neither returns nor raises within
+   [limit] seconds (a deadlock the fiber scheduler cannot see, such as a
+   fiber spinning) ends the test process instead of hanging it. *)
+let with_deadline ?(limit = 120.0) name f =
+  let finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let stop = Unix.gettimeofday () +. limit in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < stop do
+          Unix.sleepf 0.01
+        done;
+        if not (Atomic.get finished) then begin
+          Printf.eprintf "%s: no result after %.0f s\n%!" name limit;
+          exit 2
+        end)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)
+    f
+
+(* The static protocol on real domains, over every mode, sharing flag and
+   machine count that changes the placement: 1 fragment (no spawned
+   domain), 2 (one fragment per core), 3 and 5 (several fragments per
+   domain). Each output is masked-equal to the Oracle's. *)
+let test_domains_matrix () =
+  let p, _ = Lazy.force workload in
+  let oracle = Driver.mask_labels (Driver.compile ~evaluator:`Oracle p).Driver.c_asm in
+  let cores = Domain.recommended_domain_count () in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun (sharing, hashcons, dag) ->
+              let name =
+                Printf.sprintf "%s, %s, -m %d"
+                  (match mode with `Combined -> "combined" | `Dynamic -> "dynamic")
+                  sharing m
+              in
+              let r, c =
+                with_deadline name (fun () ->
+                    Driver.compile_parallel_domains
+                      { (opts ~mode m) with
+                        Runner.use_hashcons = hashcons;
+                        use_dag = dag;
+                      }
+                      p)
+              in
+              check_str name oracle (Driver.mask_labels c.Driver.c_asm);
+              check_bool
+                (Printf.sprintf "%s: at most min(fragments, cores) domains" name)
+                true
+                (r.Runner.r_report.Pag_obs.Obs.Report.rp_domains
+                <= max 1 (min r.Runner.r_fragments cores)))
+            [ ("plain", false, false); ("hashcons", true, false); ("dag", false, true) ])
+        [ `Combined; `Dynamic ])
+    [ 1; 2; 3; 5 ]
+
 let test_trace_shows_phases () =
   let r, _ = run_and_execute (opts 4) in
   match r.Runner.r_trace with
@@ -148,6 +208,7 @@ let suite =
         Alcotest.test_case "threaded serializes" `Quick
           test_threaded_slower_in_parallel;
         Alcotest.test_case "domains output" `Quick test_domains_output;
+        Alcotest.test_case "domains matrix = oracle" `Quick test_domains_matrix;
         Alcotest.test_case "trace phases" `Quick test_trace_shows_phases;
         Alcotest.test_case "gantt" `Quick test_gantt_renders;
       ] );

@@ -143,6 +143,60 @@ let prop_fragments_disjoint =
         (Split.fragments plan);
       !ok && Hashtbl.length seen = Tree.size t)
 
+(* A plan in preorder terms: per fragment its root, parent, residual bytes
+   and cut roots, nodes given by their preorder position (not by id). *)
+let plan_shape t plan =
+  let pos = Hashtbl.create 1024 and k = ref 0 in
+  Tree.iter
+    (fun n ->
+      Hashtbl.replace pos n.Tree.id !k;
+      incr k)
+    t;
+  Array.to_list (Split.fragments plan)
+  |> List.map (fun (f : Split.fragment) ->
+         ( Hashtbl.find pos f.Split.fr_root.Tree.id,
+           f.Split.fr_parent,
+           f.Split.fr_bytes,
+           List.map
+             (fun (c : Tree.t) -> Hashtbl.find pos c.Tree.id)
+             (Split.cut_nodes plan f.Split.fr_id) ))
+
+let arb_gapped =
+  QCheck.make
+    ~print:(fun (s, m, spread) ->
+      Printf.sprintf "seed=%d machines=%d id-spread=%d" s m spread)
+    QCheck.Gen.(
+      triple (int_bound 10_000) (int_range 1 7) (oneofl [ 1; 2; 3; 9 ]))
+
+(* Ids as edits leave them: unique, gapped and out of preorder. A spread of
+   9 leaves the range sparse enough for the hash-table index. *)
+let prop_gapped_ids =
+  qc "gapped, non-preorder ids split like preorder ids" arb_gapped
+    (fun (seed, m, spread) ->
+      let t = big_tree seed in
+      let n = Tree.number t in
+      let st = Random.State.make [| seed |] in
+      let perm = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- x
+      done;
+      Tree.iter (fun nd -> nd.Tree.id <- 5 + (spread * perm.(nd.Tree.id))) t;
+      let decompose () =
+        Split.decompose Stackcode_ag.grammar t ~machines:m ~granularity:1.0
+      in
+      let gapped = plan_shape t (decompose ()) in
+      let ids = ref [] in
+      Tree.iter (fun nd -> ids := nd.Tree.id :: !ids) t;
+      ignore (Tree.number t);
+      let renumbered = plan_shape t (decompose ()) in
+      gapped = renumbered
+      && (* decompose kept the gapped ids *)
+      List.sort compare !ids
+      = List.init n (fun i -> 5 + (spread * i)))
+
 let suite =
   [
     ( "split",
@@ -157,5 +211,6 @@ let suite =
         Alcotest.test_case "pp" `Quick test_pp_runs;
         prop_residuals_sum_to_total;
         prop_fragments_disjoint;
+        prop_gapped_ids;
       ] );
   ]
