@@ -7,7 +7,6 @@ type 'a wait =
   | Done
 
 type 'a fiber = {
-  f_id : int;
   f_home : 'a home;
   f_mail : 'a Queue.t;  (* guarded by the home's lock, like [f_wait] *)
   mutable f_wait : 'a wait;
@@ -27,16 +26,9 @@ and 'a home = {
 
 type 'a t = {
   fibers : 'a fiber option array;
-  active : int Atomic.t;
-      (* fibers that can still make progress: not finished, and not
-         blocked without a deadline. Messages only come from active
-         fibers, so reaching 0 with fibers unfinished is a deadlock. *)
-  unfinished : int Atomic.t;
   failure : exn option Atomic.t;
   mutable homes : 'a home array;
 }
-
-exception Deadlock of int list
 
 type _ Effect.t += Await : 'a fiber * float -> 'a option Effect.t
 
@@ -47,8 +39,6 @@ let tick = 0.0005
 let create ~machines =
   {
     fibers = Array.make machines None;
-    active = Atomic.make 0;
-    unfinished = Atomic.make 0;
     failure = Atomic.make None;
     homes = [||];
   }
@@ -73,20 +63,6 @@ let fail t e =
             Condition.broadcast h.h_wake))
       t.homes
 
-let deadlock t =
-  let blocked =
-    Array.to_list t.fibers
-    |> List.filter_map (function
-         | Some { f_id; f_wait = Blocked _; _ } -> Some f_id
-         | _ -> None)
-  in
-  fail t (Deadlock blocked)
-
-(* The calling fiber stopped being active (blocked for good, or done). *)
-let deactivate t =
-  if Atomic.fetch_and_add t.active (-1) = 1 && Atomic.get t.unfinished > 0
-  then deadlock t
-
 let push t ~dst m =
   match t.fibers.(dst) with
   | None -> ()
@@ -98,8 +74,7 @@ let push t ~dst m =
           | Done -> ()
           | Blocked (k, deadline) ->
               f.f_wait <- Idle;
-              if deadline < infinity then h.h_timed <- h.h_timed - 1
-              else Atomic.incr t.active;
+              if deadline < infinity then h.h_timed <- h.h_timed - 1;
               Queue.add (fun () -> continue k (Some m)) h.h_ready;
               Condition.signal h.h_wake)
 
@@ -141,9 +116,7 @@ let start t f body =
           locked h (fun () ->
               f.f_wait <- Done;
               Queue.clear f.f_mail;
-              h.h_live <- h.h_live - 1);
-          Atomic.decr t.unfinished;
-          deactivate t);
+              h.h_live <- h.h_live - 1));
       exnc =
         (fun e ->
           locked h (fun () ->
@@ -157,22 +130,14 @@ let start t f body =
               Some
                 (fun (k : (b, unit) continuation) ->
                   let h = w.f_home in
-                  let parked =
-                    locked h (fun () ->
-                        match Queue.take_opt w.f_mail with
-                        | Some m ->
-                            (* pushed since [await] looked: run it next *)
-                            Queue.add (fun () -> continue k (Some m)) h.h_ready;
-                            false
-                        | None ->
-                            w.f_wait <- Blocked (k, deadline);
-                            if deadline < infinity then begin
-                              h.h_timed <- h.h_timed + 1;
-                              false
-                            end
-                            else true)
-                  in
-                  if parked then deactivate t)
+                  locked h (fun () ->
+                      match Queue.take_opt w.f_mail with
+                      | Some m ->
+                          (* pushed since [await] looked: run it next *)
+                          Queue.add (fun () -> continue k (Some m)) h.h_ready
+                      | None ->
+                          w.f_wait <- Blocked (k, deadline);
+                          if deadline < infinity then h.h_timed <- h.h_timed + 1))
           | _ -> None);
     }
 
@@ -225,15 +190,12 @@ let run t machines =
   List.iter
     (fun (id, d, body) ->
       let h = homes.(d) in
-      let f = { f_id = id; f_home = h; f_mail = Queue.create (); f_wait = Idle } in
+      let f = { f_home = h; f_mail = Queue.create (); f_wait = Idle } in
       t.fibers.(id) <- Some f;
       h.h_fibers <- f :: h.h_fibers;
       h.h_live <- h.h_live + 1;
       Queue.add (fun () -> start t f body) h.h_ready)
     machines;
-  let n = List.length machines in
-  Atomic.set t.active n;
-  Atomic.set t.unfinished n;
   let spawned =
     List.filter_map
       (fun d ->

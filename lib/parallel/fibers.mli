@@ -12,14 +12,11 @@
 
     A domain whose fibers are all blocked parks on one mutex and condition;
     a message pushed to any of its mailboxes wakes it. While one of its
-    fibers waits with a timeout, the domain polls every 0.5 ms instead. *)
+    fibers waits with a timeout, the domain polls every 0.5 ms instead. A
+    run whose machines all block in {!recv} with no message in flight does
+    not return. *)
 
 type 'a t
-
-(** Raised by {!run} when every unfinished machine is blocked in {!recv}
-    with no message in flight: the run can never finish. Carries the ids of
-    the blocked machines. *)
-exception Deadlock of int list
 
 (** [create ~machines] — mailboxes for machine ids [0 .. machines - 1]. *)
 val create : machines:int -> 'a t
@@ -42,5 +39,5 @@ val recv_timeout : 'a t -> int -> float -> 'a option
     index that some machine uses is spawned, so the run uses
     [1 + max domain] domains. On one domain, fibers start in list order.
     Returns when every body has returned; re-raises the first exception a
-    body raised, or {!Deadlock}. Returns the number of domains used. *)
+    body raised. Returns the number of domains used. *)
 val run : 'a t -> (int * int * (unit -> unit)) list -> int

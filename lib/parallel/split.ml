@@ -32,9 +32,11 @@ let node_bytes node =
    session re-decomposes its resident tree between edits, and that tree's
    ids are the evaluator store's node identity. Ids stay as they are unless
    they are negative or duplicate, in which case the tree is numbered once.
-   The index map is an array over [min id .. max id]; edits leave gaps
-   there ({!Tree.number_from} numbers a graft past the host's ids), so a
-   range much wider than the tree falls back to a hash table. *)
+   The index map is an array over [min id .. max id], as [Store] indexes
+   its nodes. Edits leave gaps there ({!Tree.number_from} numbers a graft
+   past the host's ids), but an edit session rebuilds from scratch, which
+   renumbers, once dead slots outnumber live ones, so the range stays a
+   small multiple of the tree. *)
 let preorder tree =
   let n = ref 0 and lo = ref max_int and hi = ref min_int in
   Tree.iter
@@ -50,29 +52,19 @@ let preorder tree =
       nodes.(!k) <- nd;
       incr k)
     tree;
-  let add, find =
-    if !hi - !lo < 4 * !n then begin
-      let lo = !lo in
-      let pre = Array.make (!hi - lo + 1) (-1) in
-      ( (fun id i -> pre.(id - lo) < 0 && (pre.(id - lo) <- i; true)),
-        fun id -> pre.(id - lo) )
-    end
-    else begin
-      let pre = Hashtbl.create !n in
-      ( (fun id i -> (not (Hashtbl.mem pre id)) && (Hashtbl.add pre id i; true)),
-        Hashtbl.find pre )
-    end
-  in
+  let lo = !lo in
+  let pre = Array.make (if lo >= 0 then !hi - lo + 1 else 0) (-1) in
   let i = ref (-1) in
   let unique =
-    !lo >= 0
+    lo >= 0
     && Array.for_all
          (fun (nd : Tree.t) ->
            incr i;
-           add nd.Tree.id !i)
+           let j = nd.Tree.id - lo in
+           pre.(j) < 0 && (pre.(j) <- !i; true))
          nodes
   in
-  if unique then (nodes, fun (nd : Tree.t) -> find nd.Tree.id)
+  if unique then (nodes, fun (nd : Tree.t) -> pre.(nd.Tree.id - lo))
   else begin
     ignore (Tree.number tree);
     (nodes, fun (nd : Tree.t) -> nd.Tree.id)
@@ -293,7 +285,7 @@ let cuts_of p frag_id = List.map (fun (c : Tree.t) -> c.Tree.id) p.cut_lists.(fr
 let cut_nodes p frag_id = p.cut_lists.(frag_id)
 
 let encode ?sharing p (f : fragment) =
-  let cuts = cuts_of p f.fr_id in
+  let cuts = p.cut_lists.(f.fr_id) in
   (* the class of [n] when eligible for once-per-machine shipping:
      multiply occurring, at least two nodes (a keyword leaf is cheaper to
      reship than to reference — a backreference is 5 bytes, its body
@@ -307,7 +299,9 @@ let encode ?sharing p (f : fragment) =
         if
           sh.Tree.sh_occurs.(c) > 1
           && sh.Tree.sh_size.(c) >= 2
-          && List.for_all (fun cid -> cid < n.Tree.id || cid >= hi) cuts
+          && List.for_all
+               (fun (cut : Tree.t) -> cut.Tree.id < n.Tree.id || cut.Tree.id >= hi)
+               cuts
         then Some c
         else None
   in
@@ -315,7 +309,7 @@ let encode ?sharing p (f : fragment) =
   (* class -> already shipped to this destination *)
   let seen = Hashtbl.create 64 in
   let rec go (n : Tree.t) =
-    if List.mem n.Tree.id cuts then begin
+    if List.memq n cuts then begin
       Buffer.add_char b 'C';
       add_u32 b n.Tree.id;
       add_str16 b n.Tree.sym
@@ -464,11 +458,11 @@ let owner_of p (node : Tree.t) =
     if i >= Array.length p.frags then None
     else begin
       let f = p.frags.(i) in
-      let cuts = cuts_of p f.fr_id in
+      let cuts = p.cut_lists.(f.fr_id) in
       let rec go n =
         n == node
         || Array.exists
-             (fun (c : Tree.t) -> (not (List.mem c.Tree.id cuts)) && go c)
+             (fun (c : Tree.t) -> (not (List.memq c cuts)) && go c)
              n.Tree.children
       in
       if go f.fr_root then Some f.fr_id else find (i + 1)

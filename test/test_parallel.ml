@@ -238,20 +238,6 @@ let test_fibers_ping_pong () =
   check_int "domains" 2 used;
   check_int "round trips" 50 !hops
 
-let test_fibers_deadlock () =
-  let h = Fibers.create ~machines:3 in
-  match
-    Fibers.run h
-      [
-        (0, 0, fun () -> ignore (Fibers.recv h 0));
-        (1, 1, fun () -> ignore (Fibers.recv h 1));
-        (2, 0, fun () -> Fibers.push h ~dst:0 ());
-      ]
-  with
-  | _ -> Alcotest.fail "expected Deadlock"
-  | exception Fibers.Deadlock ids ->
-      Alcotest.(check (list int)) "blocked machines" [ 1 ] ids
-
 let test_fibers_timeout_behind_busy_fiber () =
   (* A timed receive expires even though its domain is held by a
      computing fiber; it fires as soon as that fiber yields. *)
@@ -344,7 +330,6 @@ let suite =
         Alcotest.test_case "domains dynamic" `Quick test_domains_dynamic;
         Alcotest.test_case "domains placement" `Quick test_domains_placement;
         Alcotest.test_case "fibers ping-pong" `Quick test_fibers_ping_pong;
-        Alcotest.test_case "fibers deadlock" `Quick test_fibers_deadlock;
         Alcotest.test_case "fibers timeout behind busy fiber" `Quick
           test_fibers_timeout_behind_busy_fiber;
         Alcotest.test_case "fibers failure" `Quick

@@ -104,8 +104,8 @@ let test_domains_output () =
   | Error e -> Alcotest.failf "domains-compiled program failed: %s" e
 
 (* Runs [f] under a watchdog: a run that neither returns nor raises within
-   [limit] seconds (a deadlock the fiber scheduler cannot see, such as a
-   fiber spinning) ends the test process instead of hanging it. *)
+   [limit] seconds (machines deadlocked, or one spinning) ends the test
+   process instead of hanging it. *)
 let with_deadline ?(limit = 120.0) name f =
   let finished = Atomic.make false in
   let dog =
