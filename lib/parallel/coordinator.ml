@@ -6,7 +6,6 @@ open Pag_obs
 type recovery = {
   rc_link : Reliable.t;
   rc_kplan : Kastens.plan option;
-  rc_cost : Cost.t;
   rc_watchdog : float;
 }
 
@@ -48,14 +47,14 @@ let eval_locally ?obs (env : Transport.env) (r : recovery) g tree expected =
     match r.rc_kplan with
     | Some kplan ->
         let store, (st : Static_eval.stats) = Static_eval.eval ?obs kplan tree in
-        (store, Cost.visit_cost r.rc_cost ~visits:st.Static_eval.visits ~evals:st.Static_eval.evals)
+        (store, Cost.visit_cost Cost.default ~visits:st.Static_eval.visits ~evals:st.Static_eval.evals)
     | None ->
         let store, (st : Dynamic.stats) = Dynamic.eval ?obs g tree in
         ( store,
-          (float_of_int st.Dynamic.instances *. r.rc_cost.Cost.build_node)
-          +. (float_of_int st.Dynamic.edges *. r.rc_cost.Cost.build_edge)
+          (float_of_int st.Dynamic.instances *. Cost.default.Cost.build_node)
+          +. (float_of_int st.Dynamic.edges *. Cost.default.Cost.build_edge)
           +. (float_of_int st.Dynamic.evals
-             *. Cost.rule_cost r.rc_cost ~dynamic:true) )
+             *. Cost.rule_cost Cost.default ~dynamic:true) )
   in
   env.Transport.e_delay cost;
   List.map (fun a -> (a, Store.get store tree a)) expected

@@ -20,7 +20,6 @@ open Pag_analysis
 type recovery = {
   rc_link : Reliable.t;  (** the coordinator's own reliable layer *)
   rc_kplan : Kastens.plan option;  (** for the local static fallback *)
-  rc_cost : Cost.t;  (** CPU cost model for the local re-evaluation *)
   rc_watchdog : float;  (** seconds of silence before probing liveness *)
 }
 

@@ -80,3 +80,21 @@ let rec pp fmt = function
       Format.fprintf fmt "CodeFragRef(src=%d,%d,iid=%d)" c.src c.id c.iid
   | Need_intern n -> Format.fprintf fmt "NeedIntern(src=%d,iid=%d)" n.src n.iid
   | Backfill b -> Format.fprintf fmt "Backfill(src=%d,iid=%d)" b.src b.iid
+
+let rec label = function
+  | Subtree s -> Printf.sprintf "subtree %d" s.frag
+  | Edit e -> Printf.sprintf "edit %d" e.node
+  | Attr a -> a.attr
+  | Code_frag _ -> "code fragment"
+  | Resolve _ -> "resolve"
+  | Final _ -> "final code"
+  | Stop -> "stop"
+  | Data d -> label d.payload
+  | Ack _ -> "ack"
+  | Ping -> "ping"
+  | Attr_bind a -> a.attr ^ " (bind)"
+  | Attr_ref a -> a.attr ^ " (ref)"
+  | Code_frag_bind _ -> "code fragment (bind)"
+  | Code_frag_ref _ -> "code fragment (ref)"
+  | Need_intern _ -> "need intern"
+  | Backfill _ -> "intern backfill"

@@ -68,3 +68,7 @@ val seq_bytes : int
 val iid_bytes : int
 
 val pp : Format.formatter -> t -> unit
+
+(** Short trace label: the attribute name for attribute traffic, the
+    payload's label for a [Data] envelope. *)
+val label : t -> string

@@ -11,12 +11,8 @@ type options = {
   use_librarian : bool;
   use_hashcons : bool;
   use_dag : bool;
-  cost : Cost.t;
-  net_params : Ethernet.params;
   phase_label : int -> string option;
   faults : Faults.spec option;
-  fault_rto : float option;
-  fault_watchdog : float option;
   telemetry : bool;
   provenance : bool;
 }
@@ -31,12 +27,8 @@ let default_options =
     use_librarian = true;
     use_hashcons = false;
     use_dag = false;
-    cost = Cost.default;
-    net_params = Ethernet.default_params;
     phase_label = (fun _ -> None);
     faults = None;
-    fault_rto = None;
-    fault_watchdog = None;
     telemetry = false;
     provenance = false;
   }
@@ -66,22 +58,6 @@ let machine_name ~fragments id =
     Printf.sprintf "eval-%c" (Char.chr (Char.code 'a' + id - 1))
   else "librarian"
 
-let worker_config opts g plan =
-  {
-    Worker.wc_grammar = g;
-    wc_plan = plan;
-    wc_mode = opts.mode;
-    wc_cost = opts.cost;
-    wc_use_priority = opts.use_priority;
-    wc_librarian = None (* patched per run: librarian machine id *);
-    wc_phase_label = opts.phase_label;
-    wc_obs = Obs.null_ctx (* patched per run: per-machine context *);
-    wc_sharing = None (* patched per run: tree-sharing classes *);
-    wc_prov = Prov.disabled (* patched per run: per-machine ring *);
-    wc_prov_dwell = true;
-    wc_engine_hook = ignore (* patched per run: engine capture *);
-  }
-
 let make_task plan (f : Split.fragment) =
   let cuts =
     List.map
@@ -103,18 +79,8 @@ let make_task plan (f : Split.fragment) =
     t_root_is_tree_root = f.Split.fr_id = 0;
   }
 
-let dynamic_fraction stats =
-  let dyn =
-    Array.fold_left (fun a s -> a + s.Worker.ws_dynamic_rules) 0 stats
-  in
-  let st = Array.fold_left (fun a s -> a + s.Worker.ws_static_rules) 0 stats in
-  if dyn + st = 0 then 0.0 else float_of_int dyn /. float_of_int (dyn + st)
-
 let decompose opts g tree =
   Split.decompose g tree ~machines:opts.machines ~granularity:opts.granularity
-
-let sum_retransmits links =
-  List.fold_left (fun a l -> a + (Reliable.stats l).Reliable.rs_retransmits) 0 links
 
 (* ------------------------- telemetry ------------------------- *)
 
@@ -161,16 +127,6 @@ let make_provs opts g ~tree ~n =
     Array.init n (fun _ -> Prov.create ~hint ~arity ())
   end
   else Array.make (max 1 n) Prov.disabled
-
-let collect_prov opts provs engs =
-  if not opts.provenance then []
-  else
-    List.filter_map
-      (fun i ->
-        match engs.(i) with
-        | Some e when Prov.enabled provs.(i) -> Some (provs.(i), e)
-        | _ -> None)
-      (List.init (Array.length engs) Fun.id)
 
 let merged_metrics ctxs =
   let reg = Obs.Metrics.create () in
@@ -220,15 +176,167 @@ let build_report ~label ~clock ~horizon ~machines ~worker_stats ~messages
     rp_domains = domains;
   }
 
-(* A worker that never reported under fault injection was crashed or called
-   off; without faults it is a protocol bug. *)
-let collect_worker_stats ~faulty stats =
-  Array.map
-    (function
-      | Some s -> s
-      | None when faulty -> Worker.zero_stats
-      | None -> failwith "worker did not finish")
-    stats
+(* ------------------ the static protocol's machine set ------------------ *)
+
+(* The static protocol's machines, built once for both transports: the
+   coordinator (with crash recovery under a fault plan), one {!Worker} per
+   fragment, the librarian, their telemetry and provenance slots, and each
+   machine's env — {!Reliable} under a fault plan, then {!Intern} with
+   [use_hashcons] — layered over the transport's [raw] env. The transport
+   supplies only what differs: [now] clocks telemetry, [rto], [max_tries]
+   and [watchdog] time the reliable layer and the coordinator's liveness
+   probes, and [prov_dwell] prices provenance durations from the cost
+   model (see {!Worker.config}).
+
+   Returns every machine's body in machine-id order, for the transport to
+   start its own way, and [collect], which assembles the result once every
+   started body has returned. [row stats pid] is the transport's report
+   row for machine [pid]. *)
+let static_machines ?max_tries opts g plan tree split ~now ~raw ~rto ~watchdog
+    ~prov_dwell =
+  let nfrags = Split.count split in
+  let n = nfrags + 2 in
+  let librarian = if opts.use_librarian then Some (nfrags + 1) else None in
+  (* Sharing classes are computed once on the numbered tree; the immutable
+     arrays are read concurrently by every machine's memo. On the static
+     schedule [--dag] collapses on the same unit as [--hashcons] — the
+     subtree memo keyed on these classes — so both flags route here. *)
+  let sharing =
+    if opts.use_hashcons || opts.use_dag then Some (Tree.sharing tree)
+    else None
+  in
+  let faulty = Option.is_some opts.faults in
+  let ctxs = make_ctxs opts ~n ~clock:now in
+  let provs = make_provs opts g ~tree ~n in
+  let engs = Array.make n None in
+  (* With a fault plan — even an all-zero one, for overhead measurement —
+     every machine talks through its own reliable-delivery layer. Every env
+     is built here, before the transport starts any machine, so the list
+     needs no lock. *)
+  let links = ref [] in
+  let machine_env id =
+    let obs = ctxs.(id) in
+    let base, link =
+      if faulty then begin
+        let l = Reliable.wrap ~obs ~rto ?max_tries (raw id) in
+        links := l :: !links;
+        (Reliable.env l, Some l)
+      end
+      else (raw id, None)
+    in
+    (* Interning sits above reliable delivery: binds and references are
+       retransmitted like any payload, backfills cover reordering. *)
+    let env =
+      if opts.use_hashcons then Intern.env (Intern.wrap ~obs base) else base
+    in
+    (env, link, obs)
+  in
+  let attrs = ref [] and recovered = ref false in
+  let coordinator =
+    let env, link, obs = machine_env 0 in
+    let recovery =
+      Option.map
+        (fun l ->
+          { Coordinator.rc_link = l; rc_kplan = plan; rc_watchdog = watchdog })
+        link
+    in
+    fun () ->
+      let a, r =
+        Coordinator.run ~obs ?recovery ?sharing env g ~tree ~plan:split
+          ~librarian
+      in
+      attrs := a;
+      recovered := r
+  in
+  let stats = Array.make nfrags None in
+  let worker (f : Split.fragment) =
+    let id = f.Split.fr_id + 1 in
+    let env, _, obs = machine_env id in
+    let cfg =
+      {
+        Worker.wc_grammar = g;
+        wc_plan = plan;
+        wc_mode = opts.mode;
+        wc_use_priority = opts.use_priority;
+        wc_librarian = librarian;
+        wc_phase_label = opts.phase_label;
+        wc_obs = obs;
+        wc_sharing = sharing;
+        wc_prov = provs.(id);
+        wc_prov_dwell = prov_dwell;
+        wc_engine_hook = (fun e -> engs.(id) <- Some e);
+      }
+    in
+    ( id,
+      fun () ->
+        stats.(f.Split.fr_id) <- Some (Worker.run env cfg (make_task split f))
+    )
+  in
+  let workers = Array.to_list (Array.map worker (Split.fragments split)) in
+  let librarians =
+    match librarian with
+    | Some lid ->
+        let env, _, obs = machine_env lid in
+        [ (lid, fun () -> Librarian.run ~obs env ~coordinator:0) ]
+    | None -> []
+  in
+  let bodies = ((0, coordinator) :: workers) @ librarians in
+  let collect ~transport ~clock ~time ~horizon ~trace ~messages ~bytes
+      ~fault_stats ~row ~domains =
+    (* A worker that never reported under fault injection was crashed or
+       called off; without faults it is a protocol bug. *)
+    let worker_stats =
+      Array.map
+        (function
+          | Some s -> s
+          | None when faulty -> Worker.zero_stats
+          | None -> failwith "worker did not finish")
+        stats
+    in
+    let retransmits =
+      List.fold_left
+        (fun a l -> a + (Reliable.stats l).Reliable.rs_retransmits)
+        0 !links
+    in
+    let report =
+      build_report
+        ~label:(run_label opts ~transport)
+        ~clock ~horizon
+        ~machines:(List.map (fun (pid, _) -> row worker_stats pid) bodies)
+        ~worker_stats ~messages ~bytes ~retransmits
+        ~metrics:(merged_metrics ctxs) ~domains
+    in
+    {
+      r_attrs = !attrs;
+      r_time = time;
+      r_worker_stats = worker_stats;
+      r_trace = trace;
+      r_messages = messages;
+      r_bytes = bytes;
+      r_fragments = nfrags;
+      r_split = split;
+      r_dynamic_fraction = Obs.Report.dynamic_fraction report;
+      r_retransmits = retransmits;
+      r_recovered = !recovered;
+      r_fault_stats = fault_stats;
+      r_obs =
+        (if opts.telemetry then
+           Some
+             (merge_recorders ctxs
+                (Option.to_list (Option.map recorder_of_trace trace)))
+         else None);
+      r_report = report;
+      r_prov =
+        List.filter_map
+          (fun i ->
+            match engs.(i) with
+            | Some e when Prov.enabled provs.(i) -> Some (provs.(i), e)
+            | _ -> None)
+          (List.init n Fun.id);
+      r_tree = tree;
+    }
+  in
+  (bodies, collect)
 
 (* ------------------------- simulation ------------------------- *)
 
@@ -241,10 +349,9 @@ end)
    presumed dead only after the full backoff horizon
    rto * (2 + 4 + ... + 2^max_tries) ~ 51s of silence. A simulated machine
    acknowledges nothing while it burns CPU inside one static visit, so the
-   horizon must exceed the longest compute phase — when the caller does not
-   pin [fault_rto]/[fault_watchdog], {!auto_timeouts} scales them to the
-   workload from the cost model (a machine's share of the tree's rules),
-   never below these floors. *)
+   horizon must exceed the longest compute phase — {!auto_timeouts} scales
+   both to the workload from the cost model (a machine's share of the
+   tree's rules), never below these floors. *)
 let sim_rto = 0.1
 
 let sim_max_tries = 8
@@ -268,29 +375,11 @@ let auto_timeouts opts tree =
       0 tree
   in
   let phase =
-    float_of_int rules *. opts.cost.Cost.static_rule
+    float_of_int rules *. Cost.default.Cost.static_rule
     /. float_of_int (max 1 opts.machines)
   in
   let rto = Float.max sim_rto (phase /. 4.0) in
   (rto, Float.max sim_watchdog (4.0 *. rto))
-
-let rec message_label = function
-  | Message.Attr { attr; _ } -> attr
-  | Message.Subtree { frag; _ } -> Printf.sprintf "subtree %d" frag
-  | Message.Edit { node; _ } -> Printf.sprintf "edit %d" node
-  | Message.Code_frag _ -> "code fragment"
-  | Message.Resolve _ -> "resolve"
-  | Message.Final _ -> "final code"
-  | Message.Stop -> "stop"
-  | Message.Data { payload; _ } -> message_label payload
-  | Message.Ack _ -> "ack"
-  | Message.Ping -> "ping"
-  | Message.Attr_bind { attr; _ } -> attr ^ " (bind)"
-  | Message.Attr_ref { attr; _ } -> attr ^ " (ref)"
-  | Message.Code_frag_bind _ -> "code fragment (bind)"
-  | Message.Code_frag_ref _ -> "code fragment (ref)"
-  | Message.Need_intern _ -> "need intern"
-  | Message.Backfill _ -> "intern backfill"
 
 let sim_env sim id =
   {
@@ -298,7 +387,7 @@ let sim_env sim id =
     e_delay = S.delay;
     e_send =
       (fun ~dst m ->
-        S.send ~dst ~size:(Message.size m) ~label:(message_label m) m);
+        S.send ~dst ~size:(Message.size m) ~label:(Message.label m) m);
     e_recv = S.recv;
     e_recv_timeout = S.recv_timeout;
     (* Direct scheduler read, not the [ETime] effect: the clock runs once
@@ -311,160 +400,53 @@ let sim_env sim id =
 
 let run_sim_static opts g plan tree =
   let split = decompose opts g tree in
-  (* Sharing classes are computed once on the numbered tree; the immutable
-     arrays are read concurrently by every machine's memo. On the static
-     schedule [--dag] collapses on the same unit as [--hashcons] — the
-     subtree memo keyed on these classes — so both flags route here. *)
-  let sharing =
-    if opts.use_hashcons || opts.use_dag then Some (Tree.sharing tree)
-    else None
-  in
   let nfrags = Split.count split in
-  let librarian_id = if opts.use_librarian then Some (nfrags + 1) else None in
-  let sim = S.create ~params:opts.net_params () in
+  let sim = S.create () in
   Option.iter (S.set_faults sim) opts.faults;
-  let faulty = Option.is_some opts.faults in
-  let auto_rto, auto_watchdog = auto_timeouts opts tree in
-  let rto = Option.value opts.fault_rto ~default:auto_rto in
-  let watchdog = Option.value opts.fault_watchdog ~default:auto_watchdog in
-  let ctxs = make_ctxs opts ~n:(nfrags + 2) ~clock:(fun () -> S.time ()) in
-  let provs = make_provs opts g ~tree ~n:(nfrags + 2) in
-  let prov_engs = Array.make (nfrags + 2) None in
-  (* With a fault plan — even an all-zero one, for overhead measurement —
-     every machine talks through its own reliable-delivery layer. *)
-  let links = ref [] in
-  let machine_env id =
-    let obs = ctxs.(id) in
-    let raw = sim_env sim id in
-    let base, link =
-      if faulty then begin
-        let l = Reliable.wrap ~obs ~rto ~max_tries:sim_max_tries raw in
-        links := l :: !links;
-        (Reliable.env l, Some l)
-      end
-      else (raw, None)
-    in
-    (* Interning sits above reliable delivery: binds and references are
-       retransmitted like any payload, backfills cover reordering. *)
-    let env =
-      if opts.use_hashcons then Intern.env (Intern.wrap ~obs base) else base
-    in
-    (env, link, obs)
+  let rto, watchdog = auto_timeouts opts tree in
+  let bodies, collect =
+    static_machines ~max_tries:sim_max_tries opts g plan tree split
+      ~now:(fun () -> S.time ())
+      ~raw:(sim_env sim) ~rto ~watchdog ~prov_dwell:true
   in
-  let stats = Array.make nfrags None in
-  let attrs = ref [] in
-  let recovered = ref false in
+  (* Every machine is spawned, crashed ones included: the simulator kills
+     them at their crash time. The run's time is the coordinator's return. *)
   let finish = ref 0.0 in
-  (* pid 0: coordinator *)
-  let coord_env, coord_link, coord_obs = machine_env 0 in
-  let recovery =
-    Option.map
-      (fun link ->
-        {
-          Coordinator.rc_link = link;
-          rc_kplan = plan;
-          rc_cost = opts.cost;
-          rc_watchdog = watchdog;
-        })
-      coord_link
-  in
-  let _ =
-    S.spawn sim ~name:"parser" (fun () ->
-        let a, rec_ =
-          Coordinator.run ~obs:coord_obs ?recovery ?sharing coord_env g ~tree
-            ~plan:split ~librarian:librarian_id
-        in
-        attrs := a;
-        recovered := rec_;
-        finish := S.time ())
-  in
-  (* pids 1..nfrags: evaluators *)
-  Array.iter
-    (fun (f : Split.fragment) ->
-      let id = f.Split.fr_id in
-      let env, _, wobs = machine_env (id + 1) in
-      let _ =
-        S.spawn sim
-          ~name:(machine_name ~fragments:nfrags (id + 1))
-          (fun () ->
-            let cfg =
-              { (worker_config opts g plan) with
-                Worker.wc_librarian = librarian_id;
-                wc_obs = wobs;
-                wc_sharing = sharing;
-                wc_prov = provs.(id + 1);
-                wc_engine_hook = (fun e -> prov_engs.(id + 1) <- Some e);
-              }
-            in
-            stats.(id) <- Some (Worker.run env cfg (make_task split f)))
-      in
-      ())
-    (Split.fragments split);
-  (* librarian *)
-  (match librarian_id with
-  | Some lid ->
-      let env, _, lobs = machine_env lid in
-      let _ =
-        S.spawn sim ~name:"librarian" (fun () ->
-            Librarian.run ~obs:lobs env ~coordinator:0)
-      in
-      ()
-  | None -> ());
+  List.iter
+    (fun (id, body) ->
+      ignore
+        (S.spawn sim
+           ~name:(machine_name ~fragments:nfrags id)
+           (fun () ->
+             body ();
+             if id = 0 then finish := S.time ())))
+    bodies;
   S.run sim;
-  let worker_stats = collect_worker_stats ~faulty stats in
   let net = S.network sim in
   let tr = S.trace sim in
   let horizon = Trace.horizon tr in
-  let npids = nfrags + 1 + (match librarian_id with Some _ -> 1 | None -> 0) in
   (* Boundary messages originated per machine, acks included: read off the
      trace so parser and librarian are covered too. *)
   let arrow_sends = Array.make (nfrags + 2) 0 in
   Trace.iter_arrows tr (fun (a : Trace.arrow) ->
       if a.Trace.ar_src >= 0 && a.Trace.ar_src < Array.length arrow_sends then
         arrow_sends.(a.Trace.ar_src) <- arrow_sends.(a.Trace.ar_src) + 1);
-  let machine_rows =
-    List.init npids (fun pid ->
-        let active = Trace.active_time tr ~pid in
-        {
-          Obs.Report.rm_pid = pid;
-          rm_name = machine_name ~fragments:nfrags pid;
-          rm_active = active;
-          rm_idle = Float.max 0.0 (horizon -. active);
-          rm_util = Trace.utilization tr ~pid;
-          rm_sends = arrow_sends.(pid);
-          rm_max_queue = S.max_queue_depth sim pid;
-        })
+  let row _ pid =
+    let active = Trace.active_time tr ~pid in
+    {
+      Obs.Report.rm_pid = pid;
+      rm_name = machine_name ~fragments:nfrags pid;
+      rm_active = active;
+      rm_idle = Float.max 0.0 (horizon -. active);
+      rm_util = Trace.utilization tr ~pid;
+      rm_sends = arrow_sends.(pid);
+      rm_max_queue = S.max_queue_depth sim pid;
+    }
   in
-  let metrics = merged_metrics ctxs in
-  let report =
-    build_report
-      ~label:(run_label opts ~transport:"sim")
-      ~clock:"simulated" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:(Ethernet.messages_sent net) ~bytes:(Ethernet.bytes_sent net)
-      ~retransmits:(sum_retransmits !links) ~metrics ~domains:1
-  in
-  let r_obs =
-    if opts.telemetry then Some (merge_recorders ctxs [ recorder_of_trace tr ])
-    else None
-  in
-  {
-    r_attrs = !attrs;
-    r_time = !finish;
-    r_worker_stats = worker_stats;
-    r_trace = Some tr;
-    r_messages = Ethernet.messages_sent net;
-    r_bytes = Ethernet.bytes_sent net;
-    r_fragments = nfrags;
-    r_split = split;
-    r_dynamic_fraction = dynamic_fraction worker_stats;
-    r_retransmits = sum_retransmits !links;
-    r_recovered = !recovered;
-    r_fault_stats = S.fault_stats sim;
-    r_obs;
-    r_report = report;
-    r_prov = collect_prov opts provs prov_engs;
-    r_tree = tree;
-  }
+  collect ~transport:"sim" ~clock:"simulated" ~time:!finish ~horizon
+    ~trace:(Some tr) ~messages:(Ethernet.messages_sent net)
+    ~bytes:(Ethernet.bytes_sent net) ~fault_stats:(S.fault_stats sim) ~row
+    ~domains:1
 
 (* ------------------------- work stealing (sim) ------------------------- *)
 
@@ -521,10 +503,9 @@ let probe_reply_bytes k = 32 + (8 * k)
 let run_sim_steal opts g tree =
   let split = decompose opts g tree in
   let m = max 1 opts.machines in
-  let sim = S.create ~params:opts.net_params () in
+  let sim = S.create () in
   let net = S.network sim in
   let injector = Option.map Faults.make opts.faults in
-  let rto = Option.value opts.fault_rto ~default:sim_rto in
   let store = ESt.create_shared g tree in
   (* With [--dag] the shared DAG is the evaluation substrate: repeated
      subtrees get one rule-instance set per (class × inherited
@@ -551,7 +532,7 @@ let run_sim_steal opts g tree =
     else Prov.disabled
   in
   if opts.provenance then
-    Eng.set_prov ~pid:0 ~dwell_dynamic:opts.cost.Cost.steal_rule
+    Eng.set_prov ~pid:0 ~dwell_dynamic:Cost.default.Cost.steal_rule
       ~clock:(fun () -> S.now sim)
       eng prov;
   let gr = Eng.graph eng in
@@ -658,7 +639,7 @@ let run_sim_steal opts g tree =
                 uid_base = k * Uid.stride;
               }
           in
-          S.send ~dst:k ~size:(Message.size msg) ~label:(message_label msg)
+          S.send ~dst:k ~size:(Message.size msg) ~label:(Message.label msg)
             msg
         done;
         let stops = ref 0 in
@@ -693,14 +674,14 @@ let run_sim_steal opts g tree =
           in
           (match S.recv () with
           | Message.Subtree { bytes; _ } ->
-              S.delay (float_of_int bytes *. opts.cost.Cost.rebuild_per_byte)
+              S.delay (float_of_int bytes *. Cost.default.Cost.rebuild_per_byte)
           | _ -> ());
           (* This machine's share of instance-table construction. Unlike
              the 1987 dynamic scheduler's linked dependency graph, the
              flat table and its CSR edges are array arithmetic: no
              per-edge insertion charge, and the per-instance constant is
              one counter store, not a graph-node allocation. *)
-          S.delay (float_of_int own_rids.(k) *. opts.cost.Cost.steal_init);
+          S.delay (float_of_int own_rids.(k) *. Cost.default.Cost.steal_init);
           let cursor = ref (k * Uid.stride) in
           let exec rid =
             cur := k;
@@ -717,7 +698,7 @@ let run_sim_steal opts g tree =
                     if Uid.mark () <> u0 then
                       Pag_eval.Dag.note_taint rt
                         (Eng.node_of eng rid).Tree.id));
-            S.delay opts.cost.Cost.steal_rule;
+            S.delay Cost.default.Cost.steal_rule;
             st.Steal.st_fired <- st.Steal.st_fired + 1;
             incr fired_total;
             if !fired_total = !live then finisher := k;
@@ -773,8 +754,8 @@ let run_sim_steal opts g tree =
                   (match verdict with
                   | Some x when x.Faults.v_drop ->
                       (* probe lost: wait out the timeout, retry later *)
-                      S.delay (rto +. (req_arrival -. now));
-                      st.Steal.st_idle <- st.Steal.st_idle +. rto;
+                      S.delay (sim_rto +. (req_arrival -. now));
+                      st.Steal.st_idle <- st.Steal.st_idle +. sim_rto;
                       false
                   | _ ->
                       (* The stolen instances are in flight until the
@@ -829,11 +810,11 @@ let run_sim_steal opts g tree =
                 let msg = Message.Attr { node = tree.Tree.id; attr; value } in
                 sends.(k) <- sends.(k) + 1;
                 S.send ~dst:0 ~size:(Message.size msg)
-                  ~label:(message_label msg) msg)
+                  ~label:(Message.label msg) msg)
               (ESt.root_attrs store);
           sends.(k) <- sends.(k) + 1;
           S.send ~dst:0 ~size:(Message.size Message.Stop)
-            ~label:(message_label Message.Stop) Message.Stop;
+            ~label:(Message.label Message.Stop) Message.Stop;
           if Obs.ctx_enabled obs then begin
             let reg = obs.Obs.x_metrics in
             Obs.Metrics.add
@@ -1091,16 +1072,9 @@ let home_domain ~fragments ~domains machine =
 
 let run_domains_static opts g plan tree =
   let split = decompose opts g tree in
-  (* Same collapse unit as the sim static path: [--dag] = class-keyed memo. *)
-  let sharing =
-    if opts.use_hashcons || opts.use_dag then Some (Tree.sharing tree)
-    else None
-  in
   let nfrags = Split.count split in
-  let librarian_id = if opts.use_librarian then Some (nfrags + 1) else None in
   let nmachines = nfrags + 2 in
   let hosts = Fibers.create ~machines:nmachines in
-  let faulty = Option.is_some opts.faults in
   (* Crashed machines never start on the domains transport (crash times are
      a simulator notion); their mail is discarded unread. *)
   let crashed = Array.make nmachines false in
@@ -1119,12 +1093,6 @@ let run_domains_static opts g plan tree =
     | None -> Array.make nmachines None
   in
   let stashes = Array.init nmachines (fun _ -> ref None) in
-  let start = Unix.gettimeofday () in
-  let ctxs =
-    make_ctxs opts ~n:nmachines ~clock:(fun () -> Unix.gettimeofday () -. start)
-  in
-  let provs = make_provs opts g ~tree ~n:nmachines in
-  let prov_engs = Array.make nmachines None in
   let push ~dst m = Fibers.push hosts ~dst m in
   let send_from src ~dst m =
     if not crashed.(dst) then
@@ -1147,105 +1115,40 @@ let run_domains_static opts g plan tree =
             | None -> ()
           end)
   in
-  (* Every machine's env is built on the calling domain before
-     [Fibers.run] starts any other, so this list needs no lock. *)
-  let all_links = ref [] in
-  let machine_env id =
-    let obs = ctxs.(id) in
-    let raw =
-      {
-        Transport.e_id = id;
-        e_delay = (fun _ -> ());
-        e_send = (fun ~dst m -> send_from id ~dst m);
-        e_recv = (fun () -> Fibers.recv hosts id);
-        e_recv_timeout = (fun d -> Fibers.recv_timeout hosts id d);
-        e_time = Unix.gettimeofday;
-        e_mark = (fun _ -> ());
-        e_flush = (fun () -> ());
-      }
-    in
-    let base, link =
-      if faulty then begin
-        let l = Reliable.wrap ~obs ~rto:dom_rto raw in
-        all_links := l :: !all_links;
-        (Reliable.env l, Some l)
-      end
-      else (raw, None)
-    in
-    let env =
-      if opts.use_hashcons then Intern.env (Intern.wrap ~obs base) else base
-    in
-    (env, link, obs)
+  let raw id =
+    {
+      Transport.e_id = id;
+      e_delay = (fun _ -> ());
+      e_send = (fun ~dst m -> send_from id ~dst m);
+      e_recv = (fun () -> Fibers.recv hosts id);
+      e_recv_timeout = (fun d -> Fibers.recv_timeout hosts id d);
+      e_time = Unix.gettimeofday;
+      e_mark = (fun _ -> ());
+      e_flush = (fun () -> ());
+    }
   in
-  let stats = Array.make nfrags None in
-  let attrs = ref [] and recovered = ref false in
-  let coordinator () =
-    let coord_env, coord_link, coord_obs = machine_env 0 in
-    let recovery =
-      Option.map
-        (fun link ->
-          {
-            Coordinator.rc_link = link;
-            rc_kplan = plan;
-            rc_cost = opts.cost;
-            rc_watchdog = dom_watchdog;
-          })
-        coord_link
-    in
-    fun () ->
-      let a, rec_ =
-        Coordinator.run ~obs:coord_obs ?recovery ?sharing coord_env g ~tree
-          ~plan:split ~librarian:librarian_id
-      in
-      attrs := a;
-      recovered := rec_
-  in
-  let worker (f : Split.fragment) =
-    let id = f.Split.fr_id in
-    let env, _, wobs = machine_env (id + 1) in
-    let cfg =
-      { (worker_config opts g plan) with
-        Worker.wc_librarian = librarian_id;
-        wc_obs = wobs;
-        wc_sharing = sharing;
-        wc_prov = provs.(id + 1);
-        wc_prov_dwell = false (* wall clock advances in-firing *);
-        wc_engine_hook = (fun e -> prov_engs.(id + 1) <- Some e);
-      }
-    in
-    fun () -> stats.(id) <- Some (Worker.run env cfg (make_task split f))
-  in
-  let librarian lid =
-    let env, _, lobs = machine_env lid in
-    fun () -> Librarian.run ~obs:lobs env ~coordinator:0
-  in
-  (* Machine-id order: on the calling domain the coordinator ships every
-     fragment before fragment 0's evaluator takes the domain. *)
-  let bodies =
-    (0, coordinator ())
-    :: List.filter_map
-         (fun (f : Split.fragment) ->
-           if crashed.(f.Split.fr_id + 1) then None
-           else Some (f.Split.fr_id + 1, worker f))
-         (Array.to_list (Split.fragments split))
-    @
-    match librarian_id with
-    | Some lid when not crashed.(lid) -> [ (lid, librarian lid) ]
-    | _ -> []
+  let start = Unix.gettimeofday () in
+  let bodies, collect =
+    static_machines opts g plan tree split
+      ~now:(fun () -> Unix.gettimeofday () -. start)
+      ~raw ~rto:dom_rto ~watchdog:dom_watchdog
+      ~prov_dwell:false (* wall clock advances in-firing *)
   in
   let domains = domain_count ~fragments:nfrags in
   let t0 = Unix.gettimeofday () in
+  (* Machine-id order: on the calling domain the coordinator ships every
+     fragment before fragment 0's evaluator takes the domain. *)
   let used =
     Fibers.run hosts
-      (List.map
+      (List.filter_map
          (fun (id, body) ->
-           (id, home_domain ~fragments:nfrags ~domains id, body))
+           if id > 0 && crashed.(id) then None
+           else Some (id, home_domain ~fragments:nfrags ~domains id, body))
          bodies)
   in
-  let worker_stats = collect_worker_stats ~faulty stats in
   let t1 = Unix.gettimeofday () in
   let fault_stats =
-    if faulty then begin
+    if Option.is_some opts.faults then begin
       let total = { Faults.st_dropped = 0; st_duplicated = 0; st_delayed = 0 } in
       Array.iter
         (function
@@ -1264,61 +1167,31 @@ let run_domains_static opts g plan tree =
   let horizon = t1 -. t0 in
   (* No network trace on domains: worker idle-wait measurements stand in
      for activity segments; parser and librarian utilization is unknown. *)
-  let machine_rows =
-    List.init
-      (nfrags + 1 + match librarian_id with Some _ -> 1 | None -> 0)
-      (fun pid ->
-        let active, idle, util, sends =
-          if pid >= 1 && pid <= nfrags then begin
-            let s = worker_stats.(pid - 1) in
-            let idle = Float.min horizon s.Worker.ws_idle_wait in
-            let active = Float.max 0.0 (horizon -. idle) in
-            ( active,
-              idle,
-              (if horizon > 0.0 then active /. horizon else 0.0),
-              s.Worker.ws_sends )
-          end
-          else (0.0, horizon, 0.0, 0)
-        in
-        {
-          Obs.Report.rm_pid = pid;
-          rm_name = machine_name ~fragments:nfrags pid;
-          rm_active = active;
-          rm_idle = idle;
-          rm_util = util;
-          rm_sends = sends;
-          rm_max_queue = -1;
-        })
+  let row worker_stats pid =
+    let active, idle, util, sends =
+      if pid >= 1 && pid <= nfrags then begin
+        let s = worker_stats.(pid - 1) in
+        let idle = Float.min horizon s.Worker.ws_idle_wait in
+        let active = Float.max 0.0 (horizon -. idle) in
+        ( active,
+          idle,
+          (if horizon > 0.0 then active /. horizon else 0.0),
+          s.Worker.ws_sends )
+      end
+      else (0.0, horizon, 0.0, 0)
+    in
+    {
+      Obs.Report.rm_pid = pid;
+      rm_name = machine_name ~fragments:nfrags pid;
+      rm_active = active;
+      rm_idle = idle;
+      rm_util = util;
+      rm_sends = sends;
+      rm_max_queue = -1;
+    }
   in
-  let metrics = merged_metrics ctxs in
-  let report =
-    build_report
-      ~label:(run_label opts ~transport:"domains")
-      ~clock:"wall clock" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:0 ~bytes:0 ~retransmits:(sum_retransmits !all_links) ~metrics
-      ~domains:used
-  in
-  let r_obs =
-    if opts.telemetry then Some (merge_recorders ctxs []) else None
-  in
-  {
-    r_attrs = !attrs;
-    r_time = t1 -. t0;
-    r_worker_stats = worker_stats;
-    r_trace = None;
-    r_messages = 0;
-    r_bytes = 0;
-    r_fragments = nfrags;
-    r_split = split;
-    r_dynamic_fraction = dynamic_fraction worker_stats;
-    r_retransmits = sum_retransmits !all_links;
-    r_recovered = !recovered;
-    r_fault_stats = fault_stats;
-    r_obs;
-    r_report = report;
-    r_prov = collect_prov opts provs prov_engs;
-    r_tree = tree;
-  }
+  collect ~transport:"domains" ~clock:"wall clock" ~time:horizon ~horizon
+    ~trace:None ~messages:0 ~bytes:0 ~fault_stats ~row ~domains:used
 
 let run_domains opts g plan tree =
   match opts.schedule with

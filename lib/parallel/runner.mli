@@ -14,6 +14,16 @@
     rest, so one fragment spawns no domain. The report's [rp_domains] is
     the count used.
 
+    Both transports run one machine set. A single builder in the
+    implementation ([static_machines]) constructs the static protocol's
+    coordinator with crash recovery, one {!Worker} per fragment, the
+    librarian, their telemetry and provenance slots, and the
+    {!Reliable}-then-{!Intern} layering over a raw env. The transports
+    differ only in that raw env (netsim, or {!Fibers} mailboxes with
+    send-side fault injection), the clock, the reliable-layer timeouts,
+    provenance dwell pricing, how the bodies start ([Sim.spawn], or
+    {!Fibers.run} with crashed machines skipped) and the report rows.
+
     With [machines = 1] the combined evaluator degenerates to the sequential
     static evaluator and the dynamic evaluator to the sequential dynamic
     evaluator, which is exactly how the paper's sequential baselines are
@@ -65,8 +75,6 @@ type options = {
           their classes and fall back to per-occurrence evaluation, so
           output is unchanged up to label renaming (exactly equal after
           masking, property-tested). Off by default. *)
-  cost : Cost.t;
-  net_params : Ethernet.params;
   phase_label : int -> string option;
       (** trace label for static visit numbers, e.g. 1 -> "symbol table" *)
   faults : Faults.spec option;
@@ -76,19 +84,14 @@ type options = {
           before. An all-zero spec measures the reliable layer's overhead.
           On the domains transport, crash entries take effect from the start
           (the machine never runs) and delay/reorder jitter is approximated
-          by send-order perturbation. *)
-  fault_rto : float option;
-      (** base retransmission timeout for the reliable layer. A machine
-          acks nothing while it computes, so the give-up horizon
-          rto * (2 + 4 + ... + 2^max_tries) must exceed the longest compute
-          phase or live peers are presumed dead. [None] (recommended)
-          auto-scales to the workload on the simulator — a machine's share
-          of the tree's rules priced by the cost model, floored at the
-          fixture-sized default — and picks the fixed real-time default on
-          domains. *)
-  fault_watchdog : float option;
-      (** coordinator liveness-probe interval; [None] scales with the
-          (possibly auto-scaled) [fault_rto]. *)
+          by send-order perturbation. The reliable layer's timeouts are
+          not options: a machine acks nothing while it computes, so the
+          give-up horizon rto * (2 + 4 + ... + 2^max_tries) must exceed the
+          longest compute phase. The simulator derives the retransmission
+          timeout and the coordinator's liveness watchdog from the workload
+          — a machine's share of the tree's rules priced by the cost model,
+          floored at fixture-sized defaults — and domains use fixed
+          real-time defaults. *)
   telemetry : bool;
       (** record spans, events and metrics on every machine (see
           {!Pag_obs.Obs}); off by default — the instrumentation then costs

@@ -18,17 +18,14 @@ type spec = {
   sp_dag : bool;
   sp_telemetry : bool;
   sp_faults : Faults.spec option;
-  sp_fault_rto : float option;
-  sp_fault_watchdog : float option;
   sp_phase_label : int -> string option;
   sp_provenance : bool;
 }
 
 let spec ?(mode = `Combined) ?(schedule = `Static) ?(transport = `Sim)
     ?(granularity = 1.0) ?(librarian = true) ?(priority = true)
-    ?(hashcons = false) ?(dag = false) ?(telemetry = false) ?faults ?fault_rto
-    ?fault_watchdog ?(phase_label = fun _ -> None) ?(provenance = false)
-    machines =
+    ?(hashcons = false) ?(dag = false) ?(telemetry = false) ?faults
+    ?(phase_label = fun _ -> None) ?(provenance = false) machines =
   {
     sp_machines = machines;
     (* the all-dynamic schedule is the classic protocol in dynamic mode *)
@@ -42,15 +39,12 @@ let spec ?(mode = `Combined) ?(schedule = `Static) ?(transport = `Sim)
     sp_dag = dag;
     sp_telemetry = telemetry;
     sp_faults = faults;
-    sp_fault_rto = fault_rto;
-    sp_fault_watchdog = fault_watchdog;
     sp_phase_label = phase_label;
     sp_provenance = provenance;
   }
 
 let options s =
   {
-    Runner.default_options with
     Runner.machines = s.sp_machines;
     mode = s.sp_mode;
     schedule = s.sp_schedule;
@@ -61,8 +55,6 @@ let options s =
     use_dag = s.sp_dag;
     telemetry = s.sp_telemetry;
     faults = s.sp_faults;
-    fault_rto = s.sp_fault_rto;
-    fault_watchdog = s.sp_fault_watchdog;
     phase_label = s.sp_phase_label;
     provenance = s.sp_provenance;
   }
@@ -77,9 +69,9 @@ let run s g plan tree =
 (* Edit sessions: incremental re-evaluation over the network model     *)
 (* ------------------------------------------------------------------ *)
 
-(* Each edit gets its own tiny simulation (the long-lived machine
-   processes of a real editor service, collapsed to one message wave per
-   edit). The functor application is per message type, so this simulator
+(* Each edit or batch gets its own tiny simulation (the long-lived
+   machine processes of a real editor service, collapsed to one message
+   wave per update). The functor application is per message type, so this simulator
    coexists with {!Runner}'s. *)
 module ES = Sim.Make (struct
   type msg = Message.t
@@ -106,6 +98,23 @@ type edit_report = {
   er_messages : int;
   er_retransmits : int;
   er_latency : float;
+}
+
+type batch_report = {
+  br_edits : int;
+  br_waves : int;
+  br_conflicts : int;
+  br_dirty : int;
+  br_refired : int;
+  br_cutoff : int;
+  br_fallbacks : int;
+  br_rounds : int;
+  br_boundary_changed : int;
+  br_boundary_total : int;
+  br_bytes : int;
+  br_messages : int;
+  br_retransmits : int;
+  br_latency : float;
 }
 
 let open_session ?obs ?memo ?prov ?frontier sp g tree =
@@ -148,14 +157,6 @@ let attrs_of es (n : Tree.t) kind =
   |> List.mapi (fun i a -> (i, a))
   |> List.filter (fun (_, (a : Grammar.attr_decl)) -> a.Grammar.a_kind = kind)
 
-let rec message_label = function
-  | Message.Edit { node; _ } -> Printf.sprintf "edit %d" node
-  | Message.Attr { attr; _ } -> attr
-  | Message.Attr_ref { attr; _ } -> attr ^ " (ref)"
-  | Message.Data { payload; _ } -> message_label payload
-  | Message.Ack _ -> "ack"
-  | m -> Format.asprintf "%a" Message.pp m
-
 (* One attribute crossing a machine boundary: changed since the last edit
    (per {!Incr.changed}) ships in full, unchanged ships as a fixed-size
    intern reference — the receiver already holds the value. *)
@@ -178,247 +179,72 @@ let boundary_message es ~src (b : Tree.t) attr_idx (a : Grammar.attr_decl) =
         hash = 0;
       }
 
-(* The per-edit message wave. The owner machine receives the re-parsed
-   replacement, pays the rebuild and the whole propagation (the model
-   charges all re-fired rules to the edit's owner), then boundary
-   attributes flow through the fragment tree: inherited attributes down
-   from every fragment to its children, synthesized attributes up to its
-   parent, and the root fragment finally reports the tree's synthesized
-   attributes to the coordinator. The wave visits every boundary every
-   edit; what the equality cutoff left unchanged crosses as references. *)
-let simulate es ~owner_frag ~edit_node ~bytes (st : Incr.edit_stats) =
-  let sp = es.es_spec in
-  let cost = Cost.default in
-  let frags = Split.fragments es.es_plan in
-  let nfrags = Array.length frags in
-  let root = Incr.tree es.es_incr in
-  let children =
-    let t = Array.make nfrags [] in
-    Array.iter
-      (fun (f : Split.fragment) ->
-        match f.Split.fr_parent with
-        | Some p -> t.(p) <- f :: t.(p)
-        | None -> ())
-      frags;
-    Array.map List.rev t
-  in
-  let owner_delay =
-    (float_of_int bytes *. cost.Cost.rebuild_per_byte)
-    +. (float_of_int st.Incr.ed_dirty *. cost.Cost.build_node)
-    +. float_of_int st.Incr.ed_refired
-       *. Cost.rule_cost cost ~dynamic:true
-  in
-  let sim = ES.create () in
-  Option.iter (ES.set_faults sim) sp.sp_faults;
-  let faulty = Option.is_some sp.sp_faults in
-  (* The owner acknowledges nothing while it propagates; scale the
-     retransmission timeout so the backoff horizon dwarfs that phase. *)
-  let rto = Float.max 0.1 (owner_delay /. 4.0) in
-  let links = ref [] in
-  let env_for id =
-    let raw =
-      {
-        Transport.e_id = id;
-        e_delay = ES.delay;
-        e_send =
-          (fun ~dst m ->
-            ES.send ~dst ~size:(Message.size m) ~label:(message_label m) m);
-        e_recv = ES.recv;
-        e_recv_timeout = ES.recv_timeout;
-        e_time = ES.time;
-        e_mark = ES.mark;
-        e_flush = (fun () -> ());
-      }
-    in
-    if faulty then begin
-      let l = Reliable.wrap ~rto ~max_tries:8 raw in
-      links := l :: !links;
-      Reliable.env l
-    end
-    else raw
-  in
-  let finish = ref 0.0 in
-  (* pid 0: the coordinator (parser) hands the edit to its owner and waits
-     for the refreshed root attributes. *)
-  let coord_env = env_for 0 in
-  let root_syn = attrs_of es root Grammar.Syn in
-  let _ =
-    ES.spawn sim ~name:"parser" (fun () ->
-        coord_env.Transport.e_send ~dst:(owner_frag + 1)
-          (Message.Edit { node = edit_node; bytes });
-        let got = ref 0 in
-        while !got < List.length root_syn do
-          match coord_env.Transport.e_recv () with
-          | Message.Attr _ | Message.Attr_ref _ -> incr got
-          | _ -> ()
-        done;
-        finish := ES.time ();
-        coord_env.Transport.e_flush ())
-  in
-  (* pids 1..nfrags: one machine per fragment. *)
-  Array.iter
-    (fun (f : Split.fragment) ->
-      let id = f.Split.fr_id + 1 in
-      let env = env_for id in
-      let is_owner = f.Split.fr_id = owner_frag in
-      let inh_expected =
-        match f.Split.fr_parent with
-        | Some _ -> List.length (attrs_of es f.Split.fr_root Grammar.Inh)
-        | None -> 0
-      in
-      let syn_expected =
-        List.fold_left
-          (fun acc (c : Split.fragment) ->
-            acc + List.length (attrs_of es c.Split.fr_root Grammar.Syn))
-          0
-          children.(f.Split.fr_id)
-      in
-      let _ =
-        ES.spawn sim
-          ~name:(Runner.machine_name ~fragments:nfrags id)
-          (fun () ->
-            let seen = ref 0 in
-            if is_owner then begin
-              let rec wait () =
-                match env.Transport.e_recv () with
-                | Message.Edit _ -> ()
-                | _ ->
-                    incr seen;
-                    wait ()
-              in
-              wait ();
-              env.Transport.e_delay owner_delay
-            end;
-            (* inherited attributes down to each child fragment *)
-            List.iter
-              (fun (c : Split.fragment) ->
-                List.iter
-                  (fun (i, a) ->
-                    env.Transport.e_send ~dst:(c.Split.fr_id + 1)
-                      (boundary_message es ~src:id c.Split.fr_root i a))
-                  (attrs_of es c.Split.fr_root Grammar.Inh))
-              children.(f.Split.fr_id);
-            (* wait out the parent's inherited and the children's
-               synthesized boundary attributes *)
-            while !seen < inh_expected + syn_expected do
-              (match env.Transport.e_recv () with
-              | Message.Edit _ -> ()
-              | _ -> incr seen);
-            done;
-            (* synthesized attributes up: to the parent fragment's machine,
-               or — for the root fragment — to the coordinator *)
-            let dst, up =
-              match f.Split.fr_parent with
-              | Some p -> (p + 1, attrs_of es f.Split.fr_root Grammar.Syn)
-              | None -> (0, root_syn)
-            in
-            List.iter
-              (fun (i, a) ->
-                env.Transport.e_send ~dst
-                  (boundary_message es ~src:id f.Split.fr_root i a))
-              up;
-            env.Transport.e_flush ())
-      in
-      ())
-    frags;
-  ES.run sim;
-  let net = ES.network sim in
-  (* Boundary census: what crossed a machine boundary, and how much of it
-     the cutoff kept to a reference. *)
-  let changed = ref 0 and total = ref 0 in
-  let census (b : Tree.t) kind =
-    List.iter
-      (fun (_, (a : Grammar.attr_decl)) ->
-        incr total;
-        if Incr.changed es.es_incr b a.Grammar.a_name then incr changed)
-      (attrs_of es b kind)
-  in
-  Array.iter
-    (fun (f : Split.fragment) ->
-      match f.Split.fr_parent with
-      | Some _ ->
-          census f.Split.fr_root Grammar.Syn;
-          census f.Split.fr_root Grammar.Inh
-      | None -> ())
-    frags;
-  census root Grammar.Syn;
-  (* A from-scratch distributed recompile ships every fragment's subtree
-     plus every boundary attribute in full. *)
-  let full_attr (b : Tree.t) (a : Grammar.attr_decl) =
-    Message.size
-      (Message.Attr
-         {
-           node = b.Tree.id;
-           attr = a.Grammar.a_name;
-           value = Store.get (Incr.store es.es_incr) b a.Grammar.a_name;
-         })
-  in
-  let bytes_full = ref (nfrags * Message.header_bytes + Tree.byte_size root) in
-  let attr_census (b : Tree.t) kind =
-    List.iter
-      (fun (_, a) -> bytes_full := !bytes_full + full_attr b a)
-      (attrs_of es b kind)
-  in
-  Array.iter
-    (fun (f : Split.fragment) ->
-      match f.Split.fr_parent with
-      | Some _ ->
-          attr_census f.Split.fr_root Grammar.Syn;
-          attr_census f.Split.fr_root Grammar.Inh
-      | None -> ())
-    frags;
-  attr_census root Grammar.Syn;
-  {
-    er_dirty = st.Incr.ed_dirty;
-    er_refired = st.Incr.ed_refired;
-    er_cutoff = st.Incr.ed_cutoff;
-    er_fallback = st.Incr.ed_fallback;
-    er_prop_ms = st.Incr.ed_prop_ms;
-    er_owner = owner_frag;
-    er_boundary_changed = !changed;
-    er_boundary_total = !total;
-    er_bytes_incr = Ethernet.bytes_sent net;
-    er_bytes_full = !bytes_full;
-    er_messages = Ethernet.messages_sent net;
-    er_retransmits =
-      List.fold_left
-        (fun acc l -> acc + (Reliable.stats l).Reliable.rs_retransmits)
-        0 !links;
-    er_latency = !finish;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Batched edit waves                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type batch_report = {
-  br_edits : int;
-  br_waves : int;
-  br_conflicts : int;
-  br_dirty : int;
-  br_refired : int;
-  br_cutoff : int;
-  br_fallbacks : int;
-  br_rounds : int;
-  br_boundary_changed : int;
-  br_boundary_total : int;
-  br_bytes : int;
-  br_messages : int;
-  br_retransmits : int;
-  br_latency : float;
+(* What one priced wave cost, and the boundary census: how many boundary
+   attributes it shipped, and how many of them changed (the cutoff kept
+   the rest to a reference). *)
+type wave = {
+  w_latency : float;
+  w_messages : int;
+  w_bytes : int;
+  w_retransmits : int;
+  w_changed : int;
+  w_total : int;
 }
 
-(* The batched wave: one dispatch carries every replacement plus the
-   cone-merge metadata, the owner pays the grafts and cone construction,
-   and the merged refire runs as a steal wave co-scheduled across ALL
-   fragment machines — the owner ships cone chunks out, every machine
-   works the level-synchronous rounds in parallel (a round costs its
-   ceiling share, [ceil (fires / machines)] steal-priced rules), and
-   results return to the owner before one boundary flow settles the
-   frontier. Serial application pays the owner-sequential refire and a
-   full boundary wave per edit; the batch pays the refire in parallel
-   rounds and the boundary wave once. *)
-let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
+(* No re-evaluation, no traffic. *)
+let no_wave =
+  {
+    w_latency = 0.0;
+    w_messages = 0;
+    w_bytes = 0;
+    w_retransmits = 0;
+    w_changed = 0;
+    w_total = 0;
+  }
+
+(* The boundaries a wave crosses — every non-root fragment root's
+   attributes plus the tree root's synthesized ones — folded with [f]. *)
+let fold_boundary es f acc =
+  let acc =
+    Array.fold_left
+      (fun acc (fr : Split.fragment) ->
+        match fr.Split.fr_parent with
+        | Some _ ->
+            let acc = f acc fr.Split.fr_root Grammar.Syn in
+            f acc fr.Split.fr_root Grammar.Inh
+        | None -> acc)
+      acc
+      (Split.fragments es.es_plan)
+  in
+  f acc (Incr.tree es.es_incr) Grammar.Syn
+
+(* The distributed message wave, one simulation for a single edit and for
+   a merged batch. The coordinator dispatches the update to the owner
+   machine, which pays the rebuild ([bytes] x rebuild cost) and the dirty
+   cone's construction. Boundary attributes then flow through the fragment
+   tree: inherited attributes down from every fragment to its children,
+   synthesized attributes up to its parent, and the root fragment finally
+   reports the tree's synthesized attributes to the coordinator. The wave
+   visits every boundary; what the equality cutoff left unchanged crosses
+   as a reference.
+
+   A single edit is a wave with no round structure and no cone-merge
+   metadata: [rounds] is empty and [edits] is 0, and the owner re-fires the
+   whole cone sequentially at dynamic-rule cost — as does a batch that
+   fell back to a rebuild. A merged batch carries 16 bytes of cone-merge
+   metadata per edit in its dispatch, and its refire runs as a steal wave
+   co-scheduled across ALL fragment machines: the owner ships cone chunks
+   out, every machine works the level-synchronous rounds in parallel (a
+   round costs its ceiling share, [ceil (fires / machines)] steal-priced
+   rules), and results return to the owner before the boundary flow. So
+   serial application pays the owner-sequential refire and a full boundary
+   wave per edit; the batch pays the refire in parallel rounds and the
+   boundary wave once.
+
+   The latency runs from the coordinator's dispatch to the refreshed
+   roots. *)
+let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
+    ~edits =
   let sp = es.es_spec in
   let cost = Cost.default in
   let frags = Split.fragments es.es_plan in
@@ -435,36 +261,34 @@ let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
     Array.map List.rev t
   in
   (* Sequential prefix at the owner: rebuild the replacements, walk the
-     merged cone. *)
+     dirty cone. *)
   let owner_seq =
     (float_of_int bytes *. cost.Cost.rebuild_per_byte)
-    +. (float_of_int wv.Incr.wv_dirty *. cost.Cost.build_node)
+    +. (float_of_int dirty *. cost.Cost.build_node)
   in
   let assist = max 1 nfrags in
-  (* Per-machine share of the co-scheduled refire wave; a rebuilt wave
-     (fallback, no round structure) re-fires sequentially at the owner. *)
   let share_work =
     Array.fold_left
       (fun acc r ->
         acc
         +. Float.of_int ((r + assist - 1) / assist)
            *. cost.Cost.steal_rule)
-      0.0 wv.Incr.wv_round_refired
+      0.0 rounds
   in
-  let assisted = Array.length wv.Incr.wv_round_refired > 0 && nfrags > 1 in
+  let has_rounds = Array.length rounds > 0 in
+  let assisted = has_rounds && nfrags > 1 in
   let owner_delay =
-    if Array.length wv.Incr.wv_round_refired = 0 then
-      owner_seq
-      +. float_of_int wv.Incr.wv_refired *. Cost.rule_cost cost ~dynamic:true
-    else owner_seq
+    if has_rounds then owner_seq
+    else
+      owner_seq +. (float_of_int refired *. Cost.rule_cost cost ~dynamic:true)
   in
-  (* Cone-merge metadata: one descriptor per edit in the dispatch, one per
-     shipped cone member in the assist chunks. *)
-  let meta_bytes = 16 * wv.Incr.wv_edits in
-  let chunk_bytes = wv.Incr.wv_refired / assist * 16 in
+  let meta_bytes = 16 * edits in
+  let chunk_bytes = refired / assist * 16 in
   let sim = ES.create () in
   Option.iter (ES.set_faults sim) sp.sp_faults;
   let faulty = Option.is_some sp.sp_faults in
+  (* The owner acknowledges nothing while it propagates; scale the
+     retransmission timeout so the backoff horizon dwarfs that phase. *)
   let rto = Float.max 0.1 ((owner_delay +. share_work) /. 4.0) in
   let links = ref [] in
   let env_for id =
@@ -474,7 +298,7 @@ let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
         e_delay = ES.delay;
         e_send =
           (fun ~dst m ->
-            ES.send ~dst ~size:(Message.size m) ~label:(message_label m) m);
+            ES.send ~dst ~size:(Message.size m) ~label:(Message.label m) m);
         e_recv = ES.recv;
         e_recv_timeout = ES.recv_timeout;
         e_time = ES.time;
@@ -490,6 +314,8 @@ let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
     else raw
   in
   let finish = ref 0.0 in
+  (* pid 0: the coordinator (parser) hands the update to its owner and
+     waits for the refreshed root attributes. *)
   let coord_env = env_for 0 in
   let root_syn = attrs_of es root Grammar.Syn in
   let _ =
@@ -505,6 +331,7 @@ let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
         finish := ES.time ();
         coord_env.Transport.e_flush ())
   in
+  (* pids 1..nfrags: one machine per fragment. *)
   Array.iter
     (fun (f : Split.fragment) ->
       let id = f.Split.fr_id + 1 in
@@ -555,8 +382,7 @@ let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
                   | _ -> incr seen
                 done
               end
-              else if Array.length wv.Incr.wv_round_refired > 0 then
-                env.Transport.e_delay share_work
+              else if has_rounds then env.Transport.e_delay share_work
             end
             else if assisted then begin
               wait_edit ();
@@ -564,6 +390,7 @@ let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
               env.Transport.e_send ~dst:(owner_frag + 1)
                 (Message.Edit { node = -1; bytes = chunk_bytes })
             end;
+            (* inherited attributes down to each child fragment *)
             List.iter
               (fun (c : Split.fragment) ->
                 List.iter
@@ -572,11 +399,15 @@ let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
                       (boundary_message es ~src:id c.Split.fr_root i a))
                   (attrs_of es c.Split.fr_root Grammar.Inh))
               children.(f.Split.fr_id);
+            (* wait out the parent's inherited and the children's
+               synthesized boundary attributes *)
             while !seen < inh_expected + syn_expected do
-              (match env.Transport.e_recv () with
+              match env.Transport.e_recv () with
               | Message.Edit _ -> ()
-              | _ -> incr seen);
+              | _ -> incr seen
             done;
+            (* synthesized attributes up: to the parent fragment's machine,
+               or — for the root fragment — to the coordinator *)
             let dst, up =
               match f.Split.fr_parent with
               | Some p -> (p + 1, attrs_of es f.Split.fr_root Grammar.Syn)
@@ -593,76 +424,81 @@ let simulate_batch es ~owner_frag ~edit_node ~bytes (wv : Incr.wave_stats) =
     frags;
   ES.run sim;
   let net = ES.network sim in
-  let changed = ref 0 and total = ref 0 in
-  let census (b : Tree.t) kind =
-    List.iter
-      (fun (_, (a : Grammar.attr_decl)) ->
-        incr total;
-        if Incr.changed es.es_incr b a.Grammar.a_name then incr changed)
-      (attrs_of es b kind)
+  let changed, total =
+    fold_boundary es
+      (fun acc b kind ->
+        List.fold_left
+          (fun (changed, total) (_, (a : Grammar.attr_decl)) ->
+            ( (if Incr.changed es.es_incr b a.Grammar.a_name then changed + 1
+               else changed),
+              total + 1 ))
+          acc (attrs_of es b kind))
+      (0, 0)
   in
-  Array.iter
-    (fun (f : Split.fragment) ->
-      match f.Split.fr_parent with
-      | Some _ ->
-          census f.Split.fr_root Grammar.Syn;
-          census f.Split.fr_root Grammar.Inh
-      | None -> ())
-    frags;
-  census root Grammar.Syn;
   {
-    br_edits = wv.Incr.wv_edits;
-    br_waves = wv.Incr.wv_waves;
-    br_conflicts = wv.Incr.wv_conflicts;
-    br_dirty = wv.Incr.wv_dirty;
-    br_refired = wv.Incr.wv_refired;
-    br_cutoff = wv.Incr.wv_cutoff;
-    br_fallbacks = wv.Incr.wv_fallbacks;
-    br_rounds = wv.Incr.wv_rounds;
-    br_boundary_changed = !changed;
-    br_boundary_total = !total;
-    br_bytes = Ethernet.bytes_sent net;
-    br_messages = Ethernet.messages_sent net;
-    br_retransmits =
+    w_latency = !finish;
+    w_messages = Ethernet.messages_sent net;
+    w_bytes = Ethernet.bytes_sent net;
+    w_retransmits =
       List.fold_left
         (fun acc l -> acc + (Reliable.stats l).Reliable.rs_retransmits)
         0 !links;
-    br_latency = !finish;
+    w_changed = changed;
+    w_total = total;
   }
 
-let no_batch (wv : Incr.wave_stats) =
-  {
-    br_edits = wv.Incr.wv_edits;
-    br_waves = wv.Incr.wv_waves;
-    br_conflicts = wv.Incr.wv_conflicts;
-    br_dirty = wv.Incr.wv_dirty;
-    br_refired = wv.Incr.wv_refired;
-    br_cutoff = wv.Incr.wv_cutoff;
-    br_fallbacks = wv.Incr.wv_fallbacks;
-    br_rounds = wv.Incr.wv_rounds;
-    br_boundary_changed = 0;
-    br_boundary_total = 0;
-    br_bytes = 0;
-    br_messages = 0;
-    br_retransmits = 0;
-    br_latency = 0.0;
-  }
+(* A from-scratch distributed recompile ships every fragment's subtree
+   plus every boundary attribute in full. *)
+let bytes_full es =
+  let full_attr (b : Tree.t) (a : Grammar.attr_decl) =
+    Message.size
+      (Message.Attr
+         {
+           node = b.Tree.id;
+           attr = a.Grammar.a_name;
+           value = Store.get (Incr.store es.es_incr) b a.Grammar.a_name;
+         })
+  in
+  fold_boundary es
+    (fun acc b kind ->
+      List.fold_left (fun acc (_, a) -> acc + full_attr b a) acc
+        (attrs_of es b kind))
+    ((Split.count es.es_plan * Message.header_bytes)
+    + Tree.byte_size (Incr.tree es.es_incr))
 
-let no_wave (st : Incr.edit_stats) =
+let edit_report ?(owner = 0) ?(bytes_full = 0) (st : Incr.edit_stats) w =
   {
     er_dirty = st.Incr.ed_dirty;
     er_refired = st.Incr.ed_refired;
     er_cutoff = st.Incr.ed_cutoff;
     er_fallback = st.Incr.ed_fallback;
     er_prop_ms = st.Incr.ed_prop_ms;
-    er_owner = 0;
-    er_boundary_changed = 0;
-    er_boundary_total = 0;
-    er_bytes_incr = 0;
-    er_bytes_full = 0;
-    er_messages = 0;
-    er_retransmits = 0;
-    er_latency = 0.0;
+    er_owner = owner;
+    er_boundary_changed = w.w_changed;
+    er_boundary_total = w.w_total;
+    er_bytes_incr = w.w_bytes;
+    er_bytes_full = bytes_full;
+    er_messages = w.w_messages;
+    er_retransmits = w.w_retransmits;
+    er_latency = w.w_latency;
+  }
+
+let batch_report (wv : Incr.wave_stats) w =
+  {
+    br_edits = wv.Incr.wv_edits;
+    br_waves = wv.Incr.wv_waves;
+    br_conflicts = wv.Incr.wv_conflicts;
+    br_dirty = wv.Incr.wv_dirty;
+    br_refired = wv.Incr.wv_refired;
+    br_cutoff = wv.Incr.wv_cutoff;
+    br_fallbacks = wv.Incr.wv_fallbacks;
+    br_rounds = wv.Incr.wv_rounds;
+    br_boundary_changed = w.w_changed;
+    br_boundary_total = w.w_total;
+    br_bytes = w.w_bytes;
+    br_messages = w.w_messages;
+    br_retransmits = w.w_retransmits;
+    br_latency = w.w_latency;
   }
 
 (* The parser re-decomposes after every structural edit: a replacement may
@@ -674,9 +510,16 @@ let refresh_plan es =
     Split.decompose es.es_g (Incr.tree es.es_incr)
       ~machines:es.es_spec.sp_machines ~granularity:es.es_spec.sp_granularity
 
+(* A single edit: a wave with no round structure and no cone-merge
+   metadata. *)
+let simulate es ~owner_frag ~edit_node ~bytes (st : Incr.edit_stats) =
+  edit_report ~owner:owner_frag ~bytes_full:(bytes_full es) st
+    (simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty:st.Incr.ed_dirty
+       ~refired:st.Incr.ed_refired ~rounds:[||] ~edits:0)
+
 let edit es next =
   match Tree.diff (Incr.tree es.es_incr) next with
-  | Tree.Equal -> no_wave (Incr.edit es.es_incr next)
+  | Tree.Equal -> edit_report (Incr.edit es.es_incr next) no_wave
   | Tree.Root ->
       let st = Incr.edit es.es_incr next in
       refresh_plan es;
@@ -695,9 +538,13 @@ let edit es next =
 let edit_batch es nexts =
   let wv = Incr.edit_batch es.es_incr nexts in
   refresh_plan es;
-  if wv.Incr.wv_dirty = 0 && wv.Incr.wv_refired = 0 && wv.Incr.wv_fallbacks = 0
-  then no_batch wv
-  else
-    let root = Incr.tree es.es_incr in
-    simulate_batch es ~owner_frag:0 ~edit_node:root.Tree.id
-      ~bytes:wv.Incr.wv_bytes wv
+  batch_report wv
+    (if
+       wv.Incr.wv_dirty = 0 && wv.Incr.wv_refired = 0
+       && wv.Incr.wv_fallbacks = 0
+     then no_wave
+     else
+       simulate_wave es ~owner_frag:0
+         ~edit_node:(Incr.tree es.es_incr).Tree.id ~bytes:wv.Incr.wv_bytes
+         ~dirty:wv.Incr.wv_dirty ~refired:wv.Incr.wv_refired
+         ~rounds:wv.Incr.wv_round_refired ~edits:wv.Incr.wv_edits)

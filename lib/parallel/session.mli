@@ -23,6 +23,11 @@
       attribute the equality cutoff proved unchanged crosses as a
       fixed-size {!Message.Attr_ref} instead of its full value.
 
+    One wave simulation prices both {!edit} and {!edit_batch}. A single
+    edit is a wave with no round structure and no cone-merge metadata; a
+    merged batch adds per-edit metadata to the dispatch and spreads its
+    refire rounds over every fragment machine (see {!edit_batch}).
+
     With a fault plan in the spec, the wave runs behind the
     reliable-delivery layer ({!Reliable}) and the report counts its
     retransmissions. The model deliberately stops short of a resident
@@ -50,8 +55,6 @@ type spec = {
           only, so resident sessions keep the sharing across edits) *)
   sp_telemetry : bool;
   sp_faults : Faults.spec option;
-  sp_fault_rto : float option;
-  sp_fault_watchdog : float option;
   sp_phase_label : int -> string option;
   sp_provenance : bool;
       (** record per-firing provenance for {!Pag_eval.Causal} analysis
@@ -75,8 +78,6 @@ val spec :
   ?dag:bool ->
   ?telemetry:bool ->
   ?faults:Faults.spec ->
-  ?fault_rto:float ->
-  ?fault_watchdog:float ->
   ?phase_label:(int -> string option) ->
   ?provenance:bool ->
   int ->

@@ -9,7 +9,6 @@ type config = {
   wc_grammar : Grammar.t;
   wc_plan : Kastens.plan option;
   wc_mode : mode;
-  wc_cost : Cost.t;
   wc_use_priority : bool;
   wc_librarian : int option;
   wc_phase_label : int -> string option;
@@ -91,7 +90,7 @@ let run_protocol (env : Transport.env) cfg task =
       match env.Transport.e_recv () with
       | Message.Subtree s ->
           env.Transport.e_delay
-            (float_of_int s.bytes *. cfg.wc_cost.Cost.rebuild_per_byte);
+            (float_of_int s.bytes *. Cost.default.Cost.rebuild_per_byte);
           s.uid_base
       | Message.Stop -> raise Aborted
       | other ->
@@ -121,10 +120,10 @@ let run_protocol (env : Transport.env) cfg task =
      the cost model; the domains transport reads wall time twice. *)
   if Prov.enabled cfg.wc_prov then begin
     let dwell_dynamic =
-      if cfg.wc_prov_dwell then Some (Cost.rule_cost cfg.wc_cost ~dynamic:true)
+      if cfg.wc_prov_dwell then Some (Cost.rule_cost Cost.default ~dynamic:true)
       else None
     and dwell_static =
-      if cfg.wc_prov_dwell then Some cfg.wc_cost.Cost.static_rule else None
+      if cfg.wc_prov_dwell then Some Cost.default.Cost.static_rule else None
     in
     Engine.set_prov ~pid:env.Transport.e_id ?dwell_dynamic ?dwell_static
       ~clock:env.Transport.e_time eng cfg.wc_prov
@@ -359,8 +358,8 @@ let run_protocol (env : Transport.env) cfg task =
   in
   (* ---- 7. Charge graph-construction cost. ---- *)
   env.Transport.e_delay
-    ((float_of_int total *. cfg.wc_cost.Cost.build_node)
-    +. (float_of_int !edge_count *. cfg.wc_cost.Cost.build_edge));
+    ((float_of_int total *. Cost.default.Cost.build_node)
+    +. (float_of_int !edge_count *. Cost.default.Cost.build_edge));
   if obs_on then
     Obs.span obs.Obs.x_rec ~pid:obs.Obs.x_pid ~t0:graph_t0
       ~t1:(obs.Obs.x_clock ()) "graph-build";
@@ -416,7 +415,7 @@ let run_protocol (env : Transport.env) cfg task =
     match items.(id) with
     | IRule rid ->
         Uid.with_counter uid_cursor (fun () -> Engine.fire eng rid);
-        env.Transport.e_delay (Cost.rule_cost cfg.wc_cost ~dynamic:true);
+        env.Transport.e_delay (Cost.rule_cost Cost.default ~dynamic:true);
         incr dynamic_rules;
         if obs_on then begin
           let tnode, tattr = Engine.target_instance eng rid in
@@ -438,7 +437,7 @@ let run_protocol (env : Transport.env) cfg task =
               Uid.with_counter uid_cursor (fun () ->
                   Static_eval.visit ?memo p eng c v)
         in
-        env.Transport.e_delay (Cost.visit_cost cfg.wc_cost ~visits:nv ~evals:ne);
+        env.Transport.e_delay (Cost.visit_cost Cost.default ~visits:nv ~evals:ne);
         if obs_on then
           Obs.span obs.Obs.x_rec ~pid:obs.Obs.x_pid ~t0:visit_t0
             ~t1:(obs.Obs.x_clock ())

@@ -26,7 +26,6 @@ type config = {
   wc_grammar : Grammar.t;
   wc_plan : Kastens.plan option;  (** required in [`Combined] mode *)
   wc_mode : mode;
-  wc_cost : Cost.t;
   wc_use_priority : bool;
       (** schedule rules defining priority attributes first *)
   wc_librarian : int option;  (** librarian machine id; [None] = naive mode *)

@@ -22,7 +22,6 @@ let worker_config () =
     Worker.wc_grammar = Stackcode_ag.grammar;
     wc_plan = Some (Lazy.force plan);
     wc_mode = `Combined;
-    wc_cost = Cost.default;
     wc_use_priority = true;
     wc_librarian = None;
     wc_phase_label = (fun _ -> None);
