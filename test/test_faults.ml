@@ -77,18 +77,28 @@ let chaos_spec drop dup reorder fseed =
     fs_seed = fseed;
   }
 
+(* Every plan runs twice, the second time interning boundary payloads
+   ([use_hashcons]): the Intern layer then sits over the reliable layer,
+   and Need/Backfill must ride out the same drops, duplicates and
+   reorderings. *)
 let prop_sim_chaos =
   qc ~count:25 "sim: chaos run = oracle (any drop/dup/reorder plan)" arb_chaos
     (fun (ts, m, drop, dup, reorder, fseed) ->
       let t = sc_tree ts in
-      let r =
-        Runner.run_sim
-          (opts ~machines:m (chaos_spec drop dup reorder fseed))
-          Stackcode_ag.grammar (Some (Lazy.force sc_plan)) t
-      in
-      (not r.Runner.r_recovered)
-      && int_attr r.Runner.r_attrs "value" = oracle_value t
-      && String.equal (code_attr r.Runner.r_attrs) (seq_code t))
+      List.for_all
+        (fun hashcons ->
+          let r =
+            Runner.run_sim
+              {
+                (opts ~machines:m (chaos_spec drop dup reorder fseed)) with
+                Runner.use_hashcons = hashcons;
+              }
+              Stackcode_ag.grammar (Some (Lazy.force sc_plan)) t
+          in
+          (not r.Runner.r_recovered)
+          && int_attr r.Runner.r_attrs "value" = oracle_value t
+          && String.equal (code_attr r.Runner.r_attrs) (seq_code t))
+        [ false; true ])
 
 let prop_domains_chaos =
   (* Real time: retransmission timeouts make faulty domain runs ~100x
@@ -198,16 +208,23 @@ let test_crash_before_start () =
 let test_domains_drop_dup () =
   (* Two fragments, one per core: the coordinator, the librarian and
      fragment 0 share the calling domain, and every cross-domain message
-     may be dropped or duplicated. *)
+     may be dropped or duplicated — with and without interned payloads. *)
   let t = sc_tree 41 in
   let spec = chaos_spec 0.1 0.1 0.0 9 in
-  let r =
-    Runner.run_domains (opts ~machines:2 spec) Stackcode_ag.grammar
-      (Some (Lazy.force sc_plan)) t
-  in
-  check_bool "no recovery needed" false r.Runner.r_recovered;
-  check_int "value" (oracle_value t) (int_attr r.Runner.r_attrs "value");
-  Alcotest.(check string) "code" (seq_code t) (code_attr r.Runner.r_attrs)
+  List.iter
+    (fun hashcons ->
+      let r =
+        Runner.run_domains
+          { (opts ~machines:2 spec) with Runner.use_hashcons = hashcons }
+          Stackcode_ag.grammar (Some (Lazy.force sc_plan)) t
+      in
+      let tag = Printf.sprintf " (hashcons=%b)" hashcons in
+      check_bool ("no recovery needed" ^ tag) false r.Runner.r_recovered;
+      check_int ("value" ^ tag) (oracle_value t)
+        (int_attr r.Runner.r_attrs "value");
+      Alcotest.(check string) ("code" ^ tag) (seq_code t)
+        (code_attr r.Runner.r_attrs))
+    [ false; true ]
 
 let test_domains_crash_fragment1 () =
   (* Fragment 1 (machine 2) never starts. The coordinator's watchdog runs on
