@@ -126,7 +126,7 @@ let static_rows prog =
                 fault_plans)
             variants)
         [ 1; 3; 5 ])
-    [ (`Static, `Combined); (`Dynamic, `Dynamic) ]
+    [ (`Static, `Combined); (`Dynamic, `Dynamic); (`Steal, `Combined) ]
 
 (* ------------------------- edit waves ------------------------- *)
 
