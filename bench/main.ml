@@ -86,9 +86,9 @@ let workload_name =
 
 let max_machines = if quick then 4 else 6
 
-let opts ?mode ?librarian ?priority ?granularity machines =
+let opts ?schedule ?librarian ?priority ?granularity machines =
   Session.options
-    (Session.spec ?mode ?librarian ?priority ?granularity
+    (Session.spec ?schedule ?librarian ?priority ?granularity
        ~phase_label:Driver.phase_label machines)
 
 let compile ?variant o = Driver.compile_parallel_sim ?variant o (Lazy.force workload)
@@ -105,7 +105,7 @@ let e1_figure5 () =
   let best = ref (0, infinity) in
   for m = 1 to max_machines do
     let rc, _ = compile (opts m) in
-    let rd, _ = compile (opts ~mode:`Dynamic m) in
+    let rd, _ = compile (opts ~schedule:`Dynamic m) in
     if m = 1 then begin
       seq_c := rc.Runner.r_time;
       seq_d := rd.Runner.r_time
@@ -233,7 +233,7 @@ let e7_unique_ids () =
 let e8_sequential_and_granularity () =
   sep "[E8] Sequential evaluator cost and split granularity";
   let rc, _ = compile (opts 1) in
-  let rd, _ = compile (opts ~mode:`Dynamic 1) in
+  let rd, _ = compile (opts ~schedule:`Dynamic 1) in
   Printf.printf "sequential combined (= static): %8.2fs\n" rc.Runner.r_time;
   Printf.printf "sequential dynamic:             %8.2fs (x%.2f)\n\n"
     rd.Runner.r_time
@@ -1642,28 +1642,6 @@ let e17_batched () =
   let speedup_ok =
     match headline with Some (_, _, _, s, _, _, _) -> s >= 3.0 | None -> false
   in
-  (* real-domains wave: the merged cone refired by Domain.spawn workers
-     (PR-6 steal scheduler restricted to the cone); wall-clock, so the row
-     is informative on a 1-core container — the gate is equal finals *)
-  let cores = Domain.recommended_domain_count () in
-  let dom_domains = min 4 (max 1 cores) in
-  let dom_run domains =
-    let s = Pag_eval.Incr.start g (tree base) in
-    let t0 = Unix.gettimeofday () in
-    let wv = Pag_eval.Incr.edit_batch ~domains s (List.map tree steps) in
-    let dt = Unix.gettimeofday () -. t0 in
-    let code =
-      masked_code (Pag_eval.Store.root_attrs (Pag_eval.Incr.store s))
-    in
-    (float_of_int wv.Pag_eval.Incr.wv_edits /. dt, String.equal code final_ref)
-  in
-  let dom_serial_eps, dom_serial_ok = dom_run 1 in
-  let dom_eps, dom_ok = dom_run dom_domains in
-  Printf.printf
-    "\ndomains wave (wall-clock): %d domain(s) %.0f edits/sec vs serial \
-     %.0f edits/sec, finals %s\n"
-    dom_domains dom_eps dom_serial_eps
-    (if dom_ok && dom_serial_ok then "ok" else "MISMATCH");
   (* batched service sweep: 1k resident tenants of the K-site program,
      each queueing its full stream of independent single-site edits, then
      drained with batch=8 vs the re-measured batch=1 baseline. The edits
@@ -1745,12 +1723,10 @@ let e17_batched () =
     (if prov_ok then "ok" else "MISMATCH");
   Printf.printf
     "\ntargets: batched >= 3x serial edits/sec at 8 machines (%b), finals\n\
-     masked-equal to serial and from-scratch on every config (%b), domains\n\
-     wave finals ok (%b), service p50 at %d sessions improved >= 2x (%b),\n\
-     wave blame sums to fired work (%b).\n"
-    speedup_ok all_code_ok
-    (dom_ok && dom_serial_ok)
-    svc_sessions svc_gain_ok prov_ok;
+     masked-equal to serial and from-scratch on every config (%b), service\n\
+     p50 at %d sessions improved >= 2x (%b), wave blame sums to fired work\n\
+     (%b).\n"
+    speedup_ok all_code_ok svc_sessions svc_gain_ok prov_ok;
   let row_json (m, ser, bat, sp, smsgs, r, ok) =
     Printf.sprintf
       "    { \"machines\": %d, \"serial_edits_per_sec\": %.2f, \
@@ -1771,35 +1747,27 @@ let e17_batched () =
     \  \"edit_sites\": %d,\n\
     \  \"schedule\": \"steal\",\n\
     \  \"rows\": [\n%s\n  ],\n\
-    \  \"domains\": { \"domains\": %d, \"edits_per_sec\": %.2f, \
-     \"serial_edits_per_sec\": %.2f, \"finals_ok\": %b },\n\
     \  \"service\": { \"sessions\": %d, \"workers\": 8, \"stream_edits\": \
      %d, \"serial_p50_ms\": %.4f, \"batched_p50_ms\": %.4f, \
      \"p50_improvement\": %.3f, \"finals_ok\": %b },\n\
     \  \"provenance\": { \"wave_refired\": %d, \"ring_delta\": %d, \
      \"critical_s\": %.6f, \"makespan_s\": %.6f, \"blame_ok\": %b },\n\
     \  \"gates\": { \"batched_ge_3x_serial_at_8\": %b, \"all_finals_ok\": \
-     %b, \"domains_finals_ok\": %b, \"service_p50_ge_2x\": %b, \
-     \"prov_blame_ok\": %b }\n\
+     %b, \"service_p50_ge_2x\": %b, \"prov_blame_ok\": %b }\n\
      }\n"
     sites
     (String.concat ",\n" (List.map row_json rows))
-    dom_domains dom_eps dom_serial_eps
-    (dom_ok && dom_serial_ok)
     svc_sessions sites
     (st1.Service.st_p50 *. 1e3)
     (st8.Service.st_p50 *. 1e3)
     svc_gain svc_ok pr.Session.br_refired (f1 - f0)
     profile.Pag_eval.Causal.pr_critical profile.Pag_eval.Causal.pr_makespan
-    prov_ok speedup_ok all_code_ok
-    (dom_ok && dom_serial_ok)
-    svc_gain_ok prov_ok;
+    prov_ok speedup_ok all_code_ok svc_gain_ok prov_ok;
   close_out oc;
   Printf.printf "wrote BENCH_9.json\n";
   if
     not
-      (speedup_ok && all_code_ok && dom_ok && dom_serial_ok && svc_ok
-     && svc_gain_ok && prov_ok)
+      (speedup_ok && all_code_ok && svc_ok && svc_gain_ok && prov_ok)
   then failwith "E17: batched re-evaluation gate failed"
 
 (* ------------------------------------------------------------------ *)

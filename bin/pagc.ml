@@ -514,19 +514,18 @@ let run_compiler file machines evaluator schedule transport granularity
     | None -> ());
     let src = read_file file in
     let program = Parser.parse_program src in
-    let mode = if evaluator = "dynamic" then `Dynamic else `Combined in
     let schedule =
       match schedule with
       | "steal" -> `Steal
       | "dynamic" -> `Dynamic
-      | _ -> if mode = `Dynamic then `Dynamic else `Static
+      | _ -> if evaluator = "dynamic" then `Dynamic else `Static
     in
     let telemetry = trace_out <> None || events_out <> None || report in
     let provenance = explain <> None || profile || profile_json <> None in
     let compiled, trace_info, obs_data, prov_data =
       if
-        machines <= 1 && transport = "sim" && mode = `Combined
-        && schedule = `Static && faults = None
+        machines <= 1 && transport = "sim" && schedule = `Static
+        && faults = None
       then begin
         let obs =
           if telemetry then begin
@@ -566,7 +565,7 @@ let run_compiler file machines evaluator schedule transport granularity
       else begin
         let opts =
           Pag_parallel.Session.options
-            (Pag_parallel.Session.spec ~mode ~schedule ~granularity
+            (Pag_parallel.Session.spec ~schedule ~granularity
                ~librarian:(not no_librarian) ~priority:(not no_priority)
                ~hashcons ~dag ~telemetry ?faults
                ~phase_label:Driver.phase_label ~provenance machines)

@@ -26,6 +26,14 @@ dune exec bin/pagc.exe -- --machines 3 --schedule steal \
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_seq_smoke.s > /tmp/pagc_seq_smoke.masked
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_steal_smoke.s > /tmp/pagc_steal_smoke.masked
 cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_steal_smoke.masked
+# The same steal loop on real domains: one domain, two, and two over the
+# DAG's up-front materialized instance table.
+for flags in "--machines 1" "--machines 2" "--machines 2 --dag"; do
+  dune exec bin/pagc.exe -- --transport domains --schedule steal $flags \
+    examples/primes.pas -o /tmp/pagc_steal_domains_smoke.s 2>/dev/null
+  sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_steal_domains_smoke.s > /tmp/pagc_steal_domains_smoke.masked
+  cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_steal_domains_smoke.masked
+done
 # Domains transport smoke: the static protocol on real domains (all
 # machines on the calling domain at 1, one fragment per core beyond) must
 # emit the sequential compile's masked assembly.

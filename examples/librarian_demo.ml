@@ -17,7 +17,6 @@ let () =
     {
       Runner.default_options with
       Runner.machines = 5;
-      mode = `Combined;
       use_librarian = librarian;
       phase_label = Driver.phase_label;
     }

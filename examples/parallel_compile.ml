@@ -15,18 +15,18 @@ let () =
     else Progen.paper_program ()
   in
   Printf.printf "workload: %d source lines\n%!" (Pp.line_count program);
-  let opts mode machines =
+  let opts schedule machines =
     {
       Runner.default_options with
       Runner.machines;
-      mode;
+      schedule;
       phase_label = Driver.phase_label;
     }
   in
   Printf.printf "\n%-10s %-22s %-22s\n" "machines" "combined (sim s)" "dynamic (sim s)";
   let seq = ref 1.0 in
   for m = 1 to 6 do
-    let rc, cc = Driver.compile_parallel_sim (opts `Combined m) program in
+    let rc, cc = Driver.compile_parallel_sim (opts `Static m) program in
     let rd, _ = Driver.compile_parallel_sim (opts `Dynamic m) program in
     if m = 1 then seq := rc.Runner.r_time;
     assert (cc.Driver.c_errors = []);
@@ -34,7 +34,7 @@ let () =
       (!seq /. rc.Runner.r_time) rd.Runner.r_time
   done;
   (* decomposition and behaviour at five machines *)
-  let r5, _ = Driver.compile_parallel_sim (opts `Combined 5) program in
+  let r5, _ = Driver.compile_parallel_sim (opts `Static 5) program in
   Printf.printf "\nsource program decomposition (figure 7):\n%s\n"
     (Format.asprintf "%a" Split.pp r5.Runner.r_split);
   Printf.printf "behaviour of the combined evaluator (figure 6):\n%!";

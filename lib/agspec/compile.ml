@@ -265,6 +265,10 @@ let evaluate_parallel t opts tree =
   match t.c_plan with
   | Some plan -> Pag_parallel.Runner.run_sim opts t.c_grammar (Some plan) tree
   | None ->
-      Pag_parallel.Runner.run_sim
-        { opts with Pag_parallel.Runner.mode = `Dynamic }
-        t.c_grammar None tree
+      (* without a plan the classic protocol runs all-dynamic *)
+      let schedule =
+        match opts.Pag_parallel.Runner.schedule with
+        | `Steal -> `Steal
+        | `Static | `Dynamic -> `Dynamic
+      in
+      Pag_parallel.Runner.run_sim { opts with schedule } t.c_grammar None tree

@@ -11,8 +11,9 @@ open Pag_obs
    key, target slot, argument codes) plus the optional rule-result memo.
    Schedulers differ only in the order they call {!fire}/{!fire_at} — the
    ready-queue topological order here ({!run_topo}), the plan's visit
-   sequences ({!Static_eval}), the worker's item graph, or the dirty cone of
-   an edit ({!Incr}).
+   sequences ({!Static_eval}), the worker's item graph, the dirty cone of
+   an edit ({!Incr}), or the work-stealing loop here ({!steal_loop}) over
+   a machine set.
 
    Layout mirrors the store's dense slot ids: instances of one node are
    consecutive, [rid_base] maps a node's dense index to its first rule id,
@@ -621,46 +622,11 @@ let run_topo e gr =
   e.e_fired - fired0
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing schedule                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Same data-driven fixed point as {!run_topo}, parallel across domains.
-
-   Readiness lives in per-instance atomic dependency counters; ready rids
-   sit in per-domain Chase-Lev deques ({!Steal}). A domain pops its own
-   deque LIFO, and when empty steals half of a pseudo-randomly chosen
-   victim's deque FIFO, backing off exponentially between failed probes.
-   Firing bypasses the rule memo (its hashtables are not domain-safe) and
-   writes targets with {!Store.poke} — the store's set-bitset is
-   byte-granular, so bits and counters are restored sequentially after the
-   join. Publication is sound: the non-atomic target write precedes the
-   atomic counter decrement, and a consumer only reads the slot after
-   observing the counter reach zero through that same atomic.
-
-   Termination is an exact task census: [pending] counts rule instances
-   that are ready-but-unfired or currently executing. A finishing instance
-   increments [pending] for each consumer it releases {e before} pushing
-   it and decrements itself only {e after} all pushes, so [pending] can
-   only reach zero when no task exists anywhere and none can appear —
-   which is either completion or a dependency cycle, distinguished after
-   the join by comparing firings against the live-instance count. *)
-
-let gather_quiet e rid =
-  let lo = e.e_arg_off.(rid) and hi = e.e_arg_off.(rid + 1) in
-  let args = Array.make (hi - lo) Value.Unit in
-  for k = lo to hi - 1 do
-    let c = e.e_arg_code.(k) in
-    args.(k - lo) <-
-      (if c >= 0 then Store.peek e.e_store c else e.e_consts.(-c - 1))
-  done;
-  args
-
-(* ------------------------------------------------------------------ *)
 (* Batched refire waves                                                *)
 (* ------------------------------------------------------------------ *)
 
 (* Re-fire a merged dirty cone (the union of several edits' dirty cones,
-   see {!Incr.edit_batch}) as a wave of parallel rounds.
+   see {!Incr.edit_batch}) as a wave of rounds.
 
    Round r holds the cone members whose cone-internal producers all
    completed in rounds < r — a level-synchronous Kahn schedule of the cone
@@ -668,18 +634,9 @@ let gather_quiet e rid =
    whose argument slots carry this wave's epoch stamp is skipped without
    computing, and a re-fired member stamps its target only when the stored
    value actually moved, so early cutoff still prunes the rounds below it.
-
-   The sequential mode (domains <= 1) drives {!refire} directly — rule
-   memo and provenance recording included, which is what lets [--profile]
-   attribute blame across a batched wave. The [domains] mode replays the
-   {!run_steal} machinery over the cone only: per-domain Chase-Lev deques
-   seeded by cone ownership ([owner], typically the edit whose cone first
-   reached the member), atomic waiting counters over cone members, poked
-   target writes committed sequentially after the join. Like {!run_steal}
-   it bypasses the memo and the engine-attached provenance ring (neither
-   is domain-safe), and uids come from per-domain stripes above
-   [uid_base]. Round counts are a property of the level-synchronous
-   schedule, so the domains mode reports [rf_rounds = 0]. *)
+   Members fire through {!refire} — rule memo and provenance recording
+   included, which is what lets [--profile] attribute blame across a
+   batched wave. *)
 
 type refire_stats = {
   rf_refired : int;
@@ -688,7 +645,7 @@ type refire_stats = {
   rf_round_refired : int array;  (* refires per level-synchronous round *)
 }
 
-let refire_set_seq e gr ~cone ~is_seed ~changed ~epoch =
+let refire_set e gr ~cone ~is_seed ~changed ~epoch =
   let m = Array.length cone in
   let pending = Hashtbl.create (2 * m) in
   Array.iter (fun rid -> Hashtbl.replace pending rid 0) cone;
@@ -753,173 +710,181 @@ let refire_set_seq e gr ~cone ~is_seed ~changed ~epoch =
     rf_round_refired = Array.of_list (List.rev !rounds);
   }
 
-let refire_set_steal ~domains ~owner ~uid_base e gr ~cone ~is_seed ~changed
-    ~epoch =
-  let m = Array.length cone in
-  let d_count = max 1 domains in
-  let own =
-    match owner with
-    | Some f -> fun rid -> min (d_count - 1) (max 0 (f rid))
-    | None ->
-        let idx = ref (-1) in
-        fun _ ->
-          incr idx;
-          !idx * d_count / max 1 m
+(* ------------------------------------------------------------------ *)
+(* Work-stealing schedule                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Same data-driven fixed point as {!run_topo}, parallel across a machine
+   set. One loop serves every set: real domains ({!run_steal}) and the
+   network simulator's machine fibers (the runner's simulated steal
+   schedule) differ only in how machines start, how one fires an instance
+   and what that costs, how a probe moves work and how a failed probe
+   waits.
+
+   Readiness lives in per-instance atomic dependency counters; ready rids
+   sit in per-machine Chase-Lev deques ({!Steal}). A machine pops its own
+   deque LIFO, and when empty probes a pseudo-randomly chosen victim,
+   backing off exponentially between failed probes.
+
+   Termination is an exact task census: [pending] counts rule instances
+   that are ready-but-unfired or currently executing. A finishing instance
+   increments [pending] for each consumer it releases {e before} pushing
+   it and decrements itself only {e after} all pushes, so [pending] can
+   only reach zero when no task exists anywhere and none can appear —
+   which is either completion or a dependency cycle, distinguished after
+   the run by comparing firings against the live-instance count. A
+   machine whose firing raises poisons the census so the others drain and
+   exit; the exception is re-raised once every machine has returned. *)
+
+type machines = {
+  ms_count : int;
+  ms_start :
+    seed:(int -> int -> int -> unit) ->
+    release:(int -> int -> unit) ->
+    (int -> unit) ->
+    unit;
+  ms_fire : int -> release:(int -> unit) -> int -> unit;
+  ms_probe : int -> Steal.stats -> victim:int -> Steal.t -> into:Steal.t -> int;
+  ms_wait : int -> int -> float;
+  ms_refill : int -> bool;
+}
+
+let steal_loop e gr ~owner ms =
+  let count = max 1 ms.ms_count in
+  (* growable: work added mid-run ([seed]) appends rule ids *)
+  let waiting = ref (Array.init (max 1 e.e_n) (fun _ -> Atomic.make 0)) in
+  let deques = Array.init count (fun _ -> Steal.create ()) in
+  let stats = Array.init count (fun _ -> Steal.zero_stats ()) in
+  (* count a live instance's unset arguments; queue it on [d] when none *)
+  let live = ref 0 in
+  let add d rid =
+    incr live;
+    let w = ref 0 in
+    iter_slot_args e rid (fun slot ->
+        if not (Store.slot_is_set e.e_store slot) then incr w);
+    Atomic.set !waiting.(rid) !w;
+    !w = 0 && (Steal.push deques.(d) rid; true)
   in
-  let idx_of = Hashtbl.create (2 * m) in
-  Array.iteri (fun i rid -> Hashtbl.replace idx_of rid i) cone;
-  (* Target set-bits are byte-granular, so record them before the wave:
-     cutoff comparisons against unset slots must not trust stale values. *)
-  let was_set =
-    Array.map (fun rid -> Store.slot_is_set e.e_store e.e_target.(rid)) cone
-  in
-  let waiting = Array.init (max 1 m) (fun _ -> Atomic.make 0) in
-  let deques = Array.init d_count (fun _ -> Steal.create ()) in
-  let stats = Array.init d_count (fun _ -> Steal.zero_stats ()) in
-  let cutoffs = Array.make d_count 0 in
   let seeded = ref 0 in
-  Array.iteri
-    (fun i rid ->
-      let w = ref 0 in
-      iter_slot_args e rid (fun slot ->
-          let p = producer gr slot in
-          if p >= 0 && p <> rid && (not (is_dead e p)) && Hashtbl.mem idx_of p
-          then incr w);
-      Atomic.set waiting.(i) !w;
-      if !w = 0 then begin
-        Steal.push deques.(own rid) rid;
-        incr seeded
-      end)
-    cone;
+  for rid = 0 to e.e_n - 1 do
+    if (not (is_dead e rid)) && add (owner rid) rid then incr seeded
+  done;
   let pending = Atomic.make !seeded in
+  let seed d lo hi =
+    let w = !waiting in
+    let len = Array.length w in
+    if hi > len then
+      waiting :=
+        Array.init (max hi (2 * len)) (fun i ->
+            if i < len then w.(i) else Atomic.make 0);
+    for rid = lo to hi - 1 do
+      if (not (is_dead e rid)) && add d rid then Atomic.incr pending
+    done
+  in
+  let release d =
+    let my = deques.(d) and st = stats.(d) in
+    fun slot ->
+      let w = !waiting in
+      iter_consumers gr slot (fun c ->
+          if (not (is_dead e c)) && Atomic.fetch_and_add w.(c) (-1) = 1
+          then begin
+            Atomic.incr pending;
+            Steal.push my c;
+            let depth = Steal.size my in
+            if depth > st.st_hwm then st.st_hwm <- depth
+          end)
+  in
   let failure = Atomic.make None in
   let body d =
-    let my = deques.(d) in
-    let st = stats.(d) in
-    let seed = ref ((((d + 1) * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
+    let my = deques.(d) and st = stats.(d) in
+    let fire = ms.ms_fire d ~release:(release d) in
+    (* deterministic per-machine xorshift for victim selection *)
+    let rng = ref ((((d + 1) * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
     let next_victim () =
-      let x = !seed in
+      let x = !rng in
       let x = x lxor (x lsl 13) in
       let x = x lxor (x lsr 7) in
       let x = (x lxor (x lsl 17)) land 0x3FFFFFFF in
-      seed := x;
-      let v = x mod (d_count - 1) in
+      rng := x;
+      let v = x mod (count - 1) in
       if v >= d then v + 1 else v
     in
-    let exec rid =
-      let i = Hashtbl.find idx_of rid in
-      let must =
-        is_seed rid
-        ||
-        let hit = ref false in
-        iter_slot_args e rid (fun slot ->
-            (* published by the producer's write before its atomic
-               release of our waiting counter *)
-            if changed.(slot) = epoch then hit := true);
-        !hit
-      in
-      (if must then begin
-         let tgt = e.e_target.(rid) in
-         let v = e.e_rules.(rid).Grammar.r_fn (gather_quiet e rid) in
-         let moved =
-           (not was_set.(i))
-           || (try not (Value.equal (Store.peek e.e_store tgt) v)
-               with Value.Type_error _ -> true)
-         in
-         Store.poke e.e_store tgt v;
-         if moved then changed.(tgt) <- epoch;
-         st.st_fired <- st.st_fired + 1
-       end
-       else cutoffs.(d) <- cutoffs.(d) + 1);
-      iter_consumers gr e.e_target.(rid) (fun c ->
-          if (not (is_dead e c)) && Hashtbl.mem idx_of c then begin
-            let j = Hashtbl.find idx_of c in
-            if Atomic.fetch_and_add waiting.(j) (-1) = 1 then begin
-              Atomic.incr pending;
-              Steal.push my c;
-              let depth = Steal.size my in
-              if depth > st.st_hwm then st.st_hwm <- depth
-            end
-          end);
-      ignore (Atomic.fetch_and_add pending (-1))
+    let more () =
+      Atomic.get pending > 0
+      || (Option.is_none (Atomic.get failure) && ms.ms_refill d)
     in
-    let backoff = ref 0 in
-    let rec loop () =
-      if Atomic.get pending > 0 then begin
-        (match Steal.pop my with
+    let rec loop backoff =
+      if more () then
+        match Steal.pop my with
         | Some rid ->
-            backoff := 0;
-            exec rid
+            fire rid;
+            st.st_fired <- st.st_fired + 1;
+            Atomic.decr pending;
+            loop 0
         | None ->
-            let got =
-              d_count > 1
-              &&
-              (st.st_attempts <- st.st_attempts + 1;
-               let k = Steal.steal_half deques.(next_victim ()) ~into:my in
-               if k > 0 then begin
-                 st.st_successes <- st.st_successes + 1;
-                 st.st_stolen <- st.st_stolen + k;
-                 true
-               end
-               else false)
+            let moved =
+              if count = 1 then 0
+              else begin
+                st.st_attempts <- st.st_attempts + 1;
+                let v = next_victim () in
+                ms.ms_probe d st ~victim:v deques.(v) ~into:my
+              end
             in
-            if got then backoff := 0
+            if moved > 0 then begin
+              st.st_successes <- st.st_successes + 1;
+              st.st_stolen <- st.st_stolen + moved;
+              loop 0
+            end
             else begin
-              let spins = 1 lsl min !backoff 10 in
-              for _ = 1 to spins do
-                Domain.cpu_relax ()
-              done;
-              st.st_idle <- st.st_idle +. float_of_int spins;
-              if !backoff < 16 then incr backoff
-            end);
-        loop ()
-      end
+              st.st_idle <- st.st_idle +. ms.ms_wait d backoff;
+              loop (min 16 (backoff + 1))
+            end
     in
-    let cursor = ref (uid_base + (d * Uid.stride)) in
-    try Uid.with_counter cursor loop
+    try loop 0
     with exn ->
+      (* poison the census so the other machines drain and exit *)
       Atomic.set failure (Some exn);
       Atomic.set pending 0
   in
-  let spawned =
-    Array.init (d_count - 1) (fun i -> Domain.spawn (fun () -> body (i + 1)))
-  in
-  body 0;
-  Array.iter Domain.join spawned;
+  ms.ms_start ~seed ~release body;
   (match Atomic.get failure with Some exn -> raise exn | None -> ());
-  let fired = ref 0 in
-  Array.iter (fun (st : Steal.stats) -> fired := !fired + st.st_fired) stats;
-  e.e_fired <- e.e_fired + !fired;
-  let cutoff = Array.fold_left ( + ) 0 cutoffs in
-  (* Restore store invariants for every poked target. A drained counter
-     with a cutoff means the target was already set (an unset target
-     implies an appended seed, which always re-fires), so the idempotent
-     commit is safe on both. *)
-  Array.iteri
-    (fun i rid ->
-      if Atomic.get waiting.(i) <= 0 then
-        Store.commit_slot e.e_store e.e_target.(rid))
-    cone;
-  if !fired + cutoff < m then
+  let fired =
+    Array.fold_left (fun a (st : Steal.stats) -> a + st.st_fired) 0 stats
+  in
+  (* sequential epilogue: restore store invariants for every fired target
+     (a live rid fired iff its dependency counter drained to zero) — a
+     set that pokes values leaves the byte-granular set-bits behind *)
+  let w = !waiting in
+  for rid = 0 to e.e_n - 1 do
+    if (not (is_dead e rid)) && Atomic.get w.(rid) <= 0 then
+      Store.commit_slot e.e_store e.e_target.(rid)
+  done;
+  if fired < !live then
     raise
       (Cycle
          (Printf.sprintf
-            "batched refire stuck: %d of %d cone members unprocessed \
-             (cycle through the merged dirty set)"
-            (m - !fired - cutoff) m));
-  {
-    rf_refired = !fired;
-    rf_cutoff = cutoff;
-    rf_rounds = 0;
-    rf_round_refired = [||];
-  }
+            "dynamic evaluation stuck: %d attribute instances unevaluated \
+             (circular tree or missing root attributes)"
+            (Store.missing e.e_store)));
+  (fired, stats)
 
-let refire_set ?(domains = 1) ?owner ?(uid_base = 0) e gr ~cone ~is_seed
-    ~changed ~epoch =
-  if domains <= 1 then refire_set_seq e gr ~cone ~is_seed ~changed ~epoch
-  else
-    refire_set_steal ~domains ~owner ~uid_base e gr ~cone ~is_seed ~changed
-      ~epoch
+(* The domains machine set. Firing bypasses the rule memo (its hashtables
+   are not domain-safe) and writes targets with {!Store.poke} — the
+   store's set-bitset is byte-granular, so bits are restored by the
+   loop's sequential epilogue. Publication is sound: the non-atomic target
+   write precedes the atomic counter decrement, and a consumer only reads
+   the slot after observing the counter reach zero through that same
+   atomic. *)
+
+let gather_quiet e rid =
+  let lo = e.e_arg_off.(rid) and hi = e.e_arg_off.(rid + 1) in
+  let args = Array.make (hi - lo) Value.Unit in
+  for k = lo to hi - 1 do
+    let c = e.e_arg_code.(k) in
+    args.(k - lo) <-
+      (if c >= 0 then Store.peek e.e_store c else e.e_consts.(-c - 1))
+  done;
+  args
 
 let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
     ?(prov_clock = fun () -> 0.0) e gr =
@@ -930,121 +895,51 @@ let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
     | Some f -> fun rid -> min (d_count - 1) (max 0 (f rid))
     | None -> fun rid -> if n = 0 then 0 else rid * d_count / n
   in
-  let waiting = Array.init (max 1 n) (fun _ -> Atomic.make 0) in
-  let deques = Array.init d_count (fun _ -> Steal.create ()) in
-  let stats = Array.init d_count (fun _ -> Steal.zero_stats ()) in
-  let live = ref 0 and seeded = ref 0 in
-  for rid = 0 to n - 1 do
-    if not (is_dead e rid) then begin
-      incr live;
-      let w = ref 0 in
-      iter_slot_args e rid (fun slot ->
-          if not (Store.slot_is_set e.e_store slot) then incr w);
-      Atomic.set waiting.(rid) !w;
-      if !w = 0 then begin
-        Steal.push deques.(owner rid) rid;
-        incr seeded
-      end
-    end
-  done;
-  let pending = Atomic.make !seeded in
-  let failure = Atomic.make None in
-  let body d =
-    let my = deques.(d) in
-    let st = stats.(d) in
-    (* deterministic per-domain xorshift for victim selection *)
-    let seed = ref ((((d + 1) * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
-    let next_victim () =
-      let x = !seed in
-      let x = x lxor (x lsl 13) in
-      let x = x lxor (x lsr 7) in
-      let x = (x lxor (x lsl 17)) land 0x3FFFFFFF in
-      seed := x;
-      let v = x mod (d_count - 1) in
-      if v >= d then v + 1 else v
-    in
-    (* each domain records into its own ring; pid = domain id *)
-    let my_prov = match prov with Some ps -> ps.(d) | None -> Prov.disabled in
-    let exec rid =
-      let t0 = if Prov.enabled my_prov then prov_clock () else 0.0 in
-      let v = e.e_rules.(rid).Grammar.r_fn (gather_quiet e rid) in
-      Store.poke e.e_store e.e_target.(rid) v;
-      if Prov.enabled my_prov then begin
-        Prov.record my_prov ~rid ~pid:d ~target:e.e_target.(rid) ~t0
-          ~t1:(prov_clock ()) ~replay:false;
-        iter_slot_args e rid (fun slot -> Prov.arg my_prov slot)
-      end;
-      st.st_fired <- st.st_fired + 1;
-      iter_consumers gr e.e_target.(rid) (fun c ->
-          if (not (is_dead e c)) && Atomic.fetch_and_add waiting.(c) (-1) = 1
-          then begin
-            Atomic.incr pending;
-            Steal.push my c;
-            let depth = Steal.size my in
-            if depth > st.st_hwm then st.st_hwm <- depth
-          end);
-      ignore (Atomic.fetch_and_add pending (-1))
-    in
-    let backoff = ref 0 in
-    let rec loop () =
-      if Atomic.get pending > 0 then begin
-        (match Steal.pop my with
-        | Some rid ->
-            backoff := 0;
-            exec rid
-        | None ->
-            let got =
-              d_count > 1
-              &&
-              (st.st_attempts <- st.st_attempts + 1;
-               let k = Steal.steal_half deques.(next_victim ()) ~into:my in
-               if k > 0 then begin
-                 st.st_successes <- st.st_successes + 1;
-                 st.st_stolen <- st.st_stolen + k;
-                 true
-               end
-               else false)
-            in
-            if got then backoff := 0
-            else begin
-              let spins = 1 lsl min !backoff 10 in
-              for _ = 1 to spins do
-                Domain.cpu_relax ()
-              done;
-              st.st_idle <- st.st_idle +. float_of_int spins;
-              if !backoff < 16 then incr backoff
-            end);
-        loop ()
-      end
-    in
+  let start ~seed:_ ~release:_ body =
     (* fresh domains have no ambient uid base; give each its own stripe *)
-    let cursor = ref (uid_base + (d * Uid.stride)) in
-    try Uid.with_counter cursor loop
-    with exn ->
-      (* poison the census so the other domains drain and exit *)
-      Atomic.set failure (Some exn);
-      Atomic.set pending 0
+    let run d =
+      Uid.with_counter (ref (uid_base + (d * Uid.stride))) (fun () -> body d)
+    in
+    let spawned =
+      Array.init (d_count - 1) (fun i -> Domain.spawn (fun () -> run (i + 1)))
+    in
+    run 0;
+    Array.iter Domain.join spawned
   in
-  let spawned =
-    Array.init (d_count - 1) (fun i -> Domain.spawn (fun () -> body (i + 1)))
+  let fire d ~release =
+    (* each domain records into its own ring; pid = domain id *)
+    let ring = match prov with Some ps -> ps.(d) | None -> Prov.disabled in
+    fun rid ->
+      let tgt = e.e_target.(rid) in
+      let t0 = if Prov.enabled ring then prov_clock () else 0.0 in
+      Store.poke e.e_store tgt
+        (e.e_rules.(rid).Grammar.r_fn (gather_quiet e rid));
+      if Prov.enabled ring then begin
+        Prov.record ring ~rid ~pid:d ~target:tgt ~t0 ~t1:(prov_clock ())
+          ~replay:false;
+        iter_slot_args e rid (fun slot -> Prov.arg ring slot)
+      end;
+      release tgt
   in
-  body 0;
-  Array.iter Domain.join spawned;
-  (match Atomic.get failure with Some exn -> raise exn | None -> ());
-  (* sequential epilogue: restore store invariants for every fired target
-     (a live rid fired iff its dependency counter drained to zero) *)
-  let fired = ref 0 in
-  Array.iter (fun (st : Steal.stats) -> fired := !fired + st.st_fired) stats;
-  e.e_fired <- e.e_fired + !fired;
-  for rid = 0 to n - 1 do
-    if (not (is_dead e rid)) && Atomic.get waiting.(rid) <= 0 then
-      Store.commit_slot e.e_store e.e_target.(rid)
-  done;
-  if !fired < !live then
-    raise
-      (Cycle
-         (Printf.sprintf
-            "dynamic evaluation stuck: %d attribute instances unevaluated \
-             (circular tree or missing root attributes)"
-            (Store.missing e.e_store)));
-  (!fired, stats)
+  (* a failed probe spins, doubling up to 2^10 rounds; the idle time
+     reported is the wall-clock time spent spinning *)
+  let wait _ backoff =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to 1 lsl min backoff 10 do
+      Domain.cpu_relax ()
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  let fired, stats =
+    steal_loop e gr ~owner
+      {
+        ms_count = d_count;
+        ms_start = start;
+        ms_fire = fire;
+        ms_probe = (fun _ _ ~victim:_ v ~into -> Steal.steal_half v ~into);
+        ms_wait = wait;
+        ms_refill = (fun _ -> false);
+      }
+  in
+  e.e_fired <- e.e_fired + fired;
+  (fired, stats)

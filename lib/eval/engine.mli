@@ -8,8 +8,10 @@
     memo and the slot-level dependency graph. Evaluators are just schedules
     over it: the data-driven topological order ({!run_topo}, used by
     {!Dynamic}), the plan's visit sequences ({!Static_eval}), the parallel
-    worker's item graph ({!Pag_parallel.Worker}), and the dirty cone of an
-    edit ({!Incr}).
+    worker's item graph ({!Pag_parallel.Worker}), the dirty cone of an
+    edit ({!Incr}), and the work-stealing loop ({!steal_loop}), written
+    once and run over a machine set — real domains ({!run_steal}) or the
+    network simulator's machine fibers ({!Pag_parallel.Runner}).
 
     Instances of one node are consecutive and keyed by the store's dense
     preorder index, so [(node, rule index)] resolves to a rule id with two
@@ -193,19 +195,97 @@ val reresolve_node : t -> ?graph:graph -> Tree.t -> unit
     unevaluated. *)
 val run_topo : t -> graph -> int
 
+(** {1 Batched refire waves} *)
+
+type refire_stats = {
+  rf_refired : int;  (** members actually re-fired *)
+  rf_cutoff : int;  (** members skipped by the equality cutoff *)
+  rf_rounds : int;  (** level-synchronous rounds *)
+  rf_round_refired : int array;  (** refires per round, in wave order *)
+}
+
+(** [refire_set e gr ~cone ~is_seed ~changed ~epoch] re-fires a merged
+    dirty cone — the union of several edits' dirty cones, sorted ascending
+    — as a wave of rounds: round [r] holds the members whose cone-internal
+    producers all completed earlier, a level-synchronous Kahn schedule of
+    the cone subgraph. The equality cutoff is preserved per slot through
+    the caller's epoch-stamp array [changed]: a member that is not a seed
+    and none of whose argument slots carry stamp [epoch] is skipped
+    without computing, and a re-fired member stamps its target only when
+    the stored value moved ({!Store.redefine_slot}). Members fire through
+    {!refire} — rule memo and attached provenance included, so
+    [--profile] blame spans a batched wave. Raises {!Cycle} when a
+    dependency cycle threads the cone — callers fall back to a
+    from-scratch rebuild. *)
+val refire_set :
+  t ->
+  graph ->
+  cone:int array ->
+  is_seed:(int -> bool) ->
+  changed:int array ->
+  epoch:int ->
+  refire_stats
+
 (** {1 Work-stealing schedule}
 
-    [run_steal ~domains ~owner ~uid_base e gr] fires the same fixed point
-    as {!run_topo}, parallel across [domains] OCaml domains: per-domain
-    Chase-Lev deques of ready instance ids ({!Steal}), atomic dependency
-    counters, steal-half victim selection with exponential backoff, and an
-    exact task-census termination barrier. [owner] maps a rule-instance id
-    to the domain whose deque it is seeded on when initially ready (an
-    affinity hint — stealing overrides it); the default block-partitions
-    the instance table. Each domain [d] allocates uids from its own stripe
+    One loop fires the same fixed point as {!run_topo} across a set of
+    machines: per-machine Chase-Lev deques of ready instance ids
+    ({!Steal}), atomic dependency counters, xorshift victim choice with
+    exponential backoff between failed probes, and an exact task-census
+    termination barrier. The loop owns all of that; a machine set says
+    only where machines run and what their work costs. {!run_steal} runs
+    the loop on real domains; the runner's simulated steal schedule runs
+    it on network-simulator fibers. *)
+
+(** A machine set. Machines are numbered [0 .. ms_count - 1]; machine [d]
+    seeds its victim choice from [d + 1].
+
+    - [ms_start ~seed ~release body] runs [body d] for every machine to
+      completion (a body never raises). [seed d lo hi] registers rule ids
+      [lo .. hi - 1] appended mid-run and queues the ready ones on [d]'s
+      deque; [release d slot] queues the consumers a slot defined outside
+      any firing made ready. A set whose work never grows ignores both.
+    - [ms_fire d ~release] is machine [d]'s firing closure, built once per
+      machine. It fires one instance, charges its cost, and calls
+      [release target] to queue the consumers that became ready.
+    - [ms_probe d stats ~victim deque ~into] moves work from [victim]'s
+      [deque] into [d]'s deque [into] and returns the number of instances
+      moved; a probe that itself idles adds the time to [stats.st_idle].
+    - [ms_wait d round] waits after a failed probe ([round] counts the
+      consecutive failures, capped at 16) and returns the idle seconds.
+    - [ms_refill d] runs when the census is zero: [true] when it queued
+      more work through [seed] or [release] (demand materialization of a
+      stalled DAG region), [false] to let machine [d] stop. *)
+type machines = {
+  ms_count : int;
+  ms_start :
+    seed:(int -> int -> int -> unit) ->
+    release:(int -> int -> unit) ->
+    (int -> unit) ->
+    unit;
+  ms_fire : int -> release:(int -> unit) -> int -> unit;
+  ms_probe : int -> Steal.stats -> victim:int -> Steal.t -> into:Steal.t -> int;
+  ms_wait : int -> int -> float;
+  ms_refill : int -> bool;
+}
+
+(** [steal_loop e gr ~owner ms] seeds every live instance whose arguments
+    are set on machine [owner rid]'s deque (an affinity hint — stealing
+    overrides it), runs the machine set, then marks every fired target set
+    in the store. Returns the number of firings and the per-machine
+    scheduler statistics. Re-raises the first exception a firing raised;
+    raises {!Cycle} when live instances remain unfired. *)
+val steal_loop :
+  t -> graph -> owner:(int -> int) -> machines -> int * Steal.stats array
+
+(** [run_steal ~domains ~owner ~uid_base e gr] runs {!steal_loop} on
+    [domains] OCaml domains. [owner] maps a rule-instance id to a domain
+    (clamped); the default block-partitions the instance table. Each
+    domain [d] allocates uids from its own stripe
     [uid_base + d * Uid.stride], so label numbers depend on the schedule
     (compare label-masked output across schedules, or use a grammar that
-    consumes no uids for bit-identical stores).
+    consumes no uids for bit-identical stores). A failed probe spins with
+    exponential backoff; [st_idle] is the wall-clock time spent spinning.
 
     Firing bypasses the rule memo (not domain-safe); semantic rules are
     pure, so results are unchanged. The engine-attached provenance ring is
@@ -223,45 +303,3 @@ val run_steal :
   t ->
   graph ->
   int * Steal.stats array
-
-(** {1 Batched refire waves} *)
-
-type refire_stats = {
-  rf_refired : int;  (** members actually re-fired *)
-  rf_cutoff : int;  (** members skipped by the equality cutoff *)
-  rf_rounds : int;  (** level-synchronous rounds ([0] in domains mode) *)
-  rf_round_refired : int array;  (** refires per round, in wave order *)
-}
-
-(** [refire_set e gr ~cone ~is_seed ~changed ~epoch] re-fires a merged
-    dirty cone — the union of several edits' dirty cones, sorted ascending
-    — as a wave of parallel rounds: round [r] holds the members whose
-    cone-internal producers all completed earlier, a level-synchronous
-    Kahn schedule of the cone subgraph. The equality cutoff is preserved
-    per slot through the caller's epoch-stamp array [changed]: a member
-    that is not a seed and none of whose argument slots carry stamp
-    [epoch] is skipped without computing, and a re-fired member stamps its
-    target only when the stored value moved ({!Store.redefine_slot}).
-
-    The default sequential mode drives {!refire} — rule memo and attached
-    provenance included, so [--profile] blame spans a batched wave. With
-    [domains > 1] the wave runs on the work-stealing machinery of
-    {!run_steal} restricted to the cone: per-domain Chase-Lev deques
-    seeded by cone ownership ([owner], typically edit index of the cone
-    that first reached a member), atomic waiting counters, poked writes
-    committed after the join, per-domain uid stripes above [uid_base]; the
-    memo and the attached provenance ring are bypassed (not domain-safe)
-    and [rf_rounds] is reported as [0] (rounds are a property of the
-    level-synchronous schedule). Raises {!Cycle} when a dependency cycle
-    threads the cone — callers fall back to a from-scratch rebuild. *)
-val refire_set :
-  ?domains:int ->
-  ?owner:(int -> int) ->
-  ?uid_base:int ->
-  t ->
-  graph ->
-  cone:int array ->
-  is_seed:(int -> bool) ->
-  changed:int array ->
-  epoch:int ->
-  refire_stats

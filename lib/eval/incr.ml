@@ -509,7 +509,7 @@ let edit s next =
    in {!replace}; a rebuild subsumes the pending wave (from-scratch
    evaluation recomputes everything the wave owed). *)
 
-let edit_batch ?(domains = 1) s nexts =
+let edit_batch s nexts =
   let t0 = Sys.time () in
   s.s_epoch0 <- s.s_epoch;
   let edits = ref 0 and waves = ref 0 and conflicts = ref 0 in
@@ -519,13 +519,11 @@ let edit_batch ?(domains = 1) s nexts =
   let bytes = ref 0 in
   (* Pending-wave state. Bitsets are indexed by rule id and grow with the
      engine; [w_touched] holds node ids structurally claimed by accepted
-     edits; [w_owner] maps a cone member to the edit whose closure first
-     reached it (steal-deque seeding affinity). *)
+     edits. *)
   let w_seed = ref (Bytes.make 1 '\000') in
   let w_dirty = ref (Bytes.make 1 '\000') in
   let w_cone = ref [] and w_cone_n = ref 0 and w_edits = ref 0 in
   let w_touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let w_owner : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let reset_wave () =
     let n = (Engine.rule_count s.s_engine + 7) / 8 in
     w_seed := Bytes.make (max 1 n) '\000';
@@ -533,8 +531,7 @@ let edit_batch ?(domains = 1) s nexts =
     w_cone := [];
     w_cone_n := 0;
     w_edits := 0;
-    Hashtbl.reset w_touched;
-    Hashtbl.reset w_owner
+    Hashtbl.reset w_touched
   in
   (* From-scratch rebuild subsuming whatever wave is pending. *)
   let rebuild ~dirty =
@@ -552,20 +549,10 @@ let edit_batch ?(domains = 1) s nexts =
       Array.sort compare cone;
       let seedb = !w_seed in
       let is_seed rid = in_set seedb rid in
-      let d_count = max 1 domains in
-      let owner rid =
-        match Hashtbl.find_opt w_owner rid with
-        | Some k -> k mod d_count
-        | None -> 0
-      in
       (match
-         if d_count > 1 then
-           Engine.refire_set ~domains:d_count ~owner ~uid_base:!(s.s_cursor)
-             s.s_engine s.s_graph ~cone ~is_seed ~changed:s.s_changed ~epoch
-         else
-           Uid.with_counter s.s_cursor (fun () ->
-               Engine.refire_set s.s_engine s.s_graph ~cone ~is_seed
-                 ~changed:s.s_changed ~epoch)
+         Uid.with_counter s.s_cursor (fun () ->
+             Engine.refire_set s.s_engine s.s_graph ~cone ~is_seed
+               ~changed:s.s_changed ~epoch)
        with
       | exception Engine.Cycle _ -> rebuild ~dirty:!w_cone_n
       | rf ->
@@ -576,10 +563,6 @@ let edit_batch ?(domains = 1) s nexts =
           Array.iter
             (fun r -> round_refired := r :: !round_refired)
             rf.Engine.rf_round_refired;
-          if d_count > 1 then
-            (* the wave drew uids from per-domain stripes; move the
-               session cursor past them *)
-            s.s_cursor := !(s.s_cursor) + (d_count * Uid.stride);
           incr waves;
           reset_wave ())
     end
@@ -632,7 +615,6 @@ let edit_batch ?(domains = 1) s nexts =
       Engine.graph_note_range eng gr ~rid_lo ~rid_hi;
       Engine.reresolve_node eng ~graph:gr parent;
       s.s_live_rules <- s.s_live_rules + (rid_hi - rid_lo) - killed;
-      let k = !w_edits in
       incr w_edits;
       let n = Engine.rule_count eng in
       ensure w_seed n;
@@ -643,7 +625,6 @@ let edit_batch ?(domains = 1) s nexts =
           add_set !w_dirty rid;
           w_cone := rid :: !w_cone;
           incr w_cone_n;
-          Hashtbl.replace w_owner rid k;
           stack := rid :: !stack
         end
       in

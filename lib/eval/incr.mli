@@ -140,13 +140,10 @@ val replace : session -> parent:Tree.t -> pos:int -> Tree.t -> edit_stats
     order. Compaction and frontier overflow fall back to a from-scratch
     rebuild exactly as {!edit} does; a rebuild subsumes the pending wave.
 
-    With [domains > 1] each wave re-fires on the work-stealing scheduler,
-    deques seeded by cone ownership; label-drawing rules then allocate
-    from per-domain stripes (compare label-masked output, as with
-    {!Engine.run_steal}). The default re-fires rounds sequentially and
-    preserves provenance recording, so [--profile] blames across waves.
-    After the call {!changed} answers for the whole batch. *)
-val edit_batch : ?domains:int -> session -> Tree.t list -> wave_stats
+    Each wave re-fires its rounds sequentially with provenance recording,
+    so [--profile] blames across waves. After the call {!changed} answers
+    for the whole batch. *)
+val edit_batch : session -> Tree.t list -> wave_stats
 
 (** [changed session node attr] — did the last {!edit} change this
     instance's value? Conservatively [true] for everything after a

@@ -4,7 +4,6 @@ open Netsim
 
 type options = {
   machines : int;
-  mode : Worker.mode;
   schedule : [ `Static | `Dynamic | `Steal ];
   granularity : float;
   use_priority : bool;
@@ -20,7 +19,6 @@ type options = {
 let default_options =
   {
     machines = 1;
-    mode = `Combined;
     schedule = `Static;
     granularity = 1.0;
     use_priority = true;
@@ -84,13 +82,12 @@ let decompose opts g tree =
 
 (* ------------------------- telemetry ------------------------- *)
 
-let mode_string = function `Combined -> "combined" | `Dynamic -> "dynamic"
-
 let run_label opts ~transport =
   let kind =
     match opts.schedule with
+    | `Static -> "combined"
+    | `Dynamic -> "dynamic"
     | `Steal -> "steal"
-    | `Static | `Dynamic -> mode_string opts.mode
   in
   Printf.sprintf "%s, %d machine%s (%s)" kind opts.machines
     (if opts.machines = 1 then "" else "s")
@@ -256,7 +253,10 @@ let static_machines ?max_tries opts g plan tree split ~now ~raw ~rto ~watchdog
       {
         Worker.wc_grammar = g;
         wc_plan = plan;
-        wc_mode = opts.mode;
+        wc_mode =
+          (match opts.schedule with
+          | `Dynamic -> `Dynamic
+          | `Static | `Steal -> `Combined);
         wc_use_priority = opts.use_priority;
         wc_librarian = librarian;
         wc_phase_label = opts.phase_label;
@@ -448,7 +448,7 @@ let run_sim_static opts g plan tree =
     ~bytes:(Ethernet.bytes_sent net) ~fault_stats:(S.fault_stats sim) ~row
     ~domains:1
 
-(* ------------------------- work stealing (sim) ------------------------- *)
+(* ------------------------- work stealing ------------------------- *)
 
 module ESt = Pag_eval.Store
 module Eng = Pag_eval.Engine
@@ -479,27 +479,55 @@ let fragment_affinity split store =
     (Split.fragments split);
   owner
 
+(* Per-machine scheduler statistics as [steal.*] metrics: loop machine [d]
+   reports on context [d + 1] (pid 0 is the parser). *)
+let steal_metrics ctxs stats =
+  Array.iteri
+    (fun d (st : Steal.stats) ->
+      let obs = ctxs.(d + 1) in
+      if Obs.ctx_enabled obs then begin
+        let reg = obs.Obs.x_metrics in
+        Obs.Metrics.add
+          (Obs.Metrics.counter reg "steal.fires")
+          st.Steal.st_fired;
+        Obs.Metrics.add
+          (Obs.Metrics.counter reg "steal.attempts")
+          st.Steal.st_attempts;
+        Obs.Metrics.add
+          (Obs.Metrics.counter reg "steal.successes")
+          st.Steal.st_successes;
+        Obs.Metrics.add
+          (Obs.Metrics.counter reg "steal.stolen")
+          st.Steal.st_stolen;
+        Obs.Metrics.set_gauge_max reg "steal.deque_hwm"
+          (float_of_int st.Steal.st_hwm);
+        Obs.Metrics.add_gauge reg "steal.idle_wait" st.Steal.st_idle
+      end)
+    stats
+
 (* Steal-probe wire sizes: a request is one small frame, a reply carries
    the stolen instance ids. *)
 let probe_request_bytes = 64
 
 let probe_reply_bytes k = 32 + (8 * k)
 
-(* Work-stealing evaluation over the network simulator.
+(* Work-stealing evaluation over the network simulator: {!Eng.steal_loop}
+   run over a machine set of simulator fibers.
 
    Unlike the static protocol there is no fragment shipping dance: the
    tree is shared (the paper's machines would each hold their fragment;
    here affinity seeding plays that role), and [opts.machines] evaluator
-   fibers drain one shared engine. Fragment [i] seeds machine
-   [(i mod machines) + 1], so with more machines than fragments the extras
-   start empty and steal their way in — exactly the skewed-tree case the
-   static placement cannot serve. Firing charges [Cost.steal_rule]; a
-   steal probe charges a request and reply frame on the shared Ethernet
-   (so steal traffic contends with everything else) plus the round-trip
-   latency. Fault plans are priced against steal probes only (drop: the
-   probe times out and is retried after backoff; dup: the reply frame is
-   paid twice; crashes are a static-protocol notion and are ignored —
-   DESIGN §11 discusses why). *)
+   fibers drain one shared engine. Loop machine [d] is simulated machine
+   [d + 1] (pid 0 is the parser); fragment [i] seeds loop machine
+   [i mod machines], so with more machines than fragments the extras start
+   empty and steal their way in — exactly the skewed-tree case the static
+   placement cannot serve. Firing charges [Cost.steal_rule]; a steal probe
+   charges a request and reply frame on the shared Ethernet (so steal
+   traffic contends with everything else) plus the round-trip latency.
+   Fault plans are priced against steal probes only (drop: the probe times
+   out and is retried after backoff; dup: the reply frame is paid twice;
+   crashes are a static-protocol notion and are ignored — DESIGN §11
+   discusses why). *)
 let run_sim_steal opts g tree =
   let split = decompose opts g tree in
   let m = max 1 opts.machines in
@@ -511,13 +539,11 @@ let run_sim_steal opts g tree =
      subtrees get one rule-instance set per (class × inherited
      fingerprint), parked occurrences own no instances at all, and their
      synthesized attributes arrive by projection when the leader's region
-     completes. The steal scheduler drains the same deques; the DAG
-     runtime only adds work through the two hooks below (projection
-     releases consumers, materialization seeds fresh instances). *)
+     completes. The loop drains the same deques; the DAG runtime only adds
+     work through its two hooks (projection releases consumers,
+     materialization seeds fresh instances). *)
   let dag = if opts.use_dag then Some (Tree.dag tree) else None in
-  let dplan =
-    Option.map (fun d -> Pag_eval.Dag.plan g store d) dag
-  in
+  let dplan = Option.map (fun d -> Pag_eval.Dag.plan g store d) dag in
   let eng =
     Eng.create ?rules_for:(Option.map Pag_eval.Dag.rules_for dplan) g store
   in
@@ -536,78 +562,20 @@ let run_sim_steal opts g tree =
       ~clock:(fun () -> S.now sim)
       eng prov;
   let gr = Eng.graph eng in
-  let n = Eng.rule_count eng in
+  let rt = Option.map (fun p -> Pag_eval.Dag.make p eng gr) dplan in
   let node_frag = fragment_affinity split store in
-  let machine_of_frag f = (f mod m) + 1 in
-  let owner_machine rid =
-    machine_of_frag node_frag.(ESt.dense_index store (Eng.node_of eng rid))
+  let owner rid =
+    node_frag.(ESt.dense_index store (Eng.node_of eng rid)) mod m
   in
-  (* readiness: plain counters — all fibers share one OS thread. The
-     array is growable because DAG materialization appends instances. *)
-  let waiting = ref (Array.make (max 1 n) 0) in
-  let deques = Array.init (m + 1) (fun _ -> Steal.create ()) in
-  let stats = Array.init (m + 1) (fun _ -> Steal.zero_stats ()) in
-  let own_rids = Array.make (m + 1) 0 in
-  let own_edges = Array.make (m + 1) 0 in
-  let live = ref 0 and pending = ref 0 in
-  for rid = 0 to n - 1 do
+  (* Each machine's share of the instance table, priced at start-up. *)
+  let own_rids = Array.make m 0 and own_edges = Array.make m 0 in
+  for rid = 0 to Eng.rule_count eng - 1 do
     if not (Eng.is_dead eng rid) then begin
-      incr live;
-      let k = owner_machine rid in
-      own_rids.(k) <- own_rids.(k) + 1;
-      Eng.iter_slot_args eng rid (fun slot ->
-          own_edges.(k) <- own_edges.(k) + 1;
-          if not (ESt.slot_is_set store slot) then
-            !waiting.(rid) <- !waiting.(rid) + 1);
-      if !waiting.(rid) = 0 then begin
-        Steal.push deques.(k) rid;
-        incr pending
-      end
+      let d = owner rid in
+      own_rids.(d) <- own_rids.(d) + 1;
+      Eng.iter_slot_args eng rid (fun _ -> own_edges.(d) <- own_edges.(d) + 1)
     end
   done;
-  let fired_total = ref 0 in
-  let finisher = ref (-1) in
-  (* The machine whose fiber is currently running; hook-pushed work lands
-     on its deque (cooperative fibers, so the read is race-free). *)
-  let cur = ref 1 in
-  let rt =
-    match dplan with
-    | None -> None
-    | Some p ->
-        let rt = Pag_eval.Dag.make p eng gr in
-        let release slot =
-          Eng.iter_consumers gr slot (fun c ->
-              if not (Eng.is_dead eng c) then begin
-                !waiting.(c) <- !waiting.(c) - 1;
-                if !waiting.(c) = 0 then begin
-                  incr pending;
-                  Steal.push deques.(!cur) c
-                end
-              end)
-        in
-        Pag_eval.Dag.set_hooks rt ~on_defined:release
-          ~on_new_rids:(fun lo hi ->
-            if hi > Array.length !waiting then begin
-              let w = Array.make (max hi (2 * Array.length !waiting)) 0 in
-              Array.blit !waiting 0 w 0 (Array.length !waiting);
-              waiting := w
-            end;
-            for rid = lo to hi - 1 do
-              if not (Eng.is_dead eng rid) then begin
-                incr live;
-                let wct = ref 0 in
-                Eng.iter_slot_args eng rid (fun slot ->
-                    if not (ESt.slot_is_set store slot) then incr wct);
-                !waiting.(rid) <- !wct;
-                if !wct = 0 then begin
-                  incr pending;
-                  Steal.push deques.(!cur) rid
-                end
-              end
-            done);
-        Pag_eval.Dag.prime rt;
-        Some rt
-  in
   let sends = Array.make (m + 1) 0 in
   (* Assignment pricing: with the DAG, each fragment ships as its real
      wire encoding — class bodies cross once per machine, repeats as
@@ -620,229 +588,180 @@ let run_sim_steal opts g tree =
   let bytes_per_machine = Array.make (m + 1) 0 in
   Array.iter
     (fun (f : Split.fragment) ->
-      let k = machine_of_frag f.Split.fr_id in
+      let k = (f.Split.fr_id mod m) + 1 in
       bytes_per_machine.(k) <- bytes_per_machine.(k) + frag_wire f)
     (Split.fragments split);
   let ctxs = make_ctxs opts ~n:(m + 1) ~clock:(fun () -> S.time ()) in
   let attrs = ref [] in
   let finish = ref 0.0 in
+  (* [cur] is the loop machine whose fiber runs: work the DAG runtime adds
+     lands on its deque. [last] fired most recently: once the store is
+     complete it ships the root attributes. Fibers share one OS thread, so
+     both are race-free. *)
+  let cur = ref 0 and last = ref (-1) in
+  let send_from k msg =
+    sends.(k) <- sends.(k) + 1;
+    S.send ~dst:0 ~size:(Message.size msg) ~label:(Message.label msg) msg
+  in
   (* pid 0: the parser hands each machine its affinity share, then
      collects root attributes and one Stop per machine. *)
-  let _ =
-    S.spawn sim ~name:"parser" (fun () ->
-        for k = 1 to m do
-          let msg =
-            Message.Subtree
-              {
-                frag = k - 1;
-                bytes = bytes_per_machine.(k);
-                uid_base = k * Uid.stride;
-              }
-          in
-          S.send ~dst:k ~size:(Message.size msg) ~label:(Message.label msg)
-            msg
-        done;
-        let stops = ref 0 in
-        let acc = ref [] in
-        while !stops < m do
-          match S.recv () with
-          | Message.Stop -> incr stops
-          | Message.Attr { attr; value; _ } -> acc := (attr, value) :: !acc
-          | _ -> ()
-        done;
-        attrs := List.rev !acc;
-        finish := S.time ())
+  let parser () =
+    for k = 1 to m do
+      let msg =
+        Message.Subtree
+          {
+            frag = k - 1;
+            bytes = bytes_per_machine.(k);
+            uid_base = k * Uid.stride;
+          }
+      in
+      S.send ~dst:k ~size:(Message.size msg) ~label:(Message.label msg) msg
+    done;
+    let stops = ref 0 in
+    let acc = ref [] in
+    while !stops < m do
+      match S.recv () with
+      | Message.Stop -> incr stops
+      | Message.Attr { attr; value; _ } -> acc := (attr, value) :: !acc
+      | _ -> ()
+    done;
+    attrs := List.rev !acc;
+    finish := S.time ()
   in
-  for k = 1 to m do
-    let _ =
-      S.spawn sim
-        ~name:(machine_name ~fragments:m k)
-        (fun () ->
-          let my = deques.(k) in
-          let st = stats.(k) in
-          let obs = ctxs.(k) in
-          (* deterministic per-machine xorshift for victim selection *)
-          let seed = ref (((k * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
-          let next_victim () =
-            let x = !seed in
-            let x = x lxor (x lsl 13) in
-            let x = x lxor (x lsr 7) in
-            let x = (x lxor (x lsl 17)) land 0x3FFFFFFF in
-            seed := x;
-            let v = 1 + (x mod (m - 1)) in
-            if v >= k then v + 1 else v
-          in
-          (match S.recv () with
-          | Message.Subtree { bytes; _ } ->
-              S.delay (float_of_int bytes *. Cost.default.Cost.rebuild_per_byte)
-          | _ -> ());
-          (* This machine's share of instance-table construction. Unlike
-             the 1987 dynamic scheduler's linked dependency graph, the
-             flat table and its CSR edges are array arithmetic: no
-             per-edge insertion charge, and the per-instance constant is
-             one counter store, not a graph-node allocation. *)
-          S.delay (float_of_int own_rids.(k) *. Cost.default.Cost.steal_init);
-          let cursor = ref (k * Uid.stride) in
-          let exec rid =
-            cur := k;
-            if opts.provenance then Eng.set_prov_pid eng k;
-            (match rt with
-            | None -> Uid.with_counter cursor (fun () -> Eng.fire eng rid)
-            | Some rt ->
-                (* Mark inside the counter bracket: the fiber draws labels
-                   from its own cursor, so that is the cursor whose motion
-                   witnesses a uid-consuming (untaintable) rule. *)
-                Uid.with_counter cursor (fun () ->
-                    let u0 = Uid.mark () in
-                    Eng.fire eng rid;
-                    if Uid.mark () <> u0 then
-                      Pag_eval.Dag.note_taint rt
-                        (Eng.node_of eng rid).Tree.id));
-            S.delay Cost.default.Cost.steal_rule;
-            st.Steal.st_fired <- st.Steal.st_fired + 1;
-            incr fired_total;
-            if !fired_total = !live then finisher := k;
-            let tgt = Eng.target_slot eng rid in
-            Eng.iter_consumers gr tgt (fun c ->
-                if not (Eng.is_dead eng c) then begin
-                  !waiting.(c) <- !waiting.(c) - 1;
-                  if !waiting.(c) = 0 then begin
-                    incr pending;
-                    Steal.push my c;
-                    let depth = Steal.size my in
-                    if depth > st.Steal.st_hwm then st.Steal.st_hwm <- depth
-                  end
-                end);
-            (* Projections and materializations cascade back through the
-               hooks, landing on this machine's deque. *)
-            Option.iter (fun rt -> Pag_eval.Dag.note_define rt tgt) rt;
-            decr pending
-          in
-          (* When the deques run dry with the store incomplete, a parked
-             occurrence's gate is fed by its own class's output (repmin
-             shape): demand-materialize the lowest stalled region and keep
-             going. Any fiber may hit this; the choice is deterministic. *)
-          let more () =
-            !pending > 0
-            ||
-            match rt with
-            | Some rt when ESt.missing store > 0 ->
-                cur := k;
-                Pag_eval.Dag.force_stalled rt
-            | _ -> false
-          in
-          let backoff = ref 0 in
-          while more () do
-            match Steal.pop my with
-            | Some rid ->
-                backoff := 0;
-                exec rid
-            | None ->
-                let got =
-                  m > 1
-                  &&
-                  let v = next_victim () in
-                  st.Steal.st_attempts <- st.Steal.st_attempts + 1;
-                  let verdict =
-                    Option.map (fun i -> Faults.judge i ~src:k ~dst:v) injector
-                  in
-                  let now = S.time () in
-                  let req_arrival =
-                    Ethernet.transmit net ~now ~size:probe_request_bytes
-                  in
-                  sends.(k) <- sends.(k) + 1;
-                  (match verdict with
-                  | Some x when x.Faults.v_drop ->
-                      (* probe lost: wait out the timeout, retry later *)
-                      S.delay (sim_rto +. (req_arrival -. now));
-                      st.Steal.st_idle <- st.Steal.st_idle +. sim_rto;
-                      false
-                  | _ ->
-                      (* The stolen instances are in flight until the
-                         reply arrives: they leave the victim's deque now
-                         but only enter ours after the reply delay, so no
-                         machine can re-steal them mid-transfer. (Pushing
-                         before the delay livelocks two machines: the
-                         victim, now idle, steals the batch back inside
-                         our reply window, and each successful probe
-                         resets both backoffs.) *)
-                      let items = Steal.steal_some deques.(v) in
-                      let stolen = List.length items in
-                      let reply_size = probe_reply_bytes stolen in
-                      let reply_arrival =
-                        Ethernet.transmit net ~now:req_arrival
-                          ~size:reply_size
-                      in
-                      let reply_arrival =
-                        match verdict with
-                        | Some x ->
-                            if x.Faults.v_dup then
-                              ignore
-                                (Ethernet.transmit net ~now:req_arrival
-                                   ~size:reply_size);
-                            reply_arrival +. x.Faults.v_delay
-                        | None -> reply_arrival
-                      in
-                      S.delay (Float.max 0.0 (reply_arrival -. now));
-                      List.iter (Steal.push my) items;
-                      if stolen > 0 then begin
-                        st.Steal.st_successes <- st.Steal.st_successes + 1;
-                        st.Steal.st_stolen <- st.Steal.st_stolen + stolen;
-                        true
-                      end
-                      else false)
-                in
-                if got then backoff := 0
-                else begin
-                  (* exponential backoff between failed probes *)
-                  let wait = 0.0005 *. float_of_int (1 lsl min !backoff 6) in
-                  S.delay wait;
-                  st.Steal.st_idle <- st.Steal.st_idle +. wait;
-                  if !backoff < 16 then incr backoff
-                end
-          done;
-          let complete =
-            match rt with None -> true | Some _ -> ESt.missing store = 0
-          in
-          if !finisher = k && complete then
-            List.iter
-              (fun (attr, value) ->
-                let msg = Message.Attr { node = tree.Tree.id; attr; value } in
-                sends.(k) <- sends.(k) + 1;
-                S.send ~dst:0 ~size:(Message.size msg)
-                  ~label:(Message.label msg) msg)
-              (ESt.root_attrs store);
-          sends.(k) <- sends.(k) + 1;
-          S.send ~dst:0 ~size:(Message.size Message.Stop)
-            ~label:(Message.label Message.Stop) Message.Stop;
-          if Obs.ctx_enabled obs then begin
-            let reg = obs.Obs.x_metrics in
-            Obs.Metrics.add
-              (Obs.Metrics.counter reg "steal.fires")
-              st.Steal.st_fired;
-            Obs.Metrics.add
-              (Obs.Metrics.counter reg "steal.attempts")
-              st.Steal.st_attempts;
-            Obs.Metrics.add
-              (Obs.Metrics.counter reg "steal.successes")
-              st.Steal.st_successes;
-            Obs.Metrics.add
-              (Obs.Metrics.counter reg "steal.stolen")
-              st.Steal.st_stolen;
-            Obs.Metrics.set_gauge_max reg "steal.deque_hwm"
-              (float_of_int st.Steal.st_hwm);
-            Obs.Metrics.add_gauge reg "steal.idle_wait" st.Steal.st_idle
-          end)
-    in
-    ()
-  done;
-  S.run sim;
-  let stuck =
+  let start ~seed ~release body =
+    Option.iter
+      (fun rt ->
+        Pag_eval.Dag.set_hooks rt
+          ~on_defined:(fun slot -> release !cur slot)
+          ~on_new_rids:(fun lo hi -> seed !cur lo hi);
+        Pag_eval.Dag.prime rt)
+      rt;
+    ignore (S.spawn sim ~name:"parser" parser);
+    for k = 1 to m do
+      ignore
+        (S.spawn sim
+           ~name:(machine_name ~fragments:m k)
+           (fun () ->
+             (match S.recv () with
+             | Message.Subtree { bytes; _ } ->
+                 S.delay
+                   (float_of_int bytes *. Cost.default.Cost.rebuild_per_byte)
+             | _ -> ());
+             (* This machine's share of instance-table construction.
+                Unlike the 1987 dynamic scheduler's linked dependency
+                graph, the flat table and its CSR edges are array
+                arithmetic: no per-edge insertion charge, and the
+                per-instance constant is one counter store, not a
+                graph-node allocation. *)
+             S.delay
+               (float_of_int own_rids.(k - 1) *. Cost.default.Cost.steal_init);
+             body (k - 1);
+             if !last = k - 1 && ESt.missing store = 0 then
+               List.iter
+                 (fun (attr, value) ->
+                   send_from k
+                     (Message.Attr { node = tree.Tree.id; attr; value }))
+                 (ESt.root_attrs store);
+             send_from k Message.Stop))
+    done;
+    S.run sim
+  in
+  let fire d ~release =
+    let k = d + 1 in
+    let cursor = ref (k * Uid.stride) in
+    fun rid ->
+      cur := d;
+      if opts.provenance then Eng.set_prov_pid eng k;
+      (* Fibers interleave on one thread, so each firing brackets its own
+         uid cursor. *)
+      Uid.with_counter cursor (fun () ->
+          match rt with
+          | None -> Eng.fire eng rid
+          | Some rt ->
+              (* Mark inside the bracket: the fiber draws labels from its
+                 own cursor, so that is the cursor whose motion witnesses
+                 a uid-consuming (untaintable) rule. *)
+              let u0 = Uid.mark () in
+              Eng.fire eng rid;
+              if Uid.mark () <> u0 then
+                Pag_eval.Dag.note_taint rt (Eng.node_of eng rid).Tree.id);
+      S.delay Cost.default.Cost.steal_rule;
+      last := d;
+      let tgt = Eng.target_slot eng rid in
+      release tgt;
+      (* Projections and materializations cascade back through the hooks,
+         landing on this machine's deque. *)
+      Option.iter (fun rt -> Pag_eval.Dag.note_define rt tgt) rt
+  in
+  let probe d (st : Steal.stats) ~victim deque ~into =
+    let k = d + 1 and v = victim + 1 in
+    let verdict = Option.map (fun i -> Faults.judge i ~src:k ~dst:v) injector in
+    let now = S.time () in
+    let req_arrival = Ethernet.transmit net ~now ~size:probe_request_bytes in
+    sends.(k) <- sends.(k) + 1;
+    match verdict with
+    | Some x when x.Faults.v_drop ->
+        (* probe lost: wait out the timeout, retry later *)
+        S.delay (sim_rto +. (req_arrival -. now));
+        st.Steal.st_idle <- st.Steal.st_idle +. sim_rto;
+        0
+    | _ ->
+        (* The stolen instances are in flight until the reply arrives:
+           they leave the victim's deque now but only enter ours after the
+           reply delay, so no machine can re-steal them mid-transfer.
+           (Pushing before the delay livelocks two machines: the victim,
+           now idle, steals the batch back inside our reply window, and
+           each successful probe resets both backoffs.) *)
+        let items = Steal.steal_some deque in
+        let stolen = List.length items in
+        let reply_size = probe_reply_bytes stolen in
+        let reply_arrival =
+          Ethernet.transmit net ~now:req_arrival ~size:reply_size
+        in
+        let reply_arrival =
+          match verdict with
+          | Some x ->
+              if x.Faults.v_dup then
+                ignore
+                  (Ethernet.transmit net ~now:req_arrival ~size:reply_size);
+              reply_arrival +. x.Faults.v_delay
+          | None -> reply_arrival
+        in
+        S.delay (Float.max 0.0 (reply_arrival -. now));
+        List.iter (Steal.push into) items;
+        stolen
+  in
+  (* exponential backoff between failed probes *)
+  let wait _ backoff =
+    let w = 0.0005 *. float_of_int (1 lsl min backoff 6) in
+    S.delay w;
+    w
+  in
+  (* When the deques run dry with the store incomplete, a parked
+     occurrence's gate is fed by its own class's output (repmin shape):
+     demand-materialize the lowest stalled region and keep going. Any
+     fiber may hit this; the choice is deterministic. *)
+  let refill d =
     match rt with
-    | None -> !fired_total < !live
-    | Some _ -> ESt.missing store > 0
+    | Some rt when ESt.missing store > 0 ->
+        cur := d;
+        Pag_eval.Dag.force_stalled rt
+    | _ -> false
   in
-  if stuck then
+  let _, stats =
+    Eng.steal_loop eng gr ~owner
+      {
+        Eng.ms_count = m;
+        ms_start = start;
+        ms_fire = fire;
+        ms_probe = probe;
+        ms_wait = wait;
+        ms_refill = refill;
+      }
+  in
+  (* Projected slots have no firing: under the DAG, completion is the
+     store's. *)
+  if Option.is_some rt && ESt.missing store > 0 then
     raise
       (Eng.Cycle
          (Printf.sprintf
@@ -863,17 +782,19 @@ let run_sim_steal opts g tree =
         (Obs.Metrics.counter reg "dag.materialized_rids")
         s.Pag_eval.Dag.dg_materialized_rids
   | _ -> ());
+  steal_metrics ctxs stats;
   let worker_stats =
-    Array.init m (fun i ->
-        let st = stats.(i + 1) in
+    Array.mapi
+      (fun d (st : Steal.stats) ->
         {
           Worker.zero_stats with
           ws_dynamic_rules = st.Steal.st_fired;
-          ws_graph_nodes = own_rids.(i + 1);
-          ws_graph_edges = own_edges.(i + 1);
-          ws_sends = sends.(i + 1);
+          ws_graph_nodes = own_rids.(d);
+          ws_graph_edges = own_edges.(d);
+          ws_sends = sends.(d + 1);
           ws_idle_wait = st.Steal.st_idle;
         })
+      stats
   in
   let tr = S.trace sim in
   let horizon = Trace.horizon tr in
@@ -934,11 +855,32 @@ let dom_rto = 0.02
 
 let dom_watchdog = 0.2
 
-(* Work-stealing evaluation on real domains: delegate the whole schedule
-   to {!Pag_eval.Engine.run_steal}, with owner affinity from the Split
+(* A domains report row. No network trace on domains: an evaluator's
+   measured idle wait stands in for its activity segments, and machines
+   without one (parser, librarian) report the whole horizon idle. *)
+let domains_row ~fragments ~horizon (worker_stats : Worker.stats array) pid =
+  let active, idle, sends =
+    if pid >= 1 && pid <= fragments then begin
+      let s = worker_stats.(pid - 1) in
+      let idle = Float.min horizon s.Worker.ws_idle_wait in
+      (Float.max 0.0 (horizon -. idle), idle, s.Worker.ws_sends)
+    end
+    else (0.0, horizon, 0)
+  in
+  {
+    Obs.Report.rm_pid = pid;
+    rm_name = machine_name ~fragments pid;
+    rm_active = active;
+    rm_idle = idle;
+    rm_util = (if horizon > 0.0 then active /. horizon else 0.0);
+    rm_sends = sends;
+    rm_max_queue = -1;
+  }
+
+(* Work-stealing evaluation on real domains: {!Eng.run_steal}, the steal
+   loop over the domains machine set, with owner affinity from the Split
    placement. The CPU does the actual work, so no cost model applies;
-   [st_idle] counts backoff spin rounds, not seconds, and is reported
-   through metrics only. *)
+   [st_idle] is the wall-clock time each domain spent backing off. *)
 let run_domains_steal opts g tree =
   let t0 = Unix.gettimeofday () in
   let split = decompose opts g tree in
@@ -978,7 +920,7 @@ let run_domains_steal opts g tree =
       Some (Array.init m (fun _ -> Prov.create ~arity ()))
     else None
   in
-  let fires, stats =
+  let _, stats =
     Eng.run_steal ~domains:m ~owner ~uid_base:Uid.stride ?prov:provs
       ~prov_clock:(fun () -> Unix.gettimeofday () -. t0)
       eng gr
@@ -987,57 +929,33 @@ let run_domains_steal opts g tree =
   let ctxs =
     make_ctxs opts ~n:(m + 1) ~clock:(fun () -> Unix.gettimeofday () -. t0)
   in
-  Array.iteri
-    (fun d (st : Steal.stats) ->
-      let obs = ctxs.(d + 1) in
-      if Obs.ctx_enabled obs then begin
-        let reg = obs.Obs.x_metrics in
-        Obs.Metrics.add (Obs.Metrics.counter reg "steal.fires") st.Steal.st_fired;
-        Obs.Metrics.add
-          (Obs.Metrics.counter reg "steal.attempts")
-          st.Steal.st_attempts;
-        Obs.Metrics.add
-          (Obs.Metrics.counter reg "steal.successes")
-          st.Steal.st_successes;
-        Obs.Metrics.add (Obs.Metrics.counter reg "steal.stolen") st.Steal.st_stolen;
-        Obs.Metrics.set_gauge_max reg "steal.deque_hwm"
-          (float_of_int st.Steal.st_hwm);
-        Obs.Metrics.add_gauge reg "steal.idle_spins" st.Steal.st_idle
-      end)
-    stats;
-  ignore fires;
+  steal_metrics ctxs stats;
   let worker_stats =
     Array.map
       (fun (st : Steal.stats) ->
-        { Worker.zero_stats with ws_dynamic_rules = st.Steal.st_fired })
+        {
+          Worker.zero_stats with
+          ws_dynamic_rules = st.Steal.st_fired;
+          ws_idle_wait = st.Steal.st_idle;
+        })
       stats
   in
   let horizon = t1 -. t0 in
-  let machine_rows =
-    List.init (m + 1) (fun pid ->
-        {
-          Obs.Report.rm_pid = pid;
-          rm_name = machine_name ~fragments:m pid;
-          rm_active = (if pid = 0 then 0.0 else horizon);
-          rm_idle = (if pid = 0 then horizon else 0.0);
-          rm_util = (if pid = 0 then 0.0 else 1.0);
-          rm_sends = 0;
-          rm_max_queue = -1;
-        })
-  in
-  let metrics = merged_metrics ctxs in
   let report =
     build_report
       ~label:(run_label opts ~transport:"domains")
-      ~clock:"wall clock" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:0 ~bytes:0 ~retransmits:0 ~metrics ~domains:m
+      ~clock:"wall clock" ~horizon
+      ~machines:
+        (List.init (m + 1) (domains_row ~fragments:m ~horizon worker_stats))
+      ~worker_stats ~messages:0 ~bytes:0 ~retransmits:0
+      ~metrics:(merged_metrics ctxs) ~domains:m
   in
   let r_obs =
     if opts.telemetry then Some (merge_recorders ctxs []) else None
   in
   {
     r_attrs = ESt.root_attrs store;
-    r_time = t1 -. t0;
+    r_time = horizon;
     r_worker_stats = worker_stats;
     r_trace = None;
     r_messages = 0;
@@ -1165,31 +1083,7 @@ let run_domains_static opts g plan tree =
     else None
   in
   let horizon = t1 -. t0 in
-  (* No network trace on domains: worker idle-wait measurements stand in
-     for activity segments; parser and librarian utilization is unknown. *)
-  let row worker_stats pid =
-    let active, idle, util, sends =
-      if pid >= 1 && pid <= nfrags then begin
-        let s = worker_stats.(pid - 1) in
-        let idle = Float.min horizon s.Worker.ws_idle_wait in
-        let active = Float.max 0.0 (horizon -. idle) in
-        ( active,
-          idle,
-          (if horizon > 0.0 then active /. horizon else 0.0),
-          s.Worker.ws_sends )
-      end
-      else (0.0, horizon, 0.0, 0)
-    in
-    {
-      Obs.Report.rm_pid = pid;
-      rm_name = machine_name ~fragments:nfrags pid;
-      rm_active = active;
-      rm_idle = idle;
-      rm_util = util;
-      rm_sends = sends;
-      rm_max_queue = -1;
-    }
-  in
+  let row = domains_row ~fragments:nfrags ~horizon in
   collect ~transport:"domains" ~clock:"wall clock" ~time:horizon ~horizon
     ~trace:None ~messages:0 ~bytes:0 ~fault_stats ~row ~domains:used
 

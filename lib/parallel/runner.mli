@@ -24,6 +24,16 @@
     provenance dwell pricing, how the bodies start ([Sim.spawn], or
     {!Fibers.run} with crashed machines skipped) and the report rows.
 
+    The work-stealing schedule is written once as well:
+    {!Pag_eval.Engine.steal_loop} owns the readiness counters, deques,
+    census, victim choice, backoff and termination, and each transport
+    supplies only a machine set. On domains that is
+    {!Pag_eval.Engine.run_steal}; on the simulator it is one [Sim] fiber
+    per machine plus the parser, with firings charged at
+    [Cost.steal_rule], probes priced as Ethernet frames under the fault
+    plan, and backoff as virtual delay. Domains report each evaluator's
+    measured backoff time as its idle time.
+
     With [machines = 1] the combined evaluator degenerates to the sequential
     static evaluator and the dynamic evaluator to the sequential dynamic
     evaluator, which is exactly how the paper's sequential baselines are
@@ -35,11 +45,10 @@ open Netsim
 
 type options = {
   machines : int;
-  mode : Worker.mode;
   schedule : [ `Static | `Dynamic | `Steal ];
       (** [`Static] (default) and [`Dynamic] run the paper's protocol —
-          fragment shipping plus per-fragment workers, with [mode]
-          selecting combined static/dynamic or all-dynamic evaluation.
+          fragment shipping plus per-fragment workers — with the combined
+          static/dynamic evaluator resp. the all-dynamic one ({!Worker.mode}).
           [`Steal] runs the work-stealing instance scheduler instead:
           per-machine Chase-Lev deques over the unified engine's flat
           rule-instance table, seeded by Split owner affinity, with

@@ -8,7 +8,6 @@ open Netsim
 
 type spec = {
   sp_machines : int;
-  sp_mode : Worker.mode;
   sp_schedule : [ `Static | `Dynamic | `Steal ];
   sp_transport : [ `Sim | `Domains ];
   sp_granularity : float;
@@ -22,14 +21,12 @@ type spec = {
   sp_provenance : bool;
 }
 
-let spec ?(mode = `Combined) ?(schedule = `Static) ?(transport = `Sim)
+let spec ?(schedule = `Static) ?(transport = `Sim)
     ?(granularity = 1.0) ?(librarian = true) ?(priority = true)
     ?(hashcons = false) ?(dag = false) ?(telemetry = false) ?faults
     ?(phase_label = fun _ -> None) ?(provenance = false) machines =
   {
     sp_machines = machines;
-    (* the all-dynamic schedule is the classic protocol in dynamic mode *)
-    sp_mode = (if schedule = `Dynamic then `Dynamic else mode);
     sp_schedule = schedule;
     sp_transport = transport;
     sp_granularity = granularity;
@@ -46,7 +43,6 @@ let spec ?(mode = `Combined) ?(schedule = `Static) ?(transport = `Sim)
 let options s =
   {
     Runner.machines = s.sp_machines;
-    mode = s.sp_mode;
     schedule = s.sp_schedule;
     granularity = s.sp_granularity;
     use_librarian = s.sp_librarian;

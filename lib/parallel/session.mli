@@ -41,7 +41,6 @@ open Netsim
 
 type spec = {
   sp_machines : int;
-  sp_mode : Worker.mode;
   sp_schedule : [ `Static | `Dynamic | `Steal ];
   sp_transport : [ `Sim | `Domains ];
   sp_granularity : float;
@@ -63,12 +62,10 @@ type spec = {
 }
 
 (** [spec machines] with every knob defaulted as in
-    {!Runner.default_options}. [~schedule:`Dynamic] forces [mode] to
-    [`Dynamic] (they describe the same all-dynamic run of the classic
-    protocol); [~schedule:`Steal] selects the work-stealing instance
-    scheduler (see {!Runner.options}). *)
+    {!Runner.default_options}. [~schedule:`Dynamic] runs the classic
+    protocol all-dynamic; [~schedule:`Steal] selects the work-stealing
+    instance scheduler (see {!Runner.options}). *)
 val spec :
-  ?mode:Worker.mode ->
   ?schedule:[ `Static | `Dynamic | `Steal ] ->
   ?transport:[ `Sim | `Domains ] ->
   ?granularity:float ->

@@ -18,8 +18,8 @@
     no torn reads are possible.
 
     This module lives in its own tiny library ([pag_steal]) so that both
-    [pag_eval] (the engine's [run_steal]) and [pag_parallel] (the
-    simulated-transport scheduler) can use it without creating a
+    [pag_eval] (the engine's steal loop) and [pag_parallel] (the
+    simulated machine set's probes) can use it without creating a
     dependency cycle. *)
 
 type t
@@ -67,9 +67,9 @@ type stats = {
   mutable st_successes : int;  (** probes that transferred ≥ 1 task *)
   mutable st_stolen : int;     (** total tasks transferred in *)
   mutable st_hwm : int;        (** own-deque depth high-water mark *)
-  mutable st_idle : float;     (** time spent idle/backing off: virtual
-                                   seconds under the netsim, backoff
-                                   rounds under real domains *)
+  mutable st_idle : float;     (** seconds spent idle/backing off:
+                                   virtual under the netsim, wall clock
+                                   under real domains *)
 }
 
 val zero_stats : unit -> stats

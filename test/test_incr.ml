@@ -202,11 +202,9 @@ let indep_base a b c d =
 let test_batch_independent_pair () =
   let g = Expr_ag.grammar in
   List.iter
-    (fun (hashcons, domains) ->
+    (fun hashcons ->
       let s = Incr.start ~hashcons g (indep_base 1 2 3 4) in
-      let wv =
-        Incr.edit_batch ~domains s [ indep_base 9 2 3 4; indep_base 9 2 7 4 ]
-      in
+      let wv = Incr.edit_batch s [ indep_base 9 2 3 4; indep_base 9 2 7 4 ] in
       check_int "one wave" 1 wv.Incr.wv_waves;
       check_int "no conflicts" 0 wv.Incr.wv_conflicts;
       check_int "two edits" 2 wv.Incr.wv_edits;
@@ -215,12 +213,11 @@ let test_batch_independent_pair () =
         (agrees_with_scratch g s (indep_base 9 2 7 4));
       (* the opposite application order lands the same store *)
       let s' = Incr.start ~hashcons g (indep_base 1 2 3 4) in
-      ignore
-        (Incr.edit_batch ~domains s' [ indep_base 1 2 7 4; indep_base 9 2 7 4 ]);
+      ignore (Incr.edit_batch s' [ indep_base 1 2 7 4; indep_base 9 2 7 4 ]);
       check_bool "orders agree bit-for-bit" true
         (values_agree g (Incr.store s) (Incr.tree s) (Incr.store s')
            (Incr.tree s')))
-    [ (false, 1); (true, 1); (false, 2) ]
+    [ false; true ]
 
 (* Two edits replacing the two children of the same parent: the second
    edit touches the first's replacement site, so the batch must degrade
@@ -259,17 +256,16 @@ let test_batch_identity_and_root () =
   check_bool "values = scratch after fallback" true
     (agrees_with_scratch g s (expr_a ()))
 
-let prop_batched_matches_serial hashcons domains =
+let prop_batched_matches_serial hashcons =
   qc ~count:40
-    (Printf.sprintf "batched edits = serial (hashcons %b, domains %d)"
-       hashcons domains)
+    (Printf.sprintf "batched edits = serial (hashcons %b)" hashcons)
     seq_arb
     (fun (s0, edits) ->
       let g = Expr_ag.grammar in
       let sb = Incr.start ~hashcons g (expr_of s0) in
       let ss = Incr.start ~hashcons g (expr_of s0) in
       List.iter (fun seed -> ignore (Incr.edit ss (expr_of seed))) edits;
-      ignore (Incr.edit_batch ~domains sb (List.map expr_of edits));
+      ignore (Incr.edit_batch sb (List.map expr_of edits));
       values_agree g (Incr.store sb) (Incr.tree sb) (Incr.store ss)
         (Incr.tree ss)
       &&
@@ -332,9 +328,8 @@ let suite =
         prop_random_ag_edit_sequences false;
         prop_random_ag_edit_sequences true;
         prop_tiny_frontier_always_agrees;
-        prop_batched_matches_serial false 1;
-        prop_batched_matches_serial true 1;
-        prop_batched_matches_serial false 2;
+        prop_batched_matches_serial false;
+        prop_batched_matches_serial true;
         prop_batched_random_ag;
       ] );
   ]

@@ -18,12 +18,12 @@ let sc_plan = lazy (plan_of Stackcode_ag.grammar)
 let rm_plan = lazy (plan_of Repmin_ag.grammar)
 let ex_plan = lazy (plan_of Expr_ag.grammar)
 
-let opts ?(mode = `Combined) ?(machines = 3) ?(librarian = true)
+let opts ?(schedule = `Static) ?(machines = 3) ?(librarian = true)
     ?(priority = true) ?(granularity = 1.0) () =
   {
     Runner.default_options with
     Runner.machines;
-    mode;
+    schedule;
     granularity;
     use_priority = priority;
     use_librarian = librarian;
@@ -50,7 +50,7 @@ let test_one_machine_combined_is_static () =
 
 let test_one_machine_dynamic () =
   let t = sc_tree 12 in
-  let r = Runner.run_sim (opts ~mode:`Dynamic ~machines:1 ()) Stackcode_ag.grammar None t in
+  let r = Runner.run_sim (opts ~schedule:`Dynamic ~machines:1 ()) Stackcode_ag.grammar None t in
   check_bool "all rules dynamic" true (r.Runner.r_dynamic_fraction = 1.0);
   check_int "value" (Stackcode_ag.reference_value t) (int_attr r.Runner.r_attrs "value")
 
@@ -78,7 +78,7 @@ let test_parallel_combined_matches_sequential () =
 let test_parallel_dynamic_matches () =
   let t = sc_tree 14 in
   for m = 2 to 4 do
-    let r = Runner.run_sim (opts ~mode:`Dynamic ~machines:m ()) Stackcode_ag.grammar None t in
+    let r = Runner.run_sim (opts ~schedule:`Dynamic ~machines:m ()) Stackcode_ag.grammar None t in
     check_int (Printf.sprintf "value @ %d machines" m)
       (Stackcode_ag.reference_value t)
       (int_attr r.Runner.r_attrs "value")
@@ -147,7 +147,7 @@ let test_combined_beats_dynamic_sequentially () =
     Stackcode_ag.random_program (Random.State.make [| 22 |]) ~depth:10 ~blocks:8
   in
   let rc = Runner.run_sim (opts ~machines:1 ()) Stackcode_ag.grammar (Some (Lazy.force sc_plan)) t in
-  let rd = Runner.run_sim (opts ~mode:`Dynamic ~machines:1 ()) Stackcode_ag.grammar None t in
+  let rd = Runner.run_sim (opts ~schedule:`Dynamic ~machines:1 ()) Stackcode_ag.grammar None t in
   check_bool
     (Printf.sprintf "static %.3fs < dynamic %.3fs" rc.Runner.r_time rd.Runner.r_time)
     true
@@ -183,7 +183,7 @@ let test_domains_combined () =
 
 let test_domains_dynamic () =
   let t = sc_tree 32 in
-  let r = Runner.run_domains (opts ~mode:`Dynamic ~machines:3 ()) Stackcode_ag.grammar None t in
+  let r = Runner.run_domains (opts ~schedule:`Dynamic ~machines:3 ()) Stackcode_ag.grammar None t in
   check_int "value" (Stackcode_ag.reference_value t) (int_attr r.Runner.r_attrs "value")
 
 (* The static protocol's N + 2 machines share min(N, cores) domains: the

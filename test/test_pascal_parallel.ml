@@ -4,11 +4,11 @@ open Pag_parallel
 let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
 
-let opts ?(mode = `Combined) ?(librarian = true) ?(priority = true) machines =
+let opts ?(schedule = `Static) ?(librarian = true) ?(priority = true) machines =
   {
     Runner.default_options with
     Runner.machines;
-    mode;
+    schedule;
     use_librarian = librarian;
     use_priority = priority;
     phase_label = Driver.phase_label;
@@ -53,7 +53,7 @@ let test_parallel_output_matches () =
 let test_parallel_dynamic_output () =
   let expected = Lazy.force sequential_output in
   for m = 1 to 3 do
-    let _, out = run_and_execute (opts ~mode:`Dynamic m) in
+    let _, out = run_and_execute (opts ~schedule:`Dynamic m) in
     check_str (Printf.sprintf "dynamic @ %d machines" m) expected out
   done
 
@@ -125,10 +125,10 @@ let with_deadline ?(limit = 120.0) name f =
       Domain.join dog)
     f
 
-(* The static protocol on real domains, over every mode, sharing flag and
-   machine count that changes the placement: 1 fragment (no spawned
-   domain), 2 (one fragment per core), 3 and 5 (several fragments per
-   domain). Each output is masked-equal to the Oracle's. *)
+(* The static protocol on real domains, over both evaluators, every
+   sharing flag and machine count that changes the placement: 1 fragment
+   (no spawned domain), 2 (one fragment per core), 3 and 5 (several
+   fragments per domain). Each output is masked-equal to the Oracle's. *)
 let test_domains_matrix () =
   let p, _ = Lazy.force workload in
   let oracle = Driver.mask_labels (Driver.compile ~evaluator:`Oracle p).Driver.c_asm in
@@ -136,18 +136,14 @@ let test_domains_matrix () =
   List.iter
     (fun m ->
       List.iter
-        (fun mode ->
+        (fun (evaluator, schedule) ->
           List.iter
             (fun (sharing, hashcons, dag) ->
-              let name =
-                Printf.sprintf "%s, %s, -m %d"
-                  (match mode with `Combined -> "combined" | `Dynamic -> "dynamic")
-                  sharing m
-              in
+              let name = Printf.sprintf "%s, %s, -m %d" evaluator sharing m in
               let r, c =
                 with_deadline name (fun () ->
                     Driver.compile_parallel_domains
-                      { (opts ~mode m) with
+                      { (opts ~schedule m) with
                         Runner.use_hashcons = hashcons;
                         use_dag = dag;
                       }
@@ -160,7 +156,7 @@ let test_domains_matrix () =
                 (r.Runner.r_report.Pag_obs.Obs.Report.rp_domains
                 <= max 1 (min r.Runner.r_fragments cores)))
             [ ("plain", false, false); ("hashcons", true, false); ("dag", false, true) ])
-        [ `Combined; `Dynamic ])
+        [ ("combined", `Static); ("dynamic", `Dynamic) ])
     [ 1; 2; 3; 5 ]
 
 let test_trace_shows_phases () =
@@ -194,12 +190,32 @@ let test_gantt_renders () =
 
 let () = ignore program
 
+(* The schedule alone picks the protocol's evaluator: [`Dynamic] with no
+   other option runs every fragment all-dynamic. *)
+let test_dynamic_schedule_alone () =
+  let p = fst (Progen.gen (Random.State.make [| 7 |]) Progen.small) in
+  let r, c =
+    Driver.compile_parallel_sim
+      { Runner.default_options with Runner.machines = 3; schedule = `Dynamic }
+      p
+  in
+  let rp = r.Runner.r_report in
+  let module R = Pag_obs.Obs.Report in
+  check_str "label" "dynamic, 3 machines (sim)" rp.R.rp_label;
+  check_bool "no static rules" true
+    (rp.R.rp_static_rules = 0 && rp.R.rp_dynamic_rules > 0);
+  check_str "code = sequential"
+    (Driver.mask_labels (Driver.compile ~evaluator:`Static p).Driver.c_asm)
+    (Driver.mask_labels c.Driver.c_asm)
+
 let suite =
   [
     ( "pascal-parallel",
       [
         Alcotest.test_case "combined output" `Quick test_parallel_output_matches;
         Alcotest.test_case "dynamic output" `Quick test_parallel_dynamic_output;
+        Alcotest.test_case "dynamic schedule alone" `Quick
+          test_dynamic_schedule_alone;
         Alcotest.test_case "threaded output" `Quick test_threaded_variant_output;
         Alcotest.test_case "no librarian" `Quick test_no_librarian_output;
         Alcotest.test_case "no priority" `Quick test_no_priority_output;

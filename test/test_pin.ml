@@ -40,7 +40,7 @@ let variants =
 
 let static_rows prog =
   List.concat_map
-    (fun (sched, mode) ->
+    (fun sched ->
       List.concat_map
         (fun m ->
           List.concat_map
@@ -52,7 +52,6 @@ let static_rows prog =
                       {
                         Runner.default_options with
                         Runner.machines = m;
-                        mode;
                         schedule = sched;
                         faults;
                       }
@@ -126,7 +125,7 @@ let static_rows prog =
                 fault_plans)
             variants)
         [ 1; 3; 5 ])
-    [ (`Static, `Combined); (`Dynamic, `Dynamic); (`Steal, `Combined) ]
+    [ `Static; `Dynamic; `Steal ]
 
 (* ------------------------- edit waves ------------------------- *)
 

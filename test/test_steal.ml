@@ -199,34 +199,154 @@ let test_run_steal_memo () =
         (stores_bit_identical s1 s2))
     [ 1; 2; 3 ]
 
+(* A cyclic instance graph: r.out <- x.s <- x.i <- x.s. *)
+let circ_grammar () =
+  let open Grammar in
+  make ~name:"circ" ~start:"r"
+    [
+      terminal "T" [];
+      nonterminal "r" [ syn "out" ];
+      nonterminal "x" [ syn "s"; inh "i" ];
+    ]
+    [
+      production ~name:"root" ~lhs:"r" ~rhs:[ "x" ]
+        [
+          rule (lhs "out") ~deps:[ rhs 1 "s" ] (fun a -> a.(0));
+          rule (rhs 1 "i") ~deps:[ rhs 1 "s" ] (fun a -> a.(0));
+        ];
+      production ~name:"leaf" ~lhs:"x" ~rhs:[ "T" ]
+        [ rule (lhs "s") ~deps:[ lhs "i" ] (fun a -> a.(0)) ];
+    ]
+
+let circ_tree g =
+  Tree.node g "root" [ Tree.node g "leaf" [ Tree.leaf g "T" [] ] ]
+
 let test_run_steal_cycle () =
   (* a cyclic instance graph must raise, not deadlock *)
-  let open Grammar in
-  let g =
-    make ~name:"circ" ~start:"r"
-      [
-        terminal "T" [];
-        nonterminal "r" [ syn "out" ];
-        nonterminal "x" [ syn "s"; inh "i" ];
-      ]
-      [
-        production ~name:"root" ~lhs:"r" ~rhs:[ "x" ]
-          [
-            rule (lhs "out") ~deps:[ rhs 1 "s" ] (fun a -> a.(0));
-            rule (rhs 1 "i") ~deps:[ rhs 1 "s" ] (fun a -> a.(0));
-          ];
-        production ~name:"leaf" ~lhs:"x" ~rhs:[ "T" ]
-          [ rule (lhs "s") ~deps:[ lhs "i" ] (fun a -> a.(0)) ];
-      ]
-  in
-  let t = Tree.node g "root" [ Tree.node g "leaf" [ Tree.leaf g "T" [] ] ] in
-  let store = Store.create g t in
+  let g = circ_grammar () in
+  let store = Store.create g (circ_tree g) in
   let e = Engine.create g store in
   check_bool "cycle detected" true
     (try
        ignore (Engine.run_steal ~domains:2 e (Engine.graph e));
        false
      with Engine.Cycle _ -> true)
+
+(* A sum over a chain of leaves where the rule of one production raises:
+   the loop's failure exit. *)
+exception Boom
+
+let boom_grammar =
+  let open Grammar in
+  make ~name:"boom" ~start:"r"
+    [
+      terminal "T" [];
+      nonterminal "r" [ syn "out" ];
+      nonterminal "x" [ syn "s" ];
+    ]
+    [
+      production ~name:"root" ~lhs:"r" ~rhs:[ "x" ]
+        [ rule (lhs "out") ~deps:[ rhs 1 "s" ] (fun a -> a.(0)) ];
+      production ~name:"pair" ~lhs:"x" ~rhs:[ "x"; "x" ]
+        [
+          rule (lhs "s") ~deps:[ rhs 1 "s"; rhs 2 "s" ] (fun a ->
+              let int v = Value.as_int ~ctx:"boom" v in
+              Value.Int (int a.(0) + int a.(1)));
+        ];
+      production ~name:"one" ~lhs:"x" ~rhs:[ "T" ]
+        [ rule (lhs "s") ~deps:[] (fun _ -> Value.Int 1) ];
+      production ~name:"bad" ~lhs:"x" ~rhs:[ "T" ]
+        [ rule (lhs "s") ~deps:[] (fun _ -> raise Boom) ];
+    ]
+
+(* Sixteen leaves, the eleventh of them bad. *)
+let boom_tree () =
+  let g = boom_grammar in
+  let leaf i =
+    Tree.node g (if i = 10 then "bad" else "one") [ Tree.leaf g "T" [] ]
+  in
+  let rec build lo hi =
+    if hi - lo = 1 then leaf lo
+    else
+      let mid = (lo + hi) / 2 in
+      Tree.node g "pair" [ build lo mid; build mid hi ]
+  in
+  Tree.node g "root" [ build 0 16 ]
+
+let raises_boom f = try f (); false with Boom -> true
+
+let test_run_steal_failure () =
+  (* every instance seeded on domain 1: domain 0 only runs what it
+     steals, and must still leave when domain 1's firing raises *)
+  let g = boom_grammar in
+  let e = Engine.create g (Store.create g (boom_tree ())) in
+  check_bool "rule failure re-raised" true
+    (raises_boom (fun () ->
+         ignore
+           (Engine.run_steal ~domains:2 ~owner:(fun _ -> 1) e (Engine.graph e))))
+
+let steal_opts machines =
+  {
+    Pag_parallel.Runner.default_options with
+    Pag_parallel.Runner.machines;
+    schedule = `Steal;
+  }
+
+let test_sim_steal_failure () =
+  check_bool "rule failure re-raised" true
+    (raises_boom (fun () ->
+         ignore
+           (Pag_parallel.Runner.run_sim (steal_opts 2) boom_grammar None
+              (boom_tree ()))))
+
+let test_sim_steal_cycle () =
+  let g = circ_grammar () in
+  check_bool "cycle detected" true
+    (try
+       ignore (Pag_parallel.Runner.run_sim (steal_opts 2) g None (circ_tree g));
+       false
+     with Engine.Cycle _ -> true)
+
+(* Domains steal reports measured idle time: each evaluator's row splits
+   the horizon into its measured idle wait and the rest, and the
+   backoff gauge is in seconds. *)
+let test_domains_steal_rows () =
+  let prog =
+    fst (Pascal.Progen.gen (Random.State.make [| 7 |]) Pascal.Progen.small)
+  in
+  let opts = { (steal_opts 4) with Pag_parallel.Runner.telemetry = true } in
+  let r, _ = Pascal.Driver.compile_parallel_domains opts prog in
+  let rp = r.Pag_parallel.Runner.r_report in
+  let module R = Pag_obs.Obs.Report in
+  let horizon = rp.R.rp_horizon in
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+  List.iter
+    (fun (row : R.machine) ->
+      if row.R.rm_pid >= 1 then begin
+        let name = row.R.rm_name in
+        let st = r.Pag_parallel.Runner.r_worker_stats.(row.R.rm_pid - 1) in
+        check_bool (name ^ ": active + idle = horizon") true
+          (close (row.R.rm_active +. row.R.rm_idle) horizon);
+        check_bool (name ^ ": util = active / horizon") true
+          (close row.R.rm_util (row.R.rm_active /. horizon));
+        check_bool (name ^ ": idle is the measured wait") true
+          (row.R.rm_idle
+          = Float.min horizon st.Pag_parallel.Worker.ws_idle_wait)
+      end)
+    rp.R.rp_machines;
+  check_int "one row per evaluator plus the parser" 5
+    (List.length rp.R.rp_machines);
+  let gauge name = Pag_obs.Obs.Metrics.gauge_value rp.R.rp_metrics name in
+  let waited =
+    Array.fold_left
+      (fun a st -> a +. st.Pag_parallel.Worker.ws_idle_wait)
+      0.0 r.Pag_parallel.Runner.r_worker_stats
+  in
+  check_bool "steal.idle_wait sums the measured waits" true
+    (match gauge "steal.idle_wait" with
+    | Some v -> close v waited
+    | None -> false);
+  check_bool "no spin-count gauge" true (gauge "steal.idle_spins" = None)
 
 (* ---------------- simulated transport under faults ---------------- *)
 
@@ -269,6 +389,13 @@ let suite =
         prop_run_steal_matches_topo;
         Alcotest.test_case "run_steal with memoized topo" `Quick test_run_steal_memo;
         Alcotest.test_case "run_steal detects cycles" `Quick test_run_steal_cycle;
+        Alcotest.test_case "run_steal re-raises a rule failure" `Quick
+          test_run_steal_failure;
+        Alcotest.test_case "sim steal re-raises a rule failure" `Quick
+          test_sim_steal_failure;
+        Alcotest.test_case "sim steal detects cycles" `Quick test_sim_steal_cycle;
+        Alcotest.test_case "domains steal rows are measured" `Quick
+          test_domains_steal_rows;
         Alcotest.test_case "sim steal under faults" `Quick test_sim_steal_under_faults;
       ] );
   ]
