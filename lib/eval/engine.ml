@@ -744,7 +744,8 @@ type machines = {
     (int -> unit) ->
     unit;
   ms_fire : int -> release:(int -> unit) -> int -> unit;
-  ms_probe : int -> Steal.stats -> victim:int -> Steal.t -> into:Steal.t -> int;
+  ms_probe :
+    int -> Steal.stats -> victim:int -> Steal.t -> into:Steal.t -> int;
   ms_wait : int -> int -> float;
   ms_refill : int -> bool;
 }
@@ -843,7 +844,7 @@ let steal_loop e gr ~owner ms =
     try loop 0
     with exn ->
       (* poison the census so the other machines drain and exit *)
-      Atomic.set failure (Some exn);
+      ignore (Atomic.compare_and_set failure None (Some exn));
       Atomic.set pending 0
   in
   ms.ms_start ~seed ~release body;

@@ -264,7 +264,8 @@ type machines = {
     (int -> unit) ->
     unit;
   ms_fire : int -> release:(int -> unit) -> int -> unit;
-  ms_probe : int -> Steal.stats -> victim:int -> Steal.t -> into:Steal.t -> int;
+  ms_probe :
+    int -> Steal.stats -> victim:int -> Steal.t -> into:Steal.t -> int;
   ms_wait : int -> int -> float;
   ms_refill : int -> bool;
 }
