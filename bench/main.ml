@@ -17,8 +17,8 @@
      E11 beyond     observability: wall-clock overhead of full telemetry
                     recording, and registry-vs-legacy-stats agreement
                     (writes BENCH_3.json)
-     E12 beyond     hash-consed values + DAG-shared subtree evaluation:
-                    sequential static throughput, bytes on the wire,
+     E12 beyond     DAG-shared subtree evaluation (--dag): sequential
+                    static throughput, bytes on the wire,
                     equivalence gates (writes BENCH_4.json)
      E14 beyond     work-stealing instance scheduler vs the static fragment
                     schedule: machine sweep on balanced and skewed
@@ -635,11 +635,11 @@ let e11_observability () =
   if not agree then failwith "E11: telemetry registry diverged from legacy stats"
 
 (* ------------------------------------------------------------------ *)
-(* E12: hash-consed values + DAG-shared subtree evaluation (BENCH_4)   *)
+(* E12: DAG-shared subtree evaluation, --dag (BENCH_4)                 *)
 (* ------------------------------------------------------------------ *)
 
-let e12_hashcons () =
-  sep "[E12] Hash-consing + DAG-shared subtree evaluation (BENCH_4)";
+let e12_dag () =
+  sep "[E12] DAG-shared subtree evaluation, --dag (BENCH_4)";
   let routines = if quick then 4 else 6 in
   let reps = if quick then 120 else 300 in
   let workload_name =
@@ -662,17 +662,15 @@ let e12_hashcons () =
     done;
     (Sys.time () -. t0) /. float_of_int runs
   in
-  (* --- sequential static evaluator, hash-consing off vs on --- *)
+  (* --- sequential static evaluator, sharing off vs on --- *)
   let off_t = measure (fun () -> Pag_eval.Static_eval.eval plan tree) in
-  let on_t =
-    measure (fun () -> Pag_eval.Static_eval.eval ~hashcons:true plan tree)
-  in
+  let on_t = measure (fun () -> Pag_eval.Static_eval.eval ~dag:true plan tree) in
   let store_off, _ = Pag_eval.Static_eval.eval plan tree in
-  let store_on, _ = Pag_eval.Static_eval.eval ~hashcons:true plan tree in
+  let store_on, _ = Pag_eval.Static_eval.eval ~dag:true plan tree in
   let speedup = off_t /. on_t in
   (* memo-hit accounting through a telemetry context *)
   let obs = Pag_obs.Obs.make_ctx ~pid:0 ~clock:Sys.time in
-  ignore (Pag_eval.Static_eval.eval ~obs ~hashcons:true plan tree);
+  ignore (Pag_eval.Static_eval.eval ~obs ~dag:true plan tree);
   let memo_hits =
     Pag_obs.Obs.Metrics.counter_value obs.Pag_obs.Obs.x_metrics "eval.memo_hits"
   in
@@ -685,11 +683,11 @@ let e12_hashcons () =
     else float_of_int memo_hits /. float_of_int (memo_hits + memo_misses)
   in
   Printf.printf "\n%-28s %12s\n" "" "s/run";
-  Printf.printf "%-28s %12.3f\n" "static, hashcons off" off_t;
-  Printf.printf "%-28s %12.3f   (x%.2f)\n" "static, hashcons on" on_t speedup;
+  Printf.printf "%-28s %12.3f\n" "static, dag off" off_t;
+  Printf.printf "%-28s %12.3f   (x%.2f)\n" "static, dag on" on_t speedup;
   Printf.printf "memo: %d hits / %d misses (%.1f%% hit rate)\n" memo_hits
     memo_misses (100.0 *. hit_rate);
-  (* --- equivalence: byte-identical to hashcons-off, masked-equal to the
+  (* --- equivalence: byte-identical to dag-off, masked-equal to the
      oracle (firing order moves label numbers), output-equal to the
      reference interpreter through the VAX simulator --- *)
   let attrs st = Pag_eval.Store.root_attrs st in
@@ -701,7 +699,7 @@ let e12_hashcons () =
   let oracle_ok =
     pascal_roots_agree (attrs store_on) (Pag_eval.Oracle.eval g tree |> attrs)
   in
-  let dyn_on, _ = Pag_eval.Dynamic.eval ~hashcons:true g tree in
+  let dyn_on, _ = Pag_eval.Dynamic.eval ~dag:true g tree in
   let dyn_ok = pascal_roots_agree (attrs dyn_on) (attrs store_off) in
   let compiled =
     {
@@ -716,25 +714,23 @@ let e12_hashcons () =
   in
   let stores_ok = byte_identical && oracle_ok && dyn_ok && interp_ok in
   Printf.printf
-    "equivalence: off-identical %b, oracle %b, dynamic-memo %b, interpreter %b\n"
+    "equivalence: off-identical %b, oracle %b, dynamic-dag %b, interpreter %b\n"
     byte_identical oracle_ok dyn_ok interp_ok;
   (* --- parallel run on the sim transport: bytes on the wire --- *)
   let m = min 4 max_machines in
   let plain, cp = Driver.compile_parallel_sim (opts m) prog in
   let hc, ch =
-    Driver.compile_parallel_sim
-      { (opts m) with Runner.use_hashcons = true }
-      prog
+    Driver.compile_parallel_sim { (opts m) with Runner.use_dag = true } prog
   in
   let bytes_cut =
     1.0 -. (float_of_int hc.Runner.r_bytes /. float_of_int plain.Runner.r_bytes)
   in
   let parallel_ok = String.equal (mask_asm cp.Driver.c_asm) (mask_asm ch.Driver.c_asm) in
   Printf.printf "\nparallel (%d machines, sim):\n" m;
-  Printf.printf "%-28s %8.2fs %10d messages %10d bytes\n" "hashcons off"
+  Printf.printf "%-28s %8.2fs %10d messages %10d bytes\n" "dag off"
     plain.Runner.r_time plain.Runner.r_messages plain.Runner.r_bytes;
   Printf.printf "%-28s %8.2fs %10d messages %10d bytes   (-%.1f%% bytes)\n"
-    "hashcons on" hc.Runner.r_time hc.Runner.r_messages hc.Runner.r_bytes
+    "dag on" hc.Runner.r_time hc.Runner.r_messages hc.Runner.r_bytes
     (100.0 *. bytes_cut);
   Printf.printf "parallel code agrees: %b\n" parallel_ok;
   Printf.printf
@@ -744,8 +740,8 @@ let e12_hashcons () =
   Printf.fprintf oc
     "{\n\
     \  \"id\": \"BENCH_4\",\n\
-    \  \"bench\": \"hash-consed values + DAG-shared subtree evaluation vs \
-     plain evaluation\",\n\
+    \  \"bench\": \"DAG-shared subtree evaluation (--dag) vs plain \
+     evaluation\",\n\
     \  \"workload\": %S,\n\
     \  \"tree_nodes\": %d,\n\
     \  \"runs\": %d,\n\
@@ -765,7 +761,7 @@ let e12_hashcons () =
     plain.Runner.r_messages hc.Runner.r_messages parallel_ok stores_ok;
   close_out oc;
   Printf.printf "wrote BENCH_4.json\n";
-  if not stores_ok then failwith "E12: hash-consed evaluation diverged"
+  if not stores_ok then failwith "E12: DAG-shared evaluation diverged"
 
 (* ------------------------------------------------------------------ *)
 (* E13: incremental re-evaluation (BENCH_5)                            *)
@@ -1171,10 +1167,8 @@ let e15_service () =
     List.iter (fun rhs -> ignore (Session.edit es (tree family rhs))) (stream edits);
     masked_code (Pag_eval.Store.root_attrs (Session.store es))
   in
-  let run ~net ~transport ~sessions ~workers ~policy ~hashcons ~edits =
-    let sv =
-      Service.create (Service.config ~policy ~transport ~hashcons ~net workers) g
-    in
+  let run ~net ~transport ~sessions ~workers ~policy ~edits =
+    let sv = Service.create (Service.config ~policy ~transport ~net workers) g in
     for i = 0 to sessions - 1 do
       Service.open_tenant sv (Printf.sprintf "t%06d" i) (tree (i mod families) base)
     done;
@@ -1204,37 +1198,32 @@ let e15_service () =
     | Service.Shortest_queue -> "shortest-queue"
   in
   let transport_name = function `Sim -> "sim" | `Domains -> "domains" in
-  Printf.printf "%-9s %-9s %-9s %-8s %-15s %-9s %-12s %-10s %-10s %-5s\n"
-    "transport" "net" "sessions" "workers" "policy" "hashcons" "edits/sec"
-    "p50 ms" "p99 ms" "code";
+  Printf.printf "%-9s %-9s %-9s %-8s %-15s %-12s %-10s %-10s %-5s\n"
+    "transport" "net" "sessions" "workers" "policy" "edits/sec" "p50 ms"
+    "p99 ms" "code";
   let row ?(net = Netsim.Ethernet.default_params) ~transport ~sessions ~workers
-      ~policy ~hashcons ~edits () =
+      ~policy ~edits () =
     let netname = if net.Netsim.Ethernet.switched then "switched" else "shared" in
-    let st, finals_ok =
-      run ~net ~transport ~sessions ~workers ~policy ~hashcons ~edits
-    in
-    Printf.printf "%-9s %-9s %-9d %-8d %-15s %-9b %12.1f %10.3f %10.3f %s\n"
+    let st, finals_ok = run ~net ~transport ~sessions ~workers ~policy ~edits in
+    Printf.printf "%-9s %-9s %-9d %-8d %-15s %12.1f %10.3f %10.3f %s\n"
       (transport_name transport) netname sessions workers (policy_name policy)
-      hashcons st.Service.st_edits_per_sec
+      st.Service.st_edits_per_sec
       (st.Service.st_p50 *. 1e3)
       (st.Service.st_p99 *. 1e3)
       (if finals_ok then "ok" else "MISMATCH");
-    (transport, netname, sessions, workers, policy, hashcons, st, finals_ok)
+    (transport, netname, sessions, workers, policy, st, finals_ok)
   in
-  (* netsim sweep: both policies x hashcons at each session count, plus a
-     single large row (10k sessions, one edit each) in full mode *)
+  (* netsim sweep: both policies at each session count, plus a single
+     large row (10k sessions, one edit each) in full mode *)
   let session_counts = [ 100; 1000 ] in
   let sim_workers = 8 in
   let small_rows =
     List.concat_map
       (fun sessions ->
-        List.concat_map
+        List.map
           (fun policy ->
-            List.map
-              (fun hashcons ->
-                row ~transport:`Sim ~sessions ~workers:sim_workers ~policy
-                  ~hashcons ~edits:2 ())
-              [ false; true ])
+            row ~transport:`Sim ~sessions ~workers:sim_workers ~policy
+              ~edits:2 ())
           [ Service.Round_robin; Service.Shortest_queue ])
       session_counts
   in
@@ -1289,13 +1278,13 @@ let e15_service () =
       if not (String.equal code want) then finals_ok := false
     done;
     let st = Service.stats sv in
-    Printf.printf "%-9s %-9s %-9d %-8d %-15s %-9b %12.1f %10.3f %10.3f %s\n"
-      "sim" "switched" sessions sim_workers (policy_name policy) false
+    Printf.printf "%-9s %-9s %-9d %-8d %-15s %12.1f %10.3f %10.3f %s\n"
+      "sim" "switched" sessions sim_workers (policy_name policy)
       st.Service.st_edits_per_sec
       (st.Service.st_p50 *. 1e3)
       (st.Service.st_p99 *. 1e3)
       (if !finals_ok then "ok" else "MISMATCH");
-    (`Sim, "switched", sessions, sim_workers, policy, false, st, !finals_ok)
+    (`Sim, "switched", sessions, sim_workers, policy, st, !finals_ok)
   in
   let switched_rows =
     List.map switched_row [ Service.Round_robin; Service.Shortest_queue ]
@@ -1305,12 +1294,11 @@ let e15_service () =
     else
       [
         row ~transport:`Sim ~sessions:10_000 ~workers:sim_workers
-          ~policy:Service.Round_robin ~hashcons:false ~edits:1 ();
+          ~policy:Service.Round_robin ~edits:1 ();
       ]
   in
   let sim_rows = small_rows @ switched_rows @ big_rows in
-  (* real domains: wall-clock rows up to the core count, hashcons off (the
-     intern arena is not domain-safe; the service then serialises) *)
+  (* real domains: wall-clock rows up to the core count *)
   let cores = Domain.recommended_domain_count () in
   let domain_workers =
     List.filter (fun w -> w <= cores) [ 1; 2; 4; 8 ]
@@ -1321,21 +1309,21 @@ let e15_service () =
     List.map
       (fun workers ->
         row ~transport:`Domains ~sessions:dom_sessions ~workers
-          ~policy:Service.Round_robin ~hashcons:false ~edits:2 ())
+          ~policy:Service.Round_robin ~edits:2 ())
       domain_workers
   in
   let all_rows = sim_rows @ dom_rows in
   let all_finals_ok =
-    List.for_all (fun (_, _, _, _, _, _, _, ok) -> ok) all_rows
+    List.for_all (fun (_, _, _, _, _, _, ok) -> ok) all_rows
   in
   let big_row_ok =
     List.exists
-      (fun (tr, _, sessions, _, _, _, _, _) -> tr = `Sim && sessions >= 1000)
+      (fun (tr, _, sessions, _, _, _, _) -> tr = `Sim && sessions >= 1000)
       all_rows
   in
   let switched_p50 policy =
     List.find_map
-      (fun (_, net, _, _, p, _, st, _) ->
+      (fun (_, net, _, _, p, st, _) ->
         if net = "switched" && p = policy then Some st.Service.st_p50 else None)
       all_rows
   in
@@ -1352,14 +1340,14 @@ let e15_service () =
      sessions (%b); the switched fabric separates shortest-queue from\n\
      round-robin (%b).\n"
     all_finals_ok big_row_ok policy_sensitive;
-  let row_json (tr, net, sessions, workers, policy, hashcons, st, ok) =
+  let row_json (tr, net, sessions, workers, policy, st, ok) =
     Printf.sprintf
       "    { \"transport\": %S, \"net\": %S, \"sessions\": %d, \
-       \"workers\": %d, \"policy\": %S, \"hashcons\": %b, \"edits\": %d, \
+       \"workers\": %d, \"policy\": %S, \"edits\": %d, \
        \"rounds\": %d, \"edits_per_sec\": %.2f, \"p50_ms\": %.4f, \
        \"p99_ms\": %.4f, \"rejected\": %d, \"evictions\": %d, \
        \"retransmits\": %d, \"finals_ok\": %b }"
-      (transport_name tr) net sessions workers (policy_name policy) hashcons
+      (transport_name tr) net sessions workers (policy_name policy)
       st.Service.st_edits st.Service.st_rounds st.Service.st_edits_per_sec
       (st.Service.st_p50 *. 1e3)
       (st.Service.st_p99 *. 1e3)
@@ -1936,23 +1924,24 @@ let smoke_check () =
     (pascal_roots_agree
        (Pag_eval.Store.root_attrs flat)
        (Legacy.Store.root_attrs legacy));
-  (* 4. Hash-consed evaluation is semantics-preserving: identical assembly
+  (* 4. DAG-shared evaluation is semantics-preserving: identical assembly
      (same uid consumption order, so byte-identical, no masking) and
      identical VAX output on a repetition-heavy program. *)
   let rprog = Progen.repetitive ~routines:3 ~reps:40 () in
-  let hc_on = Driver.compile ~hashcons:true ~evaluator:`Static rprog in
-  let hc_off = Driver.compile ~evaluator:`Static rprog in
-  check "pascal: hashcons on = off (assembly bytes)"
-    (String.equal hc_on.Driver.c_asm hc_off.Driver.c_asm);
-  check "pascal: hashcons on = off (VAX output)"
+  let dag_on = Driver.compile ~dag:true ~evaluator:`Static rprog in
+  let dag_off = Driver.compile ~evaluator:`Static rprog in
+  check "pascal: dag on = off (assembly bytes)"
+    (String.equal dag_on.Driver.c_asm dag_off.Driver.c_asm);
+  check "pascal: dag on = off (VAX output)"
     (match
-       (Driver.run_compiled ~input:[] hc_on, Driver.run_compiled ~input:[] hc_off)
+       ( Driver.run_compiled ~input:[] dag_on,
+         Driver.run_compiled ~input:[] dag_off )
      with
     | Ok a, Ok b -> String.equal a b
     | _ -> false);
-  let dyn_on = Driver.compile ~hashcons:true ~evaluator:`Dynamic rprog in
-  check "pascal: hashcons dynamic = static code"
-    (String.equal (mask_asm dyn_on.Driver.c_asm) (mask_asm hc_off.Driver.c_asm));
+  let dyn_on = Driver.compile ~dag:true ~evaluator:`Dynamic rprog in
+  check "pascal: dag dynamic = static code"
+    (String.equal (mask_asm dyn_on.Driver.c_asm) (mask_asm dag_off.Driver.c_asm));
   if !fails = 0 then Printf.printf "\nsmoke ok\n"
   else Printf.printf "\n%d smoke check(s) FAILED\n" !fails;
   !fails
@@ -1980,7 +1969,7 @@ let () =
     if runs "e9" then e9_assembly_integration ();
     if runs "e10" then e10_faults ();
     if runs "e11" then e11_observability ();
-    if runs "e12" then e12_hashcons ();
+    if runs "e12" then e12_dag ();
     if runs "e13" then e13_incremental ();
     if runs "e14" then e14_steal ();
     if runs "e15" then e15_service ();

@@ -208,14 +208,14 @@ let sequential_report obs ~horizon =
    wave. The final resident code must match a from-scratch compile of the
    last variant (modulo label numbering). *)
 let run_edit_session ~file ~script ~machines ~granularity ~no_librarian
-    ~no_priority ~hashcons ~dag ~faults ~out ~batch ~explain ~profile
+    ~no_priority ~dag ~faults ~out ~batch ~explain ~profile
     ~profile_json =
   let g = Pascal_ag.grammar in
   let parse_tree src = Pascal_ag.tree_of_program g (Parser.parse_program src) in
   let provenance = explain <> None || profile || profile_json <> None in
   let sp =
     Pag_parallel.Session.spec ~granularity ~librarian:(not no_librarian)
-      ~priority:(not no_priority) ~hashcons ~dag ?faults
+      ~priority:(not no_priority) ~dag ?faults
       ~phase_label:Driver.phase_label ~provenance machines
   in
   let base_src = read_file file in
@@ -341,7 +341,7 @@ let run_edit_session ~file ~script ~machines ~granularity ~no_librarian
    runs one scheduling round; the implicit final drain flushes the rest.
    Afterwards every tenant's resident code must equal a from-scratch
    compile of its last source, modulo label numbering. *)
-let run_serve ~script ~machines ~hashcons ~dag ~faults ~transport ~report
+let run_serve ~script ~machines ~dag ~faults ~transport ~report
     ~batch =
   let module Service = Pag_parallel.Service in
   let g = Pascal_ag.grammar in
@@ -374,7 +374,7 @@ let run_serve ~script ~machines ~hashcons ~dag ~faults ~transport ~report
               (Service.config ~policy:!policy
                  ~transport:(if transport = "domains" then `Domains else `Sim)
                  ~queue_cap:!queue_cap ~mem_cap:!mem_cap
-                 ~idle_rounds:!idle_rounds ~hashcons ~dag ?faults ~net:!net
+                 ~idle_rounds:!idle_rounds ~dag ?faults ~net:!net
                  ~obs
                  ~provenance:report ~batch:!batch !workers)
               g
@@ -480,7 +480,7 @@ let run_serve ~script ~machines ~hashcons ~dag ~faults ~transport ~report
       exit (if !ok then 0 else 1)
 
 let run_compiler file machines evaluator schedule transport granularity
-    no_librarian no_priority hashcons dag optimize run_it gantt trace_out
+    no_librarian no_priority dag optimize run_it gantt trace_out
     events_out report out input faults fault_seed edit_session serve
     batch_edits explain profile profile_json =
   try
@@ -496,7 +496,7 @@ let run_compiler file machines evaluator schedule transport granularity
     in
     (match serve with
     | Some script ->
-        run_serve ~script ~machines ~hashcons ~dag ~faults ~transport ~report
+        run_serve ~script ~machines ~dag ~faults ~transport ~report
           ~batch:batch_edits
     | None -> ());
     let file =
@@ -509,7 +509,7 @@ let run_compiler file machines evaluator schedule transport granularity
     (match edit_session with
     | Some script ->
         run_edit_session ~file ~script ~machines ~granularity ~no_librarian
-          ~no_priority ~hashcons ~dag ~faults ~out ~batch:batch_edits ~explain
+          ~no_priority ~dag ~faults ~out ~batch:batch_edits ~explain
           ~profile ~profile_json
     | None -> ());
     let src = read_file file in
@@ -541,7 +541,7 @@ let run_compiler file machines evaluator schedule transport granularity
         in
         let eng = ref None and tree = ref None in
         let compiled =
-          Driver.compile ~obs ~hashcons ~dag ~prov:ring
+          Driver.compile ~obs ~dag ~prov:ring
             ~engine_out:(fun e -> eng := Some e)
             ~tree_out:(fun t -> tree := Some t)
             ~evaluator:`Static program
@@ -567,7 +567,7 @@ let run_compiler file machines evaluator schedule transport granularity
           Pag_parallel.Session.options
             (Pag_parallel.Session.spec ~schedule ~granularity
                ~librarian:(not no_librarian) ~priority:(not no_priority)
-               ~hashcons ~dag ~telemetry ?faults
+               ~dag ~telemetry ?faults
                ~phase_label:Driver.phase_label ~provenance machines)
         in
         let result, compiled =
@@ -772,21 +772,6 @@ let no_librarian_arg =
 let no_priority_arg =
   Arg.(value & flag & info [ "no-priority" ] ~doc:"Ignore priority attributes.")
 
-let hashcons_arg =
-  Arg.(
-    value
-    & vflag false
-        [
-          ( true,
-            info [ "hashcons" ]
-              ~doc:
-                "Hash-consed evaluation: repeated subtrees are evaluated \
-                 once and replayed; in parallel runs, fragments ship \
-                 DAG-compressed and repeated boundary payloads cross the \
-                 wire as intern references. Semantics are unchanged." );
-          (false, info [ "no-hashcons" ] ~doc:"Disable hash-consed evaluation (default).");
-        ])
-
 let dag_arg =
   Arg.(
     value
@@ -795,17 +780,25 @@ let dag_arg =
           ( true,
             info [ "dag" ]
               ~doc:
-                "First-class DAG evaluation: the shared DAG is the \
-                 evaluation substrate. One rule-instance set is built per \
-                 (repeated-subtree class, inherited context); the other \
-                 occurrences carry no instances and receive their \
-                 attributes by projection. Fragments ship each class body \
-                 once per machine. Rules that allocate unique labels fall \
-                 back to per-occurrence evaluation, so semantics are \
-                 unchanged up to label numbering. Works on every schedule \
-                 and transport; combine with --serve or --edit-session to \
-                 keep the sharing across edits." );
-          (false, info [ "no-dag" ] ~doc:"Disable DAG evaluation (default).");
+                "Share repeated subtrees. What is shared depends on the \
+                 schedule. The sequential compile (-m 1) and the static \
+                 parallel schedule evaluate each static visit of a \
+                 repeated subtree once per inherited context and replay it \
+                 at the other occurrences (the subtree memo); the parallel \
+                 static and dynamic schedules still build every owned rule \
+                 instance, ship each class body once per machine, and on \
+                 --transport sim send repeated boundary values as intern \
+                 references. --schedule steal on sim builds one \
+                 rule-instance set per (repeated-subtree class, inherited \
+                 context); the other occurrences carry no instances and \
+                 receive their attributes by projection. On domains the \
+                 steal schedule materializes every instance up front, so \
+                 it checks parity only. --edit-session and --serve keep \
+                 resident sessions on that projection runtime and split a \
+                 class only where an edit diverges. Rules that allocate \
+                 unique labels fall back to per-occurrence evaluation, so \
+                 output is unchanged up to label numbering." );
+          (false, info [ "no-dag" ] ~doc:"Disable subtree sharing (default).");
         ])
 
 let optimize_arg =
@@ -886,10 +879,10 @@ let serve_arg =
            mem-cap/idle-rounds, $(b,tenant NAME FILE) admits a resident \
            program, $(b,edit NAME FILE) submits a replacement source, \
            $(b,round) runs one scheduling round (a final drain is \
-           implicit). --hashcons shares the intern arena across tenants, \
-           --faults injects network faults, --transport picks netsim or \
-           domains. Exits 0 only if every tenant's resident code matches a \
-           from-scratch compile of its last source (labels masked).")
+           implicit). --faults injects network faults, --transport picks \
+           netsim or domains. Exits 0 only if every tenant's resident code \
+           matches a from-scratch compile of its last source (labels \
+           masked).")
 
 let batch_edits_arg =
   Arg.(
@@ -954,7 +947,7 @@ let cmd =
     Term.(
       const run_compiler $ file_arg $ machines_arg $ evaluator_arg
       $ schedule_arg $ transport_arg $ granularity_arg $ no_librarian_arg $ no_priority_arg
-      $ hashcons_arg $ dag_arg $ optimize_arg $ run_arg $ gantt_arg
+      $ dag_arg $ optimize_arg $ run_arg $ gantt_arg
       $ trace_arg
       $ events_arg $ report_arg $ out_arg $ input_arg $ faults_arg
       $ fault_seed_arg $ edit_session_arg $ serve_arg $ batch_edits_arg

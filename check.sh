@@ -65,6 +65,16 @@ sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_dag_smoke.s > /tmp/pagc_dag_smoke.masked
 cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_dag_smoke.masked
 dune exec bin/pagc.exe -- --dag --machines 3 --schedule steal \
   --explain root.code examples/primes.pas >/dev/null 2>&1
+# The static schedule under --dag: the subtree memo plus interned wire
+# payloads on the simulator, and the subtree memo alone on two domains
+# (compile_repetitive's configuration). Both must emit the sequential
+# compile's masked assembly.
+for flags in "--machines 3" "--transport domains --machines 2"; do
+  dune exec bin/pagc.exe -- $flags --dag \
+    examples/primes.pas -o /tmp/pagc_dag_static_smoke.s 2>/dev/null
+  sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_dag_static_smoke.s > /tmp/pagc_dag_static_smoke.masked
+  cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_dag_static_smoke.masked
+done
 # Provenance smoke: --explain exits nonzero unless the recorded slice
 # equals the reference engine's dependency closure; --profile-json must
 # produce parseable JSON with a critical path no longer than the makespan.

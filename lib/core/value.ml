@@ -246,6 +246,14 @@ and intern v =
       remember v canon;
       canon
 
+(* The arenas are lazy only because [let rec] needs them to be. Build them
+   now, at module initialization: two domains forcing the same lazy at
+   once raise [Lazy.Undefined], and the parallel paths may reach their
+   first [intern] concurrently. *)
+let () =
+  ignore (Lazy.force arena);
+  ignore (Lazy.force value_interner)
+
 let hash v = compute_hash (intern v)
 
 let backref_bytes = 8

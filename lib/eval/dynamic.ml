@@ -10,7 +10,7 @@ exception Cycle = Engine.Cycle
    machinery (CSR edges, argument codes, the ready ring) lives in
    {!Engine}; this module only adds telemetry and the stats record. *)
 
-let eval_inner ?(obs = Obs.null_ctx) ?root_inh ?memo ?(dag = false)
+let eval_inner ?(obs = Obs.null_ctx) ?root_inh ?(dag = false)
     ?(dag_out = fun _ -> ()) ?(prov = Prov.disabled) ?prov_clock
     ?(engine_out = fun _ -> ()) g t =
   let graph_t0 = if Obs.ctx_enabled obs then obs.Obs.x_clock () else 0.0 in
@@ -19,7 +19,7 @@ let eval_inner ?(obs = Obs.null_ctx) ?root_inh ?memo ?(dag = false)
     if dag then Some (Dag.plan g store (Pag_core.Tree.dag t)) else None
   in
   let rules_for = Option.map Dag.rules_for dplan in
-  let eng = Engine.create ?memo ?rules_for g store in
+  let eng = Engine.create ?rules_for g store in
   (if Prov.enabled prov then
      let clock =
        match prov_clock with
@@ -58,12 +58,6 @@ let eval_inner ?(obs = Obs.null_ctx) ?root_inh ?memo ?(dag = false)
       ~t1:(obs.Obs.x_clock ()) "toposort-eval";
     let reg = obs.Obs.x_metrics in
     Obs.Metrics.add (Obs.Metrics.counter reg "eval.dynamic_rules") evals;
-    (match memo with
-    | Some m ->
-        let hits, misses = Memo.rules_stats m in
-        Obs.Metrics.add (Obs.Metrics.counter reg "eval.memo_hits") hits;
-        Obs.Metrics.add (Obs.Metrics.counter reg "eval.memo_misses") misses
-    | None -> ());
     Obs.Metrics.add (Obs.Metrics.counter reg "graph.nodes")
       (Store.slot_count store);
     Obs.Metrics.add (Obs.Metrics.counter reg "graph.edges")
@@ -78,16 +72,10 @@ let eval_inner ?(obs = Obs.null_ctx) ?root_inh ?memo ?(dag = false)
       evals;
     } )
 
-let eval ?obs ?root_inh ?hashcons ?dag ?dag_out ?prov ?prov_clock ?engine_out
-    g t =
-  let memo =
-    match hashcons with
-    | Some true -> Some (Memo.create_rules ())
-    | Some false | None -> None
-  in
+let eval ?obs ?root_inh ?dag ?dag_out ?prov ?prov_clock ?engine_out g t =
   let r, _ =
     Pag_core.Uid.with_base 0 (fun () ->
-        eval_inner ?obs ?root_inh ?memo ?dag ?dag_out ?prov ?prov_clock
-          ?engine_out g t)
+        eval_inner ?obs ?root_inh ?dag ?dag_out ?prov ?prov_clock ?engine_out
+          g t)
   in
   r

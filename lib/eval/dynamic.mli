@@ -24,13 +24,6 @@ exception Cycle of string
     construction, topological evaluation) plus the [eval.dynamic_rules],
     [graph.nodes], [graph.edges] and store counters.
 
-    [~hashcons:true] memoizes rule applications on (rule, canonical
-    arguments) through a {!Memo.rules} cache — the dynamic evaluator fires
-    rules in data-driven order, so unlike the static evaluator it reuses
-    shared work per rule application rather than per subtree.
-    Label-consuming rules are detected and never memoized; semantics are
-    unchanged.
-
     [~dag:true] makes the shared DAG the evaluation substrate: the
     instance table is built with one rule-instance set per unique subtree
     ({!Dag}) — non-leader occurrences of shared classes are parked and
@@ -46,7 +39,6 @@ exception Cycle of string
 val eval :
   ?obs:Pag_obs.Obs.ctx ->
   ?root_inh:(string * Value.t) list ->
-  ?hashcons:bool ->
   ?dag:bool ->
   ?dag_out:(Dag.t -> unit) ->
   ?prov:Pag_obs.Prov.t ->

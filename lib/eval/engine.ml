@@ -7,13 +7,12 @@ open Pag_obs
    sequences, the parallel worker's spine, incremental re-evaluation — fires
    the same thing: one semantic-rule instance at one node, reading argument
    slots and defining a target slot in a flat {!Store}. The engine owns that
-   core once: a flat table of rule instances (rule, owning node, packed memo
-   key, target slot, argument codes) plus the optional rule-result memo.
-   Schedulers differ only in the order they call {!fire}/{!fire_at} — the
-   ready-queue topological order here ({!run_topo}), the plan's visit
-   sequences ({!Static_eval}), the worker's item graph, the dirty cone of
-   an edit ({!Incr}), or the work-stealing loop here ({!steal_loop}) over
-   a machine set.
+   core once: a flat table of rule instances (rule, owning node, target
+   slot, argument codes). Schedulers differ only in the order they call
+   {!fire}/{!fire_at} — the ready-queue topological order here
+   ({!run_topo}), the plan's visit sequences ({!Static_eval}), the worker's
+   item graph, the dirty cone of an edit ({!Incr}), or the work-stealing
+   loop here ({!steal_loop}) over a machine set.
 
    Layout mirrors the store's dense slot ids: instances of one node are
    consecutive, [rid_base] maps a node's dense index to its first rule id,
@@ -29,11 +28,9 @@ let dummy_rule = Grammar.rule (Grammar.lhs "") ~deps:[] (fun _ -> Value.Unit)
 type t = {
   e_g : Grammar.t;
   e_store : Store.t;
-  e_memo : Memo.rules option;
   mutable e_n : int;  (* rule instances allocated *)
   mutable e_rules : Grammar.rule array;  (* rid -> rule *)
   mutable e_node : Tree.t array;  (* rid -> node the rule applies at *)
-  mutable e_key : int array;  (* rid -> (prod id, rule index) packed *)
   mutable e_target : int array;  (* rid -> target slot *)
   mutable e_arg_off : int array;  (* rid -> first arg index; length e_n + 1 *)
   mutable e_args : int;  (* arg entries used *)
@@ -75,8 +72,6 @@ let fired e = e.e_fired
 let rule_of e rid = e.e_rules.(rid)
 
 let node_of e rid = e.e_node.(rid)
-
-let key e rid = e.e_key.(rid)
 
 let target_slot e rid = e.e_target.(rid)
 
@@ -156,13 +151,12 @@ let resolve_node e (node : Tree.t) =
   match node.Tree.prod with
   | None -> ()
   | Some p ->
-      Array.iteri
-        (fun ridx (r : Grammar.rule) ->
+      Array.iter
+        (fun (r : Grammar.rule) ->
           let rid = e.e_n in
           e.e_n <- rid + 1;
           e.e_rules.(rid) <- r;
           e.e_node.(rid) <- node;
-          e.e_key.(rid) <- (p.Grammar.p_id lsl 10) lor ridx;
           e.e_arg_off.(rid) <- e.e_args;
           let tgt = r.Grammar.r_rtarget in
           let tn =
@@ -218,7 +212,6 @@ let add_node e ~rules_for (node : Tree.t) =
         p.Grammar.p_rules;
       e.e_rules <- grow e.e_rules e.e_n nr dummy_rule;
       e.e_node <- grow e.e_node e.e_n nr node;
-      e.e_key <- grow e.e_key e.e_n nr 0;
       e.e_target <- grow e.e_target e.e_n nr 0;
       e.e_arg_off <- grow e.e_arg_off (e.e_n + 1) nr 0;
       e.e_arg_code <- grow e.e_arg_code e.e_args !na 0;
@@ -227,16 +220,14 @@ let add_node e ~rules_for (node : Tree.t) =
       resolve_node e node;
       e.e_rid_base.(i + 1) <- e.e_n
 
-let create ?memo ?(rules_for = fun _ -> true) g st =
+let create ?(rules_for = fun _ -> true) g st =
   let e =
     {
       e_g = g;
       e_store = st;
-      e_memo = memo;
       e_n = 0;
       e_rules = [| dummy_rule |];
       e_node = [| Store.root st |];
-      e_key = [| 0 |];
       e_target = [| 0 |];
       e_arg_off = [| 0; 0 |];
       e_args = 0;
@@ -301,7 +292,6 @@ let materialize_subtree ?(prune = fun _ -> false) e sub =
             p.Grammar.p_rules;
           e.e_rules <- grow e.e_rules e.e_n nr dummy_rule;
           e.e_node <- grow e.e_node e.e_n nr node;
-          e.e_key <- grow e.e_key e.e_n nr 0;
           e.e_target <- grow e.e_target e.e_n nr 0;
           e.e_arg_off <- grow e.e_arg_off (e.e_n + 1) nr 0;
           e.e_arg_code <- grow e.e_arg_code e.e_args !na 0;
@@ -351,13 +341,6 @@ let gather e rid =
   done;
   args
 
-let compute e rid args =
-  match e.e_memo with
-  | None -> e.e_rules.(rid).Grammar.r_fn args
-  | Some m ->
-      Memo.apply_rule m ~rule_key:e.e_key.(rid)
-        ~fn:e.e_rules.(rid).Grammar.r_fn args
-
 (* Provenance attachment. [set_prov] arms recording; the firing paths then
    pay one field read and branch when disarmed. [dwell_*] price a firing's
    duration for schedulers whose clock does not advance inside the firing
@@ -389,13 +372,11 @@ let note_fire e rid t0 dwell =
 
 let fire e rid =
   let t0 = if Prov.enabled e.e_prov then e.e_prov_clock () else 0.0 in
-  let v = compute e rid (gather e rid) in
+  let v = e.e_rules.(rid).Grammar.r_fn (gather e rid) in
   e.e_fired <- e.e_fired + 1;
   Store.define_slot e.e_store e.e_target.(rid) v;
   if Prov.enabled e.e_prov then note_fire e rid t0 e.e_prov_dwell_dyn
 
-(* The static path: its memoization unit is the whole subtree visit
-   ({!Memo.subtree}), so individual firings bypass the rule memo. *)
 let fire_at e node ridx =
   let rid = rid_at e node ridx in
   let t0 = if Prov.enabled e.e_prov then e.e_prov_clock () else 0.0 in
@@ -406,7 +387,7 @@ let fire_at e node ridx =
 
 let refire e rid =
   let t0 = if Prov.enabled e.e_prov then e.e_prov_clock () else 0.0 in
-  let v = compute e rid (gather e rid) in
+  let v = e.e_rules.(rid).Grammar.r_fn (gather e rid) in
   e.e_fired <- e.e_fired + 1;
   let changed = Store.redefine_slot e.e_store e.e_target.(rid) v in
   if Prov.enabled e.e_prov then note_fire e rid t0 e.e_prov_dwell_dyn;
@@ -634,9 +615,8 @@ let run_topo e gr =
    whose argument slots carry this wave's epoch stamp is skipped without
    computing, and a re-fired member stamps its target only when the stored
    value actually moved, so early cutoff still prunes the rounds below it.
-   Members fire through {!refire} — rule memo and provenance recording
-   included, which is what lets [--profile] attribute blame across a
-   batched wave. *)
+   Members fire through {!refire} — provenance recording included, which
+   is what lets [--profile] attribute blame across a batched wave. *)
 
 type refire_stats = {
   rf_refired : int;
@@ -869,8 +849,7 @@ let steal_loop e gr ~owner ms =
             (Store.missing e.e_store)));
   (fired, stats)
 
-(* The domains machine set. Firing bypasses the rule memo (its hashtables
-   are not domain-safe) and writes targets with {!Store.poke} — the
+(* The domains machine set. Firing writes targets with {!Store.poke} — the
    store's set-bitset is byte-granular, so bits are restored by the
    loop's sequential epilogue. Publication is sound: the non-atomic target
    write precedes the atomic counter decrement, and a consumer only reads

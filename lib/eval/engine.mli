@@ -3,9 +3,8 @@
     Every evaluator in this library fires the same thing: one semantic-rule
     instance at one node, reading argument slots and defining a target slot
     in a flat {!Store}. The engine owns that core once — a flat table of
-    rule instances (rule, owning node, packed memo key, target slot,
-    resolved argument codes) over a store, plus the optional rule-result
-    memo and the slot-level dependency graph. Evaluators are just schedules
+    rule instances (rule, owning node, target slot, resolved argument
+    codes) over a store, plus the slot-level dependency graph. Evaluators are just schedules
     over it: the data-driven topological order ({!run_topo}, used by
     {!Dynamic}), the plan's visit sequences ({!Static_eval}), the parallel
     worker's item graph ({!Pag_parallel.Worker}), the dirty cone of an
@@ -26,13 +25,11 @@ type t
     dependencies or missing root attributes). *)
 exception Cycle of string
 
-(** [create ?memo ?rules_for g store] resolves the rule instances of every
+(** [create ?rules_for g store] resolves the rule instances of every
     covered node, in the store's dense preorder. [rules_for] (default: all)
     selects which interior nodes contribute instances — the parallel worker
-    excludes remote stubs, whose defining rules live on other machines.
-    [memo] enables rule-result memoization in {!fire}/{!refire}. *)
-val create :
-  ?memo:Memo.rules -> ?rules_for:(Tree.t -> bool) -> Grammar.t -> Store.t -> t
+    excludes remote stubs, whose defining rules live on other machines. *)
+val create : ?rules_for:(Tree.t -> bool) -> Grammar.t -> Store.t -> t
 
 val store : t -> Store.t
 
@@ -54,10 +51,6 @@ val rule_of : t -> int -> Grammar.rule
 
 val node_of : t -> int -> Tree.t
 
-(** Packed (production id, rule index) — the memo's notion of "the same
-    semantic function". *)
-val key : t -> int -> int
-
 val target_slot : t -> int -> int
 
 (** The (node, attribute) instance a rule id defines. *)
@@ -74,13 +67,13 @@ val is_dead : t -> int -> bool
 
 (** {1 Firing} *)
 
-(** [fire e rid] gathers arguments, computes (through the rule memo when
-    present) and defines the target slot. *)
+(** [fire e rid] gathers arguments, computes and defines the target
+    slot. *)
 val fire : t -> int -> unit
 
-(** [fire_at e node ridx] — {!fire} addressed by (node, rule index),
-    bypassing the rule memo: the static path's memoization unit is the
-    whole subtree visit ({!Memo.subtree}), not the single rule. *)
+(** [fire_at e node ridx] — {!fire} addressed by (node, rule index), the
+    static path's firing; its provenance duration is priced as a static
+    rule (see {!set_prov}). *)
 val fire_at : t -> Tree.t -> int -> unit
 
 (** Like {!fire} but overwrites the target unconditionally and returns
@@ -123,8 +116,8 @@ val prov_clock : t -> unit -> float
 
 (** Record zero-duration [replay] firings for every rule instance of a
     subtree whose slots were just set by a memoized replay
-    ({!Memo.Replayed}) — keeps provenance slices complete under
-    hash-consed evaluation. No-op when no ring is attached. *)
+    ({!Memo.Replayed}) — keeps provenance slices complete under the
+    static schedule's [dag] sharing. No-op when no ring is attached. *)
 val note_replayed : t -> Tree.t -> unit
 
 (** {1 Edits} *)
@@ -213,7 +206,7 @@ type refire_stats = {
     and none of whose argument slots carry stamp [epoch] is skipped
     without computing, and a re-fired member stamps its target only when
     the stored value moved ({!Store.redefine_slot}). Members fire through
-    {!refire} — rule memo and attached provenance included, so
+    {!refire} — attached provenance included, so
     [--profile] blame spans a batched wave. Raises {!Cycle} when a
     dependency cycle threads the cone — callers fall back to a
     from-scratch rebuild. *)
@@ -288,9 +281,8 @@ val steal_loop :
     consumes no uids for bit-identical stores). A failed probe spins with
     exponential backoff; [st_idle] is the wall-clock time spent spinning.
 
-    Firing bypasses the rule memo (not domain-safe); semantic rules are
-    pure, so results are unchanged. The engine-attached provenance ring is
-    not used here (it is not domain-safe either): pass [prov], one ring
+    The engine-attached provenance ring is not used here (it is not
+    domain-safe): pass [prov], one ring
     per domain, and each domain records its own firings with its domain id
     as pid and [prov_clock] (typically wall time) as the clock. Returns
     the number of firings and the per-domain scheduler statistics. Raises

@@ -66,7 +66,6 @@ type wave_stats = {
 type session = {
   s_g : Grammar.t;
   s_obs : Obs.ctx;
-  s_memo : Memo.rules option;
   s_prov : Prov.t;
   s_frontier : float;
   s_cursor : int ref;
@@ -130,60 +129,16 @@ let no_edit =
     ed_prop_ms = 0.0;
   }
 
-(* A provenance ring outlives the engines of a session: re-attach it to
-   every rebuilt engine so refires after a fallback keep recording. The
-   clock is the session's obs clock when live, CPU time otherwise. *)
-let attach_prov s eng =
-  if Prov.enabled s.s_prov then begin
-    let clock =
-      if Obs.ctx_enabled s.s_obs then s.s_obs.Obs.x_clock else Sys.time
-    in
-    Engine.set_prov ~pid:s.s_obs.Obs.x_pid ~clock eng s.s_prov
-  end
-
-let build s =
-  let store = Store.create s.s_g s.s_tree in
-  let dplan =
-    if s.s_use_dag then Some (Dag.plan s.s_g store (Tree.dag s.s_tree))
-    else None
-  in
-  let eng =
-    Engine.create ?memo:s.s_memo
-      ?rules_for:(Option.map Dag.rules_for dplan)
-      s.s_g store
-  in
-  (* The compacting rebuild renumbers slots: stale records would resolve
-     against the wrong instances. Clear the ring — the from-scratch
-     re-evaluation below repopulates it consistently with the new engine. *)
-  Prov.clear s.s_prov;
-  attach_prov s eng;
-  let gr = Engine.graph eng in
-  let rt = Option.map (fun p -> Dag.make p eng gr) dplan in
-  Uid.with_counter s.s_cursor (fun () ->
-      match rt with
-      | None -> ignore (Engine.run_topo eng gr)
-      | Some rt -> ignore (Dag.run_topo rt eng gr));
-  s.s_dag <- rt;
-  s.s_store <- store;
-  s.s_engine <- eng;
-  s.s_graph <- gr;
-  s.s_next_id <- Store.node_count store;
-  s.s_live_rules <- Engine.rule_count eng;
-  s.s_live_slots <- Store.slot_count store;
-  s.s_changed <- Array.make (max 1 (Store.slot_count store)) 0
-
-let start ?(obs = Obs.null_ctx) ?memo ?(hashcons = false) ?(dag = false)
-    ?(prov = Prov.disabled) ?(frontier = 0.6) g tree =
-  let memo =
-    match memo with
-    | Some _ as m -> m
-    | None -> if hashcons then Some (Memo.create_rules ()) else None
-  in
-  let cursor = ref 0 in
+(* Evaluate [tree] from scratch: store, DAG plan when [dag], engine,
+   dependency graph, then the topological (or DAG) run drawing labels from
+   [cursor]. A provenance ring outlives the engines of a session, so it is
+   attached to every engine built here; the clock is the session's obs
+   clock when live, CPU time otherwise. *)
+let evaluate ~obs ~prov ~dag ~cursor g tree =
   let store = Store.create g tree in
   let dplan = if dag then Some (Dag.plan g store (Tree.dag tree)) else None in
   let eng =
-    Engine.create ?memo ?rules_for:(Option.map Dag.rules_for dplan) g store
+    Engine.create ?rules_for:(Option.map Dag.rules_for dplan) g store
   in
   (if Prov.enabled prov then
      let clock = if Obs.ctx_enabled obs then obs.Obs.x_clock else Sys.time in
@@ -194,10 +149,33 @@ let start ?(obs = Obs.null_ctx) ?memo ?(hashcons = false) ?(dag = false)
       match rt with
       | None -> ignore (Engine.run_topo eng gr)
       | Some rt -> ignore (Dag.run_topo rt eng gr));
+  (store, eng, gr, rt)
+
+let build s =
+  (* The compacting rebuild renumbers slots: stale records would resolve
+     against the wrong instances. Clear the ring — the from-scratch
+     re-evaluation below repopulates it consistently with the new engine. *)
+  Prov.clear s.s_prov;
+  let store, eng, gr, rt =
+    evaluate ~obs:s.s_obs ~prov:s.s_prov ~dag:s.s_use_dag ~cursor:s.s_cursor
+      s.s_g s.s_tree
+  in
+  s.s_dag <- rt;
+  s.s_store <- store;
+  s.s_engine <- eng;
+  s.s_graph <- gr;
+  s.s_next_id <- Store.node_count store;
+  s.s_live_rules <- Engine.rule_count eng;
+  s.s_live_slots <- Store.slot_count store;
+  s.s_changed <- Array.make (max 1 (Store.slot_count store)) 0
+
+let start ?(obs = Obs.null_ctx) ?(dag = false) ?(prov = Prov.disabled)
+    ?(frontier = 0.6) g tree =
+  let cursor = ref 0 in
+  let store, eng, gr, rt = evaluate ~obs ~prov ~dag ~cursor g tree in
   {
     s_g = g;
     s_obs = obs;
-    s_memo = memo;
     s_prov = prov;
     s_frontier = frontier;
     s_cursor = cursor;

@@ -53,11 +53,6 @@ type wave_stats = {
 }
 
 (** [start g tree] evaluates [tree] from scratch and opens the session.
-    [~hashcons:true] routes (re-)firings through a rule memo; [memo]
-    supplies that memo explicitly instead, letting several sessions share
-    one intern arena (a multi-tenant service passes the same [Memo.rules]
-    to every tenant — safe because uid-consuming rules are tainted and
-    never memoized, so sharing cannot leak labels across sessions).
     [frontier] is the dirty-cone fraction beyond which edits rebuild from
     scratch. With a live [obs] context each edit records the [incr.*]
     counters and the [incr.prop_ms] histogram.
@@ -80,8 +75,6 @@ type wave_stats = {
     for {!Causal}). *)
 val start :
   ?obs:Pag_obs.Obs.ctx ->
-  ?memo:Memo.rules ->
-  ?hashcons:bool ->
   ?dag:bool ->
   ?prov:Pag_obs.Prov.t ->
   ?frontier:float ->

@@ -3,11 +3,9 @@ open Pag_analysis
 
 let mix h1 h2 = (h1 * 0x01000193) lxor (h2 + 0x9e3779b9 + (h1 lsl 6))
 
-(* ------------------------------------------------------------------ *)
-(* Subtree-visit memo (static evaluator)                               *)
-(* ------------------------------------------------------------------ *)
+(* Subtree-visit memo for the static evaluator.
 
-(* Key: which subtree shape, which visit, and the canonical inherited
+   Key: which subtree shape, which visit, and the canonical inherited
    values the subtree has received for visits 1..v — everything a visit's
    outcome can depend on besides the shape itself (terminal attributes are
    part of the shape class; semantic rules are pure). Values are canonical
@@ -40,7 +38,6 @@ type stats = {
 
 type t = {
   sharing : Tree.sharing;
-  min_size : int;
   tbl : (int * Value.t) array Key_tbl.t;
   (* (class, visit) pairs whose evaluation consumed unique identifiers:
      their results embed labels that must stay distinct per occurrence, so
@@ -61,10 +58,12 @@ type t = {
   mutable replayed_slots : int;
 }
 
-let create ?(min_size = 3) sharing =
+(* Subtrees smaller than this many nodes are not worth a table entry. *)
+let min_size = 3
+
+let create sharing =
   {
     sharing;
-    min_size;
     tbl = Key_tbl.create 256;
     tainted = Hashtbl.create 16;
     recording = [];
@@ -73,8 +72,6 @@ let create ?(min_size = 3) sharing =
     fallbacks = 0;
     replayed_slots = 0;
   }
-
-let sharing t = t.sharing
 
 let stats t =
   {
@@ -114,7 +111,7 @@ let subtree m plan store node v =
       let c = m.sharing.Tree.sh_class.(node.Tree.id) in
       let size = m.sharing.Tree.sh_size.(c) in
       let occurs = m.sharing.Tree.sh_occurs.(c) in
-      if occurs < 2 || size < m.min_size then no_record
+      if occurs < 2 || size < min_size then no_record
       else if
         (* Covered by an active ancestor recording (see [recording]): no
            entry will exist for this class, so skip the fingerprint and
@@ -158,70 +155,3 @@ let subtree m plan store node v =
                              Key_tbl.replace m.tbl key
                                (Store.snapshot_range store ~lo ~hi)
                            end)))))
-
-(* ------------------------------------------------------------------ *)
-(* Rule-result memo (dynamic evaluator)                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The dynamic evaluator fires rules out of any subtree-at-a-time order,
-   so it cannot replay whole subtrees; instead each rule application is
-   memoized on (rule key, canonical arguments). The rule key identifies
-   the semantic function — (production id, rule index) — and arguments are
-   interned, so a cache hit returns the very value computed for the first
-   structurally identical application. Rules that consume unique
-   identifiers are detected on first application and never memoized. *)
-type rkey = { r_rule : int; r_args : Value.t array }
-
-module Rkey_tbl = Hashtbl.Make (struct
-  type t = rkey
-
-  let equal a b =
-    a.r_rule = b.r_rule
-    && Array.length a.r_args = Array.length b.r_args
-    &&
-    let n = Array.length a.r_args in
-    let rec go i = i >= n || (a.r_args.(i) == b.r_args.(i) && go (i + 1)) in
-    go 0
-
-  let hash k =
-    Array.fold_left
-      (fun h v -> mix h (Value.hash v))
-      (mix 0x9e11 k.r_rule) k.r_args
-end)
-
-type rules = {
-  r_tbl : Value.t Rkey_tbl.t;
-  r_tainted : (int, unit) Hashtbl.t;
-  mutable r_hits : int;
-  mutable r_misses : int;
-}
-
-let create_rules () =
-  {
-    r_tbl = Rkey_tbl.create 256;
-    r_tainted = Hashtbl.create 16;
-    r_hits = 0;
-    r_misses = 0;
-  }
-
-let rules_stats r = (r.r_hits, r.r_misses)
-
-let apply_rule r ~rule_key ~fn args =
-  if Hashtbl.mem r.r_tainted rule_key then fn args
-  else begin
-    let cargs = Array.map Value.intern args in
-    let key = { r_rule = rule_key; r_args = cargs } in
-    match Rkey_tbl.find_opt r.r_tbl key with
-    | Some v ->
-        r.r_hits <- r.r_hits + 1;
-        v
-    | None ->
-        let u0 = Uid.mark () in
-        let v = fn args in
-        if Uid.mark () <> u0 then Hashtbl.replace r.r_tainted rule_key ()
-        else begin
-          r.r_misses <- r.r_misses + 1;
-          Rkey_tbl.replace r.r_tbl key (Value.intern v)
-        end;
-        v
-  end

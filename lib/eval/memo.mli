@@ -1,34 +1,27 @@
-(** Subtree and rule memoization over a {!Tree.sharing} DAG view.
+(** Subtree-visit memo over a {!Tree.sharing} DAG view — the static
+    schedule's sharing under [dag].
 
-    Two memo schemes, both keyed on canonical ({!Pag_core.Value.intern})
-    values so lookups hash in O(1) and compare with [==]:
+    Visit [v] of a subtree is a pure function of the subtree's shape class
+    and the inherited values received for visits [1..v] (the {e inherited
+    fingerprint}). The first occurrence records the set slots of its
+    contiguous slot range; later occurrences with the same key replay them
+    by offset arithmetic, skipping the whole visit. Keys hold canonical
+    ({!Pag_core.Value.intern}) values, so lookups hash in O(1) and compare
+    with [==].
 
-    - {b Subtree-visit memo} for the static evaluator: visit [v] of a
-      subtree is a pure function of the subtree's shape class and the
-      inherited values received for visits [1..v] (the {e inherited
-      fingerprint}). The first occurrence records the set slots of its
-      contiguous slot range; later occurrences with the same key replay
-      them by offset arithmetic, skipping the whole visit.
-
-    - {b Rule-result memo} for the dynamic evaluator, which fires rules in
-      data-driven order and so cannot replay subtrees atomically: each rule
-      application is memoized on (production rule key, canonical args).
-
-    Both schemes refuse to memoize computations that consume unique
-    identifiers ({!Pag_core.Uid.fresh}) — detected by bracketing the first
-    evaluation with {!Pag_core.Uid.mark} — since labels must stay distinct
-    per occurrence. Fragment stores whose stubs interrupt a subtree's slot
-    range simply fall back to ordinary evaluation. Memoization never
-    changes what the store observes, only how it is produced. *)
+    Visits that consume unique identifiers ({!Pag_core.Uid.fresh}) —
+    detected by bracketing the first evaluation with {!Pag_core.Uid.mark} —
+    are never memoized, since labels must stay distinct per occurrence.
+    Fragment stores whose stubs interrupt a subtree's slot range simply
+    fall back to ordinary evaluation. Memoization never changes what the
+    store observes, only how it is produced. *)
 
 open Pag_core
 open Pag_analysis
 
 type t
 
-val create : ?min_size:int -> Tree.sharing -> t
-
-val sharing : t -> Tree.sharing
+val create : Tree.sharing -> t
 
 type stats = {
   st_hits : int;  (** visits replayed from the memo *)
@@ -46,18 +39,3 @@ val stats : t -> stats
 type attempt = Replayed | Evaluate of (unit -> unit) option
 
 val subtree : t option -> Kastens.plan -> Store.t -> Tree.t -> int -> attempt
-
-(** {1 Rule-result memo} *)
-
-type rules
-
-val create_rules : unit -> rules
-
-(** (hits, misses). *)
-val rules_stats : rules -> int * int
-
-(** [apply_rule r ~rule_key ~fn args] — [fn args], memoized. [rule_key]
-    must identify the semantic function (e.g. production id × rule
-    index). *)
-val apply_rule :
-  rules -> rule_key:int -> fn:(Value.t array -> Value.t) -> Value.t array -> Value.t

@@ -33,7 +33,7 @@ let visit ?memo plan eng node v =
   go node v;
   (!visits, !evals)
 
-let eval ?(obs = Obs.null_ctx) ?root_inh ?hashcons ?(prov = Prov.disabled)
+let eval ?(obs = Obs.null_ctx) ?root_inh ?(dag = false) ?(prov = Prov.disabled)
     ?prov_clock ?(engine_out = fun _ -> ()) plan t =
   let r, _ =
     Uid.with_base 0 (fun () ->
@@ -52,12 +52,11 @@ let eval ?(obs = Obs.null_ctx) ?root_inh ?hashcons ?(prov = Prov.disabled)
            Engine.set_prov ~pid:obs.Obs.x_pid ~clock eng prov);
         engine_out eng;
         let memo =
-          match hashcons with
-          | Some true ->
-              Some
-                (Obs.with_span obs "sharing-pass" (fun () ->
-                     Memo.create (Tree.sharing t)))
-          | Some false | None -> None
+          if dag then
+            Some
+              (Obs.with_span obs "sharing-pass" (fun () ->
+                   Memo.create (Tree.sharing t)))
+          else None
         in
         let m = Kastens.visit_count plan t.Tree.sym in
         let visits = ref 0 and evals = ref 0 in

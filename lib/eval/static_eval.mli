@@ -20,12 +20,13 @@ type stats = {
     recorded; with the default {!Pag_obs.Obs.null_ctx} the instrumentation
     costs one branch per phase and nothing per rule.
 
-    [~hashcons:true] runs the {!Tree.sharing} pass first and evaluates the
-    DAG view through a {!Memo}: each shared subtree's visit is evaluated
-    once per inherited fingerprint and replayed at its other occurrences
-    ([eval.memo_hits]/[eval.memo_misses] count the outcomes). Semantics are
-    unchanged — mismatching contexts, fragment boundaries and
-    label-consuming subtrees all fall back to ordinary evaluation.
+    [~dag:true] runs the {!Tree.sharing} pass first and evaluates the DAG
+    view through the subtree-visit {!Memo} — this schedule's collapse unit
+    is the whole visit over a shape class: each shared subtree's visit is
+    evaluated once per inherited fingerprint and replayed at its other
+    occurrences ([eval.memo_hits]/[eval.memo_misses] count the outcomes).
+    Semantics are unchanged — mismatching contexts and label-consuming
+    subtrees fall back to ordinary evaluation.
 
     [prov] attaches a provenance ring to the run's engine: every firing is
     recorded (memoized replays as synthetic [replay] records), timed by
@@ -35,7 +36,7 @@ type stats = {
 val eval :
   ?obs:Pag_obs.Obs.ctx ->
   ?root_inh:(string * Value.t) list ->
-  ?hashcons:bool ->
+  ?dag:bool ->
   ?prov:Pag_obs.Prov.t ->
   ?prov_clock:(unit -> float) ->
   ?engine_out:(Engine.t -> unit) ->

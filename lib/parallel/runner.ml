@@ -8,7 +8,6 @@ type options = {
   granularity : float;
   use_priority : bool;
   use_librarian : bool;
-  use_hashcons : bool;
   use_dag : bool;
   phase_label : int -> string option;
   faults : Faults.spec option;
@@ -23,7 +22,6 @@ let default_options =
     granularity = 1.0;
     use_priority = true;
     use_librarian = true;
-    use_hashcons = false;
     use_dag = false;
     phase_label = (fun _ -> None);
     faults = None;
@@ -179,29 +177,29 @@ let build_report ~label ~clock ~horizon ~machines ~worker_stats ~messages
    coordinator (with crash recovery under a fault plan), one {!Worker} per
    fragment, the librarian, their telemetry and provenance slots, and each
    machine's env — {!Reliable} under a fault plan, then {!Intern} with
-   [use_hashcons] — layered over the transport's [raw] env. The transport
-   supplies only what differs: [now] clocks telemetry, [rto], [max_tries]
-   and [watchdog] time the reliable layer and the coordinator's liveness
-   probes, and [prov_dwell] prices provenance durations from the cost
-   model (see {!Worker.config}).
+   [use_dag] on the simulator — layered over the transport's [raw] env.
+   The transport supplies only what differs: [now] clocks telemetry,
+   [rto], [max_tries] and [watchdog] time the reliable layer and the
+   coordinator's liveness probes, and [sim] says [raw] is the network
+   simulator. Its clock does not advance inside a firing, so provenance
+   durations are priced from the cost model (see {!Worker.config}); and
+   it alone has a priced wire, so only it gets interning — on domains,
+   interning would only add CPU and cross-domain arena traffic.
 
    Returns every machine's body in machine-id order, for the transport to
    start its own way, and [collect], which assembles the result once every
    started body has returned. [row stats pid] is the transport's report
    row for machine [pid]. *)
 let static_machines ?max_tries opts g plan tree split ~now ~raw ~rto ~watchdog
-    ~prov_dwell =
+    ~sim =
   let nfrags = Split.count split in
   let n = nfrags + 2 in
   let librarian = if opts.use_librarian then Some (nfrags + 1) else None in
   (* Sharing classes are computed once on the numbered tree; the immutable
      arrays are read concurrently by every machine's memo. On the static
-     schedule [--dag] collapses on the same unit as [--hashcons] — the
-     subtree memo keyed on these classes — so both flags route here. *)
-  let sharing =
-    if opts.use_hashcons || opts.use_dag then Some (Tree.sharing tree)
-    else None
-  in
+     protocol [use_dag] collapses on the whole subtree visit — the subtree
+     memo keyed on these classes. *)
+  let sharing = if opts.use_dag then Some (Tree.sharing tree) else None in
   let faulty = Option.is_some opts.faults in
   let ctxs = make_ctxs opts ~n ~clock:now in
   let provs = make_provs opts g ~tree ~n in
@@ -224,7 +222,7 @@ let static_machines ?max_tries opts g plan tree split ~now ~raw ~rto ~watchdog
     (* Interning sits above reliable delivery: binds and references are
        retransmitted like any payload, backfills cover reordering. *)
     let env =
-      if opts.use_hashcons then Intern.env (Intern.wrap ~obs base) else base
+      if sim && opts.use_dag then Intern.env (Intern.wrap ~obs base) else base
     in
     (env, link, obs)
   in
@@ -263,7 +261,7 @@ let static_machines ?max_tries opts g plan tree split ~now ~raw ~rto ~watchdog
         wc_obs = obs;
         wc_sharing = sharing;
         wc_prov = provs.(id);
-        wc_prov_dwell = prov_dwell;
+        wc_prov_dwell = sim;
         wc_engine_hook = (fun e -> engs.(id) <- Some e);
       }
     in
@@ -407,7 +405,7 @@ let run_sim_static opts g plan tree =
   let bodies, collect =
     static_machines ~max_tries:sim_max_tries opts g plan tree split
       ~now:(fun () -> S.time ())
-      ~raw:(sim_env sim) ~rto ~watchdog ~prov_dwell:true
+      ~raw:(sim_env sim) ~rto ~watchdog ~sim:true
   in
   (* Every machine is spawned, crashed ones included: the simulator kills
      them at their crash time. The run's time is the coordinator's return. *)
@@ -1049,8 +1047,7 @@ let run_domains_static opts g plan tree =
   let bodies, collect =
     static_machines opts g plan tree split
       ~now:(fun () -> Unix.gettimeofday () -. start)
-      ~raw ~rto:dom_rto ~watchdog:dom_watchdog
-      ~prov_dwell:false (* wall clock advances in-firing *)
+      ~raw ~rto:dom_rto ~watchdog:dom_watchdog ~sim:false
   in
   let domains = domain_count ~fragments:nfrags in
   let t0 = Unix.gettimeofday () in

@@ -60,30 +60,33 @@ type options = {
   granularity : float;
   use_priority : bool;
   use_librarian : bool;
-  use_hashcons : bool;
-      (** hash-consed evaluation: subtree/rule memoization in the workers
-          (driven by a {!Pag_core.Tree.sharing} pass over the whole tree),
-          DAG-compressed [Subtree] shipping, and the cross-machine intern
-          librarian ({!Intern}) deduplicating boundary payloads on the wire.
-          Off by default; semantics are unchanged either way. *)
   use_dag : bool;
-      (** first-class DAG evaluation ({!Pag_eval.Dag}): the tree's shared
-          DAG becomes the evaluation substrate. On the [`Steal] simulator
-          schedule the engine builds one rule-instance set per (subtree
-          class × inherited fingerprint) — parked occurrences own no
-          instances and receive their synthesized attributes by slot-range
-          projection when the class leader's region completes — and
-          [Subtree] assignments are priced as their real shared wire
-          encoding ({!Split.dag_bytes}: each class body crosses once per
-          machine). On the [`Static]/[`Dynamic] schedules the collapse
-          unit is the same class table routed through the worker subtree
-          memo (as [use_hashcons], minus wire interning). On the domains
-          [`Steal] transport every region is materialized up front — the
-          projection bookkeeping is single-threaded — so the run checks
-          result parity, not a sharing win. Uid-consuming rules taint
-          their classes and fall back to per-occurrence evaluation, so
-          output is unchanged up to label renaming (exactly equal after
-          masking, property-tested). Off by default. *)
+      (** share repeated subtrees — the one sharing switch. What is shared
+          depends on the schedule:
+          - [`Static]: every worker builds all its owned rule instances and
+            replays the static visits of repeated subtrees per inherited
+            fingerprint through the subtree memo ({!Pag_eval.Memo}, keyed
+            on one {!Pag_core.Tree.sharing} pass over the whole tree).
+          - [`Static] and [`Dynamic]: [Subtree] assignments ship each class
+            body once per machine ({!Split.encode}), and on the simulator
+            {!Intern} deduplicates repeated boundary payloads on the wire.
+            The domains transport has no wire, so it skips interning. The
+            all-dynamic protocol has no static visits to replay.
+          - [`Steal] on the simulator: the engine builds one rule-instance
+            set per (subtree class × inherited fingerprint)
+            ({!Pag_eval.Dag}) — parked occurrences own no instances and
+            receive their synthesized attributes by slot-range projection
+            when the class leader's region completes — and [Subtree]
+            assignments are priced as their shared wire encoding
+            ({!Split.dag_bytes}).
+          - [`Steal] on domains: every region is materialized up front (the
+            projection bookkeeping is single-threaded), so the run checks
+            result parity, not a sharing win.
+
+          Uid-consuming rules taint their classes and fall back to
+          per-occurrence evaluation, so output is unchanged up to label
+          renaming (exactly equal after masking, property-tested). Off by
+          default. *)
   phase_label : int -> string option;
       (** trace label for static visit numbers, e.g. 1 -> "symbol table" *)
   faults : Faults.spec option;

@@ -31,7 +31,6 @@ type config = {
   c_queue_cap : int;
   c_mem_cap : int;
   c_idle_rounds : int;
-  c_hashcons : bool;
   c_dag : bool;
   c_frontier : float option;
   c_faults : Faults.spec option;
@@ -47,8 +46,7 @@ type config = {
 let prov_cap = 1 lsl 16
 
 let config ?(policy = Round_robin) ?(transport = `Sim) ?(queue_cap = 0)
-    ?(mem_cap = 0) ?(idle_rounds = 0) ?(hashcons = false) ?(dag = false)
-    ?frontier ?faults
+    ?(mem_cap = 0) ?(idle_rounds = 0) ?(dag = false) ?frontier ?faults
     ?(fault_rto = 0.05) ?(net = Ethernet.default_params) ?(obs = Obs.null_ctx)
     ?(provenance = false) ?(batch = 1) workers =
   if workers < 1 then invalid_arg "Service.config: workers < 1";
@@ -59,7 +57,6 @@ let config ?(policy = Round_robin) ?(transport = `Sim) ?(queue_cap = 0)
     c_queue_cap = queue_cap;
     c_mem_cap = mem_cap;
     c_idle_rounds = idle_rounds;
-    c_hashcons = hashcons;
     c_dag = dag;
     c_frontier = frontier;
     c_faults = faults;
@@ -122,7 +119,6 @@ type tenant = {
 type t = {
   sv_cfg : config;
   sv_g : Grammar.t;
-  sv_memo : Memo.rules option;  (* shared across tenants: hashcons + `Sim *)
   sv_tenants : (string, tenant) Hashtbl.t;
   mutable sv_order_rev : tenant list;  (* admission order, newest first *)
   sv_net : Ethernet.t;
@@ -142,10 +138,6 @@ type t = {
 }
 
 let create cfg g =
-  let memo =
-    if cfg.c_hashcons && cfg.c_transport = `Sim then Some (Memo.create_rules ())
-    else None
-  in
   let crash_at = Array.make cfg.c_workers infinity in
   (match cfg.c_faults with
   | None -> ()
@@ -161,7 +153,6 @@ let create cfg g =
   {
     sv_cfg = cfg;
     sv_g = g;
-    sv_memo = memo;
     sv_tenants = Hashtbl.create 64;
     sv_order_rev = [];
     sv_net = Ethernet.create cfg.c_net;
@@ -253,10 +244,8 @@ let enforce_cap ?keep sv =
   end
 
 (* (Re-)open a tenant's session: evaluate the resident tree from scratch.
-   Sessions share the service-wide rule memo when hash-consing on the
-   simulated transport; on domains each tenant gets its own memo (the
-   process-wide intern arena is not domain-safe). Obs likewise flows into
-   sessions only on the simulated (single-domain) transport.
+   Obs flows into sessions only on the simulated (single-domain)
+   transport.
    Coordinator-only: it touches the obs registry and may evict — worker
    domains never call it (round_domains pre-revives the round's tenants,
    who stay resident because enforce_cap exempts in-round tenants). *)
@@ -270,9 +259,8 @@ let revive sv tn =
          records cannot resolve against the new slot numbering. *)
       Prov.clear tn.t_prov;
       let s =
-        Incr.start ~obs ?memo:sv.sv_memo ~hashcons:cfg.c_hashcons
-          ~dag:cfg.c_dag ~prov:tn.t_prov ?frontier:cfg.c_frontier sv.sv_g
-          tn.t_tree
+        Incr.start ~obs ~dag:cfg.c_dag ~prov:tn.t_prov ?frontier:cfg.c_frontier
+          sv.sv_g tn.t_tree
       in
       tn.t_session <- Some s;
       enforce_cap sv ~keep:tn;
@@ -735,11 +723,10 @@ let record_applied sv outs =
 
 let round_domains sv queues =
   let t0 = Unix.gettimeofday () in
-  (* revive on the coordinator: session open touches the obs registry and
-     (with hashcons) the shared intern arena. The round's tenants are
-     exempt from eviction, so a later pre-revive's cap enforcement cannot
-     evict an earlier one — every session below is resident and stays so
-     for the whole round. *)
+  (* revive on the coordinator: session open touches the obs registry. The
+     round's tenants are exempt from eviction, so a later pre-revive's cap
+     enforcement cannot evict an earlier one — every session below is
+     resident and stays so for the whole round. *)
   Array.iter
     (fun q -> Queue.iter (fun (tn, _) -> ignore (revive sv tn)) q)
     queues;
@@ -748,20 +735,17 @@ let round_domains sv queues =
     |> List.filter_map (fun q ->
            if Queue.is_empty q then None else Some (List.of_seq (Queue.to_seq q)))
   in
-  if sv.sv_cfg.c_hashcons then
-    (* the process-wide intern arena is not domain-safe: apply the round
-       sequentially (still wall-clocked) *)
-    List.iter (fun batches -> record_applied sv (domains_apply sv batches)) work
-  else begin
-    let doms =
-      List.map
-        (fun batches -> Domain.spawn (fun () -> domains_apply sv batches))
-        work
-    in
-    (* fold each worker's results into the counters and the metrics
-       registry back on the coordinator — both are unsynchronized *)
-    List.iter (fun d -> record_applied sv (Domain.join d)) doms
-  end;
+  (* Under [c_dag] the workers' sessions intern their DAG fingerprints into
+     the process-wide value arena ({!Pag_core.Value.intern}), which is not
+     domain-safe yet (see service.mli). *)
+  let doms =
+    List.map
+      (fun batches -> Domain.spawn (fun () -> domains_apply sv batches))
+      work
+  in
+  (* fold each worker's results into the counters and the metrics registry
+     back on the coordinator — both are unsynchronized *)
+  List.iter (fun d -> record_applied sv (Domain.join d)) doms;
   sv.sv_now <- sv.sv_now +. (Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)

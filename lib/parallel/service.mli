@@ -22,10 +22,11 @@
       and a machine crash mid-wave re-dispatches its remaining batches to
       the surviving workers.
     - [`Domains] applies each round's batches on real OCaml domains (one
-      per worker) and measures wall-clock latency. The process-wide value
-      intern arena is not domain-safe, so with [hashcons] the batches of a
-      round are applied sequentially instead (still measured in wall
-      time); intern-arena sharing across tenants is a [`Sim] feature.
+      per worker) and measures wall-clock latency. Under [dag] the one
+      shared structure those domains touch is the process-wide value arena
+      ({!Pag_core.Value.intern}): each tenant session's {!Pag_eval.Dag}
+      runtime interns the inherited fingerprints of the regions its edits
+      reach. That arena is not domain-safe yet.
 
     In both transports the edits themselves are applied through the
     tenant's own {!Pag_eval.Incr} session in submission order, so a
@@ -47,8 +48,6 @@
     scheduled in the current round are exempt from eviction while their
     sessions are live on workers (the pool may overshoot the cap
     transiently); {!run_round} re-enforces the cap when the round ends.
-    With [hashcons], every tenant session shares one rule memo — the
-    cross-tenant intern arena.
 
     Per-tenant telemetry flows into the [obs] metrics registry under
     {!Pag_obs.Obs.Metrics.labeled} names ([service.edits{tenant=...}],
@@ -77,7 +76,6 @@ type config = {
   c_queue_cap : int;  (** per-tenant queue bound; 0 = unbounded *)
   c_mem_cap : int;  (** total live slots across tenants; 0 = uncapped *)
   c_idle_rounds : int;  (** evict after this many idle rounds; 0 = never *)
-  c_hashcons : bool;  (** shared rule memo / intern arena across tenants *)
   c_dag : bool;
       (** every tenant session evaluates on the shared DAG
           ({!Pag_eval.Incr.start}'s [dag]): one rule-instance set per
@@ -108,15 +106,14 @@ type config = {
 }
 
 (** [config workers] with every knob defaulted: round-robin, [`Sim]
-    transport, unbounded queues, no memory cap, no idle eviction, no
-    hash-consing, no faults, default Ethernet. *)
+    transport, unbounded queues, no memory cap, no idle eviction, no DAG
+    sharing, no faults, default Ethernet. *)
 val config :
   ?policy:policy ->
   ?transport:[ `Sim | `Domains ] ->
   ?queue_cap:int ->
   ?mem_cap:int ->
   ?idle_rounds:int ->
-  ?hashcons:bool ->
   ?dag:bool ->
   ?frontier:float ->
   ?faults:Faults.spec ->

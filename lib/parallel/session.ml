@@ -13,7 +13,6 @@ type spec = {
   sp_granularity : float;
   sp_librarian : bool;
   sp_priority : bool;
-  sp_hashcons : bool;
   sp_dag : bool;
   sp_telemetry : bool;
   sp_faults : Faults.spec option;
@@ -23,7 +22,7 @@ type spec = {
 
 let spec ?(schedule = `Static) ?(transport = `Sim)
     ?(granularity = 1.0) ?(librarian = true) ?(priority = true)
-    ?(hashcons = false) ?(dag = false) ?(telemetry = false) ?faults
+    ?(dag = false) ?(telemetry = false) ?faults
     ?(phase_label = fun _ -> None) ?(provenance = false) machines =
   {
     sp_machines = machines;
@@ -32,7 +31,6 @@ let spec ?(schedule = `Static) ?(transport = `Sim)
     sp_granularity = granularity;
     sp_librarian = librarian;
     sp_priority = priority;
-    sp_hashcons = hashcons;
     sp_dag = dag;
     sp_telemetry = telemetry;
     sp_faults = faults;
@@ -47,7 +45,6 @@ let options s =
     granularity = s.sp_granularity;
     use_librarian = s.sp_librarian;
     use_priority = s.sp_priority;
-    use_hashcons = s.sp_hashcons;
     use_dag = s.sp_dag;
     telemetry = s.sp_telemetry;
     faults = s.sp_faults;
@@ -113,7 +110,7 @@ type batch_report = {
   br_latency : float;
 }
 
-let open_session ?obs ?memo ?prov ?frontier sp g tree =
+let open_session ?obs ?prov ?frontier sp g tree =
   let prov =
     match prov with
     | Some p -> p
@@ -123,8 +120,7 @@ let open_session ?obs ?memo ?prov ?frontier sp g tree =
         else Pag_obs.Prov.disabled
   in
   let incr =
-    Incr.start ?obs ?memo ~hashcons:sp.sp_hashcons ~dag:sp.sp_dag ~prov
-      ?frontier g tree
+    Incr.start ?obs ~dag:sp.sp_dag ~prov ?frontier g tree
   in
   let plan =
     Split.decompose g (Incr.tree incr) ~machines:sp.sp_machines

@@ -46,12 +46,12 @@ type spec = {
   sp_granularity : float;
   sp_librarian : bool;
   sp_priority : bool;
-  sp_hashcons : bool;
   sp_dag : bool;
-      (** first-class DAG evaluation: {!Runner.options.use_dag} on
-          from-scratch runs; edit sessions evaluate through
-          {!Pag_eval.Incr} with [~dag:true] (classes split on divergence
-          only, so resident sessions keep the sharing across edits) *)
+      (** the sharing switch: {!Runner.options.use_dag} on from-scratch
+          runs; edit sessions evaluate through {!Pag_eval.Incr} with
+          [~dag:true] — the {!Pag_eval.Dag} runtime, whose classes split on
+          divergence only, so resident sessions keep the sharing across
+          edits *)
   sp_telemetry : bool;
   sp_faults : Faults.spec option;
   sp_phase_label : int -> string option;
@@ -71,7 +71,6 @@ val spec :
   ?granularity:float ->
   ?librarian:bool ->
   ?priority:bool ->
-  ?hashcons:bool ->
   ?dag:bool ->
   ?telemetry:bool ->
   ?faults:Faults.spec ->
@@ -114,12 +113,9 @@ type edit_report = {
 }
 
 (** Evaluate [tree] from scratch, decompose it, and keep both resident.
-    [frontier] and [memo] as in {!Pag_eval.Incr.start} — a service
-    multiplexing many sessions passes one shared [memo] so tenants share
-    an intern arena when the spec enables hash-consing. *)
+    [frontier] as in {!Pag_eval.Incr.start}. *)
 val open_session :
   ?obs:Pag_obs.Obs.ctx ->
-  ?memo:Memo.rules ->
   ?prov:Pag_obs.Prov.t ->
   ?frontier:float ->
   spec ->

@@ -74,15 +74,10 @@ let run_protocol (env : Transport.env) cfg task =
     | `Combined, None -> stuck "combined mode requires an evaluation plan"
     | `Dynamic, _ -> None
   in
-  (* Hash-consed evaluation: subtree memo for static visits (shared classes
-     computed once on the whole tree, valid inside any fragment thanks to
-     the store's slot-range contiguity check), rule memo for spine rules. *)
+  (* DAG sharing: subtree memo for static visits (shared classes computed
+     once on the whole tree, valid inside any fragment thanks to the
+     store's slot-range contiguity check). *)
   let memo = Option.map Memo.create cfg.wc_sharing in
-  let rmemo =
-    match cfg.wc_sharing with
-    | Some _ -> Some (Memo.create_rules ())
-    | None -> None
-  in
   (* ---- 1. Await the subtree assignment; stash early attribute msgs. ---- *)
   let stash = ref [] in
   let uid_base =
@@ -109,11 +104,8 @@ let run_protocol (env : Transport.env) cfg task =
   let is_cut (n : Tree.t) = Hashtbl.mem cut_machine n.Tree.id in
   let store = Store.create_shared ~stop:is_cut g task.t_root in
   (* The shared engine resolves every owned rule instance once; stubs are
-     excluded (their defining rules run on other machines) and spine rules
-     fire through the engine's rule memo when hash-consing is on. *)
-  let eng =
-    Engine.create ?memo:rmemo ~rules_for:(fun n -> not (is_cut n)) g store
-  in
+     excluded (their defining rules run on other machines). *)
+  let eng = Engine.create ~rules_for:(fun n -> not (is_cut n)) g store in
   (* Provenance: one ring per machine, pids are machine ids, the clock is
      the transport's. The simulator's clock does not advance inside a
      firing (costs are charged after), so sim runs price durations from
@@ -506,12 +498,6 @@ let run_protocol (env : Transport.env) cfg task =
         bump "eval.memo_hits" st.Memo.st_hits;
         bump "eval.memo_misses" st.Memo.st_misses;
         bump "eval.memo_replayed_slots" st.Memo.st_replayed_slots
-    | None -> ());
-    (match rmemo with
-    | Some m ->
-        let h, ms = Memo.rules_stats m in
-        bump "eval.rule_memo_hits" h;
-        bump "eval.rule_memo_misses" ms
     | None -> ());
     Obs.Metrics.add_gauge reg "store.reads" (float_of_int (Store.reads store));
     Obs.Metrics.add_gauge reg "store.writes" (float_of_int (Store.sets store));

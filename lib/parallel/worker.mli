@@ -35,9 +35,8 @@ type config = {
       (** telemetry context; {!Pag_obs.Obs.null_ctx} disables recording *)
   wc_sharing : Tree.sharing option;
       (** tree-sharing classes of the whole tree ({!Pag_core.Tree.sharing});
-          [Some] enables hash-consed evaluation — static visits of repeated
-          subtrees are memoized per inherited fingerprint, spine rules per
-          canonical argument vector *)
+          [Some] (under [dag]) memoizes the static visits of repeated
+          subtrees per inherited fingerprint ({!Pag_eval.Memo}) *)
   wc_prov : Pag_obs.Prov.t;
       (** provenance ring for this machine's firings
           ({!Pag_obs.Prov.disabled} records nothing); pid is the machine

@@ -28,7 +28,7 @@ let compiled_of_attrs attrs =
     c_errors = Pascal_ag.errors_of_attrs attrs;
   }
 
-let compile ?obs ?hashcons ?dag ?dag_out ?prov ?engine_out ?tree_out
+let compile ?obs ?dag ?dag_out ?prov ?engine_out ?tree_out
     ?(evaluator = `Static) prog =
   let tree =
     match obs with
@@ -41,21 +41,14 @@ let compile ?obs ?hashcons ?dag ?dag_out ?prov ?engine_out ?tree_out
   let store =
     match evaluator with
     | `Static ->
-        (* the static schedule's collapse unit is the whole subtree visit:
-           [--dag] maps to the subtree memo, which is keyed on the same
-           shape-class table the DAG runtime projects over *)
-        let hashcons =
-          match dag with Some true -> Some true | _ -> hashcons
-        in
         let store, _ =
-          Static_eval.eval ?obs ?hashcons ?prov ?engine_out (Lazy.force plan)
-            tree
+          Static_eval.eval ?obs ?dag ?prov ?engine_out (Lazy.force plan) tree
         in
         store
     | `Dynamic ->
         let store, _ =
-          Dynamic.eval ?obs ?hashcons ?dag ?dag_out ?prov ?engine_out
-            Pascal_ag.grammar tree
+          Dynamic.eval ?obs ?dag ?dag_out ?prov ?engine_out Pascal_ag.grammar
+            tree
         in
         store
     | `Oracle -> Oracle.eval Pascal_ag.grammar tree

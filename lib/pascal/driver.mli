@@ -27,14 +27,13 @@ val phase_label : int -> string option
 (** Sequential compilation with the chosen evaluator. With a live [obs]
     context (pid 0, wall clock), the tree build and the evaluator phases
     are recorded as spans alongside the evaluation counters.
-    [~hashcons:true] enables hash-consed (memoized) evaluation for the
-    [`Static] and [`Dynamic] evaluators; [`Oracle] ignores it.
 
     [~dag:true] evaluates on the shared DAG: for [`Dynamic], one
     rule-instance set per unique subtree with occurrence projection
     ({!Pag_eval.Dag}); for [`Static], the subtree memo (whose replay unit
     — the whole visit over a shape class — is that schedule's collapse
-    unit). [dag_out] hands back the DAG runtime for statistics.
+    unit); [`Oracle] ignores it. [dag_out] hands back the DAG runtime for
+    statistics.
 
     [prov] attaches a provenance ring to the run (ignored by [`Oracle]);
     [engine_out]/[tree_out] hand back the evaluation engine and the built
@@ -42,7 +41,6 @@ val phase_label : int -> string option
     [--profile] on the sequential path). *)
 val compile :
   ?obs:Pag_obs.Obs.ctx ->
-  ?hashcons:bool ->
   ?dag:bool ->
   ?dag_out:(Pag_eval.Dag.t -> unit) ->
   ?prov:Pag_obs.Prov.t ->

@@ -1,7 +1,7 @@
 (* Provenance & causal analysis: ring cap/arity accounting, the qcheck
    property tying [--explain] slices to the engine's own dependency graph
-   (transitive producer closure) across all three schedules with
-   hash-consing on and off, critical-path profile invariants, memo-replay
+   (transitive producer closure) across all three schedules with DAG
+   sharing on and off, critical-path profile invariants, memo-replay
    records, and slice verification inside an edit session. *)
 
 open Pag_core
@@ -83,7 +83,7 @@ let verify_root_slice g d root =
 let schedules = [ (`Static, "static"); (`Dynamic, "dynamic"); (`Steal, "steal") ]
 
 let prop_slice_matches_closure =
-  qc ~count:4 "provenance slice = graph closure (3 schedules x hashcons)"
+  qc ~count:4 "provenance slice = graph closure (3 schedules x dag)"
     QCheck.(int_bound 10_000)
     (fun seed ->
       let g = Pascal_ag.grammar in
@@ -91,24 +91,22 @@ let prop_slice_matches_closure =
       List.for_all
         (fun (schedule, sname) ->
           List.for_all
-            (fun hashcons ->
+            (fun dag ->
               let tree = Pascal_ag.tree_of_program g prog in
               let sp =
-                Session.spec ~schedule ~hashcons ~librarian:false
-                  ~provenance:true 3
+                Session.spec ~schedule ~dag ~librarian:false ~provenance:true 3
               in
               let r = Session.run sp g (Some (Lazy.force Driver.plan)) tree in
               let d = Causal.build r.Runner.r_prov in
               if Causal.dropped d > 0 || Causal.arg_drops d > 0 then
-                QCheck.Test.fail_reportf "%s hashcons=%b: ring overflowed"
-                  sname hashcons
+                QCheck.Test.fail_reportf "%s dag=%b: ring overflowed" sname dag
               else
                 match verify_root_slice g d r.Runner.r_tree with
                 | [], [] -> true
                 | missing, extra ->
                     QCheck.Test.fail_reportf
-                      "%s hashcons=%b: %d missing (%s) / %d extra (%s)" sname
-                      hashcons (List.length missing)
+                      "%s dag=%b: %d missing (%s) / %d extra (%s)" sname dag
+                      (List.length missing)
                       (String.concat "," missing)
                       (List.length extra) (String.concat "," extra))
             [ false; true ])
@@ -169,7 +167,7 @@ let test_replays_recorded () =
   let p = Prov.create ~arity:(Causal.arity_for Pascal_ag.grammar) () in
   let eng = ref None in
   let _ =
-    Driver.compile ~evaluator:`Static ~hashcons:true ~prov:p
+    Driver.compile ~evaluator:`Static ~dag:true ~prov:p
       ~engine_out:(fun e -> eng := Some e)
       prog
   in

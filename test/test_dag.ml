@@ -402,18 +402,16 @@ let test_dag_incr_gate_divergence_splits () =
 
 (* --------------- parallel parity sweep --------------- *)
 
-(* [--dag] on every parallel path: the masked code must equal the
-   sequential reference whatever the schedule, transport or memo setting.
-   (dag-off == reference is already covered by the parallel suites, so
-   dag-on == reference gives dag-on == dag-off.) *)
-let parallel_masked_asm ~transport ~schedule ~hashcons prog =
+(* Every parallel path, with and without [--dag]: the masked code must
+   equal the sequential reference whatever the schedule or transport, so
+   dag-on == dag-off on each of them. *)
+let parallel_masked_asm ~transport ~schedule ~dag prog =
   let o =
     {
       Pag_parallel.Runner.default_options with
       Pag_parallel.Runner.machines = 3;
       schedule;
-      use_hashcons = hashcons;
-      use_dag = true;
+      use_dag = dag;
       phase_label = Pascal.Driver.phase_label;
     }
   in
@@ -437,13 +435,12 @@ let test_dag_parallel_parity () =
       List.iter
         (fun (schedule, sname) ->
           List.iter
-            (fun hashcons ->
+            (fun dag ->
               let name =
-                Printf.sprintf "dag %s/%s hashcons=%b == sequential" tname
-                  sname hashcons
+                Printf.sprintf "%s/%s dag=%b == sequential" tname sname dag
               in
               check_string name reference
-                (parallel_masked_asm ~transport ~schedule ~hashcons prog))
+                (parallel_masked_asm ~transport ~schedule ~dag prog))
             [ false; true ])
         [ (`Static, "static"); (`Dynamic, "dynamic"); (`Steal, "steal") ])
     [ (`Sim, "sim"); (`Domains, "domains") ]
@@ -503,7 +500,7 @@ let suite =
         Alcotest.test_case "incr: inherited-gate change splits projections"
           `Quick test_dag_incr_gate_divergence_splits;
         Alcotest.test_case
-          "parallel parity: {static,dynamic,steal} x {sim,domains} x memo"
+          "parallel parity: {static,dynamic,steal} x {sim,domains} x dag"
           `Quick test_dag_parallel_parity;
         Alcotest.test_case "steal+sim: fewer instances, no wire inflation"
           `Quick test_dag_steal_instances_and_wire;

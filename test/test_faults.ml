@@ -77,21 +77,21 @@ let chaos_spec drop dup reorder fseed =
     fs_seed = fseed;
   }
 
-(* Every plan runs twice, the second time interning boundary payloads
-   ([use_hashcons]): the Intern layer then sits over the reliable layer,
-   and Need/Backfill must ride out the same drops, duplicates and
-   reorderings. *)
+(* Every plan runs twice, the second time with [use_dag], which on the
+   simulator interns boundary payloads: the Intern layer then sits over
+   the reliable layer, and Need/Backfill must ride out the same drops,
+   duplicates and reorderings. *)
 let prop_sim_chaos =
   qc ~count:25 "sim: chaos run = oracle (any drop/dup/reorder plan)" arb_chaos
     (fun (ts, m, drop, dup, reorder, fseed) ->
       let t = sc_tree ts in
       List.for_all
-        (fun hashcons ->
+        (fun dag ->
           let r =
             Runner.run_sim
               {
                 (opts ~machines:m (chaos_spec drop dup reorder fseed)) with
-                Runner.use_hashcons = hashcons;
+                Runner.use_dag = dag;
               }
               Stackcode_ag.grammar (Some (Lazy.force sc_plan)) t
           in
@@ -208,17 +208,17 @@ let test_crash_before_start () =
 let test_domains_drop_dup () =
   (* Two fragments, one per core: the coordinator, the librarian and
      fragment 0 share the calling domain, and every cross-domain message
-     may be dropped or duplicated — with and without interned payloads. *)
+     may be dropped or duplicated — with and without DAG sharing. *)
   let t = sc_tree 41 in
   let spec = chaos_spec 0.1 0.1 0.0 9 in
   List.iter
-    (fun hashcons ->
+    (fun dag ->
       let r =
         Runner.run_domains
-          { (opts ~machines:2 spec) with Runner.use_hashcons = hashcons }
+          { (opts ~machines:2 spec) with Runner.use_dag = dag }
           Stackcode_ag.grammar (Some (Lazy.force sc_plan)) t
       in
-      let tag = Printf.sprintf " (hashcons=%b)" hashcons in
+      let tag = Printf.sprintf " (dag=%b)" dag in
       check_bool ("no recovery needed" ^ tag) false r.Runner.r_recovered;
       check_int ("value" ^ tag) (oracle_value t)
         (int_attr r.Runner.r_attrs "value");

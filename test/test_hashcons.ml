@@ -1,6 +1,6 @@
-(* Hash-consed evaluation: rope balance under heavy appends, value
-   interning and DAG sizes, the intern-librarian wire protocol, and
-   end-to-end agreement of memoized runs with the reference interpreter. *)
+(* Hash-consed values: rope balance under heavy appends, value interning
+   and DAG sizes, the intern-librarian wire protocol, and end-to-end
+   agreement of DAG-shared ([--dag]) runs with the reference interpreter. *)
 
 open Pag_util
 open Pag_core
@@ -315,13 +315,13 @@ let test_primes_memoized_agrees () =
   let prog = Pascal.Parser.parse_program (Lazy.force primes) in
   let reference = interp_out prog in
   let plain = Pascal.Driver.compile ~evaluator:`Static prog in
-  let st = Pascal.Driver.compile ~hashcons:true ~evaluator:`Static prog in
-  let dy = Pascal.Driver.compile ~hashcons:true ~evaluator:`Dynamic prog in
+  let st = Pascal.Driver.compile ~dag:true ~evaluator:`Static prog in
+  let dy = Pascal.Driver.compile ~dag:true ~evaluator:`Dynamic prog in
   Alcotest.(check string) "memoized asm = plain asm" plain.Pascal.Driver.c_asm st.Pascal.Driver.c_asm;
   Alcotest.(check string) "static memoized = interpreter" reference (vax_out st);
   Alcotest.(check string) "dynamic memoized = interpreter" reference (vax_out dy)
 
-let test_primes_parallel_hashcons () =
+let test_primes_parallel_dag () =
   let prog = Pascal.Parser.parse_program (Lazy.force primes) in
   let o =
     {
@@ -333,7 +333,7 @@ let test_primes_parallel_hashcons () =
   in
   let r_plain, plain = Pascal.Driver.compile_parallel_sim o prog in
   let r_memo, memo =
-    Pascal.Driver.compile_parallel_sim { o with Runner.use_hashcons = true } prog
+    Pascal.Driver.compile_parallel_sim { o with Runner.use_dag = true } prog
   in
   Alcotest.(check string)
     "parallel memoized asm = parallel plain asm"
@@ -343,9 +343,9 @@ let test_primes_parallel_hashcons () =
   check_bool "interning does not inflate wire bytes" true
     (r_memo.Runner.r_bytes <= r_plain.Runner.r_bytes)
 
-(* --------------- faults + hashcons combined --------------- *)
+(* --------------- faults + dag combined --------------- *)
 
-let test_faults_with_hashcons () =
+let test_faults_with_dag () =
   (* drop / duplicate / reorder with the intern librarian active: the
      reliable layer plus Need/Backfill must hide every fault, and the
      compiled code must match a clean memoized run bit for bit *)
@@ -355,7 +355,7 @@ let test_faults_with_hashcons () =
       Runner.default_options with
       Runner.machines = 3;
       use_librarian = true;
-      use_hashcons = true;
+      use_dag = true;
       phase_label = Pascal.Driver.phase_label;
     }
   in
@@ -379,7 +379,7 @@ let test_faults_with_hashcons () =
   Alcotest.(check string)
     "faulty memoized output = interpreter" (interp_out prog) (vax_out faulty)
 
-let prop_hashcons_chaos =
+let prop_dag_chaos =
   let arb =
     QCheck.make
       ~print:(fun (d, s) -> Printf.sprintf "drop=%.2f seed=%d" d s)
@@ -394,7 +394,7 @@ let prop_hashcons_chaos =
           Runner.default_options with
           Runner.machines = 3;
           use_librarian = true;
-          use_hashcons = true;
+          use_dag = true;
           phase_label = Pascal.Driver.phase_label;
         }
       in
@@ -413,6 +413,45 @@ let prop_hashcons_chaos =
       in
       (not r.Runner.r_recovered)
       && String.equal clean.Pascal.Driver.c_asm faulty.Pascal.Driver.c_asm)
+
+(* --------------- where Intern runs --------------- *)
+
+(* [use_dag] layers the Intern wire layer over the simulator's env only: a
+   simulated run binds and references repeated boundary payloads and ships
+   fewer bytes than the plain run, while the domains transport, which has
+   no wire, registers no intern counter at all. *)
+let test_intern_only_on_sim_wire () =
+  let prog = Pascal.Progen.repetitive ~routines:2 ~reps:8 () in
+  let o =
+    {
+      Runner.default_options with
+      Runner.machines = 3;
+      telemetry = true;
+      phase_label = Pascal.Driver.phase_label;
+    }
+  in
+  let metrics (r : Runner.result) =
+    r.Runner.r_report.Pag_obs.Obs.Report.rp_metrics
+  in
+  let r_plain, _ = Pascal.Driver.compile_parallel_sim o prog in
+  let r_dag, _ =
+    Pascal.Driver.compile_parallel_sim { o with Runner.use_dag = true } prog
+  in
+  let count name = Pag_obs.Obs.Metrics.counter_value (metrics r_dag) name in
+  check_bool "sim: intern.binds > 0" true (count "intern.binds" > 0);
+  check_bool "sim: intern.refs > 0" true (count "intern.refs" > 0);
+  check_bool "sim: fewer bytes than without dag" true
+    (r_dag.Runner.r_bytes < r_plain.Runner.r_bytes);
+  let r_dom, _ =
+    Pascal.Driver.compile_parallel_domains
+      { o with Runner.machines = 2; use_dag = true }
+      prog
+  in
+  check_int "domains: no intern.* counter" 0
+    (List.length
+       (List.filter
+          (fun (name, _) -> String.starts_with ~prefix:"intern." name)
+          (Pag_obs.Obs.Metrics.rows (metrics r_dom))))
 
 (* --------------- fragment wire format --------------- *)
 
@@ -502,10 +541,12 @@ let suite =
         Alcotest.test_case "primes.pas memoized = interpreter" `Quick
           test_primes_memoized_agrees;
         Alcotest.test_case "primes.pas parallel memoized" `Quick
-          test_primes_parallel_hashcons;
-        Alcotest.test_case "faults + hashcons" `Quick test_faults_with_hashcons;
+          test_primes_parallel_dag;
+        Alcotest.test_case "faults + dag" `Quick test_faults_with_dag;
+        Alcotest.test_case "intern runs on the simulator's wire only" `Quick
+          test_intern_only_on_sim_wire;
         Alcotest.test_case "fragment wire: priced = shipped, decode agrees"
           `Quick test_fragment_wire_roundtrip;
-        prop_hashcons_chaos;
+        prop_dag_chaos;
       ] );
   ]

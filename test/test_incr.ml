@@ -129,24 +129,22 @@ let seq_arb =
 let expr_of seed =
   Expr_ag.random_program (Random.State.make [| seed |]) ~depth:5
 
-let prop_expr_edit_sequences hashcons =
+let prop_expr_edit_sequences dag =
   qc
-    (Printf.sprintf "expr edit sequences = from-scratch (hashcons %b)"
-       hashcons)
+    (Printf.sprintf "expr edit sequences = from-scratch (dag %b)" dag)
     seq_arb
     (fun (s0, edits) ->
       let g = Expr_ag.grammar in
-      let s = Incr.start ~hashcons g (expr_of s0) in
+      let s = Incr.start ~dag g (expr_of s0) in
       List.for_all
         (fun seed ->
           ignore (Incr.edit s (expr_of seed));
           agrees_with_scratch g s (expr_of seed))
         edits)
 
-let prop_random_ag_edit_sequences hashcons =
+let prop_random_ag_edit_sequences dag =
   qc ~count:40
-    (Printf.sprintf "random AG edit sequences = from-scratch (hashcons %b)"
-       hashcons)
+    (Printf.sprintf "random AG edit sequences = from-scratch (dag %b)" dag)
     (QCheck.make
        ~print:(fun (gs, ts, edits) ->
          Printf.sprintf "grammar %d, base %d, edits [%s]" gs ts
@@ -161,7 +159,7 @@ let prop_random_ag_edit_sequences hashcons =
       in
       (* Only noncircular bases are sessions; circular random grammars are
          covered by the evaluator-agreement suite. *)
-      match Incr.start ~hashcons g (tree_of tseed) with
+      match Incr.start ~dag g (tree_of tseed) with
       | exception Engine.Cycle _ -> true
       | s ->
           (* Stop at the first cyclic edit: the session is not usable past
@@ -202,8 +200,8 @@ let indep_base a b c d =
 let test_batch_independent_pair () =
   let g = Expr_ag.grammar in
   List.iter
-    (fun hashcons ->
-      let s = Incr.start ~hashcons g (indep_base 1 2 3 4) in
+    (fun dag ->
+      let s = Incr.start ~dag g (indep_base 1 2 3 4) in
       let wv = Incr.edit_batch s [ indep_base 9 2 3 4; indep_base 9 2 7 4 ] in
       check_int "one wave" 1 wv.Incr.wv_waves;
       check_int "no conflicts" 0 wv.Incr.wv_conflicts;
@@ -212,7 +210,7 @@ let test_batch_independent_pair () =
       check_bool "values = scratch" true
         (agrees_with_scratch g s (indep_base 9 2 7 4));
       (* the opposite application order lands the same store *)
-      let s' = Incr.start ~hashcons g (indep_base 1 2 3 4) in
+      let s' = Incr.start ~dag g (indep_base 1 2 3 4) in
       ignore (Incr.edit_batch s' [ indep_base 1 2 7 4; indep_base 9 2 7 4 ]);
       check_bool "orders agree bit-for-bit" true
         (values_agree g (Incr.store s) (Incr.tree s) (Incr.store s')
@@ -256,14 +254,14 @@ let test_batch_identity_and_root () =
   check_bool "values = scratch after fallback" true
     (agrees_with_scratch g s (expr_a ()))
 
-let prop_batched_matches_serial hashcons =
+let prop_batched_matches_serial dag =
   qc ~count:40
-    (Printf.sprintf "batched edits = serial (hashcons %b)" hashcons)
+    (Printf.sprintf "batched edits = serial (dag %b)" dag)
     seq_arb
     (fun (s0, edits) ->
       let g = Expr_ag.grammar in
-      let sb = Incr.start ~hashcons g (expr_of s0) in
-      let ss = Incr.start ~hashcons g (expr_of s0) in
+      let sb = Incr.start ~dag g (expr_of s0) in
+      let ss = Incr.start ~dag g (expr_of s0) in
       List.iter (fun seed -> ignore (Incr.edit ss (expr_of seed))) edits;
       ignore (Incr.edit_batch sb (List.map expr_of edits));
       values_agree g (Incr.store sb) (Incr.tree sb) (Incr.store ss)

@@ -125,8 +125,8 @@ let with_deadline ?(limit = 120.0) name f =
       Domain.join dog)
     f
 
-(* The static protocol on real domains, over both evaluators, every
-   sharing flag and machine count that changes the placement: 1 fragment
+(* The static protocol on real domains, over both evaluators, with and
+   without DAG sharing, and every machine count that changes the placement: 1 fragment
    (no spawned domain), 2 (one fragment per core), 3 and 5 (several
    fragments per domain). Each output is masked-equal to the Oracle's. *)
 let test_domains_matrix () =
@@ -138,15 +138,12 @@ let test_domains_matrix () =
       List.iter
         (fun (evaluator, schedule) ->
           List.iter
-            (fun (sharing, hashcons, dag) ->
+            (fun (sharing, dag) ->
               let name = Printf.sprintf "%s, %s, -m %d" evaluator sharing m in
               let r, c =
                 with_deadline name (fun () ->
                     Driver.compile_parallel_domains
-                      { (opts ~schedule m) with
-                        Runner.use_hashcons = hashcons;
-                        use_dag = dag;
-                      }
+                      { (opts ~schedule m) with Runner.use_dag = dag }
                       p)
               in
               check_str name oracle (Driver.mask_labels c.Driver.c_asm);
@@ -155,7 +152,7 @@ let test_domains_matrix () =
                 true
                 (r.Runner.r_report.Pag_obs.Obs.Report.rp_domains
                 <= max 1 (min r.Runner.r_fragments cores)))
-            [ ("plain", false, false); ("hashcons", true, false); ("dag", false, true) ])
+            [ ("plain", false); ("dag", true) ])
         [ ("combined", `Static); ("dynamic", `Dynamic) ])
     [ 1; 2; 3; 5 ]
 

@@ -34,7 +34,6 @@ let variants =
   [
     ("plain", fun o -> o);
     ("no-librarian", fun o -> { o with Runner.use_librarian = false });
-    ("hashcons", fun o -> { o with Runner.use_hashcons = true });
     ("dag", fun o -> { o with Runner.use_dag = true });
   ]
 

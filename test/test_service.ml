@@ -1,9 +1,10 @@
 (* Multi-tenant compile service: multiplexing is isolation. Interleaved
    edits from K tenants through the service must land, per tenant, on
    exactly the attribute values K isolated edit sessions compute — under
-   both scheduling policies and with the shared intern arena on or off.
-   Admission backpressure, idle eviction/re-admission and the scheduling
-   policies themselves are covered by deterministic cases. *)
+   both scheduling policies, with DAG sharing on or off, and on both
+   transports (the domains runs keep both worker domains busy). Admission
+   backpressure, idle eviction/re-admission and the scheduling policies
+   themselves are covered by deterministic cases. *)
 
 open Pag_eval
 open Pag_grammars
@@ -25,7 +26,7 @@ let expr_of seed =
    {!Session.edit_session}. Trees are regenerated from seeds for every
    consumer — a session renumbers the nodes it grafts, so service and
    oracle must never share tree objects. *)
-let arb_tenants =
+let tenants_arb ~min_edits =
   QCheck.make
     ~print:(fun ts ->
       String.concat " | "
@@ -36,11 +37,18 @@ let arb_tenants =
            ts))
     QCheck.Gen.(
       list_size (2 -- 4)
-        (pair (int_bound 100_000) (list_size (0 -- 4) (int_bound 100_000))))
+        (pair (int_bound 100_000)
+           (list_size (min_edits -- 4) (int_bound 100_000))))
 
-let run_service_interleaved ~policy ~hashcons tenants =
+let arb_tenants = tenants_arb ~min_edits:0
+
+(* Every tenant edits in the first round, so with at least two tenants
+   both workers of a 2-worker service apply batches concurrently. *)
+let arb_busy_tenants = tenants_arb ~min_edits:1
+
+let run_service_interleaved ~transport ~policy ~dag tenants =
   let g = Expr_ag.grammar in
-  let sv = Service.create (Service.config ~policy ~hashcons 2) g in
+  let sv = Service.create (Service.config ~transport ~policy ~dag 2) g in
   let names = List.mapi (fun i _ -> Printf.sprintf "t%d" i) tenants in
   List.iter2
     (fun name (s0, _) -> Service.open_tenant sv name (expr_of s0))
@@ -62,18 +70,19 @@ let run_service_interleaved ~policy ~hashcons tenants =
   Service.drain sv;
   (sv, names)
 
-let prop_multiplexing_is_isolation ~policy ~hashcons label =
+let prop_multiplexing_is_isolation ?(transport = `Sim) ?(arb = arb_tenants)
+    ~policy ~dag label =
   qc ~count:15
     (Printf.sprintf "service = K isolated sessions (%s)" label)
-    arb_tenants
+    arb
     (fun tenants ->
       let g = Expr_ag.grammar in
-      let sv, names = run_service_interleaved ~policy ~hashcons tenants in
+      let sv, names =
+        run_service_interleaved ~transport ~policy ~dag tenants
+      in
       List.for_all2
         (fun name (s0, es) ->
-          let spec =
-            Session.spec ~granularity:0.05 ~librarian:false ~hashcons 2
-          in
+          let spec = Session.spec ~granularity:0.05 ~librarian:false ~dag 2 in
           let iso = Session.open_session spec g (expr_of s0) in
           List.iter (fun seed -> ignore (Session.edit iso (expr_of seed))) es;
           Test_incr.values_agree g
@@ -233,12 +242,12 @@ let test_shortest_queue_beats_round_robin () =
 (* Batched application (c_batch > 1) must not change what any tenant
    computes — the isolation oracle holds against per-edit sessions — and
    the wave/conflict/fallback counters surface as labeled metrics. *)
-let run_batched ~transport ~batch tenants =
+let run_batched ?(dag = false) ~transport ~batch tenants =
   let g = Expr_ag.grammar in
   let obs =
     Pag_obs.Obs.make_ctx ~pid:0 ~clock:(fun () -> 0.0)
   in
-  let sv = Service.create (Service.config ~transport ~batch ~obs 2) g in
+  let sv = Service.create (Service.config ~transport ~batch ~dag ~obs 2) g in
   let names = List.mapi (fun i _ -> Printf.sprintf "t%d" i) tenants in
   List.iter2
     (fun name (s0, _) -> Service.open_tenant sv name (expr_of s0))
@@ -252,18 +261,17 @@ let run_batched ~transport ~batch tenants =
   Service.drain sv;
   (sv, names, obs)
 
-let prop_batched_is_isolation ~transport label =
+let prop_batched_is_isolation ?(arb = arb_tenants) ?(dag = false) ~transport
+    label =
   qc ~count:10
     (Printf.sprintf "batched service = K isolated sessions (%s)" label)
-    arb_tenants
+    arb
     (fun tenants ->
       let g = Expr_ag.grammar in
-      let sv, names, _ = run_batched ~transport ~batch:3 tenants in
+      let sv, names, _ = run_batched ~dag ~transport ~batch:3 tenants in
       List.for_all2
         (fun name (s0, es) ->
-          let spec =
-            Session.spec ~granularity:0.05 ~librarian:false 2
-          in
+          let spec = Session.spec ~granularity:0.05 ~librarian:false ~dag 2 in
           let iso = Session.open_session spec g (expr_of s0) in
           List.iter (fun seed -> ignore (Session.edit iso (expr_of seed))) es;
           Test_incr.values_agree g
@@ -295,14 +303,17 @@ let suite =
   [
     ( "service",
       [
-        prop_multiplexing_is_isolation ~policy:Service.Round_robin
-          ~hashcons:false "round-robin, hashcons off";
-        prop_multiplexing_is_isolation ~policy:Service.Round_robin
-          ~hashcons:true "round-robin, hashcons on";
+        prop_multiplexing_is_isolation ~policy:Service.Round_robin ~dag:false
+          "round-robin, dag off";
+        prop_multiplexing_is_isolation ~policy:Service.Round_robin ~dag:true
+          "round-robin, dag on";
         prop_multiplexing_is_isolation ~policy:Service.Shortest_queue
-          ~hashcons:false "shortest-queue, hashcons off";
+          ~dag:false "shortest-queue, dag off";
         prop_multiplexing_is_isolation ~policy:Service.Shortest_queue
-          ~hashcons:true "shortest-queue, hashcons on";
+          ~dag:true "shortest-queue, dag on";
+        prop_multiplexing_is_isolation ~transport:`Domains
+          ~arb:arb_busy_tenants ~policy:Service.Round_robin ~dag:true
+          "domains, both workers busy, dag on";
         Alcotest.test_case "admission backpressure" `Quick test_backpressure;
         Alcotest.test_case "idle eviction + re-admission" `Quick
           test_idle_eviction_and_readmission;
@@ -314,6 +325,8 @@ let suite =
           test_shortest_queue_beats_round_robin;
         prop_batched_is_isolation ~transport:`Sim "sim, batch 3";
         prop_batched_is_isolation ~transport:`Domains "domains, batch 3";
+        prop_batched_is_isolation ~arb:arb_busy_tenants ~dag:true
+          ~transport:`Domains "domains, batch 3, both workers busy, dag on";
         Alcotest.test_case "batched metrics surface" `Quick
           test_batched_metrics_surface;
       ] );

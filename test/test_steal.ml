@@ -177,28 +177,6 @@ let prop_run_steal_matches_topo =
       && Store.missing store2 = 0
       && stores_bit_identical store1 store2)
 
-let test_run_steal_memo () =
-  (* rule memoization on the topo side must not perturb equivalence (the
-     steal schedule bypasses the memo — values are equal either way) *)
-  let g = Pag_grammars.Expr_ag.grammar in
-  let tree d s =
-    Pag_grammars.Expr_ag.random_program (Random.State.make [| s |]) ~depth:d
-  in
-  List.iter
-    (fun seed ->
-      let t1 = tree 7 seed and t2 = tree 7 seed in
-      let s1 = Store.create g t1 in
-      let e1 = Engine.create ~memo:(Memo.create_rules ()) g s1 in
-      ignore (Engine.run_topo e1 (Engine.graph e1));
-      let s2 = Store.create g t2 in
-      let e2 = Engine.create g s2 in
-      ignore (Engine.run_steal ~domains:3 e2 (Engine.graph e2));
-      check_bool
-        (Printf.sprintf "memo topo = steal (seed %d)" seed)
-        true
-        (stores_bit_identical s1 s2))
-    [ 1; 2; 3 ]
-
 (* A cyclic instance graph: r.out <- x.s <- x.i <- x.s. *)
 let circ_grammar () =
   let open Grammar in
@@ -387,7 +365,6 @@ let suite =
         prop_deque_model;
         Alcotest.test_case "owner vs thief (2 domains)" `Quick test_owner_vs_thief;
         prop_run_steal_matches_topo;
-        Alcotest.test_case "run_steal with memoized topo" `Quick test_run_steal_memo;
         Alcotest.test_case "run_steal detects cycles" `Quick test_run_steal_cycle;
         Alcotest.test_case "run_steal re-raises a rule failure" `Quick
           test_run_steal_failure;
