@@ -280,6 +280,140 @@ let pascal_rows () =
         wave_faults)
     [ 1; 3; 4 ]
 
+(* ------------------------- service ------------------------- *)
+
+(* The multi-tenant service on the simulator: three Pascal tenants over
+   four rounds whose streams mix subtree edits, structural no-ops and
+   root-level changes (the program name and its body both change), swept
+   over workers, batch size, policy, a drop + crash-of-worker-2 plan and a
+   memory cap that holds two of the three sessions, so tenants are
+   evicted and revived. Every {!Service.stats} and per-tenant number is
+   printed, then each tenant's masked code digest. *)
+let service_rows () =
+  let g = Pascal.Pascal_ag.grammar in
+  let src (name, c1, c2) =
+    Printf.sprintf
+      "program %s;\nvar i, s : integer;\nbegin\n  s := 0;\n  i := 1;\n\
+      \  repeat\n    i := i * 2;\n    s := s + i * %d;\n    s := s + i * %d\n\
+      \  until i > 100;\n  write(s)\nend.\n"
+      name c1 c2
+  in
+  let tree p =
+    Pascal.Pascal_ag.tree_of_program g (Pascal.Parser.parse_program (src p))
+  in
+  let base = ("p", 1, 2) in
+  (* per round, each tenant's submissions *)
+  let rounds =
+    [
+      [
+        [ ("p", 5, 2) ];
+        [ ("p", 5, 2); ("p", 5, 7); ("p", 5, 7); ("p", 3, 7) ];
+        [ ("q", 1, 9) ];
+      ];
+      [ [ ("p", 5, 2); ("r", 6, 3) ]; [ ("p", 8, 7) ]; [ ("q", 4, 9); ("q", 4, 6) ] ];
+      [ [ ("r", 6, 4) ]; [ ("p", 8, 7); ("s", 8, 1); ("s", 2, 1) ]; [] ];
+      [ [ ("r", 7, 5) ]; [ ("s", 3, 1) ]; [ ("q", 4, 6); ("p", 1, 2) ] ];
+    ]
+  in
+  let slots = Pag_eval.Incr.live_slots (Pag_eval.Incr.start g (tree base)) in
+  let faults =
+    [
+      ("no-faults", None);
+      ( "drop+crash-2",
+        Some
+          {
+            Faults.none with
+            Faults.fs_drop = 0.2;
+            fs_seed = 3;
+            fs_crashes = [ (2, 0.05) ];
+          } );
+    ]
+  in
+  let caps = [ ("uncapped", 0); ("cap-2", (2 * slots) + (slots / 2)) ] in
+  let names = [ "t0"; "t1"; "t2" ] in
+  List.concat_map
+    (fun workers ->
+      List.concat_map
+        (fun batch ->
+          List.concat_map
+            (fun (pname, policy) ->
+              List.concat_map
+                (fun (fname, faults) ->
+                  List.concat_map
+                    (fun (cname, mem_cap) ->
+                      let key =
+                        Printf.sprintf "service w=%d batch=%d %s %s %s" workers
+                          batch pname fname cname
+                      in
+                      let sv =
+                        Service.create
+                          (Service.config ~policy ?faults ~mem_cap ~batch
+                             workers)
+                          g
+                      in
+                      List.iter (fun n -> Service.open_tenant sv n (tree base)) names;
+                      List.iter
+                        (fun round ->
+                          List.iter2
+                            (fun n ps ->
+                              List.iter
+                                (fun p -> ignore (Service.submit sv n (tree p)))
+                                ps)
+                            names round;
+                          Service.run_round sv)
+                        rounds;
+                      let st = Service.stats sv in
+                      let head =
+                        Printf.sprintf
+                          "%s: rounds=%d tenants=%d edits=%d rejected=%d \
+                           evictions=%d retx=%d gave_up=%d redispatches=%d \
+                           lost=%d slots=%d makespan=%s eps=%s p50=%s p99=%s"
+                          key st.Service.st_rounds st.Service.st_tenants
+                          st.Service.st_edits st.Service.st_rejected
+                          st.Service.st_evictions st.Service.st_retransmits
+                          st.Service.st_gave_up st.Service.st_redispatches
+                          st.Service.st_workers_lost st.Service.st_live_slots
+                          (h st.Service.st_makespan)
+                          (h st.Service.st_edits_per_sec)
+                          (h st.Service.st_p50) (h st.Service.st_p99)
+                      in
+                      let tenants =
+                        List.map
+                          (fun (ts : Service.tenant_stats) ->
+                            Printf.sprintf
+                              "%s tenant %s: resident=%b edits=%d rejected=%d \
+                               evictions=%d retx=%d depth=%d hwm=%d slots=%d \
+                               p50=%s p99=%s mean=%s firings=%d critical=%s"
+                              key ts.Service.ts_name ts.Service.ts_resident
+                              ts.Service.ts_edits ts.Service.ts_rejected
+                              ts.Service.ts_evictions ts.Service.ts_retransmits
+                              ts.Service.ts_queue_depth ts.Service.ts_queue_hwm
+                              ts.Service.ts_live_slots (h ts.Service.ts_p50)
+                              (h ts.Service.ts_p99) (h ts.Service.ts_mean)
+                              ts.Service.ts_prov_firings
+                              (h ts.Service.ts_critical))
+                          st.Service.st_per_tenant
+                      in
+                      let codes =
+                        List.map
+                          (fun n ->
+                            Printf.sprintf "%s tenant %s code=%s" key n
+                              (masked_digest
+                                 (Pascal.Pascal_ag.code_of_attrs
+                                    (Pag_eval.Store.root_attrs
+                                       (Service.tenant_store sv n)))))
+                          names
+                      in
+                      (head :: tenants) @ codes)
+                    caps)
+                faults)
+            [
+              ("round-robin", Service.Round_robin);
+              ("shortest-queue", Service.Shortest_queue);
+            ])
+        [ 1; 3 ])
+    [ 1; 3 ]
+
 (* ------------------------- comparison ------------------------- *)
 
 let expected_file = "sim_pin.expected"
@@ -301,7 +435,7 @@ let test_pin () =
   let prog = Pascal.Progen.repetitive ~routines:2 ~reps:4 () in
   let rows =
     static_rows prog @ expr_edit_rows () @ expr_batch_rows () @ expr_rebuild_rows ()
-    @ pascal_rows ()
+    @ pascal_rows () @ service_rows ()
   in
   let expected = read_lines expected_file in
   let rec first_diff i = function
