@@ -652,6 +652,7 @@ let edit_batch s nexts =
       | Tree.Equal -> ()
       | Tree.Root ->
           s.s_tree <- next;
+          bytes := !bytes + Tree.byte_size next;
           rebuild ~dirty:s.s_live_rules
       | Tree.Subtree { parent; pos; repl } ->
           if conflicts_with ~parent ~pos then begin

@@ -218,6 +218,40 @@ let test_batched_identity () =
   check_int "no bytes" 0 r.Session.br_bytes;
   check_bool "no latency" true (r.Session.br_latency = 0.0)
 
+(* A root-level replacement ships the whole new tree, batched or not: a
+   one-edit batch whose diff is [Root] (the program's name and body both
+   change) prices at least the new tree's bytes, and no less than the
+   same edit applied singly, which ships the tree too. *)
+let test_batched_root_ships_tree () =
+  let g = Pascal.Pascal_ag.grammar in
+  let src name k =
+    Printf.sprintf
+      "program %s;\nvar i, s : integer;\nbegin\n  s := 0;\n  i := 1;\n\
+      \  repeat\n    i := i * %d;\n    s := s + i\n  until i > 100;\n\
+      \  write(s)\nend.\n"
+      name k
+  in
+  let tree name k =
+    Pascal.Pascal_ag.tree_of_program g (Pascal.Parser.parse_program (src name k))
+  in
+  let open_one () =
+    Session.open_session
+      (Session.spec ~granularity:0.1 ~librarian:false 3)
+      g (tree "p" 2)
+  in
+  let eb = open_one () and es = open_one () in
+  check_bool "a root-level diff" true
+    (match Pag_core.Tree.diff (Session.tree eb) (tree "q" 3) with
+    | Pag_core.Tree.Root -> true
+    | _ -> false);
+  let r = Session.edit_batch eb [ tree "q" 3 ] in
+  let single = Session.edit es (tree "q" 3) in
+  check_int "one rebuild" 1 r.Session.br_fallbacks;
+  check_bool "dispatch carries the new tree" true
+    (r.Session.br_bytes >= Pag_core.Tree.byte_size (tree "q" 3));
+  check_bool "no cheaper than the single edit" true
+    (r.Session.br_bytes >= single.Session.er_bytes_incr)
+
 let suite =
   [
     ( "session",
@@ -235,5 +269,7 @@ let suite =
           test_resident_store_stays_bounded;
         Alcotest.test_case "batched wave" `Quick test_batched_wave;
         Alcotest.test_case "batched identity" `Quick test_batched_identity;
+        Alcotest.test_case "batched root edit ships the tree" `Quick
+          test_batched_root_ships_tree;
       ] );
   ]
