@@ -575,6 +575,7 @@ let edit_batch s nexts =
     revive_site s gr parent;
     s.s_next_id <- Tree.number_from repl s.s_next_id;
     let old = Tree.replace_subtree s.s_g ~parent ~pos repl in
+    bytes := !bytes + Tree.byte_size repl;
     let added = tree_slots s.s_g repl in
     s.s_live_slots <- s.s_live_slots + added - tree_slots s.s_g old;
     if Store.slot_count s.s_store + added > 2 * s.s_live_slots then
@@ -640,7 +641,6 @@ let edit_batch s nexts =
       Hashtbl.replace w_touched parent.Tree.id ();
       Tree.iter (fun (n : Tree.t) -> Hashtbl.replace w_touched n.Tree.id ()) old;
       Tree.iter (fun (n : Tree.t) -> Hashtbl.replace w_touched n.Tree.id ()) repl;
-      bytes := !bytes + Tree.byte_size repl;
       if float_of_int !w_cone_n > s.s_frontier *. float_of_int s.s_live_rules
       then rebuild ~dirty:!w_cone_n
     end
