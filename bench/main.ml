@@ -857,10 +857,10 @@ let e13_incremental () =
     let t1 = Sys.time () in
     let scratch, _ = Pag_eval.Dynamic.eval g fresh in
     scratch_t := !scratch_t +. Sys.time () -. t1;
-    dirty := !dirty + st.Pag_eval.Incr.ed_dirty;
-    refired := !refired + st.Pag_eval.Incr.ed_refired;
-    cutoff := !cutoff + st.Pag_eval.Incr.ed_cutoff;
-    if st.Pag_eval.Incr.ed_fallback then incr fallbacks;
+    dirty := !dirty + st.Pag_eval.Incr.wv_dirty;
+    refired := !refired + st.Pag_eval.Incr.wv_refired;
+    cutoff := !cutoff + st.Pag_eval.Incr.wv_cutoff;
+    if st.Pag_eval.Incr.wv_fallbacks > 0 then incr fallbacks;
     (* Label numbers depend on firing order; the emitted instructions must
        not. *)
     code_ok :=

@@ -603,94 +603,6 @@ let run_topo e gr =
   e.e_fired - fired0
 
 (* ------------------------------------------------------------------ *)
-(* Batched refire waves                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Re-fire a merged dirty cone (the union of several edits' dirty cones,
-   see {!Incr.edit_batch}) as a wave of rounds.
-
-   Round r holds the cone members whose cone-internal producers all
-   completed in rounds < r — a level-synchronous Kahn schedule of the cone
-   subgraph. The equality cutoff is preserved per slot: a member none of
-   whose argument slots carry this wave's epoch stamp is skipped without
-   computing, and a re-fired member stamps its target only when the stored
-   value actually moved, so early cutoff still prunes the rounds below it.
-   Members fire through {!refire} — provenance recording included, which
-   is what lets [--profile] attribute blame across a batched wave. *)
-
-type refire_stats = {
-  rf_refired : int;
-  rf_cutoff : int;
-  rf_rounds : int;
-  rf_round_refired : int array;  (* refires per level-synchronous round *)
-}
-
-let refire_set e gr ~cone ~is_seed ~changed ~epoch =
-  let m = Array.length cone in
-  let pending = Hashtbl.create (2 * m) in
-  Array.iter (fun rid -> Hashtbl.replace pending rid 0) cone;
-  Array.iter
-    (fun rid ->
-      let w = ref 0 in
-      iter_slot_args e rid (fun slot ->
-          let p = producer gr slot in
-          if p >= 0 && p <> rid && (not (is_dead e p)) && Hashtbl.mem pending p
-          then incr w);
-      Hashtbl.replace pending rid !w)
-    cone;
-  (* [cone] arrives sorted, so the initial round is ascending; later
-     rounds are re-sorted — ready order inside a round is deterministic. *)
-  let round =
-    ref (List.filter (fun rid -> Hashtbl.find pending rid = 0)
-           (Array.to_list cone))
-  in
-  let refired = ref 0 and cutoff = ref 0 and processed = ref 0 in
-  let rounds = ref [] in
-  while !round <> [] do
-    let next = ref [] and rr = ref 0 in
-    List.iter
-      (fun rid ->
-        incr processed;
-        let must =
-          is_seed rid
-          ||
-          let hit = ref false in
-          iter_slot_args e rid (fun slot ->
-              if changed.(slot) = epoch then hit := true);
-          !hit
-        in
-        (if must then begin
-           incr refired;
-           incr rr;
-           if refire e rid then changed.(e.e_target.(rid)) <- epoch
-         end
-         else incr cutoff);
-        iter_consumers gr e.e_target.(rid) (fun c ->
-            if not (is_dead e c) then
-              match Hashtbl.find_opt pending c with
-              | Some w ->
-                  Hashtbl.replace pending c (w - 1);
-                  if w = 1 then next := c :: !next
-              | None -> ()))
-      !round;
-    rounds := !rr :: !rounds;
-    round := List.sort compare !next
-  done;
-  if !processed < m then
-    raise
-      (Cycle
-         (Printf.sprintf
-            "batched refire stuck: %d of %d cone members unprocessed \
-             (cycle through the merged dirty set)"
-            (m - !processed) m));
-  {
-    rf_refired = !refired;
-    rf_cutoff = !cutoff;
-    rf_rounds = List.length !rounds;
-    rf_round_refired = Array.of_list (List.rev !rounds);
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Work-stealing schedule                                              *)
 (* ------------------------------------------------------------------ *)
 

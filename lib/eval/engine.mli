@@ -188,37 +188,6 @@ val reresolve_node : t -> ?graph:graph -> Tree.t -> unit
     unevaluated. *)
 val run_topo : t -> graph -> int
 
-(** {1 Batched refire waves} *)
-
-type refire_stats = {
-  rf_refired : int;  (** members actually re-fired *)
-  rf_cutoff : int;  (** members skipped by the equality cutoff *)
-  rf_rounds : int;  (** level-synchronous rounds *)
-  rf_round_refired : int array;  (** refires per round, in wave order *)
-}
-
-(** [refire_set e gr ~cone ~is_seed ~changed ~epoch] re-fires a merged
-    dirty cone — the union of several edits' dirty cones, sorted ascending
-    — as a wave of rounds: round [r] holds the members whose cone-internal
-    producers all completed earlier, a level-synchronous Kahn schedule of
-    the cone subgraph. The equality cutoff is preserved per slot through
-    the caller's epoch-stamp array [changed]: a member that is not a seed
-    and none of whose argument slots carry stamp [epoch] is skipped
-    without computing, and a re-fired member stamps its target only when
-    the stored value moved ({!Store.redefine_slot}). Members fire through
-    {!refire} — attached provenance included, so
-    [--profile] blame spans a batched wave. Raises {!Cycle} when a
-    dependency cycle threads the cone — callers fall back to a
-    from-scratch rebuild. *)
-val refire_set :
-  t ->
-  graph ->
-  cone:int array ->
-  is_seed:(int -> bool) ->
-  changed:int array ->
-  epoch:int ->
-  refire_stats
-
 (** {1 Work-stealing schedule}
 
     One loop fires the same fixed point as {!run_topo} across a set of

@@ -11,12 +11,12 @@ open Pag_obs
    to the store and engine, the detached subtree's instances are marked
    dead, and the edit site's parent is re-resolved in place. Change then
    propagates through the dependency graph self-adjusting-computation
-   style:
+   style, in one wave for one edit or many:
 
-   - phase 1 computes the dirty cone: every rule instance reachable from
-     the seed rules (the appended subtree's rules plus the parent's)
-     through consumer edges;
-   - phase 2 re-fires the cone in local topological order, with an
+   - each graft extends the wave's dirty cone: every rule instance
+     reachable from the seed rules (the appended subtree's rules plus the
+     parent's) through consumer edges;
+   - the wave re-fires its cone in local topological order, with an
      equality cutoff — a rule whose argument slots all kept their values is
      skipped, and a re-fired rule whose target value is unchanged
      ({!Store.redefine_slot}) stops propagation below it.
@@ -32,14 +32,6 @@ open Pag_obs
    ones a from-scratch run would pick: incremental output is equivalent to
    from-scratch output up to label renaming (exactly equal when no rule in
    the dirty cone allocates labels). *)
-
-type edit_stats = {
-  ed_dirty : int;
-  ed_refired : int;
-  ed_cutoff : int;
-  ed_fallback : bool;
-  ed_prop_ms : float;
-}
 
 type totals = {
   tot_edits : int;
@@ -120,15 +112,6 @@ let totals s =
     tot_fallbacks = s.s_fallbacks;
   }
 
-let no_edit =
-  {
-    ed_dirty = 0;
-    ed_refired = 0;
-    ed_cutoff = 0;
-    ed_fallback = false;
-    ed_prop_ms = 0.0;
-  }
-
 (* Evaluate [tree] from scratch: store, DAG plan when [dag], engine,
    dependency graph, then the topological (or DAG) run drawing labels from
    [cursor]. A provenance ring outlives the engines of a session, so it is
@@ -199,41 +182,6 @@ let start ?(obs = Obs.null_ctx) ?(dag = false) ?(prov = Prov.disabled)
     s_fallbacks = 0;
   }
 
-let record s st =
-  s.s_edits <- s.s_edits + 1;
-  s.s_dirty <- s.s_dirty + st.ed_dirty;
-  s.s_refired <- s.s_refired + st.ed_refired;
-  s.s_cutoff <- s.s_cutoff + st.ed_cutoff;
-  if st.ed_fallback then s.s_fallbacks <- s.s_fallbacks + 1;
-  s.s_last_fallback <- st.ed_fallback;
-  let obs = s.s_obs in
-  if Obs.ctx_enabled obs then begin
-    let reg = obs.Obs.x_metrics in
-    let bump name n = Obs.Metrics.add (Obs.Metrics.counter reg name) n in
-    bump "incr.edits" 1;
-    bump "incr.dirty_rules" st.ed_dirty;
-    bump "incr.refired" st.ed_refired;
-    bump "incr.cutoff_hits" st.ed_cutoff;
-    if st.ed_fallback then bump "incr.fallbacks" 1;
-    Obs.Metrics.observe
-      (Obs.Metrics.histogram reg "incr.prop_ms")
-      st.ed_prop_ms
-  end;
-  st
-
-(* From-scratch fallback: renumber and rebuild, compacting away dead
-   instances accumulated by previous edits. *)
-let fallback s ~dirty t0 =
-  build s;
-  record s
-    {
-      ed_dirty = dirty;
-      ed_refired = Engine.rule_count s.s_engine;
-      ed_cutoff = 0;
-      ed_fallback = true;
-      ed_prop_ms = (Sys.time () -. t0) *. 1e3;
-    }
-
 let in_set set rid =
   Char.code (Bytes.unsafe_get set (rid lsr 3)) land (1 lsl (rid land 7)) <> 0
 
@@ -241,15 +189,14 @@ let add_set set rid =
   let b = rid lsr 3 in
   Bytes.set set b (Char.chr (Char.code (Bytes.get set b) lor (1 lsl (rid land 7))))
 
-(* Grow a rule-id bitset to cover [n] rules. DAG sessions materialize
-   instances mid-edit (see {!revive_site}), so the rule table can outgrow
-   bitsets sized at the edit's start. *)
+(* [b] grown to cover [n] rule ids. *)
 let ensure b n =
-  let need = (n + 7) / 8 in
-  if Bytes.length !b < need then begin
-    let nb = Bytes.make (max need (2 * Bytes.length !b)) '\000' in
-    Bytes.blit !b 0 nb 0 (Bytes.length !b);
-    b := nb
+  let need = max 1 ((n + 7) / 8) in
+  if Bytes.length b >= need then b
+  else begin
+    let nb = Bytes.make (max need (2 * Bytes.length b)) '\000' in
+    Bytes.blit b 0 nb 0 (Bytes.length b);
+    nb
   end
 
 (* Rule instances a detached subtree actually owned: parked occurrences
@@ -292,176 +239,13 @@ let revive_slot s gr slot =
           s.s_live_rules <- s.s_live_rules + (hi - lo);
           r)
 
-let replace s ~parent ~pos repl =
-  let t0 = Sys.time () in
-  s.s_epoch0 <- s.s_epoch;
-  let eng = s.s_engine and gr = s.s_graph in
-  revive_site s gr parent;
-  s.s_next_id <- Tree.number_from repl s.s_next_id;
-  let old = Tree.replace_subtree s.s_g ~parent ~pos repl in
-  let added = tree_slots s.s_g repl in
-  s.s_live_slots <- s.s_live_slots + added - tree_slots s.s_g old;
-  if Store.slot_count s.s_store + added > 2 * s.s_live_slots then
-    (* Dead weight from detached subtrees would outweigh the live tree:
-       compact with a from-scratch rebuild instead of appending. Nothing
-       else ever reclaims dead slots — before this trigger a long stream of
-       small edits grew the flat arrays (and the resident store's heap)
-       without bound, a leak per edit session. The 2x threshold amortizes:
-       a rebuild costs O(live), and reaching the trigger again requires
-       detaching at least O(live) slots' worth of edits. *)
-    fallback s ~dirty:s.s_live_rules t0
-  else begin
-  Store.append_subtree s.s_store repl;
-  let total = Store.slot_count s.s_store in
-  if Array.length s.s_changed < total then begin
-    let a = Array.make (max total (2 * Array.length s.s_changed)) 0 in
-    Array.blit s.s_changed 0 a 0 (Array.length s.s_changed);
-    s.s_changed <- a
-  end;
-  (* Detach the old subtree's instances, append the replacement's, rewire
-     the edit site. *)
-  let killed = killed_rules eng old in
-  Engine.kill_subtree eng old;
-  let rid_lo, rid_hi = Engine.append eng repl in
-  Engine.graph_note_range eng gr ~rid_lo ~rid_hi;
-  Engine.reresolve_node eng ~graph:gr parent;
-  s.s_live_rules <- s.s_live_rules + (rid_hi - rid_lo) - killed;
-  (* Seeds: the appended instances (their slots are all unset) and the edit
-     site's own instances (their references moved). *)
-  let n = Engine.rule_count eng in
-  let seed = ref (Bytes.make (max 1 ((n + 7) / 8)) '\000') in
-  let dirty = ref (Bytes.make (max 1 ((n + 7) / 8)) '\000') in
-  let cone = ref [] and cone_n = ref 0 in
-  let stack = ref [] in
-  let push rid =
-    if not (in_set !dirty rid) then begin
-      add_set !dirty rid;
-      cone := rid :: !cone;
-      incr cone_n;
-      stack := rid :: !stack
-    end
-  in
-  for rid = rid_lo to rid_hi - 1 do
-    add_set !seed rid;
-    push rid
-  done;
-  (match parent.Tree.prod with
-  | None -> ()
-  | Some p ->
-      for ridx = 0 to Array.length p.Grammar.p_rules - 1 do
-        let rid = Engine.rid_at eng parent ridx in
-        add_set !seed rid;
-        push rid
-      done);
-  (* Phase 1: dirty cone = consumer-edge closure of the seeds. *)
-  let rec close () =
-    match !stack with
-    | [] -> ()
-    | rid :: rest ->
-        stack := rest;
-        let tgt = Engine.target_slot eng rid in
-        (match revive_slot s gr tgt with
-        | None -> ()
-        | Some (lo, hi) ->
-            ensure seed (Engine.rule_count eng);
-            ensure dirty (Engine.rule_count eng);
-            for r = lo to hi - 1 do
-              push r
-            done);
-        Engine.iter_consumers gr tgt (fun c ->
-            if not (Engine.is_dead eng c) then push c);
-        close ()
-  in
-  close ();
-  if float_of_int !cone_n > s.s_frontier *. float_of_int s.s_live_rules then
-    fallback s ~dirty:!cone_n t0
-  else begin
-    (* Phase 2: local Kahn over the cone. A rule waits only on cone
-       producers; ready rules fire in ascending rule-id order for
-       determinism. Cutoff: skip rules none of whose arguments changed
-       this epoch; a re-fired rule marks its target changed only when the
-       stored value actually moved. *)
-    s.s_epoch <- s.s_epoch + 1;
-    let epoch = s.s_epoch in
-    let cone = Array.of_list !cone in
-    Array.sort compare cone;
-    let pending = Hashtbl.create (2 * Array.length cone) in
-    Array.iter
-      (fun rid ->
-        let w = ref 0 in
-        Engine.iter_slot_args eng rid (fun slot ->
-            let p = Engine.producer gr slot in
-            if p >= 0 && (not (Engine.is_dead eng p)) && in_set !dirty p then
-              incr w);
-        Hashtbl.replace pending rid !w)
-      cone;
-    let queue = Queue.create () in
-    Array.iter
-      (fun rid -> if Hashtbl.find pending rid = 0 then Queue.add rid queue)
-      cone;
-    let refired = ref 0 and cutoff = ref 0 and processed = ref 0 in
-    Uid.with_counter s.s_cursor (fun () ->
-        while not (Queue.is_empty queue) do
-          let rid = Queue.take queue in
-          incr processed;
-          let must =
-            in_set !seed rid
-            ||
-            let hit = ref false in
-            Engine.iter_slot_args eng rid (fun slot ->
-                if s.s_changed.(slot) = epoch then hit := true);
-            !hit
-          in
-          (if must then begin
-             incr refired;
-             if Engine.refire eng rid then
-               s.s_changed.(Engine.target_slot eng rid) <- epoch
-           end
-           else incr cutoff);
-          Engine.iter_consumers gr (Engine.target_slot eng rid) (fun c ->
-              if (not (Engine.is_dead eng c)) && in_set !dirty c then begin
-                let w = Hashtbl.find pending c - 1 in
-                Hashtbl.replace pending c w;
-                if w = 0 then Queue.add c queue
-              end)
-        done);
-    if !processed < Array.length cone then
-      (* A cycle through the dirty set (possible only for pathological
-         grammars): give up on propagation and rebuild. *)
-      fallback s ~dirty:!cone_n t0
-    else
-      record s
-        {
-          ed_dirty = !cone_n;
-          ed_refired = !refired;
-          ed_cutoff = !cutoff;
-          ed_fallback = false;
-          ed_prop_ms = (Sys.time () -. t0) *. 1e3;
-        }
-  end
-  end
-
-let edit s next =
-  match Tree.diff s.s_tree next with
-  | Tree.Equal ->
-      (* Nothing moved; bump the epoch so stale change marks from the
-         previous edit stop answering {!changed}. *)
-      s.s_epoch <- s.s_epoch + 1;
-      s.s_epoch0 <- s.s_epoch;
-      record s no_edit
-  | Tree.Root ->
-      let t0 = Sys.time () in
-      s.s_epoch0 <- s.s_epoch;
-      s.s_tree <- next;
-      fallback s ~dirty:s.s_live_rules t0
-  | Tree.Subtree { parent; pos; repl } -> replace s ~parent ~pos repl
-
 (* ------------------------------------------------------------------ *)
-(* Batched edits: merged cones and refire waves                        *)
+(* One wave                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply a set of edits in waves, re-firing each wave's merged dirty cone
-   once instead of propagating edit by edit.
+(* Every edit runs through one wave. {!replace}, {!edit} and {!edit_batch}
+   only differ in how they feed it: a pre-diffed graft, one diffed tree,
+   or a list of them.
 
    Semantic rules are pure, so change propagation is confluent: as long as
    two co-grafted edits are structurally compatible — neither grafts into
@@ -483,197 +267,321 @@ let edit s next =
    the merged dirty bitset. A conflicting edit flushes the pending wave
    (one merged refire, its own epoch) and starts the next one — batches
    degrade to serial waves, preserving submission order. Compaction,
-   frontier overflow and whole-tree replacement fall back to a rebuild as
-   in {!replace}; a rebuild subsumes the pending wave (from-scratch
-   evaluation recomputes everything the wave owed). *)
+   frontier overflow and whole-tree replacement fall back to a rebuild; a
+   rebuild subsumes the pending wave (from-scratch evaluation recomputes
+   everything the wave owed). A single edit is a wave of one: it never
+   consults the touched-node table, so the table is built only when a
+   second edit arrives. *)
 
-let edit_batch s nexts =
-  let t0 = Sys.time () in
-  s.s_epoch0 <- s.s_epoch;
-  let edits = ref 0 and waves = ref 0 and conflicts = ref 0 in
-  let dirty_tot = ref 0 and refired = ref 0 and cutoff = ref 0 in
-  let fallbacks = ref 0 and rounds = ref 0 in
-  let round_refired = ref [] in
-  let bytes = ref 0 in
-  (* Pending-wave state. Bitsets are indexed by rule id and grow with the
-     engine; [w_touched] holds node ids structurally claimed by accepted
-     edits. *)
-  let w_seed = ref (Bytes.make 1 '\000') in
-  let w_dirty = ref (Bytes.make 1 '\000') in
-  let w_cone = ref [] and w_cone_n = ref 0 and w_edits = ref 0 in
-  let w_touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let reset_wave () =
-    let n = (Engine.rule_count s.s_engine + 7) / 8 in
-    w_seed := Bytes.make (max 1 n) '\000';
-    w_dirty := Bytes.make (max 1 n) '\000';
-    w_cone := [];
-    w_cone_n := 0;
-    w_edits := 0;
-    Hashtbl.reset w_touched
+type wave = {
+  (* the pending wave: rule-id bitsets (grown with the engine, empty until
+     the wave's first graft), the merged cone, and the accepted edits'
+     (parent, old, replacement) not yet entered in [w_touched] *)
+  mutable w_seed : Bytes.t;
+  mutable w_dirty : Bytes.t;
+  mutable w_cone : int list;
+  mutable w_cone_n : int;
+  mutable w_grafts : int;
+  mutable w_claims : (Tree.t * Tree.t * Tree.t) list;
+  mutable w_touched : (int, unit) Hashtbl.t option;
+  (* the call's counters, across its waves *)
+  mutable w_edits : int;
+  mutable w_waves : int;
+  mutable w_conflicts : int;
+  mutable w_dirty_n : int;
+  mutable w_refired : int;
+  mutable w_cutoff : int;
+  mutable w_fallbacks : int;
+  mutable w_rounds : int list;  (* refires per round, newest first *)
+  mutable w_bytes : int;
+}
+
+let reset_wave w =
+  w.w_seed <- Bytes.empty;
+  w.w_dirty <- Bytes.empty;
+  w.w_cone <- [];
+  w.w_cone_n <- 0;
+  w.w_grafts <- 0;
+  w.w_claims <- [];
+  Option.iter Hashtbl.reset w.w_touched
+
+(* Grow the wave's bitsets to cover every rule id. DAG sessions
+   materialize instances mid-edit (see {!revive_site}), so the rule table
+   can outgrow bitsets sized at the wave's first graft. *)
+let cover s w =
+  let n = Engine.rule_count s.s_engine in
+  w.w_seed <- ensure w.w_seed n;
+  w.w_dirty <- ensure w.w_dirty n
+
+(* From-scratch fallback subsuming whatever wave is pending: renumber and
+   rebuild, compacting away dead instances accumulated by previous edits. *)
+let rebuild s w ~dirty =
+  w.w_fallbacks <- w.w_fallbacks + 1;
+  w.w_dirty_n <- w.w_dirty_n + dirty;
+  build s;
+  w.w_refired <- w.w_refired + Engine.rule_count s.s_engine;
+  reset_wave w
+
+(* Graft one accepted edit and extend the pending wave's cone. *)
+let graft s w ~parent ~pos repl =
+  let eng = s.s_engine and gr = s.s_graph in
+  revive_site s gr parent;
+  s.s_next_id <- Tree.number_from repl s.s_next_id;
+  let old = Tree.replace_subtree s.s_g ~parent ~pos repl in
+  w.w_bytes <- w.w_bytes + Tree.byte_size repl;
+  let added = tree_slots s.s_g repl in
+  s.s_live_slots <- s.s_live_slots + added - tree_slots s.s_g old;
+  if Store.slot_count s.s_store + added > 2 * s.s_live_slots then
+    (* Dead weight from detached subtrees would outweigh the live tree:
+       compact with a from-scratch rebuild instead of appending. Nothing
+       else ever reclaims dead slots — before this trigger a long stream of
+       small edits grew the flat arrays (and the resident store's heap)
+       without bound, a leak per edit session. The 2x threshold amortizes:
+       a rebuild costs O(live), and reaching the trigger again requires
+       detaching at least O(live) slots' worth of edits. *)
+    rebuild s w ~dirty:s.s_live_rules
+  else begin
+    Store.append_subtree s.s_store repl;
+    let total = Store.slot_count s.s_store in
+    if Array.length s.s_changed < total then begin
+      let a = Array.make (max total (2 * Array.length s.s_changed)) 0 in
+      Array.blit s.s_changed 0 a 0 (Array.length s.s_changed);
+      s.s_changed <- a
+    end;
+    (* Detach the old subtree's instances, append the replacement's, rewire
+       the edit site. *)
+    let killed = killed_rules eng old in
+    Engine.kill_subtree eng old;
+    let rid_lo, rid_hi = Engine.append eng repl in
+    Engine.graph_note_range eng gr ~rid_lo ~rid_hi;
+    Engine.reresolve_node eng ~graph:gr parent;
+    s.s_live_rules <- s.s_live_rules + (rid_hi - rid_lo) - killed;
+    w.w_grafts <- w.w_grafts + 1;
+    cover s w;
+    (* Seeds: the appended instances (their slots are all unset) and the
+       edit site's own instances (their references moved). The dirty cone
+       is their consumer-edge closure. *)
+    let stack = ref [] in
+    let push rid =
+      if not (in_set w.w_dirty rid) then begin
+        add_set w.w_dirty rid;
+        w.w_cone <- rid :: w.w_cone;
+        w.w_cone_n <- w.w_cone_n + 1;
+        stack := rid :: !stack
+      end
+    in
+    let seed rid =
+      add_set w.w_seed rid;
+      push rid
+    in
+    for rid = rid_lo to rid_hi - 1 do
+      seed rid
+    done;
+    (match parent.Tree.prod with
+    | None -> ()
+    | Some p ->
+        for ridx = 0 to Array.length p.Grammar.p_rules - 1 do
+          seed (Engine.rid_at eng parent ridx)
+        done);
+    let rec close () =
+      match !stack with
+      | [] -> ()
+      | rid :: rest ->
+          stack := rest;
+          let tgt = Engine.target_slot eng rid in
+          (match revive_slot s gr tgt with
+          | None -> ()
+          | Some (lo, hi) ->
+              cover s w;
+              for r = lo to hi - 1 do
+                push r
+              done);
+          Engine.iter_consumers gr tgt (fun c ->
+              if not (Engine.is_dead eng c) then push c);
+          close ()
+    in
+    close ();
+    w.w_claims <- (parent, old, repl) :: w.w_claims;
+    if float_of_int w.w_cone_n > s.s_frontier *. float_of_int s.s_live_rules
+    then rebuild s w ~dirty:w.w_cone_n
+  end
+
+(* The node ids accepted edits structurally claimed: each graft's parent,
+   detached and replacement nodes. Built on first use. *)
+let touched w =
+  let t =
+    match w.w_touched with
+    | Some t -> t
+    | None ->
+        let t = Hashtbl.create 64 in
+        w.w_touched <- Some t;
+        t
   in
-  (* From-scratch rebuild subsuming whatever wave is pending. *)
-  let rebuild ~dirty =
-    incr fallbacks;
-    dirty_tot := !dirty_tot + dirty;
-    build s;
-    refired := !refired + Engine.rule_count s.s_engine;
-    reset_wave ()
-  in
-  let flush () =
-    if !w_cone_n > 0 then begin
-      s.s_epoch <- s.s_epoch + 1;
-      let epoch = s.s_epoch in
-      let cone = Array.of_list !w_cone in
-      Array.sort compare cone;
-      let seedb = !w_seed in
-      let is_seed rid = in_set seedb rid in
-      (match
-         Uid.with_counter s.s_cursor (fun () ->
-             Engine.refire_set s.s_engine s.s_graph ~cone ~is_seed
-               ~changed:s.s_changed ~epoch)
-       with
-      | exception Engine.Cycle _ -> rebuild ~dirty:!w_cone_n
-      | rf ->
-          dirty_tot := !dirty_tot + !w_cone_n;
-          refired := !refired + rf.Engine.rf_refired;
-          cutoff := !cutoff + rf.Engine.rf_cutoff;
-          rounds := !rounds + rf.Engine.rf_rounds;
-          Array.iter
-            (fun r -> round_refired := r :: !round_refired)
-            rf.Engine.rf_round_refired;
-          incr waves;
-          reset_wave ())
-    end
-  in
-  (* Structural interference of a new edit with the pending wave. *)
-  let conflicts_with ~parent ~pos =
-    !w_edits > 0
-    && (Hashtbl.mem w_touched parent.Tree.id
-       ||
-       let eng = s.s_engine in
-       let bad = ref false in
-       Tree.iter
-         (fun (n : Tree.t) ->
-           if Hashtbl.mem w_touched n.Tree.id then bad := true;
-           match n.Tree.prod with
-           | None -> ()
-           | Some p ->
-               (* Parked occurrences own no instances; their rid base is
-                  stale and must not be consulted. *)
-               if Engine.has_rules eng n then
-                 for ridx = 0 to Array.length p.Grammar.p_rules - 1 do
-                   if in_set !w_dirty (Engine.rid_at eng n ridx) then
-                     bad := true
-                 done)
-         parent.Tree.children.(pos);
-       !bad)
-  in
-  (* Graft one accepted edit and extend the merged cone (the front half of
-     {!replace}, with the refire deferred to the wave flush). *)
-  let graft ~parent ~pos repl =
-    let eng = s.s_engine and gr = s.s_graph in
-    revive_site s gr parent;
-    s.s_next_id <- Tree.number_from repl s.s_next_id;
-    let old = Tree.replace_subtree s.s_g ~parent ~pos repl in
-    bytes := !bytes + Tree.byte_size repl;
-    let added = tree_slots s.s_g repl in
-    s.s_live_slots <- s.s_live_slots + added - tree_slots s.s_g old;
-    if Store.slot_count s.s_store + added > 2 * s.s_live_slots then
-      rebuild ~dirty:s.s_live_rules
-    else begin
-      Store.append_subtree s.s_store repl;
-      let total = Store.slot_count s.s_store in
-      if Array.length s.s_changed < total then begin
-        let a = Array.make (max total (2 * Array.length s.s_changed)) 0 in
-        Array.blit s.s_changed 0 a 0 (Array.length s.s_changed);
-        s.s_changed <- a
-      end;
-      let killed = killed_rules eng old in
-      Engine.kill_subtree eng old;
-      let rid_lo, rid_hi = Engine.append eng repl in
-      Engine.graph_note_range eng gr ~rid_lo ~rid_hi;
-      Engine.reresolve_node eng ~graph:gr parent;
-      s.s_live_rules <- s.s_live_rules + (rid_hi - rid_lo) - killed;
-      incr w_edits;
-      let n = Engine.rule_count eng in
-      ensure w_seed n;
-      ensure w_dirty n;
-      let stack = ref [] in
-      let push rid =
-        if not (in_set !w_dirty rid) then begin
-          add_set !w_dirty rid;
-          w_cone := rid :: !w_cone;
-          incr w_cone_n;
-          stack := rid :: !stack
-        end
-      in
-      for rid = rid_lo to rid_hi - 1 do
-        add_set !w_seed rid;
-        push rid
-      done;
-      (match parent.Tree.prod with
+  let claim (n : Tree.t) = Hashtbl.replace t n.Tree.id () in
+  List.iter
+    (fun (parent, old, repl) ->
+      claim parent;
+      Tree.iter claim old;
+      Tree.iter claim repl)
+    w.w_claims;
+  w.w_claims <- [];
+  t
+
+(* Structural interference of a new edit with the pending wave. *)
+let conflicts s w ~parent ~pos =
+  w.w_grafts > 0
+  &&
+  let touched = touched w in
+  Hashtbl.mem touched parent.Tree.id
+  ||
+  let eng = s.s_engine in
+  let bad = ref false in
+  Tree.iter
+    (fun (n : Tree.t) ->
+      if Hashtbl.mem touched n.Tree.id then bad := true;
+      match n.Tree.prod with
       | None -> ()
       | Some p ->
-          for ridx = 0 to Array.length p.Grammar.p_rules - 1 do
-            let rid = Engine.rid_at eng parent ridx in
-            add_set !w_seed rid;
-            push rid
-          done);
-      let rec close () =
-        match !stack with
-        | [] -> ()
-        | rid :: rest ->
-            stack := rest;
-            let tgt = Engine.target_slot eng rid in
-            (match revive_slot s gr tgt with
-            | None -> ()
-            | Some (lo, hi) ->
-                ensure w_seed (Engine.rule_count eng);
-                ensure w_dirty (Engine.rule_count eng);
-                for r = lo to hi - 1 do
-                  push r
-                done);
-            Engine.iter_consumers gr tgt (fun c ->
-                if not (Engine.is_dead eng c) then push c);
-            close ()
-      in
-      close ();
-      Hashtbl.replace w_touched parent.Tree.id ();
-      Tree.iter (fun (n : Tree.t) -> Hashtbl.replace w_touched n.Tree.id ()) old;
-      Tree.iter (fun (n : Tree.t) -> Hashtbl.replace w_touched n.Tree.id ()) repl;
-      if float_of_int !w_cone_n > s.s_frontier *. float_of_int s.s_live_rules
-      then rebuild ~dirty:!w_cone_n
+          (* Parked occurrences own no instances; their rid base is stale
+             and must not be consulted. *)
+          if Engine.has_rules eng n then
+            for ridx = 0 to Array.length p.Grammar.p_rules - 1 do
+              if in_set w.w_dirty (Engine.rid_at eng n ridx) then bad := true
+            done)
+    parent.Tree.children.(pos);
+  !bad
+
+(* Re-fire the pending wave's merged cone: a local Kahn pass where a
+   member waits only on its cone producers, tested against the wave's
+   dirty bitset. The initially ready members fire in ascending rule-id
+   order, the rest first-in first-out. Cutoff: a member that is not a seed
+   and none of whose arguments changed this epoch is skipped, and a
+   re-fired member stamps its target changed only when the stored value
+   actually moved ({!Store.redefine_slot}). Members fire through
+   {!Engine.refire}, provenance recording included, which is what lets
+   [--profile] blame across a wave.
+
+   First-in first-out order fires the cone level by level: a member
+   released while level [r] fires has its last cone producer on level [r],
+   so it sits on level [r + 1] — one plus the highest level among its cone
+   producers. The per-level refire counts are therefore those of a
+   level-synchronous schedule, which prices a merged wave's parallel
+   rounds. *)
+let flush s w =
+  if w.w_cone_n > 0 then begin
+    s.s_epoch <- s.s_epoch + 1;
+    let epoch = s.s_epoch in
+    let eng = s.s_engine and gr = s.s_graph in
+    let seed = w.w_seed and dirty = w.w_dirty in
+    let cone = Array.of_list w.w_cone in
+    Array.sort compare cone;
+    let m = Array.length cone in
+    let waiting = Hashtbl.create (2 * m) in
+    let queue = Array.make m 0 and tail = ref 0 in
+    Array.iter
+      (fun rid ->
+        let n = ref 0 in
+        Engine.iter_slot_args eng rid (fun slot ->
+            let p = Engine.producer gr slot in
+            if p >= 0 && p <> rid && in_set dirty p && not (Engine.is_dead eng p)
+            then incr n);
+        if !n = 0 then begin
+          queue.(!tail) <- rid;
+          incr tail
+        end
+        else Hashtbl.replace waiting rid n)
+      cone;
+    let refired = ref 0 and cutoff = ref 0 in
+    let head = ref 0 and level_end = ref !tail and level = ref 0 in
+    let levels = ref [] in
+    Uid.with_counter s.s_cursor (fun () ->
+        while !head < !tail do
+          let rid = queue.(!head) in
+          incr head;
+          let must =
+            in_set seed rid
+            ||
+            let hit = ref false in
+            Engine.iter_slot_args eng rid (fun slot ->
+                if s.s_changed.(slot) = epoch then hit := true);
+            !hit
+          in
+          (if must then begin
+             incr refired;
+             incr level;
+             if Engine.refire eng rid then
+               s.s_changed.(Engine.target_slot eng rid) <- epoch
+           end
+           else incr cutoff);
+          Engine.iter_consumers gr (Engine.target_slot eng rid) (fun c ->
+              if c <> rid && in_set dirty c && not (Engine.is_dead eng c) then
+                match Hashtbl.find waiting c with
+                | n ->
+                    decr n;
+                    if !n = 0 then begin
+                      queue.(!tail) <- c;
+                      incr tail
+                    end
+                | exception Not_found -> ());
+          if !head = !level_end then begin
+            levels := !level :: !levels;
+            level := 0;
+            level_end := !tail
+          end
+        done);
+    if !head < m then
+      (* A cycle through the dirty set (possible only for pathological
+         grammars): give up on propagation and rebuild. *)
+      rebuild s w ~dirty:w.w_cone_n
+    else begin
+      w.w_dirty_n <- w.w_dirty_n + w.w_cone_n;
+      w.w_refired <- w.w_refired + !refired;
+      w.w_cutoff <- w.w_cutoff + !cutoff;
+      w.w_rounds <- !levels @ w.w_rounds;
+      w.w_waves <- w.w_waves + 1;
+      reset_wave w
     end
+  end
+
+(* Run one call's edits through the wave, flush it, and record the call. *)
+let run s feed =
+  let t0 = Sys.time () in
+  s.s_epoch0 <- s.s_epoch;
+  let w =
+    {
+      w_seed = Bytes.empty;
+      w_dirty = Bytes.empty;
+      w_cone = [];
+      w_cone_n = 0;
+      w_grafts = 0;
+      w_claims = [];
+      w_touched = None;
+      w_edits = 0;
+      w_waves = 0;
+      w_conflicts = 0;
+      w_dirty_n = 0;
+      w_refired = 0;
+      w_cutoff = 0;
+      w_fallbacks = 0;
+      w_rounds = [];
+      w_bytes = 0;
+    }
   in
-  List.iter
-    (fun next ->
-      incr edits;
-      match Tree.diff s.s_tree next with
-      | Tree.Equal -> ()
-      | Tree.Root ->
-          s.s_tree <- next;
-          bytes := !bytes + Tree.byte_size next;
-          rebuild ~dirty:s.s_live_rules
-      | Tree.Subtree { parent; pos; repl } ->
-          if conflicts_with ~parent ~pos then begin
-            incr conflicts;
-            flush ()
-          end;
-          graft ~parent ~pos repl)
-    nexts;
-  flush ();
+  feed w;
+  flush s w;
+  let rounds = Array.of_list (List.rev w.w_rounds) in
   let wv =
     {
-      wv_edits = !edits;
-      wv_waves = !waves;
-      wv_conflicts = !conflicts;
-      wv_dirty = !dirty_tot;
-      wv_refired = !refired;
-      wv_cutoff = !cutoff;
-      wv_fallbacks = !fallbacks;
-      wv_rounds = !rounds;
-      wv_round_refired = Array.of_list (List.rev !round_refired);
-      wv_bytes = !bytes;
+      wv_edits = w.w_edits;
+      wv_waves = w.w_waves;
+      wv_conflicts = w.w_conflicts;
+      wv_dirty = w.w_dirty_n;
+      wv_refired = w.w_refired;
+      wv_cutoff = w.w_cutoff;
+      wv_fallbacks = w.w_fallbacks;
+      wv_rounds = Array.length rounds;
+      wv_round_refired = rounds;
+      wv_bytes = w.w_bytes;
       wv_prop_ms = (Sys.time () -. t0) *. 1e3;
     }
   in
@@ -699,6 +607,32 @@ let edit_batch s nexts =
       wv.wv_prop_ms
   end;
   wv
+
+let replace s ~parent ~pos repl =
+  run s (fun w ->
+      w.w_edits <- 1;
+      graft s w ~parent ~pos repl)
+
+let edit_batch s nexts =
+  run s (fun w ->
+      List.iter
+        (fun next ->
+          w.w_edits <- w.w_edits + 1;
+          match Tree.diff s.s_tree next with
+          | Tree.Equal -> ()
+          | Tree.Root ->
+              s.s_tree <- next;
+              w.w_bytes <- w.w_bytes + Tree.byte_size next;
+              rebuild s w ~dirty:s.s_live_rules
+          | Tree.Subtree { parent; pos; repl } ->
+              if conflicts s w ~parent ~pos then begin
+                w.w_conflicts <- w.w_conflicts + 1;
+                flush s w
+              end;
+              graft s w ~parent ~pos repl)
+        nexts)
+
+let edit s next = edit_batch s [ next ]
 
 let changed s node attr =
   s.s_last_fallback

@@ -1,15 +1,19 @@
 (** Incremental re-evaluation: edit-driven recompilation.
 
     A session holds a fully evaluated tree together with its {!Store},
-    {!Engine} and slot-level dependency graph. An {!edit} replaces one
-    subtree ({!Pag_core.Tree.diff} finds the site): the replacement is
-    appended to the store and engine, the detached instances go dead, and
-    change propagates through consumer edges self-adjusting-computation
-    style — only rules in the dirty cone re-fire, and an equality cutoff
+    {!Engine} and slot-level dependency graph. Every edit runs through one
+    wave: each edit replaces one subtree ({!Pag_core.Tree.diff} finds the
+    site), the replacement is appended to the store and engine, the
+    detached instances go dead, and the edit's dirty cone is the
+    consumer-edge closure of the appended instances and the edit site's
+    own. Structurally independent edits merge their cones into one wave,
+    which re-fires once self-adjusting-computation style — only rules in
+    the merged cone re-fire, and an equality cutoff
     ({!Store.redefine_slot}) stops propagation wherever a recomputed value
-    came out unchanged. When the dirty cone exceeds [frontier] of all live
-    rules (default 0.6), the session falls back to a compacting
-    from-scratch rebuild instead.
+    came out unchanged. {!edit} and {!replace} are waves of one edit,
+    {!edit_batch} a wave of many, and all three return {!wave_stats}. When
+    the dirty cone exceeds [frontier] of all live rules (default 0.6), the
+    session falls back to a compacting from-scratch rebuild instead.
 
     Unique labels are drawn from the session's own cursor, so incremental
     results equal from-scratch results up to label renaming — and exactly,
@@ -18,15 +22,6 @@
 open Pag_core
 
 type session
-
-(** Per-edit outcome. *)
-type edit_stats = {
-  ed_dirty : int;  (** rule instances in the dirty cone *)
-  ed_refired : int;  (** rules actually re-fired *)
-  ed_cutoff : int;  (** dirty rules skipped by the equality cutoff *)
-  ed_fallback : bool;  (** the edit was handled by a from-scratch rebuild *)
-  ed_prop_ms : float;  (** propagation (or rebuild) time, milliseconds *)
-}
 
 (** Cumulative session counters. *)
 type totals = {
@@ -37,19 +32,23 @@ type totals = {
   tot_fallbacks : int;
 }
 
-(** Outcome of one batched application ({!edit_batch}). *)
+(** Outcome of one {!edit}, {!replace} or {!edit_batch} call. *)
 type wave_stats = {
   wv_edits : int;  (** edits submitted (including structural no-ops) *)
   wv_waves : int;  (** merged refire waves run *)
   wv_conflicts : int;  (** edits that interfered and forced a wave flush *)
-  wv_dirty : int;  (** merged dirty-cone members, all waves *)
-  wv_refired : int;
-  wv_cutoff : int;
+  wv_dirty : int;  (** dirty-cone members, all waves and rebuilds *)
+  wv_refired : int;  (** rules re-fired (a rebuild re-fires every rule) *)
+  wv_cutoff : int;  (** dirty rules skipped by the equality cutoff *)
   wv_fallbacks : int;  (** from-scratch rebuilds (each subsumes its wave) *)
   wv_rounds : int;  (** level-synchronous refire rounds, all waves *)
-  wv_round_refired : int array;  (** refires per round, in wave order *)
-  wv_bytes : int;  (** replacement-subtree bytes grafted *)
-  wv_prop_ms : float;
+  wv_round_refired : int array;
+      (** refires per round, in wave order; a member's round is one plus
+          the highest round among its cone producers *)
+  wv_bytes : int;
+      (** bytes the edits ship: each grafted replacement subtree, and the
+          whole new tree for a root-level change *)
+  wv_prop_ms : float;  (** propagation (and rebuild) CPU time, ms *)
 }
 
 (** [start g tree] evaluates [tree] from scratch and opens the session.
@@ -106,39 +105,40 @@ val engine : session -> Engine.t
 val prov : session -> Pag_obs.Prov.t
 
 (** [edit session next] updates the session so its tree is (structurally)
-    [next] and every attribute reflects it. [next] must have the same root
-    symbol. Structurally equal trees are a no-op; a root-level change or an
-    oversized dirty cone falls back to from-scratch. After a [Subtree]
-    delta the session keeps its current tree object with the replacement
-    grafted in — nodes of [next] outside the replacement are not used. *)
-val edit : session -> Tree.t -> edit_stats
+    [next] and every attribute reflects it: [edit_batch session [next]].
+    [next] must have the same root symbol. Structurally equal trees are a
+    no-op; a root-level change or an oversized dirty cone falls back to
+    from-scratch. After a [Subtree] delta the session keeps its current
+    tree object with the replacement grafted in — nodes of [next] outside
+    the replacement are not used. *)
+val edit : session -> Tree.t -> wave_stats
 
-(** [replace session ~parent ~pos repl] is the primitive edit: graft
-    [repl] (an unnumbered tree) as child [pos] of [parent] (a node of the
-    session's tree) and re-evaluate incrementally. *)
-val replace : session -> parent:Tree.t -> pos:int -> Tree.t -> edit_stats
+(** [replace session ~parent ~pos repl] is the pre-diffed edit: a wave of
+    one graft, [repl] (an unnumbered tree) as child [pos] of [parent] (a
+    node of the session's tree), re-evaluated incrementally. *)
+val replace : session -> parent:Tree.t -> pos:int -> Tree.t -> wave_stats
 
 (** [edit_batch session nexts] applies a set of edits in waves: each
     edit's dirty cone is computed by the usual value-blind closure, and
     structurally independent cones MERGE into one dirty set that re-fires
-    once per wave ({!Engine.refire_set}) — rule purity makes propagation
-    confluent, so the merged wave reaches exactly the store serial
-    application would. Cone {e overlap} is not interference (every cone
-    reaches the root's synthesized attributes); an edit conflicts, and
-    flushes the pending wave into a fresh one, only when it structurally
-    interferes with an accepted edit: it grafts into a replaced region,
-    detaches pending cone members, or shares the graft parent (whose
-    re-resolved frontier slots both would seed). Conflicting batches thus
-    degrade to serial waves with the same final store, in submission
-    order. Compaction and frontier overflow fall back to a from-scratch
-    rebuild exactly as {!edit} does; a rebuild subsumes the pending wave.
+    once per wave — rule purity makes propagation confluent, so the merged
+    wave reaches exactly the store serial application would. Cone
+    {e overlap} is not interference (every cone reaches the root's
+    synthesized attributes); an edit conflicts, and flushes the pending
+    wave into a fresh one, only when it structurally interferes with an
+    accepted edit: it grafts into a replaced region, detaches pending cone
+    members, or shares the graft parent (whose re-resolved frontier slots
+    both would seed). Conflicting batches thus degrade to serial waves
+    with the same final store, in submission order. Compaction and
+    frontier overflow fall back to a from-scratch rebuild, which subsumes
+    the pending wave.
 
-    Each wave re-fires its rounds sequentially with provenance recording,
+    Each wave re-fires its cone sequentially with provenance recording,
     so [--profile] blames across waves. After the call {!changed} answers
     for the whole batch. *)
 val edit_batch : session -> Tree.t list -> wave_stats
 
-(** [changed session node attr] — did the last {!edit} change this
+(** [changed session node attr] — did the last call change this
     instance's value? Conservatively [true] for everything after a
     fallback rebuild. The distributed runner uses this to ship only
     changed boundary attributes (unchanged ones travel as references). *)

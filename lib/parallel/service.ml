@@ -32,22 +32,24 @@ type config = {
   c_mem_cap : int;
   c_idle_rounds : int;
   c_dag : bool;
-  c_frontier : float option;
   c_faults : Faults.spec option;
-  c_fault_rto : float;
   c_net : Ethernet.params;
   c_obs : Obs.ctx;
   c_provenance : bool;
-  c_batch : int;  (* edits per merged wave; <= 1 applies one at a time *)
+  c_batch : int;  (* edits per chunk; 1 applies and prices one at a time *)
 }
 
 (* Per-tenant rings stay modest: a resident session records refires, not
    whole-program histories, and the ring caps the tail anyway. *)
 let prov_cap = 1 lsl 16
 
+(* Simulated seconds before a dropped message is retransmitted, and after a
+   worker's crash before the coordinator re-dispatches its batches. *)
+let fault_rto = 0.05
+
 let config ?(policy = Round_robin) ?(transport = `Sim) ?(queue_cap = 0)
-    ?(mem_cap = 0) ?(idle_rounds = 0) ?(dag = false) ?frontier ?faults
-    ?(fault_rto = 0.05) ?(net = Ethernet.default_params) ?(obs = Obs.null_ctx)
+    ?(mem_cap = 0) ?(idle_rounds = 0) ?(dag = false) ?faults
+    ?(net = Ethernet.default_params) ?(obs = Obs.null_ctx)
     ?(provenance = false) ?(batch = 1) workers =
   if workers < 1 then invalid_arg "Service.config: workers < 1";
   {
@@ -58,9 +60,7 @@ let config ?(policy = Round_robin) ?(transport = `Sim) ?(queue_cap = 0)
     c_mem_cap = mem_cap;
     c_idle_rounds = idle_rounds;
     c_dag = dag;
-    c_frontier = frontier;
     c_faults = faults;
-    c_fault_rto = fault_rto;
     c_net = net;
     c_obs = obs;
     c_provenance = provenance;
@@ -259,8 +259,7 @@ let revive sv tn =
          records cannot resolve against the new slot numbering. *)
       Prov.clear tn.t_prov;
       let s =
-        Incr.start ~obs ~dag:cfg.c_dag ~prov:tn.t_prov ?frontier:cfg.c_frontier
-          sv.sv_g tn.t_tree
+        Incr.start ~obs ~dag:cfg.c_dag ~prov:tn.t_prov sv.sv_g tn.t_tree
       in
       tn.t_session <- Some s;
       enforce_cap sv ~keep:tn;
@@ -320,16 +319,15 @@ let submit sv name next =
 (* Edit application (both transports)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply one edit through the tenant's session, exactly as an isolated
-   {!Session.edit} would (diff, then replace/fallback). Returns the
-   incremental stats and the bytes the replacement ships on the wire. *)
-let apply_edit s next =
-  match Tree.diff (Incr.tree s) next with
-  | Tree.Equal -> (Incr.edit s next, 0)
-  | Tree.Root -> (Incr.edit s next, Tree.byte_size next)
-  | Tree.Subtree { parent; pos; repl } ->
-      let bytes = Tree.byte_size repl in
-      (Incr.replace s ~parent ~pos repl, bytes)
+(* Up to [c_batch] of a tenant's queued edits, in submission order: one
+   scheduling step's chunk. *)
+let take_chunk sv edits =
+  let items = ref [] and n = ref 0 in
+  while !n < sv.sv_cfg.c_batch && not (Queue.is_empty edits) do
+    items := Queue.pop edits :: !items;
+    incr n
+  done;
+  List.rev !items
 
 (* Coordinator-only: the counters, reservoir and metrics registry are all
    unsynchronized plain state. The domains transport applies edits on
@@ -347,14 +345,6 @@ let record_edit sv tn lat =
          (Obs.Metrics.labeled "service.latency_ms" (tenant_label tn)))
       (lat *. 1e3)
   end
-
-(* The owner's service time for one edit: rebuild of the shipped subtree
-   plus the whole propagation, priced like the session wave model. *)
-let owner_delay (st : Incr.edit_stats) ~bytes =
-  let cost = Cost.default in
-  (float_of_int bytes *. cost.Cost.rebuild_per_byte)
-  +. (float_of_int st.Incr.ed_dirty *. cost.Cost.build_node)
-  +. (float_of_int st.Incr.ed_refired *. Cost.rule_cost cost ~dynamic:true)
 
 (* Result message: the refreshed root synthesized attributes — changed
    ones in full, unchanged ones as fixed-size intern references. *)
@@ -458,7 +448,7 @@ let transmit_reliable sv tn ~src ~dst ~now ~size =
           tn.t_retransmits <- tn.t_retransmits + 1;
           sv.sv_retransmits <- sv.sv_retransmits + 1;
           bump sv "service.retransmits" (tenant_label tn) 1;
-          go (now +. sv.sv_cfg.c_fault_rto) (tries + 1)
+          go (now +. fault_rto) (tries + 1)
         end
         else begin
           if v.Faults.v_drop then begin
@@ -481,34 +471,21 @@ let revive_cost s =
   +. (float_of_int (Incr.live_slots s)
      *. (cost.Cost.build_node +. Cost.rule_cost cost ~dynamic:true))
 
-(* Price and apply one edit on worker [k] whose clock shows [now].
-   Returns the worker's clock after the edit. *)
-let sim_edit sv k now tn (next, t_submit) =
-  let was_evicted = tn.t_session = None in
-  let s = revive sv tn in
-  let now = if was_evicted then now +. revive_cost s else now in
-  let edit_msg bytes = Message.size (Message.Edit { node = 0; bytes }) in
-  let st, bytes = apply_edit s next in
-  if st.Incr.ed_fallback then bump sv "service.fallbacks" (tenant_label tn) 1;
-  let delivered =
-    transmit_reliable sv tn ~src:0 ~dst:(k + 1) ~now ~size:(edit_msg bytes)
-  in
-  let done_ = delivered +. owner_delay st ~bytes in
-  let rsize = result_size sv s in
-  let back =
-    transmit_reliable sv tn ~src:(k + 1) ~dst:0 ~now:done_ ~size:rsize
-  in
-  record_edit sv tn (Float.max 0.0 (back -. t_submit));
-  done_ +. Ethernet.sender_cost sv.sv_net ~size:rsize
+(* Price and apply one chunk of a tenant's edits on worker [k] whose clock
+   shows [now]: one dispatch carrying the replacements, the owner's rebuild
+   and propagation, and one result message for the whole chunk. Returns the
+   worker's clock after the chunk.
 
-(* Price and apply one batched chunk on worker [k]: one dispatch carrying
-   every replacement plus per-edit cone-merge metadata, the merged refire
-   co-scheduled across [assist] machines (each level-synchronous round
-   costs its ceiling share of steal-priced rules; cone chunks and partial
-   results cross the wire once per helper), and one result message for
-   the whole chunk. Fallback-rebuild refires (waves with no rounds)
-   collapse to the owner's sequential dynamic-rule price. *)
-let sim_batch sv k now tn items ~assist =
+   With merging on ([c_batch > 1]) the dispatch also carries 16 bytes of
+   cone-merge metadata per edit, and the merged refire is co-scheduled
+   across [assist] machines: each level-synchronous round costs its
+   ceiling share of steal-priced rules, and cone chunks and partial
+   results cross the wire once per helper. A service that applies edits
+   one at a time prices each as a single edit, with no metadata and no
+   rounds: the owner re-fires the whole cone at dynamic-rule cost, as
+   {!Session.edit} prices it. So does every refire of a fallback rebuild,
+   which has no rounds. *)
+let sim_chunk sv k now tn items ~assist =
   let cost = Cost.default in
   let was_evicted = tn.t_session = None in
   let s = revive sv tn in
@@ -517,7 +494,9 @@ let sim_batch sv k now tn items ~assist =
   bump sv "service.waves" (tenant_label tn) wv.Incr.wv_waves;
   bump sv "service.conflicts" (tenant_label tn) wv.Incr.wv_conflicts;
   bump sv "service.fallbacks" (tenant_label tn) wv.Incr.wv_fallbacks;
-  let meta = Message.header_bytes * wv.Incr.wv_edits in
+  let merged = sv.sv_cfg.c_batch > 1 in
+  let rounds = if merged then wv.Incr.wv_round_refired else [||] in
+  let meta = if merged then Message.header_bytes * wv.Incr.wv_edits else 0 in
   let dispatch =
     Message.size (Message.Edit { node = 0; bytes = wv.Incr.wv_bytes + meta })
   in
@@ -528,18 +507,18 @@ let sim_batch sv k now tn items ~assist =
     (float_of_int wv.Incr.wv_bytes *. cost.Cost.rebuild_per_byte)
     +. (float_of_int wv.Incr.wv_dirty *. cost.Cost.build_node)
   in
-  let round_total = Array.fold_left ( + ) 0 wv.Incr.wv_round_refired in
+  let round_total = Array.fold_left ( + ) 0 rounds in
   let residue = max 0 (wv.Incr.wv_refired - round_total) in
   let share_work =
     Array.fold_left
       (fun acc r ->
         acc
         +. (float_of_int ((r + assist - 1) / assist) *. cost.Cost.steal_rule))
-      0.0 wv.Incr.wv_round_refired
+      0.0 rounds
   in
   let t =
-    delivered +. owner_seq
-    +. (float_of_int residue *. Cost.rule_cost cost ~dynamic:true)
+    delivered
+    +. (owner_seq +. (float_of_int residue *. Cost.rule_cost cost ~dynamic:true))
   in
   let t =
     if assist > 1 && round_total > 0 then begin
@@ -573,10 +552,10 @@ let sim_batch sv k now tn items ~assist =
   t +. Ethernet.sender_cost sv.sv_net ~size:rsize
 
 (* Virtual-time event loop over the per-worker batch queues: always step
-   the laggiest busy worker one edit, so the workers advance concurrently
-   and contend for the medium in time order. With [c_batch > 1] a step
-   pops up to a chunk of the tenant's edits and prices one merged wave,
-   assisted by the round's spare capacity (live workers per busy worker).
+   the laggiest busy worker one chunk of its tenant's edits, so the
+   workers advance concurrently and contend for the medium in time order.
+   A merged chunk's refire is assisted by the round's spare capacity (live
+   workers per busy worker).
    A worker whose clock crosses its crash point dies mid-wave; its
    remaining batches re-dispatch to the least-loaded survivor after one
    RTO (the coordinator's detection). *)
@@ -589,7 +568,7 @@ let round_sim sv queues =
   in
   let redispatch k =
     sv.sv_dead.(k) <- true;
-    let detect = sv.sv_crash_at.(k) +. sv.sv_cfg.c_fault_rto in
+    let detect = sv.sv_crash_at.(k) +. fault_rto in
     let target = ref (-1) in
     for j = w - 1 downto 0 do
       if (not sv.sv_dead.(j))
@@ -617,27 +596,16 @@ let round_sim sv queues =
        if clock.(k) >= sv.sv_crash_at.(k) then redispatch k
        else begin
          let tn, edits = Queue.peek queues.(k) in
-         let batch = sv.sv_cfg.c_batch in
-         let t =
-           if batch <= 1 then sim_edit sv k clock.(k) tn (Queue.pop edits)
-           else begin
-             let live = ref 0 and nbusy = ref 0 in
-             for j = 0 to w - 1 do
-               if not sv.sv_dead.(j) then incr live;
-               if busy j then incr nbusy
-             done;
-             let assist = max 1 (!live / max 1 !nbusy) in
-             let items = ref [] and n = ref 0 in
-             while !n < batch && not (Queue.is_empty edits) do
-               items := Queue.pop edits :: !items;
-               incr n
-             done;
-             sim_batch sv k clock.(k) tn (List.rev !items) ~assist
-           end
-         in
+         let live = ref 0 and nbusy = ref 0 in
+         for j = 0 to w - 1 do
+           if not sv.sv_dead.(j) then incr live;
+           if busy j then incr nbusy
+         done;
+         let assist = max 1 (!live / max 1 !nbusy) in
+         let t = sim_chunk sv k clock.(k) tn (take_chunk sv edits) ~assist in
          if Queue.is_empty edits then ignore (Queue.pop queues.(k));
          if t >= sv.sv_crash_at.(k) then
-           (* mid-wave crash: this edit landed, the rest of the worker's
+           (* mid-wave crash: this chunk landed, the rest of the worker's
               round moves to the survivors *)
            redispatch k
          else clock.(k) <- t
@@ -653,15 +621,13 @@ let round_sim sv queues =
 (* Apply one worker's batches off-coordinator. Only the sessions of this
    worker's own tenants are touched (a tenant's whole batch lands on one
    worker), plus the immutable [sv_t0] stamp — no shared counters, no obs
-   registry, no eviction. With [c_batch > 1] each tenant's edits go
-   through {!Incr.edit_batch} in chunks — merged cones, one wave per
-   independent set — so the round's tenants refire their merged waves
-   concurrently across the worker domains. Latencies and wave counters
-   are measured here (at application time) and returned for the
+   registry, no eviction. Each tenant's edits go through
+   {!Incr.edit_batch} in chunks, so the round's tenants refire their
+   waves concurrently across the worker domains. Latencies and wave
+   counters are measured here (at application time) and returned for the
    coordinator to record after the join: one
    [(tenant, latencies, fallbacks, waves, conflicts)] tuple per chunk. *)
 let domains_apply sv batches =
-  let batch = sv.sv_cfg.c_batch in
   List.concat_map
     (fun (tn, edits) ->
       let s =
@@ -669,43 +635,23 @@ let domains_apply sv batches =
         | Some s -> s
         | None -> assert false  (* pre-revived; in-round = eviction-exempt *)
       in
-      if batch <= 1 then
-        Queue.fold
-          (fun acc (next, t_submit) ->
-            let st, _ = apply_edit s next in
-            let lat = Unix.gettimeofday () -. sv.sv_t0 -. t_submit in
-            ( tn,
-              [ Float.max 0.0 lat ],
-              (if st.Incr.ed_fallback then 1 else 0),
-              0,
-              0 )
-            :: acc)
-          [] edits
-        |> List.rev
-      else begin
-        let out = ref [] in
-        while not (Queue.is_empty edits) do
-          let items = ref [] and n = ref 0 in
-          while !n < batch && not (Queue.is_empty edits) do
-            items := Queue.pop edits :: !items;
-            incr n
-          done;
-          let items = List.rev !items in
-          let wv = Incr.edit_batch s (List.map fst items) in
-          let t = Unix.gettimeofday () -. sv.sv_t0 in
-          let lats =
-            List.map (fun (_, t_submit) -> Float.max 0.0 (t -. t_submit)) items
-          in
-          out :=
-            ( tn,
-              lats,
-              wv.Incr.wv_fallbacks,
-              wv.Incr.wv_waves,
-              wv.Incr.wv_conflicts )
-            :: !out
-        done;
-        List.rev !out
-      end)
+      let out = ref [] in
+      while not (Queue.is_empty edits) do
+        let items = take_chunk sv edits in
+        let wv = Incr.edit_batch s (List.map fst items) in
+        let t = Unix.gettimeofday () -. sv.sv_t0 in
+        let lats =
+          List.map (fun (_, t_submit) -> Float.max 0.0 (t -. t_submit)) items
+        in
+        out :=
+          ( tn,
+            lats,
+            wv.Incr.wv_fallbacks,
+            wv.Incr.wv_waves,
+            wv.Incr.wv_conflicts )
+          :: !out
+      done;
+      List.rev !out)
     batches
 
 (* Coordinator-side fold of a worker's application results: latencies into

@@ -13,14 +13,15 @@
     {2 Transports}
 
     - [`Sim] prices the service on the netsim machine model with virtual
-      time: each worker is a machine on the shared Ethernet, every edit
-      costs a dispatch message (the replacement subtree), the owner's
-      rebuild-plus-propagation delay (the {!Session} wave pricing), and a
-      result message back; the medium saturates under load, which is what
-      the latency percentiles measure. With a fault plan, dropped
-      dispatches retransmit after an RTO (accounted to the owning tenant)
-      and a machine crash mid-wave re-dispatches its remaining batches to
-      the surviving workers.
+      time: each worker is a machine on the shared Ethernet, and each
+      chunk of a tenant's edits costs a dispatch message (the replacement
+      subtrees), the owner's rebuild-plus-propagation delay, and a result
+      message back. The service prices its own dispatch, owner and result
+      model; it does not run a {!Session} wave. The medium saturates under
+      load, which is what the latency percentiles measure. With a fault
+      plan, dropped dispatches retransmit after an RTO (accounted to the
+      owning tenant) and a machine crash mid-wave re-dispatches its
+      remaining batches to the surviving workers.
     - [`Domains] applies each round's batches on real OCaml domains (one
       per worker) and measures wall-clock latency. Under [dag] the one
       shared structure those domains touch is the process-wide value arena
@@ -81,9 +82,10 @@ type config = {
           ({!Pag_eval.Incr.start}'s [dag]): one rule-instance set per
           repeated-subtree class, classes split on divergence only, so
           resident sessions keep the sharing win across the edit stream *)
-  c_frontier : float option;  (** {!Pag_eval.Incr.start}'s [frontier] *)
-  c_faults : Faults.spec option;  (** [`Sim] only *)
-  c_fault_rto : float;  (** retransmission timeout, simulated seconds *)
+  c_faults : Faults.spec option;
+      (** [`Sim] only; a dropped message retransmits, and a crashed
+          worker's batches re-dispatch, after a fixed 0.05 simulated
+          seconds *)
   c_net : Ethernet.params;
   c_obs : Pag_obs.Obs.ctx;
   c_provenance : bool;
@@ -92,17 +94,18 @@ type config = {
           counts and the weighted critical path, and {!stats} publishes
           them as labeled [service.*] gauges *)
   c_batch : int;
-      (** edits applied per merged wave ({!Pag_eval.Incr.edit_batch}):
-          each scheduling step takes up to this many of a tenant's queued
-          edits, merges their independent dirty cones, and refires them as
-          one co-scheduled wave — on [`Sim] priced as a single dispatch
-          (replacements plus 16 bytes of cone-merge metadata per edit),
-          steal-shared refire rounds across the round's spare workers, and
-          one result message; on [`Domains] the chunked waves run
-          concurrently across the worker domains. [<= 1] applies edits one
-          at a time (the PR-7 behavior). Wave/conflict/fallback counts
-          surface as labeled [service.waves]/[service.conflicts]/
-          [service.fallbacks] counters *)
+      (** edits per chunk: each scheduling step takes up to this many of a
+          tenant's queued edits and applies them as one
+          {!Pag_eval.Incr.edit_batch} call, which merges their independent
+          dirty cones into one refire wave. On [`Sim] a chunk is priced as
+          a single dispatch (the replacements plus 16 bytes of cone-merge
+          metadata per edit), steal-shared refire rounds across the
+          round's spare workers, and one result message; on [`Domains]
+          the chunks run concurrently across the worker domains. [<= 1]
+          means chunks of one, each priced as a single edit: no
+          metadata, and the owner re-fires the whole cone. Wave/conflict/
+          fallback counts surface as labeled [service.waves]/
+          [service.conflicts]/[service.fallbacks] counters *)
 }
 
 (** [config workers] with every knob defaulted: round-robin, [`Sim]
@@ -115,9 +118,7 @@ val config :
   ?mem_cap:int ->
   ?idle_rounds:int ->
   ?dag:bool ->
-  ?frontier:float ->
   ?faults:Faults.spec ->
-  ?fault_rto:float ->
   ?net:Ethernet.params ->
   ?obs:Pag_obs.Obs.ctx ->
   ?provenance:bool ->

@@ -6,57 +6,34 @@ open Netsim
 (* Run setup shared by pagc, agrun and bench                           *)
 (* ------------------------------------------------------------------ *)
 
-type spec = {
-  sp_machines : int;
-  sp_schedule : [ `Static | `Dynamic | `Steal ];
-  sp_transport : [ `Sim | `Domains ];
-  sp_granularity : float;
-  sp_librarian : bool;
-  sp_priority : bool;
-  sp_dag : bool;
-  sp_telemetry : bool;
-  sp_faults : Faults.spec option;
-  sp_phase_label : int -> string option;
-  sp_provenance : bool;
-}
+type spec = { sp_options : Runner.options; sp_transport : [ `Sim | `Domains ] }
 
-let spec ?(schedule = `Static) ?(transport = `Sim)
-    ?(granularity = 1.0) ?(librarian = true) ?(priority = true)
-    ?(dag = false) ?(telemetry = false) ?faults
-    ?(phase_label = fun _ -> None) ?(provenance = false) machines =
+let spec ?(schedule = `Static) ?(transport = `Sim) ?(granularity = 1.0)
+    ?(librarian = true) ?(priority = true) ?(dag = false) ?(telemetry = false)
+    ?faults ?(phase_label = fun _ -> None) ?(provenance = false) machines =
   {
-    sp_machines = machines;
-    sp_schedule = schedule;
+    sp_options =
+      {
+        Runner.machines;
+        schedule;
+        granularity;
+        use_librarian = librarian;
+        use_priority = priority;
+        use_dag = dag;
+        telemetry;
+        faults;
+        phase_label;
+        provenance;
+      };
     sp_transport = transport;
-    sp_granularity = granularity;
-    sp_librarian = librarian;
-    sp_priority = priority;
-    sp_dag = dag;
-    sp_telemetry = telemetry;
-    sp_faults = faults;
-    sp_phase_label = phase_label;
-    sp_provenance = provenance;
   }
 
-let options s =
-  {
-    Runner.machines = s.sp_machines;
-    schedule = s.sp_schedule;
-    granularity = s.sp_granularity;
-    use_librarian = s.sp_librarian;
-    use_priority = s.sp_priority;
-    use_dag = s.sp_dag;
-    telemetry = s.sp_telemetry;
-    faults = s.sp_faults;
-    phase_label = s.sp_phase_label;
-    provenance = s.sp_provenance;
-  }
+let options s = s.sp_options
 
 let run s g plan tree =
-  let o = options s in
   match s.sp_transport with
-  | `Sim -> Runner.run_sim o g plan tree
-  | `Domains -> Runner.run_domains o g plan tree
+  | `Sim -> Runner.run_sim s.sp_options g plan tree
+  | `Domains -> Runner.run_domains s.sp_options g plan tree
 
 (* ------------------------------------------------------------------ *)
 (* Edit sessions: incremental re-evaluation over the network model     *)
@@ -111,20 +88,19 @@ type batch_report = {
 }
 
 let open_session ?obs ?prov ?frontier sp g tree =
+  let o = sp.sp_options in
   let prov =
     match prov with
     | Some p -> p
     | None ->
-        if sp.sp_provenance then
+        if o.Runner.provenance then
           Pag_obs.Prov.create ~arity:(Causal.arity_for g) ()
         else Pag_obs.Prov.disabled
   in
-  let incr =
-    Incr.start ?obs ~dag:sp.sp_dag ~prov ?frontier g tree
-  in
+  let incr = Incr.start ?obs ~dag:o.Runner.use_dag ~prov ?frontier g tree in
   let plan =
-    Split.decompose g (Incr.tree incr) ~machines:sp.sp_machines
-      ~granularity:sp.sp_granularity
+    Split.decompose g (Incr.tree incr) ~machines:o.Runner.machines
+      ~granularity:o.Runner.granularity
   in
   { es_spec = sp; es_g = g; es_incr = incr; es_plan = plan }
 
@@ -237,7 +213,7 @@ let fold_boundary es f acc =
    roots. *)
 let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
     ~edits =
-  let sp = es.es_spec in
+  let faults = es.es_spec.sp_options.Runner.faults in
   let cost = Cost.default in
   let frags = Split.fragments es.es_plan in
   let nfrags = Array.length frags in
@@ -277,8 +253,8 @@ let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
   let meta_bytes = 16 * edits in
   let chunk_bytes = refired / assist * 16 in
   let sim = ES.create () in
-  Option.iter (ES.set_faults sim) sp.sp_faults;
-  let faulty = Option.is_some sp.sp_faults in
+  Option.iter (ES.set_faults sim) faults;
+  let faulty = Option.is_some faults in
   (* The owner acknowledges nothing while it propagates; scale the
      retransmission timeout so the backoff horizon dwarfs that phase. *)
   let rto = Float.max 0.1 ((owner_delay +. share_work) /. 4.0) in
@@ -458,13 +434,13 @@ let bytes_full es =
     ((Split.count es.es_plan * Message.header_bytes)
     + Tree.byte_size (Incr.tree es.es_incr))
 
-let edit_report ?(owner = 0) ?(bytes_full = 0) (st : Incr.edit_stats) w =
+let edit_report ?(owner = 0) ?(bytes_full = 0) (wv : Incr.wave_stats) w =
   {
-    er_dirty = st.Incr.ed_dirty;
-    er_refired = st.Incr.ed_refired;
-    er_cutoff = st.Incr.ed_cutoff;
-    er_fallback = st.Incr.ed_fallback;
-    er_prop_ms = st.Incr.ed_prop_ms;
+    er_dirty = wv.Incr.wv_dirty;
+    er_refired = wv.Incr.wv_refired;
+    er_cutoff = wv.Incr.wv_cutoff;
+    er_fallback = wv.Incr.wv_fallbacks > 0;
+    er_prop_ms = wv.Incr.wv_prop_ms;
     er_owner = owner;
     er_boundary_changed = w.w_changed;
     er_boundary_total = w.w_total;
@@ -498,34 +474,36 @@ let batch_report (wv : Incr.wave_stats) w =
    ship boundary attributes of live nodes only. The fresh plan is also what
    the owner lookup runs against — the edit site is by construction live. *)
 let refresh_plan es =
+  let o = es.es_spec.sp_options in
   es.es_plan <-
-    Split.decompose es.es_g (Incr.tree es.es_incr)
-      ~machines:es.es_spec.sp_machines ~granularity:es.es_spec.sp_granularity
+    Split.decompose es.es_g (Incr.tree es.es_incr) ~machines:o.Runner.machines
+      ~granularity:o.Runner.granularity
 
 (* A single edit: a wave with no round structure and no cone-merge
    metadata. *)
-let simulate es ~owner_frag ~edit_node ~bytes (st : Incr.edit_stats) =
-  edit_report ~owner:owner_frag ~bytes_full:(bytes_full es) st
-    (simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty:st.Incr.ed_dirty
-       ~refired:st.Incr.ed_refired ~rounds:[||] ~edits:0)
+let simulate es ~owner_frag ~edit_node (wv : Incr.wave_stats) =
+  edit_report ~owner:owner_frag ~bytes_full:(bytes_full es) wv
+    (simulate_wave es ~owner_frag ~edit_node ~bytes:wv.Incr.wv_bytes
+       ~dirty:wv.Incr.wv_dirty ~refired:wv.Incr.wv_refired ~rounds:[||]
+       ~edits:0)
 
+(* The diff is taken here rather than inside {!Incr.edit}: the graft
+   parent names the owner, and the pre-diffed {!Incr.replace} then grafts
+   without diffing again. *)
 let edit es next =
   match Tree.diff (Incr.tree es.es_incr) next with
   | Tree.Equal -> edit_report (Incr.edit es.es_incr next) no_wave
   | Tree.Root ->
-      let st = Incr.edit es.es_incr next in
+      let wv = Incr.edit es.es_incr next in
       refresh_plan es;
-      let root = Incr.tree es.es_incr in
-      simulate es ~owner_frag:0 ~edit_node:root.Tree.id
-        ~bytes:(Tree.byte_size root) st
+      simulate es ~owner_frag:0 ~edit_node:(Incr.tree es.es_incr).Tree.id wv
   | Tree.Subtree { parent; pos; repl } ->
-      let bytes = Tree.byte_size repl in
-      let st = Incr.replace es.es_incr ~parent ~pos repl in
+      let wv = Incr.replace es.es_incr ~parent ~pos repl in
       refresh_plan es;
       let owner_frag =
         Option.value (Split.owner_of es.es_plan parent) ~default:0
       in
-      simulate es ~owner_frag ~edit_node:parent.Tree.id ~bytes st
+      simulate es ~owner_frag ~edit_node:parent.Tree.id wv
 
 let edit_batch es nexts =
   let wv = Incr.edit_batch es.es_incr nexts in

@@ -39,27 +39,13 @@ open Pag_core
 open Pag_eval
 open Netsim
 
-type spec = {
-  sp_machines : int;
-  sp_schedule : [ `Static | `Dynamic | `Steal ];
-  sp_transport : [ `Sim | `Domains ];
-  sp_granularity : float;
-  sp_librarian : bool;
-  sp_priority : bool;
-  sp_dag : bool;
-      (** the sharing switch: {!Runner.options.use_dag} on from-scratch
-          runs; edit sessions evaluate through {!Pag_eval.Incr} with
-          [~dag:true] — the {!Pag_eval.Dag} runtime, whose classes split on
-          divergence only, so resident sessions keep the sharing across
-          edits *)
-  sp_telemetry : bool;
-  sp_faults : Faults.spec option;
-  sp_phase_label : int -> string option;
-  sp_provenance : bool;
-      (** record per-firing provenance for {!Pag_eval.Causal} analysis
-          (see {!Runner.options}); edit sessions attach one ring that
-          survives engine rebuilds *)
-}
+(** A parallel run: the runner's options and the transport that runs
+    them. Edit sessions read [use_dag] and [provenance] from the options
+    too: [use_dag] evaluates through {!Pag_eval.Incr} with [~dag:true] —
+    the {!Pag_eval.Dag} runtime, whose classes split on divergence only,
+    so resident sessions keep the sharing across edits — and [provenance]
+    attaches one ring that survives the session's engine rebuilds. *)
+type spec = { sp_options : Runner.options; sp_transport : [ `Sim | `Domains ] }
 
 (** [spec machines] with every knob defaulted as in
     {!Runner.default_options}. [~schedule:`Dynamic] runs the classic
@@ -79,6 +65,7 @@ val spec :
   int ->
   spec
 
+(** The spec's runner options. *)
 val options : spec -> Runner.options
 
 (** Run one full (from-scratch) parallel evaluation on the spec's
@@ -92,7 +79,7 @@ val run :
 
 type edit_session
 
-(** Outcome of one {!edit}: the {!Pag_eval.Incr.edit_stats} counters plus
+(** Outcome of one {!edit}: the {!Pag_eval.Incr.wave_stats} counters plus
     the distributed wave's census. *)
 type edit_report = {
   er_dirty : int;  (** rule instances in the dirty cone *)

@@ -430,7 +430,7 @@ let test_serve_under_faults () =
   let faults =
     { Faults.none with Faults.fs_drop = 0.25; fs_seed = 11; fs_crashes = [ (2, 1e-6) ] }
   in
-  let sv = Service.create (Service.config ~faults ~fault_rto:0.05 3) g in
+  let sv = Service.create (Service.config ~faults 3) g in
   let plan = [ ("a", [ [ 60 ]; [ 70 ] ]); ("b", [ [ 10; 20; 30; 40; 50 ] ]); ("c", [ [ 80 ]; [ 90 ] ]) ] in
   List.iter (fun (n, _) -> Service.open_tenant sv n (expr_of (Hashtbl.hash n))) plan;
   let rounds = List.fold_left (fun m (_, rs) -> max m (List.length rs)) 0 plan in
@@ -494,7 +494,7 @@ let test_retransmit_cap_gives_up () =
     Expr_ag.random_program (Random.State.make [| seed |]) ~depth:4
   in
   let faults = { Faults.none with Faults.fs_drop = 1.0; fs_seed = 3 } in
-  let sv = Service.create (Service.config ~faults ~fault_rto:0.01 2) g in
+  let sv = Service.create (Service.config ~faults 2) g in
   Service.open_tenant sv "a" (expr_of 1);
   check_bool "admitted" true (Service.submit sv "a" (expr_of 2) = Service.Admitted);
   Service.drain sv;

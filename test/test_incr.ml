@@ -54,18 +54,18 @@ let test_single_edit () =
   let st = Incr.edit s (expr_b ()) in
   (* No fallback certifies the dirty cone stayed under the frontier — the
      edit really was handled incrementally. *)
-  check_bool "no fallback" false st.Incr.ed_fallback;
-  check_bool "something was dirty" true (st.Incr.ed_dirty > 0);
+  check_bool "no fallback" false (st.Incr.wv_fallbacks > 0);
+  check_bool "something was dirty" true (st.Incr.wv_dirty > 0);
   check_bool "refired within the cone" true
-    (st.Incr.ed_refired <= st.Incr.ed_dirty);
+    (st.Incr.wv_refired <= st.Incr.wv_dirty);
   check_bool "values = scratch" true (agrees_with_scratch g s (expr_b ()))
 
 let test_identity_edit () =
   let g = Expr_ag.grammar in
   let s = Incr.start g (expr_a ()) in
   let st = Incr.edit s (expr_a ()) in
-  check_int "nothing dirty" 0 st.Incr.ed_dirty;
-  check_int "nothing refired" 0 st.Incr.ed_refired;
+  check_int "nothing dirty" 0 st.Incr.wv_dirty;
+  check_int "nothing refired" 0 st.Incr.wv_refired;
   check_bool "root not changed" false
     (Incr.changed s (Incr.tree s) "value")
 
@@ -77,11 +77,11 @@ let test_root_replacement_falls_back () =
   let _st = Incr.edit s (expr_c ()) in
   check_bool "values = scratch" true (agrees_with_scratch g s (expr_c ()))
 
-let test_forced_fallback_is_correct () =
+let test_fallback_on_demand_is_correct () =
   let g = Expr_ag.grammar in
   let s = Incr.start ~frontier:0.0 g (expr_a ()) in
   let st = Incr.edit s (expr_b ()) in
-  check_bool "fallback taken" true st.Incr.ed_fallback;
+  check_bool "fallback taken" true (st.Incr.wv_fallbacks > 0);
   check_bool "changed is conservative" true
     (Incr.changed s (Incr.tree s) "value");
   check_bool "values = scratch" true (agrees_with_scratch g s (expr_b ()))
@@ -101,8 +101,8 @@ let test_cutoff_stops_propagation () =
      this edit cheap. *)
   let s = Incr.start ~frontier:1.1 g (repmin_tree 5) in
   let st = Incr.edit s (repmin_tree 6) in
-  check_bool "no fallback" false st.Incr.ed_fallback;
-  check_bool "cutoff hit" true (st.Incr.ed_cutoff > 0);
+  check_bool "no fallback" false (st.Incr.wv_fallbacks > 0);
+  check_bool "cutoff hit" true (st.Incr.wv_cutoff > 0);
   check_bool "root res unchanged" false
     (Incr.changed s (Incr.tree s) "res");
   check_bool "values = scratch" true (agrees_with_scratch g s (repmin_tree 6))
@@ -185,7 +185,7 @@ let prop_tiny_frontier_always_agrees =
       List.for_all
         (fun seed ->
           let st = Incr.edit s (expr_of seed) in
-          (st.Incr.ed_dirty = 0 || st.Incr.ed_fallback)
+          (st.Incr.wv_dirty = 0 || st.Incr.wv_fallbacks > 0)
           && agrees_with_scratch g s (expr_of seed))
         edits)
 
@@ -310,7 +310,7 @@ let suite =
         Alcotest.test_case "root replacement" `Quick
           test_root_replacement_falls_back;
         Alcotest.test_case "forced fallback" `Quick
-          test_forced_fallback_is_correct;
+          test_fallback_on_demand_is_correct;
         Alcotest.test_case "equality cutoff" `Quick
           test_cutoff_stops_propagation;
         Alcotest.test_case "min change propagates" `Quick
