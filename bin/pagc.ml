@@ -792,8 +792,8 @@ let dag_arg =
                  rule-instance set per (repeated-subtree class, inherited \
                  context); the other occurrences carry no instances and \
                  receive their attributes by projection. On domains the \
-                 steal schedule materializes every instance up front, so \
-                 it checks parity only. --edit-session and --serve keep \
+                 steal schedule ignores --dag and runs its plain \
+                 per-occurrence instance table. --edit-session and --serve keep \
                  resident sessions on that projection runtime and split a \
                  class only where an edit diverges. Rules that allocate \
                  unique labels fall back to per-occurrence evaluation, so \

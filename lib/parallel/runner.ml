@@ -884,27 +884,14 @@ let run_domains_steal opts g tree =
   let split = decompose opts g tree in
   let m = max 1 opts.machines in
   let store = ESt.create_shared g tree in
-  let dplan =
-    if opts.use_dag then Some (Pag_eval.Dag.plan g store (Tree.dag tree))
-    else None
-  in
-  let eng =
-    Eng.create ?rules_for:(Option.map Pag_eval.Dag.rules_for dplan) g store
-  in
+  (* No DAG plan here, even under [use_dag]: the DAG runtime's projection
+     bookkeeping is single-threaded and [Engine.run_steal] owns the whole
+     schedule on this transport, so a plan could only be materialized
+     region by region up front — all of its cost and none of its sharing.
+     [--dag] on domains steal therefore runs the plain per-occurrence
+     instance table. *)
+  let eng = Eng.create g store in
   let gr = Eng.graph eng in
-  (* The DAG runtime's projection bookkeeping is single-threaded, and
-     [Engine.run_steal] owns the whole schedule on this transport — so
-     [--dag] here materializes every region up front and hands run_steal
-     the resulting per-occurrence table. No sharing win at runtime (the
-     point of --dag on domains is result parity with the other
-     transports); the class table still prices the instance build. *)
-  (match dplan with
-  | None -> ()
-  | Some p ->
-      let rt = Pag_eval.Dag.make p eng gr in
-      while Pag_eval.Dag.force_stalled rt do
-        ()
-      done);
   let node_frag = fragment_affinity split store in
   let owner rid =
     node_frag.(ESt.dense_index store (Eng.node_of eng rid)) mod m

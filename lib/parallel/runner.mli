@@ -79,9 +79,9 @@ type options = {
             when the class leader's region completes — and [Subtree]
             assignments are priced as their shared wire encoding
             ({!Split.dag_bytes}).
-          - [`Steal] on domains: every region is materialized up front (the
-            projection bookkeeping is single-threaded), so the run checks
-            result parity, not a sharing win.
+          - [`Steal] on domains: no sharing — the projection bookkeeping
+            is single-threaded, so the run builds the plain per-occurrence
+            instance table, exactly as without [use_dag].
 
           Uid-consuming rules taint their classes and fall back to
           per-occurrence evaluation, so output is unchanged up to label
