@@ -26,8 +26,8 @@ dune exec bin/pagc.exe -- --machines 3 --schedule steal \
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_seq_smoke.s > /tmp/pagc_seq_smoke.masked
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_steal_smoke.s > /tmp/pagc_steal_smoke.masked
 cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_steal_smoke.masked
-# The same steal loop on real domains: one domain, two, and two over the
-# DAG's up-front materialized instance table.
+# The same steal loop on real domains: one domain, two, and two under
+# --dag (which domains steal ignores: no plan, the plain instance table).
 for flags in "--machines 1" "--machines 2" "--machines 2 --dag"; do
   dune exec bin/pagc.exe -- --transport domains --schedule steal $flags \
     examples/primes.pas -o /tmp/pagc_steal_domains_smoke.s 2>/dev/null
@@ -55,6 +55,11 @@ dune exec bin/pagc.exe -- --serve examples/three_tenants.serve \
   --batch-edits 4 >/dev/null
 dune exec bin/pagc.exe -- --machines 3 --batch-edits 2 \
   --edit-session examples/primes.edits examples/primes.pas >/dev/null
+# The same service on real domains, one edit per chunk and chunks of four.
+dune exec bin/pagc.exe -- --serve examples/three_tenants.serve \
+  --transport domains >/dev/null
+dune exec bin/pagc.exe -- --serve examples/three_tenants.serve \
+  --transport domains --batch-edits 4 >/dev/null
 # DAG evaluation smoke: the DAG-native steal schedule must emit the same
 # masked assembly as the sequential compile, and --explain on a DAG run
 # must verify the class-level provenance (occurrence fan-out edges)
