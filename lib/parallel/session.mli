@@ -11,7 +11,8 @@
     (via {!Pag_eval.Incr}) and decomposed ({!Split}) between edits, the way
     the paper's compiler would sit inside an editor loop. Each {!edit}
     diffs the re-parsed tree against the resident one, re-evaluates only
-    the dirty cone, and then plays one message wave over the network
+    the dirty cone through {!Pag_eval.Incr}'s one wave (a single edit is a
+    wave of one), and then plays one message wave over the network
     simulator to price the distributed update:
 
     - the coordinator ships the replacement subtree to the machine owning
@@ -133,8 +134,10 @@ val prov : edit_session -> Pag_obs.Prov.t
 
 (** [edit session next] makes the resident tree structurally equal to
     [next] (same root symbol required), re-evaluating incrementally and
-    pricing the distributed update. Structurally equal trees are a no-op
-    with an all-zero report; a root-level change falls back to a
+    pricing the distributed update. The diff is taken here, since the
+    graft parent names the owner, and the graft then runs through the
+    pre-diffed {!Pag_eval.Incr.replace}. Structurally equal trees are a
+    no-op with an all-zero report; a root-level change falls back to a
     from-scratch rebuild and a fresh decomposition. *)
 val edit : edit_session -> Tree.t -> edit_report
 
