@@ -625,8 +625,8 @@ let round_sim sv queues =
    {!Incr.edit_batch} in chunks, so the round's tenants refire their
    waves concurrently across the worker domains. Latencies and wave
    counters are measured here (at application time) and returned for the
-   coordinator to record after the join: one
-   [(tenant, latencies, fallbacks, waves, conflicts)] tuple per chunk. *)
+   coordinator to record after the join: one [(tenant, latencies, wave
+   stats)] triple per chunk. *)
 let domains_apply sv batches =
   List.concat_map
     (fun (tn, edits) ->
@@ -643,13 +643,7 @@ let domains_apply sv batches =
         let lats =
           List.map (fun (_, t_submit) -> Float.max 0.0 (t -. t_submit)) items
         in
-        out :=
-          ( tn,
-            lats,
-            wv.Incr.wv_fallbacks,
-            wv.Incr.wv_waves,
-            wv.Incr.wv_conflicts )
-          :: !out
+        out := (tn, lats, wv) :: !out
       done;
       List.rev !out)
     batches
@@ -658,13 +652,12 @@ let domains_apply sv batches =
    the reservoirs, wave counters into the labeled metrics. *)
 let record_applied sv outs =
   List.iter
-    (fun (tn, lats, fallbacks, waves, conflicts) ->
+    (fun (tn, lats, (wv : Incr.wave_stats)) ->
       List.iter (fun lat -> record_edit sv tn lat) lats;
-      if fallbacks > 0 then
-        bump sv "service.fallbacks" (tenant_label tn) fallbacks;
-      if waves > 0 then bump sv "service.waves" (tenant_label tn) waves;
-      if conflicts > 0 then
-        bump sv "service.conflicts" (tenant_label tn) conflicts)
+      let bump_pos name n = if n > 0 then bump sv name (tenant_label tn) n in
+      bump_pos "service.fallbacks" wv.Incr.wv_fallbacks;
+      bump_pos "service.waves" wv.Incr.wv_waves;
+      bump_pos "service.conflicts" wv.Incr.wv_conflicts)
     outs
 
 let round_domains sv queues =
