@@ -55,6 +55,12 @@ dune exec bin/pagc.exe -- --serve examples/three_tenants.serve \
   --batch-edits 4 >/dev/null
 dune exec bin/pagc.exe -- --machines 3 --batch-edits 2 \
   --edit-session examples/primes.edits examples/primes.pas >/dev/null
+# The same script one edit at a time (Session.edit): primes_edit1 is a
+# literal edit, which keeps the resident decomposition; primes_edit2
+# changes two statements, which rebuilds it. pagc exits nonzero unless
+# the resident code matches a from-scratch compile.
+dune exec bin/pagc.exe -- --machines 3 \
+  --edit-session examples/primes.edits examples/primes.pas >/dev/null
 # The same service on real domains, one edit per chunk and chunks of four.
 dune exec bin/pagc.exe -- --serve examples/three_tenants.serve \
   --transport domains >/dev/null

@@ -165,27 +165,15 @@ let replace_subtree g ~parent ~pos repl =
   parent.children.(pos) <- repl;
   old
 
-let rec equal a b =
-  a.sym_id = b.sym_id
-  && (match (a.prod, b.prod) with
-     | None, None ->
-         List.compare_lengths a.term_attrs b.term_attrs = 0
-         && List.for_all2
-              (fun (n1, v1) (n2, v2) ->
-                String.equal n1 n2 && Value.equal v1 v2)
-              a.term_attrs b.term_attrs
-     | Some p, Some q -> p.Grammar.p_id = q.Grammar.p_id
-     | _ -> false)
-  && Array.length a.children = Array.length b.children
-  && Array.for_all2 equal a.children b.children
-
 type delta = Equal | Root | Subtree of { parent : t; pos : int; repl : t }
 
 (* Smallest single differing subtree of two trees over one grammar: walk
    both in lockstep while exactly one child pair differs; the replacement
    site is where the productions (or terminal attributes) first diverge.
    Multiple differing children mean their common parent must be replaced
-   wholesale. *)
+   wholesale. One pass: each child pair is walked once, by [go] itself —
+   an [Equal] answer is the equality test — and the walk of a node stops
+   at its second differing child. *)
 let diff a b =
   let same_shape x y =
     x.sym_id = y.sym_id
@@ -199,22 +187,23 @@ let diff a b =
                 x.term_attrs y.term_attrs
        | _ -> false
   in
-  (* [Root] from [go x y] means x and y differ at their own roots. *)
-  let rec go x y =
-    if not (same_shape x y) then Root
-    else begin
-      let diffs = ref [] in
-      Array.iteri
-        (fun i c -> if not (equal c y.children.(i)) then diffs := i :: !diffs)
-        x.children;
-      match !diffs with
-      | [] -> Equal
-      | [ i ] -> (
-          match go x.children.(i) y.children.(i) with
-          | Root -> Subtree { parent = x; pos = i; repl = y.children.(i) }
-          | d -> d)
-      | _ -> Root
-    end
+  (* [Root] from [go x y] means x and y differ at their own roots. Equal
+     shapes have equal arities. *)
+  let rec go x y = if not (same_shape x y) then Root else kids x y 0 None
+  (* [first]: the first differing child pair's position and delta *)
+  and kids x y i first =
+    if i = Array.length x.children then
+      match first with
+      | None -> Equal
+      | Some (j, Root) -> Subtree { parent = x; pos = j; repl = y.children.(j) }
+      | Some (_, d) -> d
+    else
+      match go x.children.(i) y.children.(i) with
+      | Equal -> kids x y (i + 1) first
+      | d -> (
+          match first with
+          | None -> kids x y (i + 1) (Some (i, d))
+          | Some _ -> Root)
   in
   if a.sym_id <> b.sym_id then
     error "diff: root symbols differ (%S vs %S)" a.sym b.sym

@@ -60,10 +60,6 @@ val find : t -> int -> t option
     Used to number a replacement subtree past the host tree's ids. *)
 val number_from : t -> int -> int
 
-(** Structural equality: same productions, same shape, equal terminal
-    attribute values. Ignores node ids. *)
-val equal : t -> t -> bool
-
 (** [replace_subtree g ~parent ~pos repl] swaps child [pos] of [parent] for
     [repl] in place and returns the detached subtree. The replacement must
     carry the symbol the parent's production requires at that position and
@@ -81,7 +77,11 @@ type delta =
           there makes the trees equal *)
 
 (** Minimal single-subtree delta between two trees with the same root
-    symbol. Raises [Error] when the root symbols differ. *)
+    symbol. Raises [Error] when the root symbols differ. One pass: every
+    node pair is visited at most once, and a node's walk stops at its
+    second differing child. The trees are structurally equal (same
+    productions, same shape, equal terminal attribute values; ids
+    ignored) iff the result is [Equal]. *)
 val diff : t -> t -> delta
 
 (** {1 Structural sharing}

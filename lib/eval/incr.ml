@@ -244,8 +244,8 @@ let revive_slot s gr slot =
 (* ------------------------------------------------------------------ *)
 
 (* Every edit runs through one wave. {!replace}, {!edit} and {!edit_batch}
-   only differ in how they feed it: a pre-diffed graft, one diffed tree,
-   or a list of them.
+   only differ in how they feed it: one pre-diffed tree, one tree diffed
+   here, or a list of them.
 
    Semantic rules are pure, so change propagation is confluent: as long as
    two co-grafted edits are structurally compatible — neither grafts into
@@ -608,29 +608,28 @@ let run s feed =
   end;
   wv
 
-let replace s ~parent ~pos repl =
-  run s (fun w ->
-      w.w_edits <- 1;
-      graft s w ~parent ~pos repl)
+(* One edit of a call: [d] is [Tree.diff] of the session's tree and
+   [next]. *)
+let apply s w next (d : Tree.delta) =
+  w.w_edits <- w.w_edits + 1;
+  match d with
+  | Tree.Equal -> ()
+  | Tree.Root ->
+      s.s_tree <- next;
+      w.w_bytes <- w.w_bytes + Tree.byte_size next;
+      rebuild s w ~dirty:s.s_live_rules
+  | Tree.Subtree { parent; pos; repl } ->
+      if conflicts s w ~parent ~pos then begin
+        w.w_conflicts <- w.w_conflicts + 1;
+        flush s w
+      end;
+      graft s w ~parent ~pos repl
+
+let replace s ~next d = run s (fun w -> apply s w next d)
 
 let edit_batch s nexts =
   run s (fun w ->
-      List.iter
-        (fun next ->
-          w.w_edits <- w.w_edits + 1;
-          match Tree.diff s.s_tree next with
-          | Tree.Equal -> ()
-          | Tree.Root ->
-              s.s_tree <- next;
-              w.w_bytes <- w.w_bytes + Tree.byte_size next;
-              rebuild s w ~dirty:s.s_live_rules
-          | Tree.Subtree { parent; pos; repl } ->
-              if conflicts s w ~parent ~pos then begin
-                w.w_conflicts <- w.w_conflicts + 1;
-                flush s w
-              end;
-              graft s w ~parent ~pos repl)
-        nexts)
+      List.iter (fun next -> apply s w next (Tree.diff s.s_tree next)) nexts)
 
 let edit s next = edit_batch s [ next ]
 

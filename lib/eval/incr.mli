@@ -113,10 +113,13 @@ val prov : session -> Pag_obs.Prov.t
     the replacement are not used. *)
 val edit : session -> Tree.t -> wave_stats
 
-(** [replace session ~parent ~pos repl] is the pre-diffed edit: a wave of
-    one graft, [repl] (an unnumbered tree) as child [pos] of [parent] (a
-    node of the session's tree), re-evaluated incrementally. *)
-val replace : session -> parent:Tree.t -> pos:int -> Tree.t -> wave_stats
+(** [replace session ~next d] is the pre-diffed {!edit}: [d] must be
+    [Tree.diff (tree session) next], which a caller that already took the
+    diff hands over instead of paying for a second one. A [Subtree] delta
+    grafts its [repl] (an unnumbered tree) as child [pos] of [parent] (a
+    node of the session's tree) and reads nothing else of [next]; only a
+    [Root] delta makes [next] the session's tree. *)
+val replace : session -> next:Tree.t -> Tree.delta -> wave_stats
 
 (** [edit_batch session nexts] applies a set of edits in waves: each
     edit's dirty cone is computed by the usual value-blind closure, and

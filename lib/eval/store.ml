@@ -7,17 +7,23 @@ open Pag_core
    index]. A bitset tracks which slots are set, so values need no option
    boxing and "is set" is a bit test. Node ids (which are global and sparse
    for fragment stores) map to dense indices through an offset-based [index_of]
-   table, making every hot-path access array arithmetic. *)
+   table, making every hot-path access array arithmetic.
+
+   The arrays are capacities: [append_subtree] grows them geometrically, so
+   the logical sizes are [n_nodes] covered nodes, an id span of [span] and
+   [base.(n_nodes)] slots. Nothing reads an array length as a size. *)
 
 type t = {
   g : Grammar.t;
   root : Tree.t;
   id_lo : int;  (* lowest covered node id *)
+  mutable span : int;  (* covered ids are [id_lo .. id_lo + span - 1] *)
+  mutable n_nodes : int;
   mutable index_of : int array;
       (* (node id - id_lo) -> dense index, -1 if absent *)
   mutable nodes : Tree.t array;  (* dense index -> node, increasing node id *)
   mutable base : int array;
-      (* dense index -> first slot id; length n_nodes + 1 *)
+      (* dense index -> first slot id; entries 0 .. n_nodes *)
   mutable vals : Value.t array;  (* slot id -> value (valid iff bit set) *)
   mutable bits : Bytes.t;  (* slot id -> set? *)
   mutable n_sets : int;
@@ -88,6 +94,8 @@ let create_shared ?(root_inh = []) ?stop g root =
       g;
       root;
       id_lo;
+      span;
+      n_nodes = n;
       index_of;
       nodes;
       base;
@@ -112,51 +120,62 @@ let create ?root_inh g root =
   ignore (Tree.number root);
   create_shared ?root_inh g root
 
+(* [a] with room for [n] entries: unchanged when it has it, otherwise a
+   copy of at least twice the length whose fresh entries are [fill]. *)
+let reserve a n fill =
+  let len = Array.length a in
+  if n <= len then a
+  else begin
+    let b = Array.make (max n (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
 (* Extend the store with the (already numbered) nodes of a replacement
    subtree. The new ids must start exactly where the store's covered id
    range ends, so the offset-based [index_of] table extends contiguously —
    {!Pag_eval.Incr} numbers replacements with [Tree.number_from] to
    guarantee this. The detached subtree's slots stay allocated (and set);
-   they are dead weight until the next full rebuild compacts them. *)
+   they are dead weight until the next full rebuild compacts them. The
+   arrays grow geometrically, as [Engine]'s do, so an edit costs its
+   subtree, not a copy of the store; entries past the logical sizes are
+   never written, so the slots an append claims from the reserve start
+   unset. *)
 let append_subtree s sub =
   let node_list, n = covered_nodes sub in
-  let old_n = Array.length s.nodes in
-  let old_span = Array.length s.index_of in
-  let next_id = s.id_lo + old_span in
+  let old_n = s.n_nodes in
+  let next_id = s.id_lo + s.span in
   List.iteri
     (fun k (node : Tree.t) ->
       if node.Tree.id <> next_id + k then
         error "append_subtree: node id %d out of sequence (expected %d)"
           node.Tree.id (next_id + k))
     node_list;
-  let index_of = Array.make (old_span + n) (-1) in
-  Array.blit s.index_of 0 index_of 0 old_span;
-  let nodes = Array.make (old_n + n) s.root in
-  Array.blit s.nodes 0 nodes 0 old_n;
-  let base = Array.make (old_n + n + 1) 0 in
-  Array.blit s.base 0 base 0 (old_n + 1);
+  s.index_of <- reserve s.index_of (s.span + n) (-1);
+  s.nodes <- reserve s.nodes (old_n + n) s.root;
+  s.base <- reserve s.base (old_n + n + 1) 0;
   List.iteri
     (fun k (node : Tree.t) ->
       let i = old_n + k in
-      index_of.(node.Tree.id - s.id_lo) <- i;
-      nodes.(i) <- node;
+      s.index_of.(node.Tree.id - s.id_lo) <- i;
+      s.nodes.(i) <- node;
       let c =
         match node.Tree.prod with
         | None -> 0
         | Some _ -> Grammar.attr_count_of_id s.g node.Tree.sym_id
       in
-      base.(i + 1) <- base.(i) + c)
+      s.base.(i + 1) <- s.base.(i) + c)
     node_list;
-  let total = base.(old_n + n) in
-  let vals = Array.make total Value.Unit in
-  Array.blit s.vals 0 vals 0 (Array.length s.vals) ;
-  let bits = Bytes.make ((total + 7) / 8) '\000' in
-  Bytes.blit s.bits 0 bits 0 (Bytes.length s.bits);
-  s.index_of <- index_of;
-  s.nodes <- nodes;
-  s.base <- base;
-  s.vals <- vals;
-  s.bits <- bits
+  s.span <- s.span + n;
+  s.n_nodes <- old_n + n;
+  let total = s.base.(s.n_nodes) in
+  s.vals <- reserve s.vals total Value.Unit;
+  let need = (total + 7) / 8 in
+  if Bytes.length s.bits < need then begin
+    let bits = Bytes.make (max need (2 * Bytes.length s.bits)) '\000' in
+    Bytes.blit s.bits 0 bits 0 (Bytes.length s.bits);
+    s.bits <- bits
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Slot arithmetic                                                     *)
@@ -164,12 +183,12 @@ let append_subtree s sub =
 
 let dense_index s (node : Tree.t) =
   let i = node.Tree.id - s.id_lo in
-  if i < 0 || i >= Array.length s.index_of || s.index_of.(i) < 0 then
+  if i < 0 || i >= s.span || s.index_of.(i) < 0 then
     error "node %d (%s) is not covered by this store" node.Tree.id
       node.Tree.sym
   else s.index_of.(i)
 
-let slot_count s = s.base.(Array.length s.nodes)
+let slot_count s = s.base.(s.n_nodes)
 
 let slot_of s node ~attr_idx = s.base.(dense_index s node) + attr_idx
 
@@ -210,7 +229,7 @@ let commit_slot s slot =
 (* Owner of a slot, for error messages only: the dense node index i with
    base.(i) <= slot < base.(i+1). *)
 let slot_owner s slot =
-  let lo = ref 0 and hi = ref (Array.length s.nodes - 1) in
+  let lo = ref 0 and hi = ref (s.n_nodes - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
     if s.base.(mid) <= slot then lo := mid else hi := mid - 1
@@ -273,11 +292,11 @@ let grammar s = s.g
 
 let root s = s.root
 
-let node_count s = Array.length s.nodes
+let node_count s = s.n_nodes
 
 let find_node s id =
   let i = id - s.id_lo in
-  if i < 0 || i >= Array.length s.index_of || s.index_of.(i) < 0 then None
+  if i < 0 || i >= s.span || s.index_of.(i) < 0 then None
   else Some s.nodes.(s.index_of.(i))
 
 let idx_of s (node : Tree.t) attr =
@@ -377,7 +396,7 @@ let apply_rule s node (rule : Grammar.rule) =
    it and the caller falls back to ordinary evaluation. *)
 let slot_range s ~id_lo ~id_count =
   let i0 = id_lo - s.id_lo and i1 = id_lo + id_count - 1 - s.id_lo in
-  if i0 < 0 || i1 >= Array.length s.index_of then None
+  if i0 < 0 || i1 >= s.span then None
   else
     let d0 = s.index_of.(i0) and d1 = s.index_of.(i1) in
     if d0 < 0 || d1 < 0 || d1 - d0 <> id_count - 1 then None
@@ -417,18 +436,19 @@ let project_range s ~src_lo ~dst_lo ~len f =
 
 (* Covered nodes in dense (preorder) order — the numbering every
    graph-based evaluator shares. *)
-let iter_nodes s f = Array.iter f s.nodes
+let iter_nodes s f =
+  for i = 0 to s.n_nodes - 1 do
+    f s.nodes.(i)
+  done
 
 let iter_instances s f =
   (* [nodes] is preorder = increasing node id: deterministic. *)
-  Array.iter
-    (fun (node : Tree.t) ->
+  iter_nodes s (fun (node : Tree.t) ->
       match node.Tree.prod with
       | None -> ()
       | Some _ ->
           let sym = Grammar.symbol_of_id s.g node.Tree.sym_id in
           Array.iter (fun a -> f node a) sym.Grammar.s_attrs)
-    s.nodes
 
 let missing s =
   let n = ref 0 in

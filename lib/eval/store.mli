@@ -160,7 +160,11 @@ val redefine_slot : t -> int -> Value.t -> bool
     of a replacement subtree whose preorder ids start exactly where the
     store's covered id range ends ({!Pag_core.Tree.number_from}). Existing
     slot ids, values and bits are preserved; the detached subtree's slots
-    become dead weight until the next full rebuild. *)
+    become dead weight until the next full rebuild. Amortized O(size of
+    [sub]): the backing arrays grow geometrically, so their capacity stays
+    within 2x the logical size ({!node_count}, {!slot_count} and the id
+    span, which every query reads), and a rebuild — a fresh {!create} —
+    compacts it. *)
 val append_subtree : t -> Tree.t -> unit
 
 (** Slot id of the instance a rule defines at [node]. *)

@@ -108,6 +108,8 @@ let tree es = Incr.tree es.es_incr
 
 let store es = Incr.store es.es_incr
 
+let plan es = es.es_plan
+
 let live_slots es = Incr.live_slots es.es_incr
 
 let totals es = Incr.totals es.es_incr
@@ -416,7 +418,9 @@ let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
   }
 
 (* A from-scratch distributed recompile ships every fragment's subtree
-   plus every boundary attribute in full. *)
+   plus every boundary attribute in full. Every node lies in exactly one
+   fragment, so the fragments' residual sizes sum to the whole tree's
+   linearized size. *)
 let bytes_full es =
   let full_attr (b : Tree.t) (a : Grammar.attr_decl) =
     Message.size
@@ -431,8 +435,11 @@ let bytes_full es =
     (fun acc b kind ->
       List.fold_left (fun acc (_, a) -> acc + full_attr b a) acc
         (attrs_of es b kind))
-    ((Split.count es.es_plan * Message.header_bytes)
-    + Tree.byte_size (Incr.tree es.es_incr))
+    (Array.fold_left
+       (fun acc (fr : Split.fragment) ->
+         acc + Message.header_bytes + fr.Split.fr_bytes)
+       0
+       (Split.fragments es.es_plan))
 
 let edit_report ?(owner = 0) ?(bytes_full = 0) (wv : Incr.wave_stats) w =
   {
@@ -469,7 +476,7 @@ let batch_report (wv : Incr.wave_stats) w =
     br_latency = w.w_latency;
   }
 
-(* The parser re-decomposes after every structural edit: a replacement may
+(* The parser re-decomposes after a structural edit: a replacement may
    have swapped out a subtree containing a fragment root, and the wave must
    ship boundary attributes of live nodes only. The fresh plan is also what
    the owner lookup runs against — the edit site is by construction live. *)
@@ -479,6 +486,23 @@ let refresh_plan es =
     Split.decompose es.es_g (Incr.tree es.es_incr) ~machines:o.Runner.machines
       ~granularity:o.Runner.granularity
 
+(* Whether grafting [repl] where [old] was leaves the plan as it is.
+   {!Split.decompose} reads only preorder positions, per-node bytes and
+   which nodes are split points, so swapping a subtree holding no split
+   point for another with the same node count and size changes none of
+   them for any candidate: same fragments, same cuts, same residual
+   sizes. *)
+let keeps_plan g ~old ~repl =
+  let no_split t =
+    Tree.fold
+      (fun ok (n : Tree.t) ->
+        ok && (Grammar.symbol_of_id g n.Tree.sym_id).Grammar.s_split = None)
+      true t
+  in
+  no_split old && no_split repl
+  && Tree.size old = Tree.size repl
+  && Tree.byte_size old = Tree.byte_size repl
+
 (* A single edit: a wave with no round structure and no cone-merge
    metadata. *)
 let simulate es ~owner_frag ~edit_node (wv : Incr.wave_stats) =
@@ -487,19 +511,23 @@ let simulate es ~owner_frag ~edit_node (wv : Incr.wave_stats) =
        ~dirty:wv.Incr.wv_dirty ~refired:wv.Incr.wv_refired ~rounds:[||]
        ~edits:0)
 
-(* The diff is taken here rather than inside {!Incr.edit}: the graft
-   parent names the owner, and the pre-diffed {!Incr.replace} then grafts
-   without diffing again. *)
+(* The diff is taken here, once, rather than inside {!Incr.edit}: the
+   graft parent names the owner, and the pre-diffed {!Incr.replace} then
+   applies the delta without diffing again. A graft keeps the plan when it
+   cannot move it ({!keeps_plan}) and no rebuild renumbered the tree (the
+   plan keys its cuts by node id); anything else re-decomposes. *)
 let edit es next =
-  match Tree.diff (Incr.tree es.es_incr) next with
-  | Tree.Equal -> edit_report (Incr.edit es.es_incr next) no_wave
+  let d = Tree.diff (Incr.tree es.es_incr) next in
+  match d with
+  | Tree.Equal -> edit_report (Incr.replace es.es_incr ~next d) no_wave
   | Tree.Root ->
-      let wv = Incr.edit es.es_incr next in
+      let wv = Incr.replace es.es_incr ~next d in
       refresh_plan es;
       simulate es ~owner_frag:0 ~edit_node:(Incr.tree es.es_incr).Tree.id wv
   | Tree.Subtree { parent; pos; repl } ->
-      let wv = Incr.replace es.es_incr ~parent ~pos repl in
-      refresh_plan es;
+      let keep = keeps_plan es.es_g ~old:parent.Tree.children.(pos) ~repl in
+      let wv = Incr.replace es.es_incr ~next d in
+      if wv.Incr.wv_fallbacks > 0 || not keep then refresh_plan es;
       let owner_frag =
         Option.value (Split.owner_of es.es_plan parent) ~default:0
       in

@@ -117,6 +117,10 @@ val tree : edit_session -> Tree.t
 (** The resident store; every attribute of {!tree} is set. *)
 val store : edit_session -> Store.t
 
+(** The resident decomposition of {!tree}: the plan the waves are priced
+    on, equal to [Split.decompose] of {!tree} after every {!edit}. *)
+val plan : edit_session -> Split.plan
+
 (** The session's memory footprint, as {!Pag_eval.Incr.live_slots}. *)
 val live_slots : edit_session -> int
 
@@ -134,11 +138,18 @@ val prov : edit_session -> Pag_obs.Prov.t
 
 (** [edit session next] makes the resident tree structurally equal to
     [next] (same root symbol required), re-evaluating incrementally and
-    pricing the distributed update. The diff is taken here, since the
-    graft parent names the owner, and the graft then runs through the
-    pre-diffed {!Pag_eval.Incr.replace}. Structurally equal trees are a
-    no-op with an all-zero report; a root-level change falls back to a
-    from-scratch rebuild and a fresh decomposition. *)
+    pricing the distributed update. The diff is taken here, once, since
+    the graft parent names the owner, and every delta then runs through
+    the pre-diffed {!Pag_eval.Incr.replace}. Structurally equal trees are
+    a no-op with an all-zero report; a root-level change falls back to a
+    from-scratch rebuild and a fresh decomposition.
+
+    A graft keeps the resident {!plan} when it cannot move it: the old
+    and new subtrees have the same node count and linearized size, and
+    neither holds a node whose symbol is a split point. {!Split.decompose}
+    of the edited tree would then rebuild exactly that plan. Any other
+    graft, and any edit that fell back to a rebuild (which renumbers the
+    tree), re-decomposes. *)
 val edit : edit_session -> Tree.t -> edit_report
 
 (** Outcome of one {!edit_batch}: the {!Pag_eval.Incr.wave_stats} counters

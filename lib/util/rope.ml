@@ -170,7 +170,11 @@ let to_string r =
 let output oc r = iter_chunks (output_string oc) r
 
 (* Chunk-stream comparison: walk both ropes' leaves in lockstep, comparing
-   character ranges, so neither rope is flattened. *)
+   character ranges, so neither rope is flattened. A range both cursors
+   read at the same offset of one physical string is equal without a look
+   (ropes built from a common value share their leaves), and other ranges
+   compare 8 bytes at a time; only the word holding the first difference
+   is compared bytewise, so the order is the byte order of [String]. *)
 type cursor = { mutable chunks : t list; mutable s : string; mutable pos : int }
 
 let cursor_of r = { chunks = [ r ]; s = ""; pos = 0 }
@@ -189,6 +193,21 @@ let rec cursor_refill c =
         c.chunks <- cat.left :: cat.right :: rest;
         cursor_refill c
 
+(* Length of the common prefix of [a] from [i] and [b] from [j], at most
+   [n] bytes. *)
+let common_prefix a i b j n =
+  let k = ref 0 in
+  while
+    !k + 8 <= n
+    && String.get_int64_ne a (i + !k) = String.get_int64_ne b (j + !k)
+  do
+    k := !k + 8
+  done;
+  while !k < n && String.unsafe_get a (i + !k) = String.unsafe_get b (j + !k) do
+    incr k
+  done;
+  !k
+
 let compare a b =
   if a == b then 0
   else if length a = 0 && length b = 0 then 0
@@ -203,16 +222,11 @@ let compare a b =
           let n =
             min (String.length ca.s - ca.pos) (String.length cb.s - cb.pos)
           in
-          let rec cmp i =
-            if i = n then 0
-            else
-              let d =
-                Char.compare ca.s.[ca.pos + i] cb.s.[cb.pos + i]
-              in
-              if d <> 0 then d else cmp (i + 1)
+          let k =
+            if ca.s == cb.s && ca.pos = cb.pos then n
+            else common_prefix ca.s ca.pos cb.s cb.pos n
           in
-          let d = cmp 0 in
-          if d <> 0 then d
+          if k < n then Char.compare ca.s.[ca.pos + k] cb.s.[cb.pos + k]
           else begin
             ca.pos <- ca.pos + n;
             cb.pos <- cb.pos + n;
@@ -221,7 +235,13 @@ let compare a b =
     in
     go ()
 
-let equal a b = a == b || (length a = length b && compare a b = 0)
+let equal a b =
+  a == b
+  || length a = length b
+     &&
+     match (a, b) with
+     | Leaf x, Leaf y -> String.equal x y
+     | _ -> compare a b = 0
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)

@@ -42,7 +42,8 @@ val iter_chunks : (string -> unit) -> t -> unit
 val fold_chunks : ('a -> string -> 'a) -> 'a -> t -> 'a
 
 (** Content equality, without flattening either rope. Physically equal
-    ropes (e.g. interned ones) short-circuit in O(1). *)
+    ropes (e.g. interned ones) short-circuit in O(1), two leaves compare
+    with [String.equal], and otherwise it is {!compare}'s walk. *)
 val equal : t -> t -> bool
 
 (** {1 Hash-consing}
@@ -69,7 +70,11 @@ val hash : t -> int
     O(distinct nodes), not O({!length}). *)
 val dag_size : t -> int
 
-(** Lexicographic content comparison. *)
+(** Lexicographic content comparison, the byte order of [String.compare],
+    without flattening either rope. Both ropes' leaves are walked in
+    lockstep: a range that both sit on at the same offset of one physical
+    string (ropes built from a common value share leaves) is equal without
+    a look, and other ranges compare 8 bytes at a time. *)
 val compare : t -> t -> int
 
 (** [output oc r] writes the text of [r] to [oc] chunk by chunk. *)

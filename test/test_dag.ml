@@ -354,7 +354,10 @@ let test_dag_incr_split_on_edit () =
      inner [num 7] to [num 5] *)
   let last = List.nth units 8 in
   let inner_add = last.Tree.children.(0) in
-  let st = Incr.replace s ~parent:inner_add ~pos:2 (Expr_ag.num 5) in
+  let st =
+    Incr.replace s ~next:(Incr.tree s)
+      (Tree.Subtree { parent = inner_add; pos = 2; repl = Expr_ag.num 5 })
+  in
   check_bool "edit propagated incrementally" false (st.Incr.wv_fallbacks > 0);
   let store = Incr.store s in
   check_int "edited occurrence recomputed" 312
@@ -385,7 +388,10 @@ let test_dag_incr_gate_divergence_splits () =
     | [ b ] -> b
     | _ -> Alcotest.fail "expected exactly one block"
   in
-  let st = Incr.replace s ~parent:block ~pos:3 (Expr_ag.num 100) in
+  let st =
+    Incr.replace s ~next:(Incr.tree s)
+      (Tree.Subtree { parent = block; pos = 3; repl = Expr_ag.num 100 })
+  in
   check_bool "edit propagated incrementally" false (st.Incr.wv_fallbacks > 0);
   let store = Incr.store s in
   List.iter

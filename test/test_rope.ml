@@ -147,6 +147,82 @@ let prop_assoc =
         (Rope.concat (Rope.concat a b) c)
         (Rope.concat a (Rope.concat b c)))
 
+(* Rope pairs for the comparison kernels: a base text over a small
+   alphabet (long equal runs, bytes on both sides of 0x80) and a variant —
+   the same text, one byte changed, a prefix or an extension, each cut
+   into leaves at its own random points so leaf boundaries rarely align
+   and reusing the base's physical leaf wherever it holds the same bytes
+   at the same offset; or the base's own leaves behind a short new prefix,
+   so one physical string sits at different offsets of the two texts.
+   [concat_list] keeps the leaves as they are. The texts run to 40 bytes
+   and a change can fall anywhere, either side of an 8-byte word
+   boundary. *)
+let kernel_pair =
+  let open QCheck.Gen in
+  let text n =
+    string_size ~gen:(oneofl [ 'a'; 'b'; '\000'; '\255' ]) (return n)
+  in
+  let cut s =
+    let+ cuts = list_size (int_bound 4) (int_bound (String.length s)) in
+    let cuts = List.sort_uniq compare (0 :: String.length s :: cuts) in
+    let rec go = function
+      | a :: (b :: _ as rest) -> String.sub s a (b - a) :: go rest
+      | _ -> []
+    in
+    go cuts
+  in
+  let* n = int_bound 40 in
+  let* s = text n in
+  let* la = cut s in
+  (* [la]'s leaf where it spells [l] at offset [o], [l] itself else *)
+  let share o l =
+    let rec find o' = function
+      | l' :: rest ->
+          if o' = o && String.equal l l' then l'
+          else find (o' + String.length l') rest
+      | [] -> l
+    in
+    find 0 la
+  in
+  let same_offsets t =
+    let+ lt = cut t in
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (o, acc) l -> (o + String.length l, share o l :: acc))
+            (0, []) lt))
+  in
+  let* lb =
+    oneof
+      [
+        same_offsets s;
+        (let* p = int_bound (max 0 (n - 1)) and* c = oneofl [ 'a'; '\255' ] in
+         same_offsets (String.mapi (fun i x -> if i = p then c else x) s));
+        (let* k = int_bound n in
+         same_offsets (String.sub s 0 k));
+        (let* e = text 5 in
+         same_offsets (s ^ e));
+        (let+ e = text 3 in
+         e :: la);
+      ]
+  in
+  let rope ls = Rope.concat_list (List.map Rope.of_string ls) in
+  return (rope la, rope lb)
+
+let prop_kernels_match_strings =
+  qc ~count:1000 "compare/equal = String.compare/equal"
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Printf.sprintf "%S vs %S" (Rope.to_string a) (Rope.to_string b))
+       kernel_pair)
+    (fun (a, b) ->
+      let sa = Rope.to_string a and sb = Rope.to_string b in
+      let sign x = compare x 0 in
+      sign (Rope.compare a b) = sign (String.compare sa sb)
+      && sign (Rope.compare b a) = sign (String.compare sb sa)
+      && Rope.equal a b = String.equal sa sb
+      && Rope.equal b a = String.equal sb sa)
+
 let suite =
   [
     ( "rope",
@@ -171,5 +247,6 @@ let suite =
         prop_equal_content;
         prop_compare_content;
         prop_assoc;
+        prop_kernels_match_strings;
       ] );
   ]

@@ -3,6 +3,7 @@
    latency stay sane — references never beat full shipping on size, the
    wave touches every boundary, and a no-op edit moves nothing. *)
 
+open Pag_core
 open Pag_eval
 open Pag_grammars
 open Pag_parallel
@@ -252,6 +253,135 @@ let test_batched_root_ships_tree () =
   check_bool "no cheaper than the single edit" true
     (r.Session.br_bytes >= single.Session.er_bytes_incr)
 
+(* The resident plan a single edit leaves behind is the plan
+   [Split.decompose] builds for the edited tree — whether the edit kept it
+   (a literal edit cannot move a split point or a byte) or rebuilt it — and
+   the full-recompile byte count read off its fragments is the one the
+   whole tree's [Tree.byte_size] gives. The stream mixes literal edits,
+   a statement that changes size, a rename that keeps the node count but
+   not the bytes, swapped statements (a replaced subtree holding split
+   points with the same count and bytes), a literal edit of a constant
+   whose cone overflows the frontier (a rebuild renumbers nodes that
+   earlier grafts left out of preorder), and enough structural edits to
+   trigger compaction. *)
+let test_kept_plan_is_decompose () =
+  let g = Pascal.Pascal_ag.grammar in
+  let machines = 3 and granularity = 0.1 in
+  let src ~limit ~times ~scale ~a ~b =
+    Printf.sprintf
+      "program p;\nconst limit = %d;\nvar i, s, total : integer;\n\
+       procedure bump(k : integer);\nbegin\n  total := total + k;\n\
+      \  total := total * %d\nend;\n\
+       begin\n  s := 0;\n  total := 0;\n  i := 1;\n  repeat\n\
+      \    i := i * %d;\n    %s;\n    %s;\n    bump(i)\n\
+      \  until i > limit;\n  write(s);\n  write(total)\nend.\n"
+      limit scale times a b
+  in
+  let tree ?(limit = 100) ?(times = 2) ?(scale = 2) ?(a = "s := s + i")
+      ?(b = "total := total + 1") () =
+    Pascal.Pascal_ag.tree_of_program g
+      (Pascal.Parser.parse_program (src ~limit ~times ~scale ~a ~b))
+  in
+  let es =
+    Session.open_session ~frontier:0.5
+      (Session.spec ~granularity ~librarian:false machines)
+      g (tree ())
+  in
+  check_bool "the program decomposes" true (Split.count (Session.plan es) > 1);
+  let same_plan what =
+    let kept = Session.plan es in
+    let fresh = Split.decompose g (Session.tree es) ~machines ~granularity in
+    check_int (what ^ ": count") (Split.count fresh) (Split.count kept);
+    Array.iter2
+      (fun (k : Split.fragment) (f : Split.fragment) ->
+        check_bool (what ^ ": fr_root") true
+          (k.Split.fr_root == f.Split.fr_root);
+        Alcotest.(check (option int))
+          (what ^ ": fr_parent") f.Split.fr_parent k.Split.fr_parent;
+        check_int (what ^ ": fr_bytes") f.Split.fr_bytes k.Split.fr_bytes;
+        let cuts = Split.cut_nodes kept k.Split.fr_id in
+        check_bool (what ^ ": cut_nodes") true
+          (List.equal ( == ) (Split.cut_nodes fresh f.Split.fr_id) cuts);
+        List.iter
+          (fun (c : Tree.t) ->
+            Alcotest.(check (option int))
+              (what ^ ": cut keyed by its current id")
+              (Split.fragment_of_cut_node fresh c.Tree.id)
+              (Split.fragment_of_cut_node kept c.Tree.id))
+          cuts)
+      (Split.fragments kept) (Split.fragments fresh)
+  in
+  (* [er_bytes_full] as the whole tree's bytes price it *)
+  let bytes_full_by_tree () =
+    let st = Session.store es and plan = Session.plan es in
+    let full (n : Tree.t) kind =
+      Array.fold_left
+        (fun acc (a : Grammar.attr_decl) ->
+          if a.Grammar.a_kind <> kind then acc
+          else
+            acc
+            + Message.size
+                (Message.Attr
+                   {
+                     node = n.Tree.id;
+                     attr = a.Grammar.a_name;
+                     value = Store.get st n a.Grammar.a_name;
+                   }))
+        0 (Grammar.symbol g n.Tree.sym).Grammar.s_attrs
+    in
+    Array.fold_left
+      (fun acc (f : Split.fragment) ->
+        match f.Split.fr_parent with
+        | Some _ ->
+            acc
+            + full f.Split.fr_root Grammar.Syn
+            + full f.Split.fr_root Grammar.Inh
+        | None -> acc)
+      ((Split.count plan * Message.header_bytes)
+      + Tree.byte_size (Session.tree es)
+      + full (Session.tree es) Grammar.Syn)
+      (Split.fragments plan)
+  in
+  let edit ?(kept = false) ?(fallback = false) what next =
+    let before = Session.plan es in
+    let r = Session.edit es next in
+    if kept then
+      check_bool (what ^ ": plan kept") true (Session.plan es == before);
+    if fallback then
+      check_bool (what ^ ": fell back") true r.Session.er_fallback;
+    same_plan what;
+    check_int (what ^ ": bytes_full") (bytes_full_by_tree ())
+      r.Session.er_bytes_full;
+    r
+  in
+  ignore (edit ~kept:true "literal" (tree ~times:3 ()));
+  ignore (edit ~kept:true "literal in a routine" (tree ~times:3 ~scale:5 ()));
+  let a = "s := s + i * 2" in
+  ignore (edit "statement grows" (tree ~times:3 ~scale:5 ~a ()));
+  let a = "s := s + total * 2" in
+  ignore (edit "rename" (tree ~times:3 ~scale:5 ~a ()));
+  let a = "total := total + 1" and b = "s := s + total * 2" in
+  ignore (edit "swapped statements" (tree ~times:3 ~scale:5 ~a ~b ()));
+  ignore
+    (edit ~kept:true "literal among grafts" (tree ~times:4 ~scale:5 ~a ~b ()));
+  ignore
+    (edit ~fallback:true "literal of a constant"
+       (tree ~limit:200 ~times:4 ~scale:5 ~a ~b ()));
+  (* alternate two sizes of one statement until the dead slots compact *)
+  let k = ref 0 and compacted = ref false in
+  while (not !compacted) && !k < 100 do
+    incr k;
+    let a =
+      if !k mod 2 = 0 then "total := total + 1" else "total := total + i"
+    in
+    let r =
+      edit (Printf.sprintf "structural edit %d" !k)
+        (tree ~limit:200 ~times:4 ~scale:5 ~a ~b ())
+    in
+    compacted := r.Session.er_fallback
+  done;
+  check_bool "compaction after a run of grafts" true (!compacted && !k > 2)
+
 let suite =
   [
     ( "session",
@@ -271,5 +401,7 @@ let suite =
         Alcotest.test_case "batched identity" `Quick test_batched_identity;
         Alcotest.test_case "batched root edit ships the tree" `Quick
           test_batched_root_ships_tree;
+        Alcotest.test_case "kept plan is the decomposed plan" `Quick
+          test_kept_plan_is_decompose;
       ] );
   ]

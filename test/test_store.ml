@@ -143,6 +143,54 @@ let test_stub_stopped_populate () =
   check_int "root stop still allocates root's children" 2
     (Store.node_count whole - 1)
 
+(* Appending replacement subtrees one at a time, as an edit session does:
+   the arrays grow geometrically behind the logical sizes, so every query
+   must answer from the logical node count, slot count and id span — an id
+   just past the span is not covered even when the reserve already has room
+   for it. Values set before a growth survive it, and appended slots start
+   unset. *)
+let test_append_subtree_grows () =
+  let g = gap_grammar in
+  let t = gap_tree () in
+  let store = Store.create g t in
+  let next = ref (Store.node_count store) in
+  let appended = ref [] in
+  for k = 1 to 40 do
+    let nodes0 = Store.node_count store and slots0 = Store.slot_count store in
+    (* a [leaf] node (one slot) over a terminal leaf (none) *)
+    let sub = Tree.node g "leaf" [ Tree.leaf g "T" [ ("v", Value.Int k) ] ] in
+    let lo = !next in
+    next := Tree.number_from sub lo;
+    Store.append_subtree store sub;
+    check_int "node count" (nodes0 + 2) (Store.node_count store);
+    check_int "slot count" (slots0 + 1) (Store.slot_count store);
+    let found id n =
+      match Store.find_node store id with Some m -> m == n | None -> false
+    in
+    check_bool "appended root found" true (found lo sub);
+    check_bool "appended leaf found" true
+      (found (lo + 1) sub.Tree.children.(0));
+    check_bool "id past the span not covered" true
+      (Store.find_node store !next = None);
+    Alcotest.(check (option (pair int int)))
+      "slot range of the graft" (Some (slots0, slots0 + 1))
+      (Store.slot_range store ~id_lo:lo ~id_count:2);
+    check_bool "appended slot starts unset" false
+      (Store.is_set store sub "s");
+    Store.set store sub "s" (Value.Int k);
+    appended := sub :: !appended;
+    let ids = ref [] in
+    Store.iter_nodes store (fun n -> ids := n.Tree.id :: !ids);
+    Alcotest.(check (list int))
+      "iter_nodes in dense order" (List.init !next Fun.id) (List.rev !ids)
+  done;
+  List.iteri
+    (fun i sub ->
+      check_int "value kept across growth" (40 - i)
+        (Value.as_int ~ctx:"test" (Store.get store sub "s")))
+    !appended;
+  check_int "missing: the original tree's slots" 2 (Store.missing store)
+
 let suite =
   [
     ( "store",
@@ -160,5 +208,7 @@ let suite =
           test_shared_fragment_ids;
         Alcotest.test_case "stub-stopped traversal" `Quick
           test_stub_stopped_populate;
+        Alcotest.test_case "append_subtree grows behind logical sizes"
+          `Quick test_append_subtree_grows;
       ] );
   ]

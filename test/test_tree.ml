@@ -75,6 +75,101 @@ let test_deep_tree_stack_safe () =
   let n = Tree.number t in
   check_bool "big" true (n > 100_000)
 
+(* The two-pass diff [Tree.diff] replaced, kept as the reference: test
+   every child pair for equality, then recurse into the one that differs. *)
+let rec ref_equal (a : Tree.t) (b : Tree.t) =
+  a.Tree.sym_id = b.Tree.sym_id
+  && (match (a.Tree.prod, b.Tree.prod) with
+     | None, None ->
+         List.compare_lengths a.Tree.term_attrs b.Tree.term_attrs = 0
+         && List.for_all2
+              (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && Value.equal v1 v2)
+              a.Tree.term_attrs b.Tree.term_attrs
+     | Some p, Some q -> p.Grammar.p_id = q.Grammar.p_id
+     | _ -> false)
+  && Array.length a.Tree.children = Array.length b.Tree.children
+  && Array.for_all2 ref_equal a.Tree.children b.Tree.children
+
+let ref_diff a b =
+  let same_shape (x : Tree.t) (y : Tree.t) =
+    x.Tree.sym_id = y.Tree.sym_id
+    &&
+    match (x.Tree.prod, y.Tree.prod) with
+    | Some p, Some q -> p.Grammar.p_id = q.Grammar.p_id
+    | None, None -> ref_equal x y
+    | _ -> false
+  in
+  let rec go (x : Tree.t) (y : Tree.t) =
+    if not (same_shape x y) then Tree.Root
+    else begin
+      let diffs = ref [] in
+      Array.iteri
+        (fun i c ->
+          if not (ref_equal c y.Tree.children.(i)) then diffs := i :: !diffs)
+        x.Tree.children;
+      match !diffs with
+      | [] -> Tree.Equal
+      | [ i ] -> (
+          match go x.Tree.children.(i) y.Tree.children.(i) with
+          | Tree.Root ->
+              Tree.Subtree { parent = x; pos = i; repl = y.Tree.children.(i) }
+          | d -> d)
+      | _ -> Tree.Root
+    end
+  in
+  go a b
+
+(* A copy of [t] with up to [k] random subtrees replaced: an [expr] by a
+   fresh random expression, a number leaf by a different number. Other
+   picks (and a fresh expression equal to the old one) change nothing. *)
+let edited st t k =
+  let g = Expr_ag.grammar in
+  let n = Tree.size t in
+  let picks = List.init k (fun _ -> Random.State.int st n) in
+  let i = ref (-1) in
+  let rec copy (x : Tree.t) =
+    incr i;
+    let fresh =
+      if not (List.mem !i picks) then None
+      else if x.Tree.sym = "expr" then
+        Some (Expr_ag.random_expr st ~depth:2 ~vars:[ "a"; "b" ])
+      else if x.Tree.sym = "NUMBER" then
+        let v = Value.as_int ~ctx:"test" (Tree.term_attr x "value") in
+        Some (Tree.leaf g "NUMBER" [ ("value", Value.Int (v + 1)) ])
+      else None
+    in
+    match fresh with
+    | Some r ->
+        i := !i + Tree.size x - 1;
+        r
+    | None -> (
+        match x.Tree.prod with
+        | Some p ->
+            Tree.node g p.Grammar.p_name
+              (Array.to_list (Array.map copy x.Tree.children))
+        | None -> Tree.leaf g x.Tree.sym x.Tree.term_attrs)
+  in
+  copy t
+
+let same_delta d e =
+  match (d, e) with
+  | Tree.Equal, Tree.Equal | Tree.Root, Tree.Root -> true
+  | Tree.Subtree a, Tree.Subtree b ->
+      a.parent == b.parent && a.pos = b.pos && a.repl == b.repl
+  | _ -> false
+
+let prop_diff_matches_two_pass =
+  Qc_seed.qc ~count:300 "one-pass diff = two-pass diff"
+    QCheck.(pair (int_bound 100_000) (int_bound 3))
+    (fun (seed, k) ->
+      let st = Random.State.make [| seed |] in
+      let a = Expr_ag.random_program st ~depth:(2 + (seed mod 6)) in
+      let b = edited st a k in
+      (* [main]'s one child may differ at its own root: a [Root] delta *)
+      List.for_all
+        (fun (x, y) -> same_delta (Tree.diff x y) (ref_diff x y))
+        [ (a, b); (b, a); (a.Tree.children.(0), b.Tree.children.(0)) ])
+
 let suite =
   [
     ( "tree",
@@ -89,5 +184,6 @@ let suite =
         Alcotest.test_case "sizes" `Quick test_size_byte_size;
         Alcotest.test_case "fold/iter agree" `Quick test_fold_iter_agree;
         Alcotest.test_case "deep tree" `Quick test_deep_tree_stack_safe;
+        prop_diff_matches_two_pass;
       ] );
   ]
