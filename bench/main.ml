@@ -1055,9 +1055,9 @@ let e14_steal () =
      hits, %d instances stolen\n"
     (cv "steal.fires") (cv "steal.attempts") (cv "steal.successes")
     (cv "steal.stolen");
-  (* real-domains runs: OCaml 5 domains through Engine.run_steal; on this
-     container (one core) only the equivalence result is meaningful, so the
-     wall-clock time is recorded, not gated. *)
+  (* real-domains runs: Engine.run_steal on min(machines, cores) domains;
+     only the equivalence result is gated, the wall-clock time is
+     recorded. *)
   let dm = if quick then 2 else 4 in
   let domains_rows =
     List.map
@@ -1069,7 +1069,8 @@ let e14_steal () =
         let ok =
           String.equal (mask_asm cd.Driver.c_asm) (mask_asm seq.Driver.c_asm)
         in
-        Printf.printf "domains (%d): %-38s %8.3fs wall  code %s\n" dm name
+        Printf.printf "domains (-m %d, %d domains): %-38s %8.3fs wall  code %s\n"
+          dm rd.Runner.r_report.Pag_obs.Obs.Report.rp_domains name
           rd.Runner.r_time
           (if ok then "ok" else "MISMATCH");
         (name, rd.Runner.r_time, ok))

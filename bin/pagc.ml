@@ -7,7 +7,7 @@
 
      pagc prog.pas                          sequential static evaluation
      pagc --machines 5 prog.pas             parallel combined evaluator
-     pagc --machines 5 --evaluator dynamic  parallel dynamic evaluator
+     pagc --machines 5 --schedule dynamic   parallel dynamic evaluator
      pagc --run prog.pas                    compile, assemble, execute
      pagc --gantt --machines 5 prog.pas     print the evaluator timeline
      pagc --machines 5 --trace out.json --report prog.pas
@@ -479,7 +479,7 @@ let run_serve ~script ~machines ~dag ~faults ~transport ~report
           (Obs.Metrics.rows obs.Obs.x_metrics);
       exit (if !ok then 0 else 1)
 
-let run_compiler file machines evaluator schedule transport granularity
+let run_compiler file machines schedule transport granularity
     no_librarian no_priority dag optimize run_it gantt trace_out
     events_out report out input faults fault_seed edit_session serve
     batch_edits explain profile profile_json =
@@ -514,12 +514,6 @@ let run_compiler file machines evaluator schedule transport granularity
     | None -> ());
     let src = read_file file in
     let program = Parser.parse_program src in
-    let schedule =
-      match schedule with
-      | "steal" -> `Steal
-      | "dynamic" -> `Dynamic
-      | _ -> if evaluator = "dynamic" then `Dynamic else `Static
-    in
     let telemetry = trace_out <> None || events_out <> None || report in
     let provenance = explain <> None || profile || profile_json <> None in
     let compiled, trace_info, obs_data, prov_data =
@@ -735,24 +729,18 @@ let file_arg =
 let machines_arg =
   Arg.(value & opt int 1 & info [ "machines"; "m" ] ~docv:"N" ~doc:"Number of evaluator machines.")
 
-let evaluator_arg =
-  Arg.(
-    value
-    & opt (enum [ ("combined", "combined"); ("dynamic", "dynamic") ]) "combined"
-    & info [ "evaluator"; "e" ] ~doc:"Evaluator kind: combined or dynamic.")
-
 let schedule_arg =
   Arg.(
     value
     & opt
-        (enum [ ("static", "static"); ("dynamic", "dynamic"); ("steal", "steal") ])
-        "static"
+        (enum [ ("static", `Static); ("dynamic", `Dynamic); ("steal", `Steal) ])
+        `Static
     & info [ "schedule" ]
         ~doc:
-          "Instance schedule: static = the paper's Split placement \
-           (combined or all-dynamic per --evaluator), dynamic = force the \
-           all-dynamic classic protocol, steal = work-stealing deques over \
-           the unified engine with Split owner-affinity seeding.")
+          "Instance schedule: static = the paper's Split placement with \
+           the combined evaluator, dynamic = the same protocol \
+           all-dynamic, steal = work-stealing deques over the unified \
+           engine with Split owner-affinity seeding.")
 
 let transport_arg =
   Arg.(
@@ -945,8 +933,8 @@ let cmd =
   Cmd.v
     (Cmd.info "pagc" ~doc)
     Term.(
-      const run_compiler $ file_arg $ machines_arg $ evaluator_arg
-      $ schedule_arg $ transport_arg $ granularity_arg $ no_librarian_arg $ no_priority_arg
+      const run_compiler $ file_arg $ machines_arg $ schedule_arg
+      $ transport_arg $ granularity_arg $ no_librarian_arg $ no_priority_arg
       $ dag_arg $ optimize_arg $ run_arg $ gantt_arg
       $ trace_arg
       $ events_arg $ report_arg $ out_arg $ input_arg $ faults_arg

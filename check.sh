@@ -26,9 +26,10 @@ dune exec bin/pagc.exe -- --machines 3 --schedule steal \
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_seq_smoke.s > /tmp/pagc_seq_smoke.masked
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_steal_smoke.s > /tmp/pagc_steal_smoke.masked
 cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_steal_smoke.masked
-# The same steal loop on real domains: one domain, two, and two under
-# --dag (which domains steal ignores: no plan, the plain instance table).
-for flags in "--machines 1" "--machines 2" "--machines 2 --dag"; do
+# The same steal loop on real domains: one domain, two, two under --dag
+# (which domains steal ignores: no plan, the plain instance table), and
+# four machines, which run on min(4, cores) domains.
+for flags in "--machines 1" "--machines 2" "--machines 2 --dag" "--machines 4"; do
   dune exec bin/pagc.exe -- --transport domains --schedule steal $flags \
     examples/primes.pas -o /tmp/pagc_steal_domains_smoke.s 2>/dev/null
   sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_steal_domains_smoke.s > /tmp/pagc_steal_domains_smoke.masked

@@ -781,7 +781,7 @@ let gather_quiet e rid =
 let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
     ?(prov_clock = fun () -> 0.0) e gr =
   let n = e.e_n in
-  let d_count = max 1 domains in
+  let d_count = Pag_util.Placement.count domains in
   let owner =
     match owner with
     | Some f -> fun rid -> min (d_count - 1) (max 0 (f rid))
@@ -789,14 +789,10 @@ let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
   in
   let start ~seed:_ ~release:_ body =
     (* fresh domains have no ambient uid base; give each its own stripe *)
-    let run d =
-      Uid.with_counter (ref (uid_base + (d * Uid.stride))) (fun () -> body d)
-    in
-    let spawned =
-      Array.init (d_count - 1) (fun i -> Domain.spawn (fun () -> run (i + 1)))
-    in
-    run 0;
-    Array.iter Domain.join spawned
+    ignore
+      (Pag_util.Placement.run d_count (fun d ->
+           Uid.with_counter (ref (uid_base + (d * Uid.stride))) (fun () ->
+               body d)))
   in
   let fire d ~release =
     (* each domain records into its own ring; pid = domain id *)

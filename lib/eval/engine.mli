@@ -242,8 +242,9 @@ val steal_loop :
   t -> graph -> owner:(int -> int) -> machines -> int * Steal.stats array
 
 (** [run_steal ~domains ~owner ~uid_base e gr] runs {!steal_loop} on
-    [domains] OCaml domains. [owner] maps a rule-instance id to a domain
-    (clamped); the default block-partitions the instance table. Each
+    [D = Pag_util.Placement.count domains] machines, one per domain (the
+    caller's hosting machine 0). [owner] maps a rule-instance id to a
+    machine (clamped); the default block-partitions the instance table. Each
     domain [d] allocates uids from its own stripe
     [uid_base + d * Uid.stride], so label numbers depend on the schedule
     (compare label-masked output across schedules, or use a grammar that
@@ -251,10 +252,10 @@ val steal_loop :
     exponential backoff; [st_idle] is the wall-clock time spent spinning.
 
     The engine-attached provenance ring is not used here (it is not
-    domain-safe): pass [prov], one ring
-    per domain, and each domain records its own firings with its domain id
-    as pid and [prov_clock] (typically wall time) as the clock. Returns
-    the number of firings and the per-domain scheduler statistics. Raises
+    domain-safe): pass [prov], one ring per domain (at least [D]), and
+    each domain records its own firings with its domain id as pid and
+    [prov_clock] (typically wall time) as the clock. Returns the number of
+    firings and the [D] per-domain scheduler statistics. Raises
     {!Cycle} as {!run_topo} does. *)
 val run_steal :
   ?domains:int ->

@@ -32,3 +32,21 @@ let rule_cost t ~dynamic = if dynamic then t.dynamic_rule else t.static_rule
 
 let visit_cost t ~visits ~evals =
   (float_of_int visits *. t.visit) +. (float_of_int evals *. t.static_rule)
+
+type wave_cost = { wc_owner : float; wc_share : float; wc_chunk_bytes : int }
+
+let wave t ~rounds ~assist (wv : Pag_eval.Incr.wave_stats) =
+  let in_rounds = Array.fold_left ( + ) 0 rounds in
+  let residue = max 0 (wv.wv_refired - in_rounds) in
+  {
+    wc_owner =
+      (float_of_int wv.wv_bytes *. t.rebuild_per_byte)
+      +. (float_of_int wv.wv_dirty *. t.build_node)
+      +. (float_of_int residue *. rule_cost t ~dynamic:true);
+    wc_share =
+      Array.fold_left
+        (fun acc r ->
+          acc +. (float_of_int ((r + assist - 1) / assist) *. t.steal_rule))
+        0.0 rounds;
+    wc_chunk_bytes = in_rounds / assist * 16;
+  }

@@ -37,3 +37,15 @@ val rule_cost : t -> dynamic:bool -> float
 (** Cost of a static visit segment that fired [evals] rules over [visits]
     node entries. *)
 val visit_cost : t -> visits:int -> evals:int -> float
+
+(** A wave's price: the owner's sequential work (rebuilt bytes, the dirty
+    cone, and every re-fire outside the rounds at dynamic-rule cost), each
+    round's ceiling share of steal-priced re-fires across the assisting
+    machines, and the cone chunk each helper is shipped and returns. *)
+type wave_cost = { wc_owner : float; wc_share : float; wc_chunk_bytes : int }
+
+(** [wave t ~rounds ~assist wv] prices wave [wv], [rounds.(i)] of whose
+    re-fires ran in round [i] across [assist] machines ([[||]] for a
+    single edit). *)
+val wave :
+  t -> rounds:int array -> assist:int -> Pag_eval.Incr.wave_stats -> wave_cost

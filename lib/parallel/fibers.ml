@@ -196,14 +196,12 @@ let run t machines =
       h.h_live <- h.h_live + 1;
       Queue.add (fun () -> start t f body) h.h_ready)
     machines;
-  let spawned =
-    List.filter_map
-      (fun d ->
-        if homes.(d).h_fibers = [] then None
-        else Some (Domain.spawn (fun () -> schedule homes.(d))))
-      (List.init (ndom - 1) (fun i -> i + 1))
+  (* the caller's home, then every other home that has a fiber *)
+  let used =
+    List.filteri (fun d h -> d = 0 || h.h_fibers <> []) (Array.to_list homes)
+    |> Array.of_list
   in
-  schedule homes.(0);
-  List.iter Domain.join spawned;
+  ignore
+    (Pag_util.Placement.run (Array.length used) (fun d -> schedule used.(d)));
   Option.iter raise (Atomic.get t.failure);
-  1 + List.length spawned
+  Array.length used

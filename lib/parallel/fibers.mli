@@ -36,8 +36,8 @@ val recv_timeout : 'a t -> int -> float -> 'a option
 
 (** [run t machines] runs each [(id, domain, body)] as machine [id]'s fiber
     on domain [domain]. Domain 0 is the calling domain; each other domain
-    index that some machine uses is spawned, so the run uses
-    [1 + max domain] domains. On one domain, fibers start in list order.
+    index that some machine uses is spawned by {!Pag_util.Placement.run}.
+    On one domain, fibers start in list order.
     Returns when every body has returned; re-raises the first exception a
     body raised. Returns the number of domains used. *)
 val run : 'a t -> (int * int * (unit -> unit)) list -> int

@@ -875,14 +875,16 @@ let domains_row ~fragments ~horizon (worker_stats : Worker.stats array) pid =
     rm_max_queue = -1;
   }
 
-(* Work-stealing evaluation on real domains: {!Eng.run_steal}, the steal
-   loop over the domains machine set, with owner affinity from the Split
-   placement. The CPU does the actual work, so no cost model applies;
-   [st_idle] is the wall-clock time each domain spent backing off. *)
+(* Work-stealing evaluation on real domains: {!Eng.run_steal} over
+   [D = min m cores] loop machines, fragment [f] seeded on machine
+   [f mod D] (owner affinity from the Split placement). The CPU does the
+   actual work, so no cost model applies; [st_idle] is the wall-clock time
+   each domain spent backing off. *)
 let run_domains_steal opts g tree =
   let t0 = Unix.gettimeofday () in
   let split = decompose opts g tree in
   let m = max 1 opts.machines in
+  let d = Pag_util.Placement.count m in
   let store = ESt.create_shared g tree in
   (* No DAG plan here, even under [use_dag]: the DAG runtime's projection
      bookkeeping is single-threaded and [Engine.run_steal] owns the whole
@@ -894,7 +896,7 @@ let run_domains_steal opts g tree =
   let gr = Eng.graph eng in
   let node_frag = fragment_affinity split store in
   let owner rid =
-    node_frag.(ESt.dense_index store (Eng.node_of eng rid)) mod m
+    node_frag.(ESt.dense_index store (Eng.node_of eng rid)) mod d
   in
   (* One ring per domain (the shared engine's attached ring is not
      domain-safe); pids are domain ids, timestamps wall-clock relative to
@@ -902,17 +904,17 @@ let run_domains_steal opts g tree =
   let provs =
     if opts.provenance then
       let arity = Pag_eval.Causal.arity_for g in
-      Some (Array.init m (fun _ -> Prov.create ~arity ()))
+      Some (Array.init d (fun _ -> Prov.create ~arity ()))
     else None
   in
   let _, stats =
-    Eng.run_steal ~domains:m ~owner ~uid_base:Uid.stride ?prov:provs
+    Eng.run_steal ~domains:d ~owner ~uid_base:Uid.stride ?prov:provs
       ~prov_clock:(fun () -> Unix.gettimeofday () -. t0)
       eng gr
   in
   let t1 = Unix.gettimeofday () in
   let ctxs =
-    make_ctxs opts ~n:(m + 1) ~clock:(fun () -> Unix.gettimeofday () -. t0)
+    make_ctxs opts ~n:(d + 1) ~clock:(fun () -> Unix.gettimeofday () -. t0)
   in
   steal_metrics ctxs stats;
   let worker_stats =
@@ -931,9 +933,9 @@ let run_domains_steal opts g tree =
       ~label:(run_label opts ~transport:"domains")
       ~clock:"wall clock" ~horizon
       ~machines:
-        (List.init (m + 1) (domains_row ~fragments:m ~horizon worker_stats))
+        (List.init (d + 1) (domains_row ~fragments:d ~horizon worker_stats))
       ~worker_stats ~messages:0 ~bytes:0 ~retransmits:0
-      ~metrics:(merged_metrics ctxs) ~domains:m
+      ~metrics:(merged_metrics ctxs) ~domains:d
   in
   let r_obs =
     if opts.telemetry then Some (merge_recorders ctxs []) else None
@@ -960,14 +962,10 @@ let run_domains_steal opts g tree =
     r_tree = tree;
   }
 
-(* Placement of the static protocol's machines on domains: never more
-   domains than fragments or cores. The calling domain hosts the
-   coordinator, the librarian and fragment 0; fragments 1..N-1 go
-   round-robin onto the other domains. On each domain the machines run as
-   cooperative fibers ({!Fibers}). *)
-let domain_count ~fragments =
-  max 1 (min fragments (Domain.recommended_domain_count ()))
-
+(* Placement of the static protocol's machines on min(fragments, cores)
+   domains: the calling domain hosts the coordinator, the librarian and
+   fragment 0; fragments 1..N-1 go round-robin onto the other domains. On
+   each domain the machines run as cooperative fibers ({!Fibers}). *)
 let home_domain ~fragments ~domains machine =
   let frag = machine - 1 in
   if frag < 1 || frag >= fragments || domains = 1 then 0
@@ -1036,7 +1034,7 @@ let run_domains_static opts g plan tree =
       ~now:(fun () -> Unix.gettimeofday () -. start)
       ~raw ~rto:dom_rto ~watchdog:dom_watchdog ~sim:false
   in
-  let domains = domain_count ~fragments:nfrags in
+  let domains = Pag_util.Placement.count nfrags in
   let t0 = Unix.gettimeofday () in
   (* Machine-id order: on the calling domain the coordinator ships every
      fragment before fragment 0's evaluator takes the domain. *)

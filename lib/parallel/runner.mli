@@ -7,12 +7,13 @@
 
     {!run_domains} executes the same protocol on OCaml 5 domains with
     in-memory mailboxes and reports wall-clock time: the modern multicore
-    counterpart of the paper's workstation network. An [N]-fragment static
-    run places its [N + 2] machines on [min N cores] domains as cooperative
-    fibers ({!Fibers}): the calling domain hosts the coordinator, the
-    librarian and fragment 0, the other fragments go round-robin onto the
-    rest, so one fragment spawns no domain. The report's [rp_domains] is
-    the count used.
+    counterpart of the paper's workstation network. Both schedules run on
+    [min N cores] domains, the calling domain hosting machine 0
+    ({!Pag_util.Placement}). An [N]-fragment static run places its [N + 2]
+    machines on them as cooperative fibers ({!Fibers}): the calling domain
+    hosts the coordinator, the librarian and fragment 0, the other
+    fragments go round-robin onto the rest, so one fragment spawns no
+    domain. The report's [rp_domains] is the count used.
 
     Both transports run one machine set. A single builder in the
     implementation ([static_machines]) constructs the static protocol's
@@ -28,11 +29,12 @@
     {!Pag_eval.Engine.steal_loop} owns the readiness counters, deques,
     census, victim choice, backoff and termination, and each transport
     supplies only a machine set. On domains that is
-    {!Pag_eval.Engine.run_steal}; on the simulator it is one [Sim] fiber
-    per machine plus the parser, with firings charged at
+    {!Pag_eval.Engine.run_steal} over [D = min machines cores] machines,
+    fragment [f] seeded on machine [f mod D]; on the simulator it is one
+    [Sim] fiber per machine plus the parser, with firings charged at
     [Cost.steal_rule], probes priced as Ethernet frames under the fault
-    plan, and backoff as virtual delay. Domains report each evaluator's
-    measured backoff time as its idle time.
+    plan, and backoff as virtual delay. Domains report each of the [D]
+    evaluators' measured backoff time as its idle time.
 
     With [machines = 1] the combined evaluator degenerates to the sequential
     static evaluator and the dynamic evaluator to the sequential dynamic
@@ -55,8 +57,9 @@ type options = {
           steal-half victim selection and exponential backoff. In steal
           mode [machines] counts evaluator machines directly (fragment [i]
           seeds machine [i mod machines]; extra machines start empty and
-          steal), the librarian/priority options are ignored, and fault
-          plans are priced against steal probes only. *)
+          steal; on domains [min machines cores] of them run), the
+          librarian/priority options are ignored, and fault plans are
+          priced against steal probes only. *)
   granularity : float;
   use_priority : bool;
   use_librarian : bool;

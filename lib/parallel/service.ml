@@ -330,8 +330,8 @@ let take_chunk sv edits =
   List.rev !items
 
 (* Coordinator-only: the counters, reservoir and metrics registry are all
-   unsynchronized plain state. The domains transport applies edits on
-   worker domains but folds their latencies through here after joining. *)
+   unsynchronized plain state. The domains transport applies edits on the
+   round's domains but folds their latencies through here after joining. *)
 let record_edit sv tn lat =
   tn.t_edits <- tn.t_edits + 1;
   sv.sv_edits <- sv.sv_edits + 1;
@@ -350,32 +350,13 @@ let record_edit sv tn lat =
    ones in full, unchanged ones as fixed-size intern references. *)
 let result_size sv s =
   let root = Incr.tree s in
-  let st = Incr.store s in
-  let sym = Grammar.symbol sv.sv_g root.Tree.sym in
   let total = ref Message.header_bytes in
   Array.iteri
     (fun i (a : Grammar.attr_decl) ->
       if a.Grammar.a_kind = Grammar.Syn then
-        let m =
-          if Incr.changed s root a.Grammar.a_name then
-            Message.Attr
-              {
-                node = root.Tree.id;
-                attr = a.Grammar.a_name;
-                value = Store.get st root a.Grammar.a_name;
-              }
-          else
-            Message.Attr_ref
-              {
-                src = 0;
-                node = root.Tree.id;
-                attr = a.Grammar.a_name;
-                iid = Store.slot_of st root ~attr_idx:i;
-                hash = 0;
-              }
-        in
-        total := !total + Message.size m)
-    sym.Grammar.s_attrs;
+        total :=
+          !total + Message.size (Session.boundary_message s ~src:0 root i a))
+    (Grammar.symbol sv.sv_g root.Tree.sym).Grammar.s_attrs;
   !total
 
 (* ------------------------------------------------------------------ *)
@@ -472,21 +453,15 @@ let revive_cost s =
      *. (cost.Cost.build_node +. Cost.rule_cost cost ~dynamic:true))
 
 (* Price and apply one chunk of a tenant's edits on worker [k] whose clock
-   shows [now]: one dispatch carrying the replacements, the owner's rebuild
-   and propagation, and one result message for the whole chunk. Returns the
-   worker's clock after the chunk.
-
-   With merging on ([c_batch > 1]) the dispatch also carries 16 bytes of
-   cone-merge metadata per edit, and the merged refire is co-scheduled
-   across [assist] machines: each level-synchronous round costs its
-   ceiling share of steal-priced rules, and cone chunks and partial
-   results cross the wire once per helper. A service that applies edits
-   one at a time prices each as a single edit, with no metadata and no
-   rounds: the owner re-fires the whole cone at dynamic-rule cost, as
-   {!Session.edit} prices it. So does every refire of a fallback rebuild,
-   which has no rounds. *)
+   shows [now]: one dispatch carrying the replacements, the owner's work
+   and the rounds' share ({!Cost.wave}, as the edit sessions price them),
+   and one result message for the whole chunk. Returns the worker's clock
+   after the chunk. With merging on ([c_batch > 1]) the dispatch also
+   carries 16 bytes of cone-merge metadata per edit, the rounds are shared
+   across [assist] machines, and cone chunks and partial results cross the
+   wire once per helper. Edits applied one at a time have no rounds: the
+   owner re-fires the whole cone, as {!Session.edit} prices it. *)
 let sim_chunk sv k now tn items ~assist =
-  let cost = Cost.default in
   let was_evicted = tn.t_session = None in
   let s = revive sv tn in
   let now = if was_evicted then now +. revive_cost s else now in
@@ -503,45 +478,27 @@ let sim_chunk sv k now tn items ~assist =
   let delivered =
     transmit_reliable sv tn ~src:0 ~dst:(k + 1) ~now ~size:dispatch
   in
-  let owner_seq =
-    (float_of_int wv.Incr.wv_bytes *. cost.Cost.rebuild_per_byte)
-    +. (float_of_int wv.Incr.wv_dirty *. cost.Cost.build_node)
-  in
-  let round_total = Array.fold_left ( + ) 0 rounds in
-  let residue = max 0 (wv.Incr.wv_refired - round_total) in
-  let share_work =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        +. (float_of_int ((r + assist - 1) / assist) *. cost.Cost.steal_rule))
-      0.0 rounds
-  in
+  let c = Cost.wave Cost.default ~rounds ~assist wv in
+  let t = delivered +. c.Cost.wc_owner in
   let t =
-    delivered
-    +. (owner_seq +. (float_of_int residue *. Cost.rule_cost cost ~dynamic:true))
-  in
-  let t =
-    if assist > 1 && round_total > 0 then begin
+    if assist > 1 && Array.exists (fun r -> r > 0) rounds then begin
       (* ship cone chunks to the helpers, refire in parallel, collect *)
-      let chunk = Message.header_bytes + (round_total / assist * 16) in
-      let out = ref t in
-      for j = 1 to assist - 1 do
-        let dst = ((k + j) mod sv.sv_cfg.c_workers) + 1 in
-        out :=
-          Float.max !out
-            (transmit_reliable sv tn ~src:(k + 1) ~dst ~now:t ~size:chunk)
-      done;
-      let t = !out +. share_work in
-      let back = ref t in
-      for j = 1 to assist - 1 do
-        let src = ((k + j) mod sv.sv_cfg.c_workers) + 1 in
-        back :=
-          Float.max !back
-            (transmit_reliable sv tn ~src ~dst:(k + 1) ~now:t ~size:chunk)
-      done;
-      !back
+      let size = Message.header_bytes + c.Cost.wc_chunk_bytes in
+      let helpers =
+        List.init (assist - 1) (fun j ->
+            ((k + j + 1) mod sv.sv_cfg.c_workers) + 1)
+      in
+      let fan now ship =
+        List.fold_left (fun t h -> Float.max t (ship h now)) now helpers
+      in
+      let out =
+        fan t (fun dst now ->
+            transmit_reliable sv tn ~src:(k + 1) ~dst ~now ~size)
+      in
+      fan (out +. c.Cost.wc_share) (fun src now ->
+          transmit_reliable sv tn ~src ~dst:(k + 1) ~now ~size)
     end
-    else t +. share_work
+    else t +. c.Cost.wc_share
   in
   let rsize = result_size sv s in
   let back = transmit_reliable sv tn ~src:(k + 1) ~dst:0 ~now:t ~size:rsize in
@@ -618,12 +575,12 @@ let round_sim sv queues =
 (* Domains transport: real parallel application                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply one worker's batches off-coordinator. Only the sessions of this
-   worker's own tenants are touched (a tenant's whole batch lands on one
-   worker), plus the immutable [sv_t0] stamp — no shared counters, no obs
-   registry, no eviction. Each tenant's edits go through
-   {!Incr.edit_batch} in chunks, so the round's tenants refire their
-   waves concurrently across the worker domains. Latencies and wave
+(* Apply the batches of the workers placed on one domain (perhaps the
+   coordinator's). Only these workers' tenants' sessions are touched (a
+   tenant's whole batch lands on one worker), plus the immutable [sv_t0]
+   stamp — no shared counters, no obs registry, no eviction. Each tenant's
+   edits go through {!Incr.edit_batch} in chunks, so the round's tenants
+   refire their waves concurrently across the domains. Latencies and wave
    counters are measured here (at application time) and returned for the
    coordinator to record after the join: one [(tenant, latencies, wave
    stats)] triple per chunk. *)
@@ -648,7 +605,7 @@ let domains_apply sv batches =
       List.rev !out)
     batches
 
-(* Coordinator-side fold of a worker's application results: latencies into
+(* Coordinator-side fold of one domain's application results: latencies into
    the reservoirs, wave counters into the labeled metrics. *)
 let record_applied sv outs =
   List.iter
@@ -662,29 +619,31 @@ let record_applied sv outs =
 
 let round_domains sv queues =
   let t0 = Unix.gettimeofday () in
-  (* revive on the coordinator: session open touches the obs registry. The
-     round's tenants are exempt from eviction, so a later pre-revive's cap
-     enforcement cannot evict an earlier one — every session below is
-     resident and stays so for the whole round. *)
-  Array.iter
-    (fun q -> Queue.iter (fun (tn, _) -> ignore (revive sv tn)) q)
-    queues;
   let work =
     Array.to_list queues
     |> List.filter_map (fun q ->
            if Queue.is_empty q then None else Some (List.of_seq (Queue.to_seq q)))
   in
-  (* Under [c_dag] the workers' sessions intern their DAG fingerprints into
-     the process-wide value arena ({!Pag_core.Value.intern}), which is not
-     domain-safe yet (see service.mli). *)
-  let doms =
-    List.map
-      (fun batches -> Domain.spawn (fun () -> domains_apply sv batches))
-      work
+  (* revive on the coordinator: session open touches the obs registry. The
+     round's tenants are exempt from eviction, so a later pre-revive's cap
+     enforcement cannot evict an earlier one — every session below is
+     resident and stays so for the whole round. *)
+  List.iter (List.iter (fun (tn, _) -> ignore (revive sv tn))) work;
+  (* Busy worker [k] runs on domain [k mod d]; the calling domain hosts
+     domain 0's workers. Under [c_dag] the workers' sessions intern their
+     DAG fingerprints into the process-wide value arena
+     ({!Pag_core.Value.intern}), which is not domain-safe yet (see
+     service.mli). *)
+  let d = Pag_util.Placement.count (List.length work) in
+  let outs =
+    Pag_util.Placement.run d (fun i ->
+        domains_apply sv
+          (List.concat (List.filteri (fun k _ -> k mod d = i) work)))
   in
-  (* fold each worker's results into the counters and the metrics registry
-     back on the coordinator — both are unsynchronized *)
-  List.iter (fun d -> record_applied sv (Domain.join d)) doms;
+  (* fold the results into the counters and the metrics registry back on
+     the coordinator once every domain has joined: both are unsynchronized *)
+  Array.iter (record_applied sv) outs;
+  Obs.Metrics.set_gauge_max (metrics sv) "service.domains" (float_of_int d);
   sv.sv_now <- sv.sv_now +. (Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)

@@ -16,18 +16,21 @@
       time: each worker is a machine on the shared Ethernet, and each
       chunk of a tenant's edits costs a dispatch message (the replacement
       subtrees), the owner's rebuild-plus-propagation delay, and a result
-      message back. The service prices its own dispatch, owner and result
-      model; it does not run a {!Session} wave. The medium saturates under
-      load, which is what the latency percentiles measure. With a fault
-      plan, dropped dispatches retransmit after an RTO (accounted to the
-      owning tenant) and a machine crash mid-wave re-dispatches its
-      remaining batches to the surviving workers.
-    - [`Domains] applies each round's batches on real OCaml domains (one
-      per worker) and measures wall-clock latency. Under [dag] the one
-      shared structure those domains touch is the process-wide value arena
-      ({!Pag_core.Value.intern}): each tenant session's {!Pag_eval.Dag}
-      runtime interns the inherited fingerprints of the regions its edits
-      reach. That arena is not domain-safe yet.
+      message back, priced by {!Cost.wave} and {!Session.boundary_message}
+      as an edit session's wave is, though no {!Session} wave runs. The
+      medium saturates under load, which is what the latency percentiles
+      measure. With a fault plan, dropped dispatches retransmit after an
+      RTO (accounted to the owning tenant) and a machine crash mid-wave
+      re-dispatches its remaining batches to the surviving workers.
+    - [`Domains] applies each round's batches on real OCaml domains and
+      measures wall-clock latency: busy worker [k] of [B] runs on domain
+      [k mod min(B, cores)] ({!Pag_util.Placement}; the calling domain is
+      domain 0), and the [service.domains] gauge keeps the high-water
+      domain count. Under [dag] the one shared structure those domains
+      touch is the process-wide value arena ({!Pag_core.Value.intern}):
+      each tenant session's {!Pag_eval.Dag} runtime interns the inherited
+      fingerprints of the regions its edits reach. That arena is not
+      domain-safe yet.
 
     In both transports the edits themselves are applied through the
     tenant's own {!Pag_eval.Incr} session in submission order, so a
@@ -58,7 +61,8 @@
     memory stays bounded over the service's lifetime. All counters,
     reservoirs and registry writes happen on the coordinator: the
     [`Domains] transport's workers apply edits and return their measured
-    latencies, which the coordinator records after joining them. *)
+    latencies, which the coordinator records once every domain has
+    joined. *)
 
 open Pag_core
 open Pag_eval
@@ -71,7 +75,7 @@ open Netsim
 type policy = Round_robin | Shortest_queue
 
 type config = {
-  c_workers : int;  (** worker machines (netsim) or domains *)
+  c_workers : int;  (** worker machines *)
   c_policy : policy;
   c_transport : [ `Sim | `Domains ];
   c_queue_cap : int;  (** per-tenant queue bound; 0 = unbounded *)
@@ -101,7 +105,7 @@ type config = {
           a single dispatch (the replacements plus 16 bytes of cone-merge
           metadata per edit), steal-shared refire rounds across the
           round's spare workers, and one result message; on [`Domains]
-          the chunks run concurrently across the worker domains. [<= 1]
+          the chunks run concurrently across the round's domains. [<= 1]
           means chunks of one, each priced as a single edit: no
           metadata, and the owner re-fires the whole cone. Wave/conflict/
           fallback counts surface as labeled [service.waves]/

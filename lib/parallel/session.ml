@@ -130,9 +130,9 @@ let attrs_of es (n : Tree.t) kind =
 (* One attribute crossing a machine boundary: changed since the last edit
    (per {!Incr.changed}) ships in full, unchanged ships as a fixed-size
    intern reference — the receiver already holds the value. *)
-let boundary_message es ~src (b : Tree.t) attr_idx (a : Grammar.attr_decl) =
-  let st = Incr.store es.es_incr in
-  if Incr.changed es.es_incr b a.Grammar.a_name then
+let boundary_message s ~src (b : Tree.t) attr_idx (a : Grammar.attr_decl) =
+  let st = Incr.store s in
+  if Incr.changed s b a.Grammar.a_name then
     Message.Attr
       {
         node = b.Tree.id;
@@ -198,25 +198,24 @@ let fold_boundary es f acc =
    visits every boundary; what the equality cutoff left unchanged crosses
    as a reference.
 
-   A single edit is a wave with no round structure and no cone-merge
-   metadata: [rounds] is empty and [edits] is 0, and the owner re-fires the
-   whole cone sequentially at dynamic-rule cost — as does a batch that
-   fell back to a rebuild. A merged batch carries 16 bytes of cone-merge
-   metadata per edit in its dispatch, and its refire runs as a steal wave
-   co-scheduled across ALL fragment machines: the owner ships cone chunks
-   out, every machine works the level-synchronous rounds in parallel (a
-   round costs its ceiling share, [ceil (fires / machines)] steal-priced
-   rules), and results return to the owner before the boundary flow. So
-   serial application pays the owner-sequential refire and a full boundary
-   wave per edit; the batch pays the refire in parallel rounds and the
+   The owner's work and the rounds' share are {!Cost.wave}'s. A single
+   edit is a wave with no round structure and no cone-merge metadata
+   ([merged] is false), and the owner re-fires the whole
+   cone sequentially at dynamic-rule cost, as it does a batch's re-fires
+   outside the rounds (a rebuild's). A merged batch carries 16 bytes of
+   cone-merge metadata per edit in its dispatch, and its rounds run as a
+   steal wave co-scheduled across ALL fragment machines: the owner ships
+   cone chunks out, every machine works the rounds in parallel, and
+   results return to the owner before the boundary flow. So serial
+   application pays the owner-sequential refire and a full boundary wave
+   per edit; the batch pays the refire in parallel rounds and the
    boundary wave once.
 
    The latency runs from the coordinator's dispatch to the refreshed
    roots. *)
-let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
-    ~edits =
+let simulate_wave es ~owner_frag ~edit_node ~merged (wv : Incr.wave_stats) =
+  let rounds = if merged then wv.Incr.wv_round_refired else [||] in
   let faults = es.es_spec.sp_options.Runner.faults in
-  let cost = Cost.default in
   let frags = Split.fragments es.es_plan in
   let nfrags = Array.length frags in
   let root = Incr.tree es.es_incr in
@@ -230,30 +229,14 @@ let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
       frags;
     Array.map List.rev t
   in
-  (* Sequential prefix at the owner: rebuild the replacements, walk the
-     dirty cone. *)
-  let owner_seq =
-    (float_of_int bytes *. cost.Cost.rebuild_per_byte)
-    +. (float_of_int dirty *. cost.Cost.build_node)
-  in
-  let assist = max 1 nfrags in
-  let share_work =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        +. Float.of_int ((r + assist - 1) / assist)
-           *. cost.Cost.steal_rule)
-      0.0 rounds
+  let { Cost.wc_owner = owner_delay; wc_share = share_work; wc_chunk_bytes } =
+    Cost.wave Cost.default ~rounds ~assist:(max 1 nfrags) wv
   in
   let has_rounds = Array.length rounds > 0 in
   let assisted = has_rounds && nfrags > 1 in
-  let owner_delay =
-    if has_rounds then owner_seq
-    else
-      owner_seq +. (float_of_int refired *. Cost.rule_cost cost ~dynamic:true)
+  let dispatch =
+    wv.Incr.wv_bytes + if merged then 16 * wv.Incr.wv_edits else 0
   in
-  let meta_bytes = 16 * edits in
-  let chunk_bytes = refired / assist * 16 in
   let sim = ES.create () in
   Option.iter (ES.set_faults sim) faults;
   let faulty = Option.is_some faults in
@@ -291,7 +274,7 @@ let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
   let _ =
     ES.spawn sim ~name:"parser" (fun () ->
         coord_env.Transport.e_send ~dst:(owner_frag + 1)
-          (Message.Edit { node = edit_node; bytes = bytes + meta_bytes });
+          (Message.Edit { node = edit_node; bytes = dispatch });
         let got = ref 0 in
         while !got < List.length root_syn do
           match coord_env.Transport.e_recv () with
@@ -342,7 +325,7 @@ let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
                   (fun (g : Split.fragment) ->
                     if g.Split.fr_id <> owner_frag then
                       env.Transport.e_send ~dst:(g.Split.fr_id + 1)
-                        (Message.Edit { node = -1; bytes = chunk_bytes }))
+                        (Message.Edit { node = -1; bytes = wc_chunk_bytes }))
                   frags;
                 env.Transport.e_delay share_work;
                 let results = ref 0 in
@@ -358,7 +341,7 @@ let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
               wait_edit ();
               env.Transport.e_delay share_work;
               env.Transport.e_send ~dst:(owner_frag + 1)
-                (Message.Edit { node = -1; bytes = chunk_bytes })
+                (Message.Edit { node = -1; bytes = wc_chunk_bytes })
             end;
             (* inherited attributes down to each child fragment *)
             List.iter
@@ -366,7 +349,7 @@ let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
                 List.iter
                   (fun (i, a) ->
                     env.Transport.e_send ~dst:(c.Split.fr_id + 1)
-                      (boundary_message es ~src:id c.Split.fr_root i a))
+                      (boundary_message es.es_incr ~src:id c.Split.fr_root i a))
                   (attrs_of es c.Split.fr_root Grammar.Inh))
               children.(f.Split.fr_id);
             (* wait out the parent's inherited and the children's
@@ -386,7 +369,7 @@ let simulate_wave es ~owner_frag ~edit_node ~bytes ~dirty ~refired ~rounds
             List.iter
               (fun (i, a) ->
                 env.Transport.e_send ~dst
-                  (boundary_message es ~src:id f.Split.fr_root i a))
+                  (boundary_message es.es_incr ~src:id f.Split.fr_root i a))
               up;
             env.Transport.e_flush ())
       in
@@ -507,9 +490,7 @@ let keeps_plan g ~old ~repl =
    metadata. *)
 let simulate es ~owner_frag ~edit_node (wv : Incr.wave_stats) =
   edit_report ~owner:owner_frag ~bytes_full:(bytes_full es) wv
-    (simulate_wave es ~owner_frag ~edit_node ~bytes:wv.Incr.wv_bytes
-       ~dirty:wv.Incr.wv_dirty ~refired:wv.Incr.wv_refired ~rounds:[||]
-       ~edits:0)
+    (simulate_wave es ~owner_frag ~edit_node ~merged:false wv)
 
 (* The diff is taken here, once, rather than inside {!Incr.edit}: the
    graft parent names the owner, and the pre-diffed {!Incr.replace} then
@@ -543,6 +524,4 @@ let edit_batch es nexts =
      then no_wave
      else
        simulate_wave es ~owner_frag:0
-         ~edit_node:(Incr.tree es.es_incr).Tree.id ~bytes:wv.Incr.wv_bytes
-         ~dirty:wv.Incr.wv_dirty ~refired:wv.Incr.wv_refired
-         ~rounds:wv.Incr.wv_round_refired ~edits:wv.Incr.wv_edits)
+         ~edit_node:(Incr.tree es.es_incr).Tree.id ~merged:true wv)

@@ -152,6 +152,13 @@ val prov : edit_session -> Pag_obs.Prov.t
     tree), re-decomposes. *)
 val edit : edit_session -> Tree.t -> edit_report
 
+(** [boundary_message s ~src b i a] — attribute [a] (index [i]) of node
+    [b] crossing a machine boundary after [s]'s last update: in full when
+    it changed ({!Pag_eval.Incr.changed}), else a fixed-size
+    {!Message.Attr_ref} from [src]. Waves and service results price it. *)
+val boundary_message :
+  Incr.session -> src:int -> Tree.t -> int -> Grammar.attr_decl -> Message.t
+
 (** Outcome of one {!edit_batch}: the {!Pag_eval.Incr.wave_stats} counters
     plus the batched wave's census. *)
 type batch_report = {

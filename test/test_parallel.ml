@@ -277,6 +277,40 @@ let test_fibers_failure_propagates () =
   | _ -> Alcotest.fail "expected the body's exception"
   | exception Failure msg -> Alcotest.(check string) "exception" "boom" msg
 
+(* --------------- placement --------------- *)
+
+let test_placement_run_order () =
+  check_bool "results in index order" true
+    (Pag_util.Placement.run 3 (fun d -> d) = [| 0; 1; 2 |])
+
+(* Body 0 fails at once while body 1 still sleeps: the failure surfaces
+   only after body 1's domain has finished. A failure of a spawned body
+   alone surfaces too. *)
+let test_placement_joins_before_raising () =
+  let finished = Atomic.make false in
+  (match
+     Pag_util.Placement.run 2 (fun d ->
+         if d = 0 then failwith "zero"
+         else begin
+           Unix.sleepf 0.05;
+           Atomic.set finished true
+         end)
+   with
+  | _ -> Alcotest.fail "expected body 0's exception"
+  | exception Failure msg ->
+      Alcotest.(check string) "exception" "zero" msg;
+      check_bool "body 1 joined first" true (Atomic.get finished));
+  match Pag_util.Placement.run 2 (fun d -> if d = 1 then failwith "one") with
+  | _ -> Alcotest.fail "expected body 1's exception"
+  | exception Failure msg -> Alcotest.(check string) "exception" "one" msg
+
+(* [count] is arithmetic only: no domain is started here. *)
+let test_placement_count () =
+  let cores = Domain.recommended_domain_count () in
+  check_int "count 0" 1 (Pag_util.Placement.count 0);
+  check_int "count 1" 1 (Pag_util.Placement.count 1);
+  check_int "count 64" (min 64 cores) (Pag_util.Placement.count 64)
+
 (* --------------- properties --------------- *)
 
 let arb_cfg =
@@ -334,6 +368,11 @@ let suite =
           test_fibers_timeout_behind_busy_fiber;
         Alcotest.test_case "fibers failure" `Quick
           test_fibers_failure_propagates;
+        Alcotest.test_case "placement runs in index order" `Quick
+          test_placement_run_order;
+        Alcotest.test_case "placement joins before re-raising" `Quick
+          test_placement_joins_before_raising;
+        Alcotest.test_case "placement count" `Quick test_placement_count;
         prop_sim_value_correct;
         prop_sim_deterministic;
       ] );

@@ -2,7 +2,8 @@
    edits from K tenants through the service must land, per tenant, on
    exactly the attribute values K isolated edit sessions compute — under
    both scheduling policies, with DAG sharing on or off, and on both
-   transports (the domains runs keep both worker domains busy). Admission
+   transports (the domains runs keep two or three workers busy, on at
+   most as many domains as there are cores). Admission
    backpressure, idle eviction/re-admission and the scheduling policies
    themselves are covered by deterministic cases. *)
 
@@ -26,7 +27,7 @@ let expr_of seed =
    {!Session.edit_session}. Trees are regenerated from seeds for every
    consumer — a session renumbers the nodes it grafts, so service and
    oracle must never share tree objects. *)
-let tenants_arb ~min_edits =
+let tenants_arb ?(min_tenants = 2) ~min_edits () =
   QCheck.make
     ~print:(fun ts ->
       String.concat " | "
@@ -36,19 +37,22 @@ let tenants_arb ~min_edits =
                (String.concat ";" (List.map string_of_int es)))
            ts))
     QCheck.Gen.(
-      list_size (2 -- 4)
+      list_size (min_tenants -- 4)
         (pair (int_bound 100_000)
            (list_size (min_edits -- 4) (int_bound 100_000))))
 
-let arb_tenants = tenants_arb ~min_edits:0
+let arb_tenants = tenants_arb ~min_edits:0 ()
 
 (* Every tenant edits in the first round, so with at least two tenants
    both workers of a 2-worker service apply batches concurrently. *)
-let arb_busy_tenants = tenants_arb ~min_edits:1
+let arb_busy_tenants = tenants_arb ~min_edits:1 ()
 
-let run_service_interleaved ~transport ~policy ~dag tenants =
+let run_service_interleaved ?(workers = 2) ?obs ~transport ~policy ~dag
+    tenants =
   let g = Expr_ag.grammar in
-  let sv = Service.create (Service.config ~transport ~policy ~dag 2) g in
+  let sv =
+    Service.create (Service.config ?obs ~transport ~policy ~dag workers) g
+  in
   let names = List.mapi (fun i _ -> Printf.sprintf "t%d" i) tenants in
   List.iter2
     (fun name (s0, _) -> Service.open_tenant sv name (expr_of s0))
@@ -70,16 +74,33 @@ let run_service_interleaved ~transport ~policy ~dag tenants =
   Service.drain sv;
   (sv, names)
 
+(* On domains, every round runs its busy workers on min(busy, cores)
+   domains. The first round keeps min(workers, tenants) workers busy and
+   no later round more, so that is the [service.domains] high-water
+   mark's input. *)
 let prop_multiplexing_is_isolation ?(transport = `Sim) ?(arb = arb_tenants)
-    ~policy ~dag label =
+    ?(workers = 2) ~policy ~dag label =
   qc ~count:15
     (Printf.sprintf "service = K isolated sessions (%s)" label)
     arb
     (fun tenants ->
       let g = Expr_ag.grammar in
-      let sv, names =
-        run_service_interleaved ~transport ~policy ~dag tenants
+      let obs =
+        if transport = `Domains then
+          Some (Pag_obs.Obs.make_ctx ~pid:0 ~clock:(fun () -> 0.0))
+        else None
       in
+      let sv, names =
+        run_service_interleaved ~workers ?obs ~transport ~policy ~dag tenants
+      in
+      Option.iter
+        (fun o ->
+          let busy = min workers (List.length tenants) in
+          check_bool "service.domains = min(busy workers, cores)" true
+            (Pag_obs.Obs.Metrics.gauge_value o.Pag_obs.Obs.x_metrics
+               "service.domains"
+            = Some (float_of_int (Pag_util.Placement.count busy))))
+        obs;
       List.for_all2
         (fun name (s0, es) ->
           let spec = Session.spec ~granularity:0.05 ~librarian:false ~dag 2 in
@@ -314,6 +335,10 @@ let suite =
         prop_multiplexing_is_isolation ~transport:`Domains
           ~arb:arb_busy_tenants ~policy:Service.Round_robin ~dag:true
           "domains, both workers busy, dag on";
+        prop_multiplexing_is_isolation ~transport:`Domains
+          ~arb:(tenants_arb ~min_tenants:3 ~min_edits:1 ())
+          ~workers:3 ~policy:Service.Round_robin ~dag:true
+          "domains, 3 workers busy, dag on";
         Alcotest.test_case "admission backpressure" `Quick test_backpressure;
         Alcotest.test_case "idle eviction + re-admission" `Quick
           test_idle_eviction_and_readmission;

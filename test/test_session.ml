@@ -253,6 +253,46 @@ let test_batched_root_ships_tree () =
   check_bool "no cheaper than the single edit" true
     (r.Session.br_bytes >= single.Session.er_bytes_incr)
 
+(* A batch whose waves are followed by a rebuild: six independent edit
+   sites, site 0 edited twice (the second edit conflicts and flushes a
+   wave), then a rename that also edits site 5 (a root-level diff, so a
+   rebuild). The rebuild's re-fires run outside the refire rounds, at the
+   owner's dynamic-rule cost, so the batch costs at least its root-level
+   edit alone. *)
+let test_batch_prices_its_rebuild () =
+  let g = Pascal.Pascal_ag.grammar in
+  let src name cs =
+    let stmts = List.map (Printf.sprintf "    s := s + i * %d") cs in
+    Printf.sprintf
+      "program %s;\nvar i, s : integer;\nbegin\n  s := 0;\n  i := 1;\n\
+      \  repeat\n    i := i * 2;\n%s\n  until i > 100;\n  write(s)\nend.\n"
+      name
+      (String.concat ";\n" stmts)
+  in
+  let tree name cs =
+    Pascal.Pascal_ag.tree_of_program g (Pascal.Parser.parse_program (src name cs))
+  in
+  let open_one () =
+    Session.open_session ~frontier:1.0
+      (Session.spec ~granularity:0.05 ~librarian:false ~schedule:`Steal 1)
+      g
+      (tree "p" [ 2; 3; 4; 5; 6; 7 ])
+  in
+  let renamed () = tree "q" [ 10; 3; 4; 5; 6; 8 ] in
+  let r =
+    Session.edit_batch (open_one ())
+      [ tree "p" [ 9; 3; 4; 5; 6; 7 ]; tree "p" [ 10; 3; 4; 5; 6; 7 ]; renamed () ]
+  in
+  let alone = Session.edit_batch (open_one ()) [ renamed () ] in
+  check_int "one rebuild" 1 r.Session.br_fallbacks;
+  check_bool "a conflict flushed a wave" true (r.Session.br_conflicts >= 1);
+  check_bool "some re-fires ran in rounds" true (r.Session.br_rounds > 0);
+  check_bool
+    (Printf.sprintf "batch %.4fs >= its root-level edit alone %.4fs"
+       r.Session.br_latency alone.Session.br_latency)
+    true
+    (r.Session.br_latency >= alone.Session.br_latency)
+
 (* The resident plan a single edit leaves behind is the plan
    [Split.decompose] builds for the edited tree — whether the edit kept it
    (a literal edit cannot move a split point or a byte) or rebuilt it — and
@@ -403,5 +443,7 @@ let suite =
           test_batched_root_ships_tree;
         Alcotest.test_case "kept plan is the decomposed plan" `Quick
           test_kept_plan_is_decompose;
+        Alcotest.test_case "a batch prices its rebuild" `Quick
+          test_batch_prices_its_rebuild;
       ] );
   ]

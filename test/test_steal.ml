@@ -312,7 +312,8 @@ let test_domains_steal_rows () =
           = Float.min horizon st.Pag_parallel.Worker.ws_idle_wait)
       end)
     rp.R.rp_machines;
-  check_int "one row per evaluator plus the parser" 5
+  check_int "one row per evaluator plus the parser"
+    (1 + min 4 (Domain.recommended_domain_count ()))
     (List.length rp.R.rp_machines);
   let gauge name = Pag_obs.Obs.Metrics.gauge_value rp.R.rp_metrics name in
   let waited =
@@ -325,6 +326,30 @@ let test_domains_steal_rows () =
     | Some v -> close v waited
     | None -> false);
   check_bool "no spin-count gauge" true (gauge "steal.idle_spins" = None)
+
+(* Domains steal runs min(m, cores) loop machines, one per domain: the
+   report's domain count, the per-machine stats and the rows (one per
+   loop machine plus the parser) agree, and the code is the sequential
+   compile's up to label numbering. *)
+let test_domains_steal_placement () =
+  let prog =
+    fst (Pascal.Progen.gen (Random.State.make [| 7 |]) Pascal.Progen.small)
+  in
+  let masked c = Pascal.Driver.mask_labels c.Pascal.Driver.c_asm in
+  let seq = masked (Pascal.Driver.compile ~evaluator:`Static prog) in
+  let cores = Domain.recommended_domain_count () in
+  for m = 1 to 4 do
+    let r, c = Pascal.Driver.compile_parallel_domains (steal_opts m) prog in
+    let rp = r.Pag_parallel.Runner.r_report in
+    let d = rp.Pag_obs.Obs.Report.rp_domains in
+    let at what = Printf.sprintf "-m %d: %s" m what in
+    check_int (at "min(m, cores) domains") (min m cores) d;
+    check_int (at "one stats entry per domain") d
+      (Array.length r.Pag_parallel.Runner.r_worker_stats);
+    check_int (at "one row per domain plus the parser") (d + 1)
+      (List.length rp.Pag_obs.Obs.Report.rp_machines);
+    Alcotest.(check string) (at "masked code = sequential") seq (masked c)
+  done
 
 (* ---------------- simulated transport under faults ---------------- *)
 
@@ -373,6 +398,8 @@ let suite =
         Alcotest.test_case "sim steal detects cycles" `Quick test_sim_steal_cycle;
         Alcotest.test_case "domains steal rows are measured" `Quick
           test_domains_steal_rows;
+        Alcotest.test_case "domains steal on min(m, cores) domains" `Quick
+          test_domains_steal_placement;
         Alcotest.test_case "sim steal under faults" `Quick test_sim_steal_under_faults;
       ] );
   ]
