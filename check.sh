@@ -17,6 +17,16 @@ if command -v python3 >/dev/null 2>&1; then
 else
   grep -q '"traceEvents"' "$trace"
 fi
+# Gantt smoke: --gantt draws the simulator's log on stderr, one row per
+# machine (parser, eval-a..eval-c, librarian) and the message summary.
+gantt=$(dune exec bin/pagc.exe -- --machines 3 --gantt examples/primes.pas \
+  -o /tmp/pagc_gantt_smoke.s 2>&1 >/dev/null)
+for row in parser eval-a eval-b eval-c librarian messages:; do
+  printf '%s\n' "$gantt" | grep -q "^ *$row " || {
+    echo "check.sh: no '$row' row in the --gantt chart" >&2
+    exit 1
+  }
+done
 # Work-stealing schedule smoke: the steal schedule must emit the same
 # assembly as the sequential compile, modulo L<n>/P<n> label numbering
 # (label draws depend on the per-machine uid stripes).

@@ -10,6 +10,7 @@
 
 open Pascal
 open Pag_parallel
+open Pag_obs
 
 let () =
   let program = Progen.paper_program () in
@@ -38,16 +39,15 @@ let () =
     /. without.Runner.r_time);
   (* where the bytes go: the final code messages *)
   (match with_lib.Runner.r_trace with
-  | Some tr ->
-      let code_msgs =
-        List.filter
-          (fun a ->
-            a.Netsim.Trace.ar_label = "code fragment"
-            || a.Netsim.Trace.ar_label = "final code")
-          (Netsim.Trace.arrows tr)
-      in
+  | Some log ->
+      let code_msgs = ref 0 in
+      Obs.iter log (fun e ->
+          if
+            e.Obs.e_kind = Obs.Flow
+            && (e.Obs.e_name = "code fragment" || e.Obs.e_name = "final code")
+          then incr code_msgs);
       Printf.printf
         "\nwith the librarian, each evaluator's code text crossed the network \
          once\n(%d code transmissions), descriptors travelled up the tree instead.\n"
-        (List.length code_msgs)
+        !code_msgs
   | None -> ())

@@ -191,6 +191,10 @@ let slice d key =
       done;
       List.sort compare !out
 
+(* Distinct instance keys the final value of [key] transitively depends
+   on (including [key] itself when a firing defines it), sorted. Keys never
+   defined by a recorded firing (intrinsic terminal attributes, preset root
+   attributes) do not appear. *)
 let slice_keys d key =
   slice d key
   |> List.map (fun j -> d.d_fir.(j).x_tkey)
@@ -240,6 +244,8 @@ let render_slice d key =
 
 (* {1 Verification against the engine's dependency graph} *)
 
+(* Transitive producer closure of [key] over a reference engine's
+   dependency graph (keys of all rule-defined instances reached). *)
 let closure_keys eng gr key =
   let st = Engine.store eng in
   match Store.find_node st (key / stride) with

@@ -51,12 +51,6 @@ val has_key : t -> int -> bool
 
 (** {1 Dependency slice} *)
 
-(** Distinct instance keys the final value of [key] transitively depends
-    on (including [key] itself when a firing defines it), sorted. Keys
-    never defined by a recorded firing (intrinsic terminal attributes,
-    preset root attributes) do not appear. *)
-val slice_keys : t -> int -> int list
-
 (** Human-readable slice: one line per firing in chronological order —
     machine, time window, rule, target instance and value, argument
     values. [~] marks memo-replayed (zero-duration) firings. *)
@@ -69,14 +63,10 @@ val render_slice : t -> int -> string
     nonzero on disagreement; the qcheck property in [test_causal] does the
     same across schedules. *)
 
-(** Transitive producer closure of [key] over a reference engine's
-    dependency graph (keys of all rule-defined instances reached). Build
-    the reference on the {e run's} tree with {!Store.create_shared} so
-    node ids agree. *)
-val closure_keys : Engine.t -> Engine.graph -> int -> int list
-
 (** [(missing, extra)] — instance names in the closure but not the slice,
-    and vice versa. Both empty iff the slice is exact. *)
+    and vice versa. Both empty iff the slice is exact. Build the reference
+    engine on the {e run's} tree with {!Store.create_shared} so node ids
+    agree. *)
 val verify_slice :
   t -> ref_engine:Engine.t -> ref_graph:Engine.graph -> int -> string list * string list
 

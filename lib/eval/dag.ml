@@ -41,7 +41,6 @@ type region = {
   rg_class : int;
   rg_slot_lo : int;
   rg_slot_hi : int;
-  rg_rules : int;  (* rule instances parking this region avoided *)
   rg_parent : int;  (* innermost enclosing region, -1 *)
 }
 
@@ -64,21 +63,11 @@ type plan = {
   p_gates : gate array;
   p_class_cand : int array;  (* class -> candidate idx, -1 *)
   p_region_kids : int array array;  (* region idx -> direct child regions *)
-  p_parked_rules : int;
-  p_parked_slots : int;
 }
 
 and gkind = Lead of int | Follow of int
 
 and gate = { g_kind : gkind; g_slots : int array }
-
-let subtree_rules t =
-  Tree.fold
-    (fun acc (n : Tree.t) ->
-      match n.Tree.prod with
-      | None -> acc
-      | Some p -> acc + Array.length p.Grammar.p_rules)
-    0 t
 
 (* Inherited slots of an occurrence root, in declaration order — the
    fingerprint domain. Everything else a subtree evaluation can read is
@@ -120,7 +109,6 @@ let plan ?(min_size = 2) g store (dag : Tree.dag) =
   let regions = ref [] and nregions = ref 0 in
   let cands = ref [] and ncands = ref 0 in
   let class_cand = Array.make (max 1 sh.Tree.sh_classes) (-1) in
-  let parked_rules = ref 0 and parked_slots = ref 0 in
   let rec walk cand_idx reg_idx (node : Tree.t) =
     match node.Tree.prod with
     | None -> ()
@@ -132,7 +120,6 @@ let plan ?(min_size = 2) g store (dag : Tree.dag) =
              repeated subtrees inside it park as nested regions of their
              own (they still share even if this region materializes) *)
           let lo, hi = range_of id c in
-          let rules = subtree_rules node in
           let ri = !nregions in
           regions :=
             {
@@ -140,15 +127,10 @@ let plan ?(min_size = 2) g store (dag : Tree.dag) =
               rg_class = c;
               rg_slot_lo = lo;
               rg_slot_hi = hi;
-              rg_rules = rules;
               rg_parent = reg_idx;
             }
             :: !regions;
           incr nregions;
-          if reg_idx < 0 then begin
-            parked_rules := !parked_rules + rules;
-            parked_slots := !parked_slots + (hi - lo)
-          end;
           Array.iter (walk cand_idx ri) node.Tree.children
         end
         else begin
@@ -242,19 +224,11 @@ let plan ?(min_size = 2) g store (dag : Tree.dag) =
     p_gates = Array.of_list (List.rev !gates);
     p_class_cand = class_cand;
     p_region_kids = region_kids;
-    p_parked_rules = !parked_rules;
-    p_parked_slots = !parked_slots;
   }
 
 let rules_for p (node : Tree.t) =
   let id = node.Tree.id in
   id >= Array.length p.p_node_region || p.p_node_region.(id) < 0
-
-let regions p = Array.length p.p_regions
-
-let parked_rules p = p.p_parked_rules
-
-let parked_slots p = p.p_parked_slots
 
 (* ------------------------------------------------------------------ *)
 (* Runtime                                                             *)

@@ -55,18 +55,6 @@ val plan : ?min_size:int -> Grammar.t -> Store.t -> Tree.dag -> plan
     inside parked occurrences. *)
 val rules_for : plan -> Tree.t -> bool
 
-(** Number of parked follower regions. *)
-val regions : plan -> int
-
-(** Rule instances the parking avoided at build time (the collapse win;
-    the engine's [rule_count] is the full table minus this, before any
-    materialization). *)
-val parked_rules : plan -> int
-
-(** Slots inside parked regions (to be filled by projection or late
-    evaluation). *)
-val parked_slots : plan -> int
-
 (** {1 Runtime} *)
 
 type t

@@ -351,10 +351,6 @@ let rule_target node (rule : Grammar.rule) =
   ( node_of_pos node rule.Grammar.r_rtarget.Grammar.rr_pos,
     rule.Grammar.r_rtarget.Grammar.rr_name )
 
-let rule_target_slot s node (rule : Grammar.rule) =
-  let t = rule.Grammar.r_rtarget in
-  slot_of s (node_of_pos node t.Grammar.rr_pos) ~attr_idx:t.Grammar.rr_attr
-
 let get_dep s (node : Tree.t) (d : Grammar.rref) =
   s.n_reads <- s.n_reads + 1;
   if d.Grammar.rr_term then
@@ -368,22 +364,19 @@ let get_dep s (node : Tree.t) (d : Grammar.rref) =
         d.Grammar.rr_name dn.Tree.id
   end
 
-let apply_rule_with s node (rule : Grammar.rule) ~fn =
+let apply_rule s node (rule : Grammar.rule) =
   let deps = rule.Grammar.r_rdeps in
   let args = Array.make (Array.length deps) Value.Unit in
   for k = 0 to Array.length deps - 1 do
     args.(k) <- get_dep s node deps.(k)
   done;
-  let v = fn args in
+  let v = rule.Grammar.r_fn args in
   let t = rule.Grammar.r_rtarget in
   let tnode = node_of_pos node t.Grammar.rr_pos in
   set_slot s tnode t.Grammar.rr_name
     (s.base.(dense_index s tnode) + t.Grammar.rr_attr)
     v;
   v
-
-let apply_rule s node (rule : Grammar.rule) =
-  apply_rule_with s node rule ~fn:rule.Grammar.r_fn
 
 (* ------------------------------------------------------------------ *)
 (* Slot ranges (subtree memoization support)                           *)

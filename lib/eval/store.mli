@@ -77,14 +77,6 @@ val missing : t -> int
     target. Returns the computed value. *)
 val apply_rule : t -> Tree.t -> Grammar.rule -> Value.t
 
-(** [apply_rule_with store node rule ~fn] is {!apply_rule} with [fn]
-    substituted for the rule's own function — the hook a memoizing caller
-    uses to wrap the semantic function while keeping the store's
-    read/apply/write protocol. [fn] must be extensionally equal to
-    [rule.r_fn]. *)
-val apply_rule_with :
-  t -> Tree.t -> Grammar.rule -> fn:(Value.t array -> Value.t) -> Value.t
-
 (** Dependency / target instances of a rule at a node, as (node, attr)
     pairs. Terminal-attribute dependencies are excluded (always available). *)
 val rule_deps : t -> Tree.t -> Grammar.rule -> (Tree.t * string) list
@@ -166,9 +158,6 @@ val redefine_slot : t -> int -> Value.t -> bool
     span, which every query reads), and a rebuild — a fresh {!create} —
     compacts it. *)
 val append_subtree : t -> Tree.t -> unit
-
-(** Slot id of the instance a rule defines at [node]. *)
-val rule_target_slot : t -> Tree.t -> Grammar.rule -> int
 
 (** {1 Slot ranges}
 

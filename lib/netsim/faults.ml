@@ -21,10 +21,6 @@ let none =
     fs_seed = 1;
   }
 
-let is_enabled s =
-  s.fs_drop > 0.0 || s.fs_dup > 0.0 || s.fs_reorder > 0.0 || s.fs_delay > 0.0
-  || s.fs_crashes <> []
-
 let parse ?seed str =
   let ( let* ) = Result.bind in
   let prob key v =

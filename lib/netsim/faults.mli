@@ -27,11 +27,6 @@ type spec = {
 (** All rates zero, no crashes, seed 1. *)
 val none : spec
 
-(** True if any rate is positive or a crash is scheduled. A disabled spec
-    still engages the reliable-delivery layer (for overhead measurement)
-    but injects nothing. *)
-val is_enabled : spec -> bool
-
 (** Parse a command-line fault plan, e.g.
     ["drop=0.05,dup=0.02,reorder=0.1,delay=0.01@0.25,crash=3@12.0"].
     [crash] may repeat; [delay] and [crash] take [p@magnitude] /

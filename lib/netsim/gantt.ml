@@ -1,14 +1,23 @@
-let render ?(width = 72) ?(max_arrows = 12) ?(overlay = []) ~names tr =
+open Pag_obs
+
+let render ?(width = 72) ?(max_arrows = 12) ?(overlay = []) ~names log =
   let buf = Buffer.create 1024 in
-  let horizon = Trace.horizon tr in
+  let horizon = ref 0.0 and flows = ref 0 in
+  let pid_set = Hashtbl.create 16 in
+  let note pid = Hashtbl.replace pid_set pid () in
+  Obs.iter log (fun e ->
+      match e.Obs.e_kind with
+      | Obs.Instant -> ()
+      | Obs.Span | Obs.Flow ->
+          note e.Obs.e_pid;
+          if e.Obs.e_kind = Obs.Flow then begin
+            note e.Obs.e_dst;
+            incr flows
+          end;
+          if e.Obs.e_t1 > !horizon then horizon := e.Obs.e_t1);
+  let horizon = !horizon in
   if horizon <= 0.0 then "(empty trace)"
   else begin
-    let pid_set = Hashtbl.create 16 in
-    let note pid = if not (Hashtbl.mem pid_set pid) then Hashtbl.add pid_set pid () in
-    Trace.iter_segments tr (fun s -> note s.Trace.sg_pid);
-    Trace.iter_arrows tr (fun a ->
-        note a.Trace.ar_src;
-        note a.Trace.ar_dst);
     let pids =
       List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) pid_set [])
     in
@@ -26,18 +35,18 @@ let render ?(width = 72) ?(max_arrows = 12) ?(overlay = []) ~names tr =
     List.iter
       (fun pid ->
         let row = Bytes.make width ' ' in
-        Trace.iter_segments tr (fun s ->
-            if s.Trace.sg_pid = pid then begin
-              let x0 = x_of s.Trace.sg_t0 and x1 = x_of s.Trace.sg_t1 in
-              let c = match s.Trace.sg_kind with
-                | Trace.Active -> '#'
-                | Trace.Idle -> '.'
+        Obs.iter log (fun e ->
+            if e.Obs.e_kind = Obs.Span && e.Obs.e_pid = pid then
+              let paint c =
+                for x = x_of e.Obs.e_t0 to x_of e.Obs.e_t1 do
+                  (* active periods win over idle ones at shared cells *)
+                  if c = '#' || Bytes.get row x = ' ' then Bytes.set row x c
+                done
               in
-              for x = x0 to x1 do
-                (* active periods win over idle ones at shared cells *)
-                if c = '#' || Bytes.get row x = ' ' then Bytes.set row x c
-              done
-            end);
+              match e.Obs.e_name with
+              | "active" -> paint '#'
+              | "idle" -> paint '.'
+              | _ -> ());
         List.iter
           (fun (opid, t0, t1) ->
             if opid = pid then
@@ -45,27 +54,31 @@ let render ?(width = 72) ?(max_arrows = 12) ?(overlay = []) ~names tr =
                 Bytes.set row x '*'
               done)
           overlay;
-        Trace.iter_marks tr (fun m ->
-            if m.Trace.mk_pid = pid then Bytes.set row (x_of m.Trace.mk_time) '|');
+        Obs.iter log (fun e ->
+            if e.Obs.e_kind = Obs.Instant && e.Obs.e_pid = pid then
+              Bytes.set row (x_of e.Obs.e_t0) '|');
         Buffer.add_string buf
           (Printf.sprintf "%*s %s\n" name_w (names pid) (Bytes.to_string row)))
       pids;
-    let n = Trace.num_arrows tr in
+    let n = !flows in
     Buffer.add_string buf (Printf.sprintf "messages: %d\n" n);
     let i = ref 0 in
-    Trace.iter_arrows tr (fun a ->
-        if !i < max_arrows then
-          Buffer.add_string buf
-            (Printf.sprintf "  %8.4fs  %s -> %s%s\n" a.Trace.ar_send
-               (names a.Trace.ar_src) (names a.Trace.ar_dst)
-               (if a.Trace.ar_label = "" then ""
-                else "  (" ^ a.Trace.ar_label ^ ")"));
-        incr i);
+    Obs.iter log (fun e ->
+        if e.Obs.e_kind = Obs.Flow then begin
+          if !i < max_arrows then
+            Buffer.add_string buf
+              (Printf.sprintf "  %8.4fs  %s -> %s%s\n" e.Obs.e_t0
+                 (names e.Obs.e_pid) (names e.Obs.e_dst)
+                 (if e.Obs.e_name = "" then ""
+                  else "  (" ^ e.Obs.e_name ^ ")"));
+          incr i
+        end);
     if n > max_arrows then
       Buffer.add_string buf (Printf.sprintf "  ... and %d more\n" (n - max_arrows));
-    Trace.iter_marks tr (fun m ->
-        Buffer.add_string buf
-          (Printf.sprintf "  mark %8.4fs %s: %s\n" m.Trace.mk_time
-             (names m.Trace.mk_pid) m.Trace.mk_label));
+    Obs.iter log (fun e ->
+        if e.Obs.e_kind = Obs.Instant then
+          Buffer.add_string buf
+            (Printf.sprintf "  mark %8.4fs %s: %s\n" e.Obs.e_t0
+               (names e.Obs.e_pid) e.Obs.e_name));
     Buffer.contents buf
   end

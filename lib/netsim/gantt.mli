@@ -1,6 +1,9 @@
-(** ASCII rendering of a simulation trace, in the style of the paper's
-    figure 6: one row per process, thick marks for active periods, thin dots
-    for idle periods, '|' for phase marks, plus a message summary.
+(** ASCII rendering of a simulator's log ({!Sim.Make.events}), in the style
+    of the paper's figure 6: one row per process, thick marks for its
+    ["active"] spans, thin dots for its ["idle"] spans (spans of other
+    names draw nothing), '|' for its instants, plus a summary of the flows
+    (messages) and instants (marks) in recording order. The chart spans 0
+    to the latest span end or flow arrival.
 
     [overlay] marks extra [(pid, t0, t1)] windows with ['*'] on the owning
     row (drawn over active/idle cells) — [pagc --gantt] uses it to trace
@@ -12,5 +15,5 @@ val render :
   ?max_arrows:int ->
   ?overlay:(int * float * float) list ->
   names:(int -> string) ->
-  Trace.t ->
+  Pag_obs.Obs.recorder ->
   string

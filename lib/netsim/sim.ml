@@ -1,4 +1,5 @@
 open Pag_util
+open Pag_obs
 
 module Make (M : sig
   type msg
@@ -30,6 +31,7 @@ struct
     mutable blocked : blocked_k option;
     mutable block_gen : int;  (* bumps on every block/wake, guards timeouts *)
     mutable idle_since : float;
+    mutable busy : float;  (* summed "active" spans, in recording order *)
     mutable finished : bool;
     mutable crashed : bool;
   }
@@ -40,7 +42,8 @@ struct
     procs : (pid, proc) Hashtbl.t;
     mutable next_pid : int;
     net : Ethernet.t;
-    tr : Trace.t;
+    log : Obs.recorder;
+    mutable horizon : float;  (* latest span end or message arrival *)
     mutable faults : Faults.t option;
     pre_crashed : (pid, unit) Hashtbl.t;  (* crashes firing before spawn *)
   }
@@ -54,7 +57,8 @@ struct
       procs = Hashtbl.create 16;
       next_pid = 0;
       net = Ethernet.create params;
-      tr = Trace.create ();
+      log = Obs.create ();
+      horizon = 0.0;
       faults = None;
       pre_crashed = Hashtbl.create 4;
     }
@@ -63,7 +67,9 @@ struct
 
   let network t = t.net
 
-  let trace t = t.tr
+  let events t = t.log
+
+  let horizon t = t.horizon
 
   let proc t pid =
     match Hashtbl.find_opt t.procs pid with
@@ -73,6 +79,18 @@ struct
   let name_of t pid = (proc t pid).p_name
 
   let max_queue_depth t pid = (proc t pid).max_queue
+
+  let busy_time t pid =
+    match Hashtbl.find_opt t.procs pid with Some p -> p.busy | None -> 0.0
+
+  (* One of [p]'s busy or idle periods. An empty period records nothing,
+     so a zero delay leaves no span. *)
+  let period t p ~t0 ~t1 ~active =
+    if t1 > t0 then begin
+      Obs.span t.log ~pid:p.p_id ~t0 ~t1 (if active then "active" else "idle");
+      if active then p.busy <- p.busy +. (t1 -. t0);
+      if t1 > t.horizon then t.horizon <- t1
+    end
 
   let process_count t = Hashtbl.length t.procs
 
@@ -90,7 +108,7 @@ struct
           (* Drop any pending receive: a crashed machine never resumes. *)
           p.blocked <- None;
           p.block_gen <- p.block_gen + 1;
-          Trace.add_mark t.tr ~pid ~time:t.now ~label:"CRASH"
+          Obs.instant t.log ~pid ~t:t.now "CRASH"
         end
 
   let set_faults t spec =
@@ -108,13 +126,13 @@ struct
   let deliver t ~src ~dst ~send_t ~label m =
     let p = proc t dst in
     if not p.crashed then begin
-      Trace.add_arrow t.tr ~src ~dst ~send:send_t ~recv:t.now ~label;
+      Obs.flow t.log ~src ~dst ~send:send_t ~recv:t.now label;
+      if t.now > t.horizon then t.horizon <- t.now;
       match p.blocked with
       | Some k ->
           p.blocked <- None;
           p.block_gen <- p.block_gen + 1;
-          Trace.add_segment t.tr ~pid:p.p_id ~t0:p.idle_since ~t1:t.now
-            Trace.Idle;
+          period t p ~t0:p.idle_since ~t1:t.now ~active:false;
           (match k with
           | BRecv k -> Effect.Deep.continue k m
           | BRecvT k -> Effect.Deep.continue k (Some m))
@@ -139,8 +157,7 @@ struct
             | EDelay d ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    Trace.add_segment t.tr ~pid:p.p_id ~t0:t.now
-                      ~t1:(t.now +. d) Trace.Active;
+                    period t p ~t0:t.now ~t1:(t.now +. d) ~active:true;
                     Pqueue.add t.events (t.now +. d) (fun () -> resume k ()))
             | ESend (dst, size, label, m) ->
                 Some
@@ -166,8 +183,7 @@ struct
                           deliver t ~src:p.p_id ~dst ~send_t ~label m)
                     end;
                     let cost = Ethernet.sender_cost t.net ~size in
-                    Trace.add_segment t.tr ~pid:p.p_id ~t0:t.now
-                      ~t1:(t.now +. cost) Trace.Active;
+                    period t p ~t0:t.now ~t1:(t.now +. cost) ~active:true;
                     Pqueue.add t.events (t.now +. cost) (fun () ->
                         resume k ()))
             | ERecv ->
@@ -196,8 +212,8 @@ struct
                               when p.block_gen = gen && not p.crashed ->
                                 p.blocked <- None;
                                 p.block_gen <- p.block_gen + 1;
-                                Trace.add_segment t.tr ~pid:p.p_id
-                                  ~t0:p.idle_since ~t1:t.now Trace.Idle;
+                                period t p ~t0:p.idle_since ~t1:t.now
+                                  ~active:false;
                                 continue k None
                             | _ -> ()))
             | ETryRecv ->
@@ -209,7 +225,7 @@ struct
             | EMark label ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    Trace.add_mark t.tr ~pid:p.p_id ~time:t.now ~label;
+                    Obs.instant t.log ~pid:p.p_id ~t:t.now label;
                     continue k ())
             | _ -> None);
       }
@@ -226,6 +242,7 @@ struct
         blocked = None;
         block_gen = 0;
         idle_since = 0.0;
+        busy = 0.0;
         finished = false;
         crashed = Hashtbl.mem t.pre_crashed pid;
       }

@@ -11,6 +11,14 @@
     order. A network multiprocessor experiment therefore produces identical
     figures on every run.
 
+    Every run is logged into an {!Pag_obs.Obs.recorder}, the raw material of
+    the paper's figure 6 ({!Gantt.render}): a process's busy periods are
+    spans named ["active"] (a {!Make.delay}, or the sender's cost of a
+    {!Make.send}), its waits in a receive are spans named ["idle"], a
+    delivered message is a flow from sender to receiver spanning send to
+    arrival time, and a {!Make.mark} or a crash (["CRASH"]) is an instant.
+    An empty period records nothing, so a zero delay leaves no span.
+
     The functor is applied per message type; each application gets its own
     effect constructors, so several simulators can coexist. *)
 
@@ -50,7 +58,16 @@ end) : sig
 
   val network : t -> Ethernet.t
 
-  val trace : t -> Trace.t
+  (** The run's log, in recording order. *)
+  val events : t -> Pag_obs.Obs.recorder
+
+  (** The sum of [pid]'s ["active"] span lengths, added in recording order;
+      0 for an unknown pid. O(1): kept as the log is recorded. *)
+  val busy_time : t -> pid -> float
+
+  (** The latest span end or message arrival in the log, 0 when empty.
+      O(1). *)
+  val horizon : t -> float
 
   val name_of : t -> pid -> string
 
@@ -83,6 +100,6 @@ end) : sig
 
   val time : unit -> float
 
-  (** Drop a labelled mark into the trace (phase boundaries in figure 6). *)
+  (** Log a labelled instant (phase boundaries in figure 6). *)
   val mark : string -> unit
 end

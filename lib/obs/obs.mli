@@ -2,12 +2,15 @@
     per-run evaluation report.
 
     One structured layer replaces the scattered peepholes ([Worker.stats],
-    [Reliable.stats], [Faults.stats], the netsim trace) with three faces:
+    [Reliable.stats], [Faults.stats]) with three faces:
 
     - a low-overhead {e recorder} of phase spans, discrete events and
       message-flow arrows, stored in growable struct-of-arrays buffers —
       recording into {!disabled} costs one branch and allocates nothing,
-      so instrumentation can stay in the hot paths permanently;
+      so instrumentation can stay in the hot paths permanently. It is
+      also the network simulator's own log ([Netsim.Sim]: ["active"] and
+      ["idle"] spans, message flows, marks), so every timeline of a run
+      lives in one kind of store;
     - a {e metrics registry} of named counters / gauges / histograms,
       incremented through preallocated handles;
     - a {e report} snapshot that reproduces the paper's headline numbers

@@ -59,6 +59,8 @@ let eval_locally ?obs (env : Transport.env) (r : recovery) g tree expected =
   env.Transport.e_delay cost;
   List.map (fun a -> (a, Store.get store tree a)) expected
 
+(* Names of the root's synthesized attributes: what the coordinator waits
+   to collect. *)
 let expected_attrs g (tree : Tree.t) =
   Array.to_list (Grammar.symbol g tree.Tree.sym).Grammar.s_attrs
   |> List.filter_map (fun (a : Grammar.attr_decl) ->

@@ -23,10 +23,6 @@ type recovery = {
   rc_watchdog : float;  (** seconds of silence before probing liveness *)
 }
 
-(** Names of the root's synthesized attributes — what the coordinator waits
-    to collect (also used by {!Session} edit waves). *)
-val expected_attrs : Grammar.t -> Tree.t -> string list
-
 (** [run env g ~tree ~plan ~librarian] returns the root's synthesized
     attributes with any librarian descriptors replaced by the assembled
     text, and a flag that is [true] when a crash forced local recovery.

@@ -33,7 +33,7 @@ type result = {
   r_attrs : (string * Value.t) list;
   r_time : float;
   r_worker_stats : Worker.stats array;
-  r_trace : Trace.t option;
+  r_trace : Obs.recorder option;
   r_messages : int;
   r_bytes : int;
   r_fragments : int;
@@ -127,23 +127,6 @@ let merged_metrics ctxs =
   let reg = Obs.Metrics.create () in
   Array.iter (fun c -> Obs.Metrics.merge ~into:reg c.Obs.x_metrics) ctxs;
   reg
-
-(* Re-express the simulator's own trace in telemetry terms: message arrows
-   become flow events, idle segments become "idle" spans, phase marks
-   become instants. Worker/coordinator spans are recorded directly; the
-   trace supplies everything only the network layer sees. *)
-let recorder_of_trace tr =
-  let r = Obs.create () in
-  Trace.iter_segments tr (fun (s : Trace.segment) ->
-      if s.Trace.sg_kind = Trace.Idle then
-        Obs.span r ~pid:s.Trace.sg_pid ~t0:s.Trace.sg_t0 ~t1:s.Trace.sg_t1
-          "idle");
-  Trace.iter_arrows tr (fun (a : Trace.arrow) ->
-      Obs.flow r ~src:a.Trace.ar_src ~dst:a.Trace.ar_dst ~send:a.Trace.ar_send
-        ~recv:a.Trace.ar_recv a.Trace.ar_label);
-  Trace.iter_marks tr (fun (m : Trace.mark) ->
-      Obs.instant r ~pid:m.Trace.mk_pid ~t:m.Trace.mk_time m.Trace.mk_label);
-  r
 
 let merge_recorders ctxs extra =
   let rs = Array.to_list (Array.map (fun c -> c.Obs.x_rec) ctxs) in
@@ -319,9 +302,7 @@ let static_machines ?max_tries opts g plan tree split ~now ~raw ~rto ~watchdog
       r_fault_stats = fault_stats;
       r_obs =
         (if opts.telemetry then
-           Some
-             (merge_recorders ctxs
-                (Option.to_list (Option.map recorder_of_trace trace)))
+           Some (merge_recorders ctxs (Option.to_list trace))
          else None);
       r_report = report;
       r_prov =
@@ -396,6 +377,20 @@ let sim_env sim id =
     e_flush = (fun () -> ());
   }
 
+(* A simulated machine's report row, read off the simulator's log;
+   [sends pid] is the machine's message count. *)
+let sim_row sim ~fragments ~sends pid =
+  let horizon = S.horizon sim and active = S.busy_time sim pid in
+  {
+    Obs.Report.rm_pid = pid;
+    rm_name = machine_name ~fragments pid;
+    rm_active = active;
+    rm_idle = Float.max 0.0 (horizon -. active);
+    rm_util = (if horizon <= 0.0 then 0.0 else active /. horizon);
+    rm_sends = sends pid;
+    rm_max_queue = S.max_queue_depth sim pid;
+  }
+
 let run_sim_static opts g plan tree =
   let split = decompose opts g tree in
   let nfrags = Split.count split in
@@ -421,28 +416,17 @@ let run_sim_static opts g plan tree =
     bodies;
   S.run sim;
   let net = S.network sim in
-  let tr = S.trace sim in
-  let horizon = Trace.horizon tr in
-  (* Boundary messages originated per machine, acks included: read off the
-     trace so parser and librarian are covered too. *)
-  let arrow_sends = Array.make (nfrags + 2) 0 in
-  Trace.iter_arrows tr (fun (a : Trace.arrow) ->
-      if a.Trace.ar_src >= 0 && a.Trace.ar_src < Array.length arrow_sends then
-        arrow_sends.(a.Trace.ar_src) <- arrow_sends.(a.Trace.ar_src) + 1);
-  let row _ pid =
-    let active = Trace.active_time tr ~pid in
-    {
-      Obs.Report.rm_pid = pid;
-      rm_name = machine_name ~fragments:nfrags pid;
-      rm_active = active;
-      rm_idle = Float.max 0.0 (horizon -. active);
-      rm_util = Trace.utilization tr ~pid;
-      rm_sends = arrow_sends.(pid);
-      rm_max_queue = S.max_queue_depth sim pid;
-    }
-  in
-  collect ~transport:"sim" ~clock:"simulated" ~time:!finish ~horizon
-    ~trace:(Some tr) ~messages:(Ethernet.messages_sent net)
+  let log = S.events sim in
+  (* Boundary messages originated per machine, acks included: the
+     delivered flows from it, so parser and librarian are covered too. *)
+  let sent = Array.make (nfrags + 2) 0 in
+  Obs.iter log (fun e ->
+      if e.Obs.e_kind = Obs.Flow then
+        sent.(e.Obs.e_pid) <- sent.(e.Obs.e_pid) + 1);
+  let row _ = sim_row sim ~fragments:nfrags ~sends:(Array.get sent) in
+  collect ~transport:"sim" ~clock:"simulated" ~time:!finish
+    ~horizon:(S.horizon sim) ~trace:(Some log)
+    ~messages:(Ethernet.messages_sent net)
     ~bytes:(Ethernet.bytes_sent net) ~fault_stats:(S.fault_stats sim) ~row
     ~domains:1
 
@@ -794,38 +778,28 @@ let run_sim_steal opts g tree =
         })
       stats
   in
-  let tr = S.trace sim in
-  let horizon = Trace.horizon tr in
+  let log = S.events sim in
   let machine_rows =
-    List.init (m + 1) (fun pid ->
-        let active = Trace.active_time tr ~pid in
-        {
-          Obs.Report.rm_pid = pid;
-          rm_name = machine_name ~fragments:m pid;
-          rm_active = active;
-          rm_idle = Float.max 0.0 (horizon -. active);
-          rm_util = Trace.utilization tr ~pid;
-          rm_sends = (if pid = 0 then m else sends.(pid));
-          rm_max_queue = S.max_queue_depth sim pid;
-        })
+    List.init (m + 1)
+      (sim_row sim ~fragments:m ~sends:(fun pid ->
+           if pid = 0 then m else sends.(pid)))
   in
   let metrics = merged_metrics ctxs in
   let report =
     build_report
       ~label:(run_label opts ~transport:"sim")
-      ~clock:"simulated" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:(Ethernet.messages_sent net) ~bytes:(Ethernet.bytes_sent net)
-      ~retransmits:0 ~metrics ~domains:1
+      ~clock:"simulated" ~horizon:(S.horizon sim) ~machines:machine_rows
+      ~worker_stats ~messages:(Ethernet.messages_sent net)
+      ~bytes:(Ethernet.bytes_sent net) ~retransmits:0 ~metrics ~domains:1
   in
   let r_obs =
-    if opts.telemetry then Some (merge_recorders ctxs [ recorder_of_trace tr ])
-    else None
+    if opts.telemetry then Some (merge_recorders ctxs [ log ]) else None
   in
   {
     r_attrs = !attrs;
     r_time = !finish;
     r_worker_stats = worker_stats;
-    r_trace = Some tr;
+    r_trace = Some log;
     r_messages = Ethernet.messages_sent net;
     r_bytes = Ethernet.bytes_sent net;
     r_fragments = m;
@@ -853,8 +827,8 @@ let dom_rto = 0.02
 
 let dom_watchdog = 0.2
 
-(* A domains report row. No network trace on domains: an evaluator's
-   measured idle wait stands in for its activity segments, and machines
+(* A domains report row. No simulator log on domains: an evaluator's
+   measured idle wait stands in for its "active"/"idle" spans, and machines
    without one (parser, librarian) report the whole horizon idle. *)
 let domains_row ~fragments ~horizon (worker_stats : Worker.stats array) pid =
   let active, idle, sends =

@@ -3,7 +3,7 @@
     {!run_sim} executes the full protocol — parser/coordinator, evaluators,
     optional string librarian — on the deterministic network-multiprocessor
     simulator and reports virtual running time, per-worker statistics and the
-    activity trace (the data behind the paper's figures 5 and 6).
+    simulator's event log (the data behind the paper's figures 5 and 6).
 
     {!run_domains} executes the same protocol on OCaml 5 domains with
     in-memory mailboxes and reports wall-clock time: the modern multicore
@@ -126,7 +126,10 @@ type result = {
   r_attrs : (string * Value.t) list;  (** root synthesized attributes *)
   r_time : float;  (** seconds: virtual (sim) or wall-clock (domains) *)
   r_worker_stats : Worker.stats array;
-  r_trace : Trace.t option;  (** simulation only *)
+  r_trace : Pag_obs.Obs.recorder option;
+      (** the simulator's log ({!Netsim.Sim}: ["active"]/["idle"] spans,
+          message flows, phase-mark instants; {!Netsim.Gantt.render}
+          draws it); simulation only *)
   r_messages : int;
   r_bytes : int;
   r_fragments : int;
@@ -138,9 +141,8 @@ type result = {
       (** the coordinator fell back to local sequential evaluation *)
   r_fault_stats : Faults.stats option;  (** injected-fault counters *)
   r_obs : Pag_obs.Obs.recorder option;
-      (** merged event stream of all machines (simulation runs also fold
-          the network trace in as flow/idle/instant events); [Some] only
-          when [telemetry] was on *)
+      (** merged event stream of all machines (simulation runs merge
+          [r_trace] in whole); [Some] only when [telemetry] was on *)
   r_report : Pag_obs.Obs.Report.t;
       (** always built; its [rp_metrics] registry is empty unless
           [telemetry] was on *)

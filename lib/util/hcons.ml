@@ -15,9 +15,6 @@ type 'a t = {
   mutable misses : int;
 }
 
-(* Registry of every arena, type-erased to its introspection closures. *)
-let registry : (string * (unit -> stats) * (unit -> unit)) list ref = ref []
-
 let count_live t =
   Array.fold_left
     (fun acc w ->
@@ -36,30 +33,19 @@ let stats t =
     st_buckets = Array.length t.buckets;
   }
 
-let clear t =
-  Array.iteri (fun i _ -> t.buckets.(i) <- Weak.create 0) t.buckets
-
 let create ?(initial_buckets = 256) ~hash ~equal hname =
   let n = max 8 initial_buckets in
-  let t =
-    {
-      hname;
-      hash;
-      equal;
-      buckets = Array.init n (fun _ -> Weak.create 0);
-      limit = 3;
-      hits = 0;
-      misses = 0;
-    }
-  in
-  registry := (hname, (fun () -> stats t), fun () -> clear t) :: !registry;
-  t
+  {
+    hname;
+    hash;
+    equal;
+    buckets = Array.init n (fun _ -> Weak.create 0);
+    limit = 3;
+    hits = 0;
+    misses = 0;
+  }
 
 let name t = t.hname
-
-let all_stats () = List.rev_map (fun (n, st, _) -> (n, st ())) !registry
-
-let clear_all () = List.iter (fun (_, _, c) -> c ()) !registry
 
 let bucket_of t h = (h land max_int) mod Array.length t.buckets
 

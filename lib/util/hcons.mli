@@ -27,7 +27,7 @@ type stats = {
 
 (** [create ~hash ~equal name] — an empty arena. [hash] must be compatible
     with [equal] ([equal a b] implies [hash a = hash b]); [name] labels the
-    arena in {!all_stats}. *)
+    arena ({!name}). *)
 val create :
   ?initial_buckets:int ->
   hash:('a -> int) ->
@@ -44,10 +44,3 @@ val find_opt : 'a t -> 'a -> 'a option
 val name : _ t -> string
 
 val stats : _ t -> stats
-
-(** Stats of every arena created so far (in creation order) — the
-    [hcons.*] telemetry source. *)
-val all_stats : unit -> (string * stats) list
-
-(** Drop all representatives of every arena (test isolation). *)
-val clear_all : unit -> unit

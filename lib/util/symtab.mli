@@ -58,7 +58,7 @@ val hash_of_name : string -> int
 type 'a interner
 
 (** [interner ~value_hash ~value_identical name] — a fresh arena named
-    [name] in {!Hcons.all_stats}. [value_hash] must hash canonical values
+    [name] ({!Hcons.name}). [value_hash] must hash canonical values
     (as produced by the [intern_value] passed to {!intern}) consistently
     with [value_identical]. *)
 val interner :

@@ -1,7 +1,7 @@
-(* Telemetry layer tests: recorder/metrics semantics, trace buffers, the
-   Gantt golden render, exporter output shape (validated with a small JSON
-   parser written here), and qcheck properties tying the metrics registry
-   to the legacy stats records it mirrors. *)
+(* Telemetry layer tests: recorder/metrics semantics, the Gantt golden
+   render, exporter output shape (validated with a small JSON parser
+   written here), and qcheck properties tying the metrics registry to the
+   legacy stats records it mirrors. *)
 
 open Pag_obs
 open Pag_parallel
@@ -132,50 +132,23 @@ let test_json_escape () =
   check_string "integral" "3" (Obs.Json.num 3.0);
   check_string "fractional" "0.250000" (Obs.Json.num 0.25)
 
-(* --------------- trace buffers (array-backed) --------------- *)
-
-let test_trace_buffers () =
-  let tr = Trace.create () in
-  for i = 0 to 999 do
-    let t = float_of_int i in
-    Trace.add_segment tr ~pid:(i mod 3) ~t0:t ~t1:(t +. 0.5)
-      (if i mod 2 = 0 then Trace.Active else Trace.Idle)
-  done;
-  Trace.add_arrow tr ~src:0 ~dst:1 ~send:10.0 ~recv:1200.0 ~label:"m";
-  Trace.add_mark tr ~pid:2 ~time:3.0 ~label:"phase";
-  check_int "segments" 1000 (Trace.num_segments tr);
-  check_int "arrows" 1 (Trace.num_arrows tr);
-  check_int "marks" 1 (Trace.num_marks tr);
-  check_bool "horizon from arrow" true (Trace.horizon tr = 1200.0);
-  (* iterators and list accessors agree, in recording order *)
-  let via_iter = ref [] in
-  Trace.iter_segments tr (fun s -> via_iter := s :: !via_iter);
-  check_bool "lists match iterators" true
-    (List.rev !via_iter = Trace.segments tr);
-  let t0s = List.map (fun s -> s.Trace.sg_t0) (Trace.segments tr) in
-  check_bool "recording order" true (List.sort compare t0s = t0s);
-  (* active time counts only Active segments of that pid: pids 0 and 2 own
-     the even (Active) segments in thirds *)
-  let act0 = Trace.active_time tr ~pid:0 in
-  check_bool "active time positive" true (act0 > 0.0);
-  check_bool "active <= horizon" true (act0 <= Trace.horizon tr)
-
 (* --------------- Gantt golden --------------- *)
 
-let golden_trace () =
-  let tr = Trace.create () in
-  Trace.add_segment tr ~pid:0 ~t0:0.0 ~t1:0.4 Trace.Active;
-  Trace.add_segment tr ~pid:0 ~t0:0.4 ~t1:1.0 Trace.Idle;
-  Trace.add_segment tr ~pid:1 ~t0:0.0 ~t1:0.2 Trace.Idle;
-  Trace.add_segment tr ~pid:1 ~t0:0.2 ~t1:1.0 Trace.Active;
-  Trace.add_mark tr ~pid:0 ~time:0.4 ~label:"handoff";
-  Trace.add_arrow tr ~src:0 ~dst:1 ~send:0.4 ~recv:0.5 ~label:"msg";
-  tr
+(* A simulator-shaped log: "active"/"idle" spans, a mark, a message. *)
+let golden_log () =
+  let r = Obs.create () in
+  Obs.span r ~pid:0 ~t0:0.0 ~t1:0.4 "active";
+  Obs.span r ~pid:0 ~t0:0.4 ~t1:1.0 "idle";
+  Obs.span r ~pid:1 ~t0:0.0 ~t1:0.2 "idle";
+  Obs.span r ~pid:1 ~t0:0.2 ~t1:1.0 "active";
+  Obs.instant r ~pid:0 ~t:0.4 "handoff";
+  Obs.flow r ~src:0 ~dst:1 ~send:0.4 ~recv:0.5 "msg";
+  r
 
 let golden_names = function 0 -> "parser" | _ -> "worker"
 
 let test_gantt_golden () =
-  let rendered = Gantt.render ~width:40 ~names:golden_names (golden_trace ()) in
+  let rendered = Gantt.render ~width:40 ~names:golden_names (golden_log ()) in
   let expected =
     "       0                                 1.000s\n\
      parser ################|.......................\n\
@@ -563,27 +536,6 @@ let test_report_render () =
 
 (* --------------- qcheck properties --------------- *)
 
-let prop_active_le_horizon =
-  let seg =
-    QCheck.(
-      triple (int_bound 3)
-        (pair (float_bound_inclusive 100.0) (float_bound_inclusive 10.0))
-        bool)
-  in
-  qc ~count:100 "per-pid active_time <= horizon"
-    QCheck.(list_of_size Gen.(1 -- 40) seg)
-    (fun segs ->
-      let tr = Trace.create () in
-      List.iter
-        (fun (pid, (t0, dur), active) ->
-          Trace.add_segment tr ~pid ~t0 ~t1:(t0 +. dur)
-            (if active then Trace.Active else Trace.Idle))
-        segs;
-      let h = Trace.horizon tr in
-      List.for_all
-        (fun pid -> Trace.active_time tr ~pid <= h +. 1e-9)
-        [ 0; 1; 2; 3 ])
-
 let prop_registry_equals_stats =
   qc ~count:5 "telemetry registry = legacy worker stats"
     QCheck.(int_bound 1000)
@@ -658,7 +610,6 @@ let suite =
         Alcotest.test_case "null metrics" `Quick test_metrics_null_is_dead;
         Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
         Alcotest.test_case "json fragments" `Quick test_json_escape;
-        Alcotest.test_case "trace buffers" `Quick test_trace_buffers;
         Alcotest.test_case "gantt golden" `Quick test_gantt_golden;
         Alcotest.test_case "chrome export shape" `Quick
           test_chrome_export_shape;
@@ -670,7 +621,6 @@ let suite =
         Alcotest.test_case "chrome export, real run" `Quick
           test_chrome_export_real_run;
         Alcotest.test_case "report" `Quick test_report_render;
-        prop_active_le_horizon;
         prop_registry_equals_stats;
         prop_reliable_counters_match;
       ] );

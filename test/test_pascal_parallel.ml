@@ -1,5 +1,6 @@
 open Pascal
 open Pag_parallel
+open Pag_obs
 
 let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
@@ -160,28 +161,28 @@ let test_trace_shows_phases () =
   let r, _ = run_and_execute (opts 4) in
   match r.Runner.r_trace with
   | None -> Alcotest.fail "expected trace"
-  | Some tr ->
-      let marks = Netsim.Trace.marks tr in
-      let has label =
-        List.exists (fun m -> m.Netsim.Trace.mk_label = label) marks
+  | Some log ->
+      let has kind name =
+        let found = ref false in
+        Obs.iter log (fun e ->
+            if e.Obs.e_kind = kind && e.Obs.e_name = name then found := true);
+        !found
       in
-      check_bool "symbol table phase marked" true (has "symbol table");
-      check_bool "code generation phase marked" true (has "code generation");
+      check_bool "symbol table phase marked" true (has Obs.Instant "symbol table");
+      check_bool "code generation phase marked" true
+        (has Obs.Instant "code generation");
       (* the env attribute crosses fragment boundaries *)
-      check_bool "env messages" true
-        (List.exists
-           (fun a -> a.Netsim.Trace.ar_label = "env")
-           (Netsim.Trace.arrows tr))
+      check_bool "env messages" true (has Obs.Flow "env")
 
 let test_gantt_renders () =
   let r, _ = run_and_execute (opts 5) in
   match r.Runner.r_trace with
   | None -> Alcotest.fail "expected trace"
-  | Some tr ->
+  | Some log ->
       let s =
         Netsim.Gantt.render
           ~names:(Runner.machine_name ~fragments:r.Runner.r_fragments)
-          tr
+          log
       in
       check_bool "nonempty chart" true (String.length s > 200)
 

@@ -416,9 +416,23 @@ let service_rows () =
 
 (* ------------------------- comparison ------------------------- *)
 
-let expected_file = "sim_pin.expected"
-
-let actual_file = "sim_pin.actual"
+(* The expected rows, found from wherever the runner was started: dune
+   copies them next to the test binary's working directory, and from the
+   repository root (or any directory below it) walking up reaches
+   test/sim_pin.expected. The failing run's rows go next to the file read. *)
+let expected_file =
+  lazy
+    (let rec find dir =
+       let here = Filename.concat dir "sim_pin.expected" in
+       let below = Filename.concat (Filename.concat dir "test") "sim_pin.expected" in
+       if Sys.file_exists here then here
+       else if Sys.file_exists below then below
+       else
+         let parent = Filename.dirname dir in
+         if String.equal parent dir then Alcotest.fail "sim_pin.expected not found"
+         else find parent
+     in
+     find (Sys.getcwd ()))
 
 let read_lines file =
   let ic = open_in file in
@@ -437,6 +451,7 @@ let test_pin () =
     static_rows prog @ expr_edit_rows () @ expr_batch_rows () @ expr_rebuild_rows ()
     @ pascal_rows () @ service_rows ()
   in
+  let expected_file = Lazy.force expected_file in
   let expected = read_lines expected_file in
   let rec first_diff i = function
     | [], [] -> None
@@ -447,6 +462,9 @@ let test_pin () =
   match first_diff 1 (expected, rows) with
   | None -> ()
   | Some (i, e, a) ->
+      let actual_file =
+        Filename.concat (Filename.dirname expected_file) "sim_pin.actual"
+      in
       let oc = open_out actual_file in
       List.iter (fun l -> output_string oc (l ^ "\n")) rows;
       close_out oc;
