@@ -2,6 +2,35 @@
 # Repo check: build, tests, dune-file formatting. Run before every push.
 set -e
 cd "$(dirname "$0")"
+# Process-wide mutable state: every top-level binding in lib whose value
+# (on its line or the next) starts with a mutable constructor must be on
+# this allowlist, so a new process-wide table fails here. Each entry is
+# domain-safe or written only at module initialization.
+allowed="Appendix.spec Appendix.translator Driver.plan Driver.plan_threaded
+Primitives.table Rope.arena Uid.key Value.arena Value.ext_registry
+Value.tables"
+for f in $(git ls-files 'lib/*.ml'); do
+  awk -v file="$f" '
+    function check(rhs) {
+      if (rhs ~ /^(Stdlib\.)?(ref|lazy|Array\.(make|init)|Atomic\.make|Domain\.DLS\.new_key|Symtab\.interner|([A-Z][A-Za-z0-9_]*\.)+create)([^A-Za-z0-9_.]|$)/) {
+        m = file; sub(/.*\//, "", m); sub(/\.ml$/, "", m)
+        print toupper(substr(m, 1, 1)) substr(m, 2) "." name
+      }
+    }
+    next_line && /^[ \t]*$/ { next }
+    next_line { next_line = 0; r = $0; sub(/^[ \t]+/, "", r); check(r) }
+    /^(let|and)( rec)? [a-z_][A-Za-z0-9_\x27]*( *:[^=]*)? *=/ {
+      name = $0; sub(/^(let|and)( rec)? /, "", name); sub(/[ :=].*/, "", name)
+      r = $0; sub(/^[^=]*= */, "", r)
+      if (r == "") next_line = 1; else check(r)
+    }' "$f"
+done | while read -r binding; do
+  case " $(echo $allowed) " in
+    *" $binding "*) ;;
+    *) echo "check.sh: $binding is process-wide mutable state not on the allowlist" >&2
+       exit 1 ;;
+  esac
+done
 dune build
 dune runtest
 dune build @fmt

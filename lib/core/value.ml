@@ -139,122 +139,66 @@ let of_rope r = Str r
 (* Hash-consing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Values are interned bottom-up into a process-wide weak arena: children
+(* Values are interned bottom-up into a weak arena ({!Hcons}): children
    are canonicalized first, so the arena's equality compares them with
    [==]. The arena equality is deliberately FINER than {!equal} — ropes by
    interned identity (shape-preserving), symbol tables by interned node
-   identity (shape-preserving), [Ext] payloads by [ext_equal] — which is
+   identity (shape-preserving), [Ext] payloads by [ext_equal] among those
+   the polymorphic hash puts in one bucket — which is
    sound for an optimization: it never merges values that {!equal}
    distinguishes, it merely declines to merge some that {!equal} would.
    Correspondingly {!hash} is consistent with interning, not with
    {!equal}. *)
 
-module Phys = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-
-  (* Bounded-prefix polymorphic hash; physically equal values hash
-     equally — all an identity-keyed cache needs. *)
-  let hash = Hashtbl.hash
-end)
-
 let mix h1 h2 = (h1 * 0x01000193) lxor (h2 + 0x9e3779b9 + (h1 lsl 6))
 
-(* Structural hashes of canonical values, memoized by identity. *)
-let hash_memo : int Phys.t = Phys.create 1024
+let arena =
+  Hcons.create ~equal:(fun a b ->
+      match (a, b) with
+      | Unit, Unit -> true
+      | Bool x, Bool y -> x = y
+      | Int x, Int y -> x = y
+      | Str x, Str y -> x == y
+      | List x, List y ->
+          List.compare_lengths x y = 0 && List.for_all2 ( == ) x y
+      | Pair (x1, x2), Pair (y1, y2) -> x1 == y1 && x2 == y2
+      | Tab x, Tab y -> x == y
+      | Ext x, Ext y -> ( try ext_equal x y with Type_error _ -> x == y)
+      | (Unit | Bool _ | Int _ | Str _ | List _ | Pair _ | Tab _ | Ext _), _ ->
+          false)
 
-(* Identity cache of already-interned values. Direct-mapped (not a
-   hashtable): an evaluation produces many physically distinct copies of
-   equal values, which hash alike under the content-based [Hashtbl.hash]
-   and would chain in one bucket of an identity-keyed table; here they
-   evict each other, and the fixed size doubles as the garbage-pinning
-   cap. *)
-let canon_memo : (t, t) Phys_cache.t = Phys_cache.create 16
+(* The symbol tables' node arena. *)
+let tables : t Symtab.interner = Symtab.interner ()
 
-let remember v c = Phys_cache.replace canon_memo v c
+let rec intern_hash v = Hcons.intern arena ~rebuild v
 
-let rec value_interner =
-  lazy
-    (Symtab.interner ~value_hash:compute_hash ~value_identical:( == ) "symtab")
+and rebuild v =
+  match v with
+  | Unit -> (v, 0x11)
+  | Bool false -> (v, 0x22)
+  | Bool true -> (v, 0x23)
+  | Int i -> (v, mix 0x44 i)
+  | Ext e -> (v, mix 0x77 (ext_hash e))
+  | Str r ->
+      let r' = Rope.intern r in
+      ((if r' == r then v else Str r'), mix 0x33 (Rope.hash r))
+  | List l ->
+      let l' = List.map intern_hash l in
+      ( (if List.for_all2 (fun x (x', _) -> x == x') l l' then v
+         else List (List.map fst l')),
+        List.fold_left (fun acc (_, h) -> mix acc h) 0x55 l' )
+  | Pair (a, b) ->
+      let a', ha = intern_hash a in
+      let b', hb = intern_hash b in
+      ( (if a' == a && b' == b then v else Pair (a', b')),
+        mix 0x99 (mix ha hb) )
+  | Tab t ->
+      let t', h = Symtab.intern tables ~intern_value:intern_hash t in
+      ((if t' == t then v else Tab t'), mix 0x66 h)
 
-and arena = lazy (Hcons.create ~hash:compute_hash ~equal:shallow_equal "value")
+let intern v = fst (intern_hash v)
 
-(* Memo first; else a shallow mix over (already canonical) children. *)
-and compute_hash v =
-  match Phys.find_opt hash_memo v with
-  | Some h -> h
-  | None -> (
-      match v with
-      | Unit -> 0x11
-      | Bool false -> 0x22
-      | Bool true -> 0x23
-      | Int i -> mix 0x44 i
-      | Str r -> mix 0x33 (Rope.hash r)
-      | List l -> List.fold_left (fun acc x -> mix acc (compute_hash x)) 0x55 l
-      | Pair (a, b) -> mix 0x99 (mix (compute_hash a) (compute_hash b))
-      | Tab t ->
-          mix 0x66
-            (Symtab.hash (Lazy.force value_interner) ~intern_value:intern t)
-      | Ext e -> mix 0x77 (ext_hash e))
-
-and shallow_equal a b =
-  match (a, b) with
-  | Unit, Unit -> true
-  | Bool x, Bool y -> x = y
-  | Int x, Int y -> x = y
-  | Str x, Str y -> x == y
-  | List x, List y -> List.compare_lengths x y = 0 && List.for_all2 ( == ) x y
-  | Pair (x1, x2), Pair (y1, y2) -> x1 == y1 && x2 == y2
-  | Tab x, Tab y -> x == y
-  | Ext x, Ext y -> ( try ext_equal x y with Type_error _ -> x == y)
-  | (Unit | Bool _ | Int _ | Str _ | List _ | Pair _ | Tab _ | Ext _), _ ->
-      false
-
-(* Canonical values are exactly the keys of [hash_memo]; the O(1)
-   membership test keeps re-interning of canonical values (and of values
-   whose children are canonical) from re-walking shared substructure —
-   hash-consed evaluation builds DAG-shaped values, and recursing into
-   them as trees is exponential in the sharing depth. *)
-and intern v =
-  if Phys.mem hash_memo v then v
-  else
-    match Phys_cache.find_opt canon_memo v with
-    | Some c -> c
-    | None ->
-      let cand =
-        match v with
-        | Unit | Bool _ | Int _ | Ext _ -> v
-        | Str r ->
-            let r' = Rope.intern r in
-            if r' == r then v else Str r'
-        | List l ->
-            let l' = List.map intern l in
-            if List.for_all2 ( == ) l l' then v else List l'
-        | Pair (a, b) ->
-            let a' = intern a and b' = intern b in
-            if a' == a && b' == b then v else Pair (a', b')
-        | Tab t ->
-            let t' =
-              Symtab.intern (Lazy.force value_interner) ~intern_value:intern t
-            in
-            if t' == t then v else Tab t'
-      in
-      let canon = Hcons.intern (Lazy.force arena) cand in
-      if not (Phys.mem hash_memo canon) then
-        Phys.replace hash_memo canon (compute_hash canon);
-      remember v canon;
-      canon
-
-(* The arenas are lazy only because [let rec] needs them to be. Build them
-   now, at module initialization: two domains forcing the same lazy at
-   once raise [Lazy.Undefined], and the parallel paths may reach their
-   first [intern] concurrently. *)
-let () =
-  ignore (Lazy.force arena);
-  ignore (Lazy.force value_interner)
-
-let hash v = compute_hash (intern v)
+let hash v = snd (intern_hash v)
 
 let backref_bytes = 8
 
@@ -263,9 +207,9 @@ let backref_bytes = 8
    once (at their [byte_size] framing), repeats cost a fixed backreference
    when that is cheaper. A sharing-free value costs exactly [byte_size]. *)
 let dag_byte_size v =
-  let seen : unit Phys.t = Phys.create 64 in
+  let seen = Phys_tbl.create 64 in
   let rec go v =
-    if Phys.mem seen v then backref_bytes
+    if Phys_tbl.mem seen v then backref_bytes
     else
       let s =
         match v with
@@ -280,7 +224,7 @@ let dag_byte_size v =
               tab 4
         | Ext e -> ext_size e
       in
-      if s > backref_bytes then Phys.replace seen v ();
+      if s > backref_bytes then Phys_tbl.replace seen v ();
       s
   in
   go (intern v)

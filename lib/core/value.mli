@@ -79,14 +79,15 @@ val of_rope : Pag_util.Rope.t -> t
 
 (** {1 Hash-consing}
 
-    {!intern} returns the canonical representative of a value from a
-    process-wide weak arena ({!Pag_util.Hcons}), built bottom-up so that
-    structurally identical values (under a slightly finer relation than
-    {!equal}: shape-preserving for ropes and symbol tables) become
-    physically equal. Canonical values support O(1) equality ([==]) and
-    O(1) {!hash} — the keys of the evaluators' subtree memo tables and of
-    the intern librarian's wire cache. Interning never changes what
-    {!equal} observes. *)
+    {!intern} returns the canonical representative of a value from a weak
+    arena ({!Pag_util.Hcons}) shared by every domain, built bottom-up so
+    that structurally identical values (under a slightly finer relation
+    than {!equal}: shape-preserving for ropes and symbol tables) become
+    physically equal, whichever domain interns them. Canonical values
+    support O(1) equality ([==]) and O(1) {!hash} — the keys of the
+    evaluators' subtree memo tables, of the DAG runtime's fingerprints and
+    of the intern librarian's wire cache. Interning never changes what
+    {!equal} observes, and the arena keeps no value alive. *)
 
 val intern : t -> t
 

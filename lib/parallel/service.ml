@@ -631,9 +631,8 @@ let round_domains sv queues =
   List.iter (List.iter (fun (tn, _) -> ignore (revive sv tn))) work;
   (* Busy worker [k] runs on domain [k mod d]; the calling domain hosts
      domain 0's workers. Under [c_dag] the workers' sessions intern their
-     DAG fingerprints into the process-wide value arena
-     ({!Pag_core.Value.intern}), which is not domain-safe yet (see
-     service.mli). *)
+     DAG fingerprints into the shared value arena
+     ({!Pag_core.Value.intern}), which is domain-safe (see service.mli). *)
   let d = Pag_util.Placement.count (List.length work) in
   let outs =
     Pag_util.Placement.run d (fun i ->

@@ -27,10 +27,11 @@
       [k mod min(B, cores)] ({!Pag_util.Placement}; the calling domain is
       domain 0), and the [service.domains] gauge keeps the high-water
       domain count. Under [dag] the one shared structure those domains
-      touch is the process-wide value arena ({!Pag_core.Value.intern}):
-      each tenant session's {!Pag_eval.Dag} runtime interns the inherited
-      fingerprints of the regions its edits reach. That arena is not
-      domain-safe yet.
+      touch is the value arena ({!Pag_core.Value.intern}): each tenant
+      session's {!Pag_eval.Dag} runtime interns the inherited fingerprints
+      of the regions its edits reach. The arena takes a lock per bucket
+      scan, so equal fingerprints interned on two domains get one
+      representative.
 
     In both transports the edits themselves are applied through the
     tenant's own {!Pag_eval.Incr} session in submission order, so a

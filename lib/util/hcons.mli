@@ -1,46 +1,40 @@
-(** Weak-bucket interning arenas (hash-consing).
+(** Hash-consing: the one interning layer behind [Value.intern],
+    {!Rope.intern} and {!Symtab.intern}.
 
-    An arena maps every value to a canonical representative: [intern a v]
-    returns the first value equal to [v] that was ever interned, so
-    structural equality on interned values collapses to physical equality
-    ([==]) and a previously computed hash can be reused instead of
-    re-traversing the value.
+    An arena maps every value to a canonical representative, the first
+    equal value it was asked to intern that is still alive, so equality on
+    canonical values is physical equality ([==]) and a canonical value's
+    hash, kept beside it, is never recomputed.
 
-    Buckets hold their members weakly: a canonical representative that the
-    program no longer references elsewhere is reclaimed by the GC and its
-    slot is reused, so an arena never pins garbage — the property that lets
-    hash-consing stay on for arbitrarily long compiler sessions.
+    - {b Weak.} The arena holds its canonical values weakly: one that the
+      program no longer references is reclaimed by the GC and its slot is
+      reused. Nothing keeps a dropped value alive, but a major collection
+      must pass before its slot is free, so the table is sized by the
+      values interned between two collections. It never shrinks.
+    - {b Domain-safe.} One lock guards the buckets, held only for one
+      bucket scan or one insert, so two domains interning equal values get
+      one representative. In front of it each domain keeps a small
+      direct-mapped cache from the values it interned to their
+      representatives.
+    - {b Bottom-up.} The client's [rebuild] interns a value's children,
+      outside the lock, so [equal] compares children with [==]. A canonical
+      value is found by identity in one bucket scan however much it shares;
+      a fresh copy that shares a subvalue twice in a row finds the second
+      occurrence in the cache.
 
-    Clients supply [hash] and [equal] at creation time; for recursive types
-    the idiom is bottom-up interning, where children are canonicalized
-    first so that [equal] may compare them with [==] (constant time per
-    node). *)
+    Buckets are chosen by the bounded polymorphic hash ([Hashtbl.hash]),
+    which needs only the value itself. Values that [equal] relates but that
+    hash apart polymorphically are not merged. *)
 
 type 'a t
 
-type stats = {
-  st_hits : int;  (** interns that found an existing representative *)
-  st_misses : int;  (** interns that installed a new representative *)
-  st_live : int;  (** representatives currently alive (weakly counted) *)
-  st_buckets : int;  (** current bucket-table width *)
-}
+(** [create ~equal] is an empty arena. [equal] is a shallow equality: it
+    sees a candidate whose children are canonical. *)
+val create : equal:('a -> 'a -> bool) -> 'a t
 
-(** [create ~hash ~equal name] — an empty arena. [hash] must be compatible
-    with [equal] ([equal a b] implies [hash a = hash b]); [name] labels the
-    arena ({!name}). *)
-val create :
-  ?initial_buckets:int ->
-  hash:('a -> int) ->
-  equal:('a -> 'a -> bool) ->
-  string ->
-  'a t
-
-(** Canonical representative of [v], installing [v] itself if none exists. *)
-val intern : 'a t -> 'a -> 'a
-
-(** Look up without installing. *)
-val find_opt : 'a t -> 'a -> 'a option
-
-val name : _ t -> string
-
-val stats : _ t -> stats
+(** [intern t ~rebuild v] is the canonical representative of [v] and its
+    hash. When [v] is not canonical, [rebuild v] must intern [v]'s children
+    and return a value equal to [v] over the canonical children, with its
+    hash; equal candidates must get equal hashes. That candidate becomes
+    the representative when no equal value is canonical yet. *)
+val intern : 'a t -> rebuild:('a -> 'a * int) -> 'a -> 'a * int

@@ -250,82 +250,32 @@ let equal a b =
 (* Ropes are interned bottom-up: leaves by their string, interior nodes by
    the physical identity of their (already canonical) children — so the
    canonical form preserves the shape, and two ropes built by the same
-   sequence of operations share one representation. Structural hashes are
-   memoized per canonical node, making {!hash} O(1) after interning. *)
-
-module Phys = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-
-  (* The polymorphic hash only ever visits a bounded prefix of the value,
-     and physically equal values hash equally — all a cache keyed by
-     identity needs. *)
-  let hash = Hashtbl.hash
-end)
+   sequence of operations share one representation. *)
 
 let mix h1 h2 = (h1 * 0x01000193) lxor (h2 + 0x9e3779b9 + (h1 lsl 6))
 
-let hash_memo : int Phys.t = Phys.create 1024
+let arena =
+  Hcons.create ~equal:(fun a b ->
+      match (a, b) with
+      | Leaf x, Leaf y -> String.equal x y
+      | Cat x, Cat y -> x.left == y.left && x.right == y.right
+      | _ -> false)
 
-(* Shallow hash: children must already be memoized (or be leaves). *)
-let node_hash = function
-  | Leaf s -> mix 0x5eaf (Hashtbl.hash s)
+let rec intern_hash r = Hcons.intern arena ~rebuild r
+
+and rebuild r =
+  match r with
+  | Leaf s -> (r, mix 0x5eaf (Hashtbl.hash s))
   | Cat c ->
-      let h sub =
-        match Phys.find_opt hash_memo sub with
-        | Some h -> h
-        | None -> (
-            match sub with Leaf s -> mix 0x5eaf (Hashtbl.hash s) | Cat _ -> 0)
-      in
-      mix (h c.left) (h c.right)
+      let l, hl = intern_hash c.left in
+      let rt, hr = intern_hash c.right in
+      ( (if l == c.left && rt == c.right then r
+         else Cat { left = l; right = rt; len = c.len; dep = c.dep }),
+        mix hl hr )
 
-let node_equal a b =
-  match (a, b) with
-  | Leaf x, Leaf y -> String.equal x y
-  | Cat x, Cat y -> x.left == y.left && x.right == y.right
-  | _ -> false
+let intern r = fst (intern_hash r)
 
-let arena = Hcons.create ~hash:node_hash ~equal:node_equal "rope"
-
-(* Physical-identity cache of already-interned ropes: re-interning a value
-   that flows through many rules is a constant-time lookup. Direct-mapped
-   (not a hashtable) so the many physically distinct copies of one popular
-   string a parse produces evict each other instead of chaining, and the
-   bound doubles as the garbage-pinning cap. *)
-let canon_memo : (t, t) Phys_cache.t = Phys_cache.create 16
-
-let remember r c = Phys_cache.replace canon_memo r c
-
-(* Already-canonical nodes are exactly the keys of [hash_memo]; testing it
-   first makes re-interning a canonical rope O(1). Without this, interning
-   recurses into both children before consulting the arena — on canonical
-   ropes with shared subtrees (hash-consed evaluation builds DAGs, not
-   trees) an eviction from [canon_memo] then re-walks the DAG as a tree,
-   which is exponential in the sharing depth. *)
-let rec intern r =
-  if Phys.mem hash_memo r then r
-  else
-    match Phys_cache.find_opt canon_memo r with
-    | Some c -> c
-    | None ->
-      let cand =
-        match r with
-        | Leaf _ -> r
-        | Cat c ->
-            let l = intern c.left and rt = intern c.right in
-            if l == c.left && rt == c.right then r
-            else Cat { left = l; right = rt; len = c.len; dep = c.dep }
-      in
-      let canon = Hcons.intern arena cand in
-      if not (Phys.mem hash_memo canon) then
-        Phys.replace hash_memo canon (node_hash canon);
-      remember r canon;
-      canon
-
-let hash r =
-  let c = intern r in
-  match Phys.find_opt hash_memo c with Some h -> h | None -> node_hash c
+let hash r = snd (intern_hash r)
 
 let backref_bytes = 8
 
@@ -333,16 +283,16 @@ let backref_bytes = 8
    repeated node costs a fixed backreference (only when that is cheaper
    than its text, so a sharing-free rope costs exactly [length]). *)
 let dag_size r =
-  let seen : unit Phys.t = Phys.create 64 in
+  let seen = Phys_tbl.create 64 in
   let rec go r =
-    if Phys.mem seen r then backref_bytes
+    if Phys_tbl.mem seen r then backref_bytes
     else
       let s =
         match r with
         | Leaf s -> String.length s
         | Cat c -> go c.left + go c.right
       in
-      if s > backref_bytes then Phys.replace seen r ();
+      if s > backref_bytes then Phys_tbl.replace seen r ();
       s
   in
   go (intern r)

@@ -48,8 +48,8 @@ val equal : t -> t -> bool
 
 (** {1 Hash-consing}
 
-    {!intern} returns the canonical representative of a rope from the
-    process-wide weak arena ({!Hcons}): leaves are shared by content,
+    {!intern} returns the canonical representative of a rope from a weak
+    arena ({!Hcons}) shared by every domain: leaves are shared by content,
     interior nodes by the identity of their canonical children. The
     canonical form preserves the rope's shape, so ropes built by the same
     sequence of operations — identical code attributes of identical

@@ -77,91 +77,45 @@ let equal veq a b =
    representation. Shape-distinct but binding-equal tables merely stay
    [equal] — interning is an optimization, never a semantic change. *)
 
-type 'a interner = {
-  it_arena : 'a t Hcons.t;
-  it_hash : ('a t, int) Phys_tbl.t;  (* canonical node -> structural hash *)
-  (* any node -> canonical node; direct-mapped so the physically distinct
-     but equal tables every evaluation rebuilds evict each other instead
-     of chaining under the content-based polymorphic hash *)
-  it_memo : ('a t, 'a t) Phys_cache.t;
-  it_node_hash : 'a t -> int;
-}
+type 'a interner = 'a t Hcons.t
 
 let mix h1 h2 = (h1 * 0x01000193) lxor (h2 + 0x9e3779b9 + (h1 lsl 6))
 
-let interner ~value_hash ~value_identical name =
-  let it_hash = Phys_tbl.create 256 in
-  let child_hash = function
-    | Empty -> 0x3_1415
-    | n -> ( match Phys_tbl.find_opt it_hash n with Some h -> h | None -> 0)
-  in
-  (* Shallow hash: children and bucket values must already be canonical. *)
-  let node_hash = function
-    | Empty -> 0x3_1415
-    | Node n ->
-        List.fold_left
-          (fun acc (nm, v) -> mix acc (mix (Hashtbl.hash nm) (value_hash v)))
-          (mix n.key (mix (child_hash n.left) (child_hash n.right)))
-          n.bucket
-  in
-  let node_equal a b =
-    match (a, b) with
-    | Empty, Empty -> true
-    | Node x, Node y ->
-        x.key = y.key && x.left == y.left && x.right == y.right
-        && List.compare_lengths x.bucket y.bucket = 0
-        && List.for_all2
-             (fun (n1, v1) (n2, v2) ->
-               String.equal n1 n2 && value_identical v1 v2)
-             x.bucket y.bucket
-    | _ -> false
-  in
-  {
-    it_arena = Hcons.create ~hash:node_hash ~equal:node_equal name;
-    it_hash;
-    it_memo = Phys_cache.create 14;
-    it_node_hash = node_hash;
-  }
+let interner () =
+  Hcons.create ~equal:(fun a b ->
+      match (a, b) with
+      | Node x, Node y ->
+          x.key = y.key && x.left == y.left && x.right == y.right
+          && List.compare_lengths x.bucket y.bucket = 0
+          && List.for_all2
+               (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && v1 == v2)
+               x.bucket y.bucket
+      | _ -> false)
 
-(* Already-canonical nodes are exactly the keys of [it_hash]; testing it
-   first makes re-interning a canonical table O(1). Without this, interning
-   recurses into children and bucket values before consulting the arena —
-   on canonical tables with shared substructure (hash-consed evaluation
-   nests canonical scope tables inside each other) an eviction from
-   [it_memo] then re-walks the sharing DAG as a tree, which is exponential
-   in the nesting depth. *)
 let rec intern it ~intern_value tab =
   match tab with
-  | Empty -> Empty
-  | Node _ when Phys_tbl.mem it.it_hash tab -> tab
-  | Node n -> (
-      match Phys_cache.find_opt it.it_memo tab with
-      | Some c -> c
-      | None ->
-          let left = intern it ~intern_value n.left in
-          let right = intern it ~intern_value n.right in
-          let bucket =
-            List.map
-              (fun ((nm, v) as pair) ->
-                let v' = intern_value v in
-                if v' == v then pair else (nm, v'))
-              n.bucket
+  | Empty -> (Empty, 0x3_1415)
+  | Node n ->
+      Hcons.intern it tab ~rebuild:(fun _ ->
+          let left, hl = intern it ~intern_value n.left in
+          let right, hr = intern it ~intern_value n.right in
+          let bucket = List.map (fun (nm, v) -> (nm, intern_value v)) n.bucket in
+          let h =
+            List.fold_left
+              (fun acc (nm, (_, hv)) -> mix acc (mix (Hashtbl.hash nm) hv))
+              (mix n.key (mix hl hr))
+              bucket
           in
-          let cand =
-            if
-              left == n.left && right == n.right
-              && List.for_all2 (fun (_, v) (_, v') -> v == v') n.bucket bucket
-            then tab
-            else Node { key = n.key; bucket; left; right }
-          in
-          let canon = Hcons.intern it.it_arena cand in
-          if not (Phys_tbl.mem it.it_hash canon) then
-            Phys_tbl.replace it.it_hash canon (it.it_node_hash canon);
-          Phys_cache.replace it.it_memo tab canon;
-          canon)
-
-let hash it ~intern_value tab =
-  let c = intern it ~intern_value tab in
-  match Phys_tbl.find_opt it.it_hash c with
-  | Some h -> h
-  | None -> it.it_node_hash c
+          if
+            left == n.left && right == n.right
+            && List.for_all2 (fun (_, v) (_, (v', _)) -> v == v') n.bucket bucket
+          then (tab, h)
+          else
+            ( Node
+                {
+                  key = n.key;
+                  bucket = List.map (fun (nm, (v, _)) -> (nm, v)) bucket;
+                  left;
+                  right;
+                },
+              h ))

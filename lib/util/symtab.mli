@@ -47,30 +47,19 @@ val hash_of_name : string -> int
 
 (** {1 Hash-consing}
 
-    An {!interner} canonicalizes tables bottom-up, one BST node at a time,
-    in a dedicated {!Hcons} arena. Bucket values are canonicalized through
-    the [intern_value] callback before their node is interned, so node
-    equality compares values by the [value_identical] predicate (usually
-    [==]). Interning preserves the BST shape: tables built by the same
-    sequence of [add]s share one representation; shape-distinct but
-    binding-equal tables merely remain {!equal}. *)
+    An {!interner} is a {!Hcons} arena of BST nodes. {!intern}
+    canonicalizes a table bottom-up, one node at a time, canonicalizing
+    each bound value through [intern_value] first, so nodes compare their
+    children and values with [==]. Interning preserves the BST shape:
+    tables built by the same sequence of [add]s share one representation;
+    shape-distinct but binding-equal tables merely remain {!equal}. *)
 
 type 'a interner
 
-(** [interner ~value_hash ~value_identical name] — a fresh arena named
-    [name] ({!Hcons.name}). [value_hash] must hash canonical values
-    (as produced by the [intern_value] passed to {!intern}) consistently
-    with [value_identical]. *)
-val interner :
-  value_hash:('a -> int) ->
-  value_identical:('a -> 'a -> bool) ->
-  string ->
-  'a interner
+val interner : unit -> 'a interner
 
-(** Canonical representative of [tab]; [intern_value] canonicalizes each
-    bound value first. O(1) per previously seen node. *)
-val intern : 'a interner -> intern_value:('a -> 'a) -> 'a t -> 'a t
-
-(** Structural hash consistent with {!intern} (physically equal canonical
-    tables hash equally). Interns first. *)
-val hash : 'a interner -> intern_value:('a -> 'a) -> 'a t -> int
+(** The canonical representative of [tab] and its structural hash.
+    [intern_value] returns a bound value's canonical representative and
+    its hash. O(1) per previously seen node. *)
+val intern :
+  'a interner -> intern_value:('a -> 'a * int) -> 'a t -> 'a t * int

@@ -520,6 +520,85 @@ let test_fragment_wire_roundtrip () =
         (Message.header_bytes + bytes) (Message.size msg))
     (Split.fragments plan)
 
+(* --------------- one arena across domains, bounded in memory --------------- *)
+
+(* The [i]-th value of a family that reaches all three arenas: pairs and
+   lists of values, rope strings and symbol tables. Each call builds a
+   fresh copy. *)
+let family i =
+  let s = Value.str (Printf.sprintf "s%d" (i mod 997)) in
+  let l = Value.List [ Value.Pair (Value.Int i, s); Value.Int (i mod 13); Value.str (string_of_int i) ] in
+  Value.Pair
+    (l, Value.Tab (Symtab.of_list [ ("a", Value.Int i); ("b" ^ string_of_int (i mod 7), l) ]))
+
+(* Two domains intern their own copies of the same values at once: every
+   value must get one representative, so the pairs are [==] and hash
+   alike. *)
+let test_one_representative_across_domains () =
+  for round = 1 to 3 do
+    let outs =
+      Placement.run 2 (fun _ ->
+          Array.init 5_000 (fun i ->
+              let v = Value.intern (family ((round * 1_000_000) + i)) in
+              (v, Value.hash v)))
+    in
+    let split = ref 0 in
+    Array.iteri
+      (fun i (v, h) ->
+        let v', h' = outs.(1).(i) in
+        if not (v == v' && h = h') then incr split)
+      outs.(0);
+    check_int (Printf.sprintf "round %d: pairs with two representatives" round) 0 !split
+  done
+
+(* The static protocol under [--dag] interns memo keys from both
+   fragments' domains; repeated, every compile must still be the
+   sequential one. *)
+let test_dag_domains_compile_repeated () =
+  let prog = Pascal.Progen.repetitive ~routines:2 ~reps:8 () in
+  let reference =
+    Pascal.Driver.mask_labels
+      (Pascal.Driver.compile ~evaluator:`Static prog).Pascal.Driver.c_asm
+  in
+  let o =
+    {
+      Runner.default_options with
+      Runner.machines = 2;
+      use_dag = true;
+      phase_label = Pascal.Driver.phase_label;
+    }
+  in
+  for run = 1 to 10 do
+    let _, c = Pascal.Driver.compile_parallel_domains o prog in
+    Alcotest.(check string)
+      (Printf.sprintf "run %d: 2-domain --dag compile = sequential" run)
+      reference
+      (Pascal.Driver.mask_labels c.Pascal.Driver.c_asm)
+  done
+
+(* A value that shares its halves, 64 levels deep: a tree walk would take
+   2^64 steps. Interned level by level, it is canonical, and a domain whose
+   cache has never seen it finds it in the arena at once; built without
+   interning, the cache catches each level's second half. *)
+let test_dag_values_intern_in_linear_time () =
+  let rec nest k x = if k = 0 then x else nest (k - 1) (Value.Pair (x, x)) in
+  let rec nest_interned k x =
+    if k = 0 then x else nest_interned (k - 1) (Value.intern (Value.Pair (x, x)))
+  in
+  let x = nest_interned 64 (Value.intern (Value.Int 1)) in
+  (* two 4-byte ints, then each level adds one 8-byte backreference *)
+  let expect_dag = 16 + (8 * 62) in
+  let same, h, dag =
+    (Placement.run 2 (fun _ ->
+         (Value.intern x == x, Value.hash x, Value.dag_byte_size x))).(1)
+  in
+  check_bool "canonical: intern is the identity" true same;
+  check_int "hash agrees across domains" (Value.hash x) h;
+  check_int "dag size" expect_dag dag;
+  let y = nest 64 (Value.Int 1) in
+  check_bool "a fresh copy interns to the same value" true (Value.intern y == x);
+  check_int "and hashes alike" (Value.hash x) (Value.hash y)
+
 let suite =
   [
     ( "hashcons",
@@ -548,5 +627,11 @@ let suite =
         Alcotest.test_case "fragment wire: priced = shipped, decode agrees"
           `Quick test_fragment_wire_roundtrip;
         prop_dag_chaos;
+        Alcotest.test_case "one representative across domains" `Quick
+          test_one_representative_across_domains;
+        Alcotest.test_case "2-domain --dag compile, repeated" `Quick
+          test_dag_domains_compile_repeated;
+        Alcotest.test_case "DAG-shaped values intern in linear time" `Quick
+          test_dag_values_intern_in_linear_time;
       ] );
   ]
