@@ -131,6 +131,12 @@ done
 # produce parseable JSON with a critical path no longer than the makespan.
 dune exec bin/pagc.exe -- --machines 4 --explain root.code \
   examples/primes.pas >/dev/null 2>&1
+# The same check on two domains, with and without --dag: static visits
+# there fire from the rules' references and record provenance by rule id.
+for flags in "" "--dag"; do
+  dune exec bin/pagc.exe -- --transport domains --machines 2 $flags \
+    --explain root.code examples/primes.pas >/dev/null 2>&1
+done
 profile=/tmp/pagc_profile_smoke.json
 dune exec bin/pagc.exe -- --machines 4 --profile-json "$profile" \
   examples/primes.pas -o /tmp/pagc_profile_smoke.s 2>/dev/null

@@ -26,61 +26,97 @@ exception Failed of failure
 (* Step 1: induced dependencies (IDS fixpoint over closed IDP graphs). *)
 (* ------------------------------------------------------------------ *)
 
-(* ids.(sym_id) is an edge set over that symbol's attribute indices. *)
+(* Graphs as bit rows: bit [j] of [g.(i)] is the edge i -> j, 63 bits to a
+   word as in {!Digraph}'s closure. *)
+let rows n = Array.init n (fun _ -> Array.make ((n + 62) / 63) 0)
+
+let mem r j = r.(j / 63) land (1 lsl (j mod 63)) <> 0
+
+let add r j = r.(j / 63) <- r.(j / 63) lor (1 lsl (j mod 63))
+
+(* Warshall's algorithm, in place: a node on a cycle reaches itself. *)
+let close g =
+  for k = 0 to Array.length g - 1 do
+    for i = 0 to Array.length g - 1 do
+      if mem g.(i) k then
+        for w = 0 to Array.length g.(k) - 1 do
+          g.(i).(w) <- g.(i).(w) lor g.(k).(w)
+        done
+    done
+  done
+
+(* ids.(sym_id) is the IDS of that symbol over its attribute indices. Each
+   production's local graph DP is built once. A run of a production lifts
+   the IDS of every position into a copy of DP, closes it and projects it
+   back; a production runs again only when a symbol at one of its
+   positions grew since its last run ([grew] and [ran] are [clock] ticks),
+   as otherwise it would project nothing new. *)
 let induced_symbol_graphs g occs =
-  let nsyms = Array.length (Grammar.symbols g) in
-  let ids = Array.make nsyms [] in
-  let mem_edge sym_id e = List.mem e ids.(sym_id) in
-  let changed = ref true in
+  let ids =
+    Array.map (fun s -> rows (Array.length s.Grammar.s_attrs)) (Grammar.symbols g)
+  in
+  let local =
+    Array.map
+      (fun ot ->
+        let p = Localdep.production ot and dp = rows (Localdep.count ot) in
+        let occ (x : Grammar.rref) = Localdep.occ ot ~pos:x.rr_pos ~idx:x.rr_attr in
+        Array.iter
+          (fun (r : Grammar.rule) ->
+            Array.iter (fun d -> add dp.(occ d) (occ r.r_rtarget)) r.r_rdeps)
+          p.p_rules;
+        let sid pos = Grammar.sym_id g (Localdep.sym_at ot pos).Grammar.s_name in
+        (dp, Array.init (Array.length p.p_rhs + 1) sid))
+      occs
+  in
+  let grew = Array.make (Array.length ids) 0 in
+  let ran = Array.make (Array.length occs) (-1) in
+  let clock = ref 0 and changed = ref true in
   while !changed do
     changed := false;
-    Array.iter
-      (fun ot ->
-        let p = Localdep.production ot in
-        let arity = Array.length p.Grammar.p_rhs in
-        (* IDP(p) = DP(p) + lifted IDS edges at every position. *)
-        let lifted = ref [] in
-        for pos = 0 to arity do
-          let sname = (Localdep.sym_at ot pos).Grammar.s_name in
-          let sid = Grammar.sym_id g sname in
-          List.iter
-            (fun (a, b) ->
-              lifted :=
-                (Localdep.occ ot ~pos ~idx:a, Localdep.occ ot ~pos ~idx:b)
-                :: !lifted)
-            ids.(sid)
-        done;
-        let idp = Digraph.add_edges (Localdep.dp_graph ot) !lifted in
-        let closed = Digraph.transitive_closure idp in
-        (* A reflexive edge in the closure is a genuine dependency cycle. *)
-        for o = 0 to Localdep.count ot - 1 do
-          if Digraph.mem_edge closed o o then
-            raise
-              (Failed
-                 (Circular
-                    (Printf.sprintf "production %S: %s depends on itself"
-                       p.Grammar.p_name (Localdep.occ_name ot o))))
-        done;
-        (* Project the closure back onto every position's symbol. *)
-        for pos = 0 to arity do
-          let sym = Localdep.sym_at ot pos in
-          let sid = Grammar.sym_id g sym.Grammar.s_name in
-          let n = Array.length sym.Grammar.s_attrs in
-          for a = 0 to n - 1 do
-            for b = 0 to n - 1 do
-              if
-                a <> b
-                && Digraph.mem_edge closed
-                     (Localdep.occ ot ~pos ~idx:a)
-                     (Localdep.occ ot ~pos ~idx:b)
-                && not (mem_edge sid (a, b))
-              then begin
-                ids.(sid) <- (a, b) :: ids.(sid);
-                changed := true
-              end
-            done
-          done
-        done)
+    Array.iteri
+      (fun i ot ->
+        let dp, sids = local.(i) in
+        if Array.exists (fun sid -> grew.(sid) >= ran.(i)) sids then begin
+          incr clock;
+          ran.(i) <- !clock;
+          let idp = Array.map Array.copy dp in
+          let occ pos a = Localdep.occ ot ~pos ~idx:a in
+          Array.iteri
+            (fun pos sid ->
+              let s = ids.(sid) in
+              for a = 0 to Array.length s - 1 do
+                for b = 0 to Array.length s - 1 do
+                  if mem s.(a) b then add idp.(occ pos a) (occ pos b)
+                done
+              done)
+            sids;
+          close idp;
+          (* A reflexive edge in the closure is a genuine dependency cycle. *)
+          Array.iteri
+            (fun o r ->
+              if mem r o then
+                raise
+                  (Failed
+                     (Circular
+                        (Printf.sprintf "production %S: %s depends on itself"
+                           (Localdep.production ot).Grammar.p_name
+                           (Localdep.occ_name ot o)))))
+            idp;
+          Array.iteri
+            (fun pos sid ->
+              let s = ids.(sid) in
+              for a = 0 to Array.length s - 1 do
+                for b = 0 to Array.length s - 1 do
+                  if a <> b && mem idp.(occ pos a) (occ pos b) && not (mem s.(a) b)
+                  then begin
+                    add s.(a) b;
+                    grew.(sid) <- !clock;
+                    changed := true
+                  end
+                done
+              done)
+            sids
+        end)
       occs
   done;
   ids
@@ -89,11 +125,12 @@ let induced_symbol_graphs g occs =
 (* Step 2: ordered partitions per symbol, peeled from the back.        *)
 (* ------------------------------------------------------------------ *)
 
-let partition_symbol g sym edges =
+let partition_symbol sym ids =
   let n = Array.length sym.Grammar.s_attrs in
   let kind i = sym.Grammar.s_attrs.(i).Grammar.a_kind in
   let name i = sym.Grammar.s_attrs.(i).Grammar.a_name in
-  let ds = Digraph.transitive_closure (Digraph.make n edges) in
+  let ds = Array.map Array.copy ids in
+  close ds;
   let remaining = Array.make n true in
   let left = ref n in
   (* [peelable k] = attributes of kind [k] that nothing remaining depends
@@ -102,10 +139,11 @@ let partition_symbol g sym edges =
     let out = ref [] in
     for a = n - 1 downto 0 do
       if remaining.(a) && kind a = k then
-        let has_succ =
-          List.exists (fun b -> remaining.(b) && b <> a) (Digraph.succs ds a)
-        in
-        if not has_succ then out := a :: !out
+        let has_succ = ref false in
+        for b = 0 to n - 1 do
+          if remaining.(b) && b <> a && mem ds.(a) b then has_succ := true
+        done;
+        if not !has_succ then out := a :: !out
     done;
     !out
   in
@@ -141,7 +179,6 @@ let partition_symbol g sym edges =
       List.iter (fun a -> Hashtbl.replace visit_of a (i + 1)) inh_attrs;
       List.iter (fun a -> Hashtbl.replace visit_of a (i + 1)) syn_attrs)
     visits;
-  ignore g;
   { sp_visits = visits; sp_visit_of = visit_of }
 
 (* ------------------------------------------------------------------ *)
@@ -155,7 +192,7 @@ let partition_symbol g sym edges =
      2m .. 2m+nr-1       Eval r
      2m+nr ..            Visit (child, w), densely packed per child.   *)
 
-let visit_sequences g plan_of_sym ot =
+let visit_sequences plan_of_sym ot =
   let p = Localdep.production ot in
   let arity = Array.length p.Grammar.p_rhs in
   let nr = Array.length p.Grammar.p_rules in
@@ -293,14 +330,20 @@ let visit_sequences g plan_of_sym ot =
                "production %S: no consistent visit sequence (action graph is \
                 cyclic)"
                p.Grammar.p_name)));
-  ignore g;
   Array.map List.rev segments
 
 (* ------------------------------------------------------------------ *)
 
+let occurrences g = Array.map (Localdep.of_production g) (Grammar.productions g)
+
+let induced g =
+  match induced_symbol_graphs g (occurrences g) with
+  | ids -> Ok (Array.map (fun r a b -> mem r.(a) b) ids)
+  | exception Failed f -> Error f
+
 let analyze g =
   try
-    let occs = Array.map (Localdep.of_production g) (Grammar.productions g) in
+    let occs = occurrences g in
     let ids = induced_symbol_graphs g occs in
     let syms = Grammar.symbols g in
     let pl_syms =
@@ -308,11 +351,11 @@ let analyze g =
         (fun i s ->
           if s.Grammar.s_term then
             { sp_visits = [||]; sp_visit_of = Hashtbl.create 1 }
-          else partition_symbol g s ids.(i))
+          else partition_symbol s ids.(i))
         syms
     in
     let plan_of_sym name = pl_syms.(Grammar.sym_id g name) in
-    let pl_seqs = Array.map (visit_sequences g plan_of_sym) occs in
+    let pl_seqs = Array.map (visit_sequences plan_of_sym) occs in
     Ok { pl_grammar = g; pl_syms; pl_seqs }
   with Failed f -> Error f
 

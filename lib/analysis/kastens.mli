@@ -35,6 +35,10 @@ type failure =
 
 val analyze : Grammar.t -> (plan, failure) result
 
+(** The induced dependencies (IDS) {!analyze} partitions: for each symbol
+    id, whether its attribute [b] depends on its attribute [a] (indices). *)
+val induced : Grammar.t -> ((int -> int -> bool) array, failure) result
+
 val grammar : plan -> Grammar.t
 
 (** Number of visits of a nonterminal (≥ 1); 0 for terminals. *)

@@ -1,4 +1,3 @@
-open Pag_util
 open Pag_core
 
 type t = {
@@ -30,18 +29,6 @@ let count t = t.total
 
 let occ t ~pos ~idx = t.base.(pos) + idx
 
-let attr_idx sym name =
-  let rec find i =
-    if i >= Array.length sym.Grammar.s_attrs then
-      invalid_arg ("Localdep: unknown attribute " ^ name)
-    else if sym.Grammar.s_attrs.(i).Grammar.a_name = name then i
-    else find (i + 1)
-  in
-  find 0
-
-let occ_of_ref t (r : Grammar.attr_ref) =
-  occ t ~pos:r.Grammar.pos ~idx:(attr_idx t.syms.(r.Grammar.pos) r.Grammar.attr)
-
 let pos_of t o =
   let rec find pos =
     if pos = Array.length t.base - 1 || t.base.(pos + 1) > o then
@@ -51,21 +38,6 @@ let pos_of t o =
   find 0
 
 let sym_at t pos = t.syms.(pos)
-
-let attr_at t o =
-  let pos, idx = pos_of t o in
-  t.syms.(pos).Grammar.s_attrs.(idx)
-
-let dp_graph t =
-  let edges = ref [] in
-  Array.iter
-    (fun (r : Grammar.rule) ->
-      let tgt = occ_of_ref t r.Grammar.r_target in
-      List.iter
-        (fun d -> edges := (occ_of_ref t d, tgt) :: !edges)
-        r.Grammar.r_deps)
-    t.prod.Grammar.p_rules;
-  Digraph.make t.total !edges
 
 let occ_name t o =
   let pos, idx = pos_of t o in

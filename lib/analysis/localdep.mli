@@ -1,12 +1,10 @@
-(** Attribute occurrences and local dependency graphs of a production.
+(** Attribute occurrences of a production.
 
     An occurrence is an (attribute, position) pair within one production:
     position 0 is the left-hand side, positions 1..arity the right-hand-side
     symbols. Occurrences are numbered densely so that dependency relations
-    can be represented as {!Pag_util.Digraph} graphs — the "DP" graphs that
-    both the dynamic evaluator (per tree node) and Kastens' static analysis
-    (per production) are built from. Edges point from a dependency to the
-    attribute that needs it ("must be computed before"). *)
+    over them are dense graphs — the production's local "DP" graph, from
+    which Kastens' static analysis starts. *)
 
 open Pag_core
 
@@ -23,19 +21,8 @@ val count : t -> int
     index [idx]. *)
 val occ : t -> pos:int -> idx:int -> int
 
-val occ_of_ref : t -> Grammar.attr_ref -> int
-
-(** Inverse of {!occ}. *)
-val pos_of : t -> int -> int * int
-
 (** Symbol at a position (0 = LHS). *)
 val sym_at : t -> int -> Grammar.symbol
-
-val attr_at : t -> int -> Grammar.attr_decl
-
-(** The local dependency graph: one edge per (dependency, target) pair of
-    every semantic rule. *)
-val dp_graph : t -> Pag_util.Digraph.t
 
 (** Human-readable name of an occurrence, e.g. "$1.stab". *)
 val occ_name : t -> int -> string

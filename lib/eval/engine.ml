@@ -16,7 +16,7 @@ open Pag_obs
 
    Layout mirrors the store's dense slot ids: instances of one node are
    consecutive, [rid_base] maps a node's dense index to its first rule id,
-   so [fire_at node ridx] is two array reads. Argument codes >= 0 are slot
+   so [rid_at node ridx] is two array reads. Argument codes >= 0 are slot
    ids; negative codes are [-ci - 1] indices into [consts], terminal
    intrinsics resolved once at build time. Arrays are growable so an edit
    can {!append} a replacement subtree's instances without rebuilding. *)
@@ -40,9 +40,9 @@ type t = {
   mutable e_dead : Bytes.t;  (* rid -> detached by an edit? *)
   mutable e_norules : Bytes.t;
       (* dense node index -> production node whose rules were suppressed by
-         [rules_for] (remote stubs, parked DAG occurrences): its rid_base
-         entry is meaningless and must not be used until
-         {!materialize_subtree} resolves the node *)
+         [rules_for] (remote stubs, parked DAG occurrences, statically
+         visited nodes): its rid_base entry is meaningless and must not be
+         used until {!materialize_subtree} resolves the node *)
   mutable e_rid_base : int array;  (* dense node index -> first rid *)
   mutable e_nodes_covered : int;  (* length of the rid_base prefix in use *)
   mutable e_slot_args : int;  (* non-const args: the classic "edges" stat *)
@@ -187,38 +187,40 @@ let resolve_node e (node : Tree.t) =
           e.e_arg_off.(rid + 1) <- e.e_args)
         p.Grammar.p_rules
 
-(* Reserve table room for the rules of [node], then resolve them. *)
+(* Reserve table room for the rules of [node] (dense index [i]), point its
+   [rid_base] entry at the next rid, then resolve them. *)
+let add_rows e i (node : Tree.t) (p : Grammar.production) =
+  let nr = Array.length p.Grammar.p_rules in
+  let na = ref 0 and nt = ref 0 in
+  Array.iter
+    (fun (r : Grammar.rule) ->
+      na := !na + Array.length r.Grammar.r_rdeps;
+      Array.iter
+        (fun (d : Grammar.rref) -> if d.Grammar.rr_term then incr nt)
+        r.Grammar.r_rdeps)
+    p.Grammar.p_rules;
+  e.e_rules <- grow e.e_rules e.e_n nr dummy_rule;
+  e.e_node <- grow e.e_node e.e_n nr node;
+  e.e_target <- grow e.e_target e.e_n nr 0;
+  e.e_arg_off <- grow e.e_arg_off (e.e_n + 1) nr 0;
+  e.e_arg_code <- grow e.e_arg_code e.e_args !na 0;
+  e.e_consts <- grow e.e_consts e.e_nconsts !nt Value.Unit;
+  e.e_dead <- grow_bytes e.e_dead (e.e_n + nr);
+  e.e_rid_base.(i) <- e.e_n;
+  resolve_node e node
+
+(* Cover the next dense node: resolve its rows, or mark them suppressed. *)
 let add_node e ~rules_for (node : Tree.t) =
   let i = e.e_nodes_covered in
   e.e_rid_base <- grow e.e_rid_base (i + 1) 1 0;
   e.e_norules <- grow_bytes e.e_norules (i + 1);
   e.e_rid_base.(i) <- e.e_n;
   e.e_nodes_covered <- i + 1;
-  e.e_rid_base.(i + 1) <- e.e_n;
-  match node.Tree.prod with
+  (match node.Tree.prod with
   | None -> ()
-  | Some p when not (rules_for node) ->
-      ignore p;
-      set_norules e i
-  | Some p ->
-      let nr = Array.length p.Grammar.p_rules in
-      let na = ref 0 and nt = ref 0 in
-      Array.iter
-        (fun (r : Grammar.rule) ->
-          na := !na + Array.length r.Grammar.r_rdeps;
-          Array.iter
-            (fun (d : Grammar.rref) -> if d.Grammar.rr_term then incr nt)
-            r.Grammar.r_rdeps)
-        p.Grammar.p_rules;
-      e.e_rules <- grow e.e_rules e.e_n nr dummy_rule;
-      e.e_node <- grow e.e_node e.e_n nr node;
-      e.e_target <- grow e.e_target e.e_n nr 0;
-      e.e_arg_off <- grow e.e_arg_off (e.e_n + 1) nr 0;
-      e.e_arg_code <- grow e.e_arg_code e.e_args !na 0;
-      e.e_consts <- grow e.e_consts e.e_nconsts !nt Value.Unit;
-      e.e_dead <- grow_bytes e.e_dead (e.e_n + nr);
-      resolve_node e node;
-      e.e_rid_base.(i + 1) <- e.e_n
+  | Some _ when not (rules_for node) -> set_norules e i
+  | Some p -> add_rows e i node p);
+  e.e_rid_base.(i + 1) <- e.e_n
 
 let create ?(rules_for = fun _ -> true) g st =
   let e =
@@ -281,25 +283,8 @@ let materialize_subtree ?(prune = fun _ -> false) e sub =
     | Some p ->
         let i = Store.dense_index e.e_store node in
         if norules_bit e i then begin
-          let nr = Array.length p.Grammar.p_rules in
-          let na = ref 0 and nt = ref 0 in
-          Array.iter
-            (fun (r : Grammar.rule) ->
-              na := !na + Array.length r.Grammar.r_rdeps;
-              Array.iter
-                (fun (d : Grammar.rref) -> if d.Grammar.rr_term then incr nt)
-                r.Grammar.r_rdeps)
-            p.Grammar.p_rules;
-          e.e_rules <- grow e.e_rules e.e_n nr dummy_rule;
-          e.e_node <- grow e.e_node e.e_n nr node;
-          e.e_target <- grow e.e_target e.e_n nr 0;
-          e.e_arg_off <- grow e.e_arg_off (e.e_n + 1) nr 0;
-          e.e_arg_code <- grow e.e_arg_code e.e_args !na 0;
-          e.e_consts <- grow e.e_consts e.e_nconsts !nt Value.Unit;
-          e.e_dead <- grow_bytes e.e_dead (e.e_n + nr);
-          e.e_rid_base.(i) <- e.e_n;
           clear_norules e i;
-          resolve_node e node
+          add_rows e i node p
         end
   in
   let rec go (node : Tree.t) =
@@ -377,13 +362,16 @@ let fire e rid =
   Store.define_slot e.e_store e.e_target.(rid) v;
   if Prov.enabled e.e_prov then note_fire e rid t0 e.e_prov_dwell_dyn
 
-let fire_at e node ridx =
-  let rid = rid_at e node ridx in
+(* The static path fires from the production's references through the
+   store, so a statically visited node needs no row; only a provenance
+   record reads its rid, and [create]'s caller resolves every row then. *)
+let fire_at e (node : Tree.t) ridx =
   let t0 = if Prov.enabled e.e_prov then e.e_prov_clock () else 0.0 in
-  let v = e.e_rules.(rid).Grammar.r_fn (gather e rid) in
+  let r = (Option.get node.Tree.prod).Grammar.p_rules.(ridx) in
+  ignore (Store.apply_rule e.e_store node r);
   e.e_fired <- e.e_fired + 1;
-  Store.define_slot e.e_store e.e_target.(rid) v;
-  if Prov.enabled e.e_prov then note_fire e rid t0 e.e_prov_dwell_stat
+  if Prov.enabled e.e_prov then
+    note_fire e (rid_at e node ridx) t0 e.e_prov_dwell_stat
 
 let refire e rid =
   let t0 = if Prov.enabled e.e_prov then e.e_prov_clock () else 0.0 in

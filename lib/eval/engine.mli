@@ -6,7 +6,8 @@
     rule instances (rule, owning node, target slot, resolved argument
     codes) over a store, plus the slot-level dependency graph. Evaluators are just schedules
     over it: the data-driven topological order ({!run_topo}, used by
-    {!Dynamic}), the plan's visit sequences ({!Static_eval}), the parallel
+    {!Dynamic}), the plan's visit sequences ({!Static_eval}, which fire
+    from the rules' references and need no table), the parallel
     worker's item graph ({!Pag_parallel.Worker}), the dirty cone of an
     edit ({!Incr}), and the work-stealing loop ({!steal_loop}), written
     once and run over a machine set — real domains ({!run_steal}) or the
@@ -25,10 +26,13 @@ type t
     dependencies or missing root attributes). *)
 exception Cycle of string
 
-(** [create ?rules_for g store] resolves the rule instances of every
+(** [create ?rules_for g store] resolves the rule instances (rows) of every
     covered node, in the store's dense preorder. [rules_for] (default: all)
-    selects which interior nodes contribute instances — the parallel worker
-    excludes remote stubs, whose defining rules live on other machines. *)
+    selects which interior nodes get rows. A row is needed only where a
+    rule id is read: the dynamic, steal and incremental schedules, the
+    parallel worker's spine, and provenance records. The worker also
+    excludes remote stubs, whose rules run on other machines; the static
+    schedule resolves no row unless a provenance ring is attached. *)
 val create : ?rules_for:(Tree.t -> bool) -> Grammar.t -> Store.t -> t
 
 val store : t -> Store.t
@@ -71,9 +75,11 @@ val is_dead : t -> int -> bool
     slot. *)
 val fire : t -> int -> unit
 
-(** [fire_at e node ridx] — {!fire} addressed by (node, rule index), the
-    static path's firing; its provenance duration is priced as a static
-    rule (see {!set_prov}). *)
+(** [fire_at e node ridx] fires [node]'s [ridx]-th production rule from the
+    rule's references through the store, as {!Store.apply_rule} does: the
+    static path's firing, which reads no row unless a provenance ring is
+    attached (its record names the rid). Its provenance duration is priced
+    as a static rule (see {!set_prov}). *)
 val fire_at : t -> Tree.t -> int -> unit
 
 (** Like {!fire} but overwrites the target unconditionally and returns

@@ -7,7 +7,9 @@ type stats = { visits : int; evals : int }
 (* The static evaluator is the engine's plan-driven schedule: the visit
    sequences fix the firing order at generation time, so each [Eval r]
    step is a direct (node, rule-index) firing against the shared engine —
-   no dependency analysis, no readiness tracking. *)
+   no dependency analysis, no readiness tracking, and no instance rows:
+   [Engine.fire_at] reads the rule's references. Rows are resolved only
+   when a provenance ring will name firings by rid. *)
 
 let visit ?memo plan eng node v =
   let store = Engine.store eng in
@@ -41,7 +43,8 @@ let eval ?(obs = Obs.null_ctx) ?root_inh ?(dag = false) ?(prov = Prov.disabled)
         let store, eng =
           Obs.with_span obs "store-build" (fun () ->
               let store = Store.create ?root_inh g t in
-              (store, Engine.create g store))
+              let rules_for _ = Prov.enabled prov in
+              (store, Engine.create ~rules_for g store))
         in
         (if Prov.enabled prov then
            let clock =

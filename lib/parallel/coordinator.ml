@@ -74,19 +74,17 @@ let run ?(obs = Obs.null_ctx) ?recovery ?sharing (env : Transport.env) g ~tree
   in
   (* Hand out subtrees; evaluator for fragment i is machine i+1. Each
      assignment is priced as the length of its real wire encoding
-     ({!Split.encode}); with sharing classes known on both ends, repeated
-     subtrees ship as backreferences — each class body crosses the wire
-     once per machine, less wire and less rebuild. *)
-  let frag_bytes (f : Split.fragment) =
-    String.length (Split.encode ?sharing plan f)
-  in
+     ({!Split.wire_size}, which builds no string); with sharing classes
+     known on both ends, repeated subtrees ship as backreferences — each
+     class body crosses the wire once per machine, less wire and less
+     rebuild. *)
   Array.iter
     (fun (f : Split.fragment) ->
       env.Transport.e_send ~dst:(f.Split.fr_id + 1)
         (Message.Subtree
            {
              frag = f.Split.fr_id;
-             bytes = frag_bytes f;
+             bytes = Split.wire_size ?sharing plan f;
              uid_base = (f.Split.fr_id + 1) * Uid.stride;
            }))
     frags;

@@ -231,13 +231,21 @@ let fragments p = p.frags
    children travel as stubs, as in the plain format.
 
    [dag_bytes] is the length of this encoding — the priced and the shipped
-   representation are the same bytes. *)
+   representation are the same bytes: the one walk writes through a sink
+   that either appends to a buffer or only counts ({!wire_size}). *)
 
 exception Malformed of string
 
+type sink = Buf of Buffer.t | Len of int ref
+
+let add_string k s =
+  match k with Buf b -> Buffer.add_string b s | Len n -> n := !n + String.length s
+
+let add_char k c = match k with Buf b -> Buffer.add_char b c | Len n -> incr n
+
 let add_u16 b n =
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff))
+  add_char b (Char.chr (n land 0xff));
+  add_char b (Char.chr ((n lsr 8) land 0xff))
 
 let add_u32 b n =
   add_u16 b (n land 0xffff);
@@ -250,31 +258,31 @@ let add_i64 b n =
 let add_str16 b s =
   if String.length s > 0xffff then raise (Malformed "name too long");
   add_u16 b (String.length s);
-  Buffer.add_string b s
+  add_string b s
 
 (* Terminal attributes are parser literals: the structured constructors
    cover them. [Tab]/[Ext] values are evaluator-made and never occur in a
    parse tree. *)
 let rec enc_value b (v : Value.t) =
   match v with
-  | Value.Unit -> Buffer.add_char b 'u'
+  | Value.Unit -> add_char b 'u'
   | Value.Bool x ->
-      Buffer.add_char b 'b';
-      Buffer.add_char b (if x then '\001' else '\000')
+      add_char b 'b';
+      add_char b (if x then '\001' else '\000')
   | Value.Int n ->
-      Buffer.add_char b 'i';
+      add_char b 'i';
       add_i64 b n
   | Value.Str r ->
-      Buffer.add_char b 's';
+      add_char b 's';
       let s = Pag_util.Rope.to_string r in
       add_u32 b (String.length s);
-      Buffer.add_string b s
+      add_string b s
   | Value.List vs ->
-      Buffer.add_char b 'l';
+      add_char b 'l';
       add_u32 b (List.length vs);
       List.iter (enc_value b) vs
   | Value.Pair (x, y) ->
-      Buffer.add_char b 'p';
+      add_char b 'p';
       enc_value b x;
       enc_value b y
   | Value.Tab _ | Value.Ext _ ->
@@ -284,7 +292,7 @@ let cuts_of p frag_id = List.map (fun (c : Tree.t) -> c.Tree.id) p.cut_lists.(fr
 
 let cut_nodes p frag_id = p.cut_lists.(frag_id)
 
-let encode ?sharing p (f : fragment) =
+let write ?sharing p (f : fragment) b =
   let cuts = p.cut_lists.(f.fr_id) in
   (* the class of [n] when eligible for once-per-machine shipping:
      multiply occurring, at least two nodes (a keyword leaf is cheaper to
@@ -305,12 +313,11 @@ let encode ?sharing p (f : fragment) =
         then Some c
         else None
   in
-  let b = Buffer.create 256 in
   (* class -> already shipped to this destination *)
   let seen = Hashtbl.create 64 in
   let rec go (n : Tree.t) =
     if List.memq n cuts then begin
-      Buffer.add_char b 'C';
+      add_char b 'C';
       add_u32 b n.Tree.id;
       add_str16 b n.Tree.sym
     end
@@ -318,12 +325,12 @@ let encode ?sharing p (f : fragment) =
       let body () =
         match n.Tree.prod with
         | Some pr ->
-            Buffer.add_char b 'P';
+            add_char b 'P';
             add_str16 b pr.Grammar.p_name;
             add_u16 b (Array.length n.Tree.children);
             Array.iter go n.Tree.children
         | None ->
-            Buffer.add_char b 'L';
+            add_char b 'L';
             add_str16 b n.Tree.sym;
             add_u16 b (List.length n.Tree.term_attrs);
             List.iter
@@ -334,17 +341,26 @@ let encode ?sharing p (f : fragment) =
       in
       match share_class n with
       | Some c when Hashtbl.mem seen c ->
-          Buffer.add_char b 'R';
+          add_char b 'R';
           add_u32 b c
       | Some c ->
           Hashtbl.replace seen c ();
-          Buffer.add_char b 'D';
+          add_char b 'D';
           add_u32 b c;
           body ()
       | None -> body ()
   in
-  go f.fr_root;
+  go f.fr_root
+
+let encode ?sharing p f =
+  let b = Buffer.create 256 in
+  write ?sharing p f (Buf b);
   Buffer.contents b
+
+let wire_size ?sharing p f =
+  let n = ref 0 in
+  write ?sharing p f (Len n);
+  !n
 
 let decode g s =
   let pos = ref 0 in
@@ -442,8 +458,7 @@ let decode g s =
   if !pos <> String.length s then raise (Malformed "trailing bytes");
   t
 
-let dag_bytes p (sh : Tree.sharing) (f : fragment) =
-  String.length (encode ~sharing:sh p f)
+let dag_bytes p sh f = wire_size ~sharing:sh p f
 
 let fragment_of_cut_node p node_id = Hashtbl.find_opt p.cut_to_frag node_id
 

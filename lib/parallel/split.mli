@@ -74,14 +74,18 @@ exception Malformed of string
     than the plain one. *)
 val encode : ?sharing:Tree.sharing -> plan -> fragment -> string
 
+(** [wire_size ?sharing plan f] = [String.length (encode ?sharing plan f)],
+    counted by the same walk without building the string. *)
+val wire_size : ?sharing:Tree.sharing -> plan -> fragment -> int
+
 (** [decode g bytes] rebuilds the shipped fragment: backreferences expand
     to fresh copies of the class body, cut stubs become childless nodes of
     the cut symbol carrying a ["cut"] attribute with the stub's node id.
     Raises {!Malformed} on ill-formed input. *)
 val decode : Grammar.t -> string -> Tree.t
 
-(** [dag_bytes plan sharing f] = [String.length (encode plan sharing f)]:
-    the priced and the shipped representation are the same bytes. *)
+(** [dag_bytes plan sharing f] = [wire_size ~sharing plan f]: the priced
+    and the shipped representation are the same bytes. *)
 val dag_bytes : plan -> Tree.sharing -> fragment -> int
 
 (** Render the decomposition as an indented tree with sizes (figure 7). *)

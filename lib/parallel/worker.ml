@@ -103,24 +103,6 @@ let run_protocol (env : Transport.env) cfg task =
     task.t_cuts;
   let is_cut (n : Tree.t) = Hashtbl.mem cut_machine n.Tree.id in
   let store = Store.create_shared ~stop:is_cut g task.t_root in
-  (* The shared engine resolves every owned rule instance once; stubs are
-     excluded (their defining rules run on other machines). *)
-  let eng = Engine.create ~rules_for:(fun n -> not (is_cut n)) g store in
-  (* Provenance: one ring per machine, pids are machine ids, the clock is
-     the transport's. The simulator's clock does not advance inside a
-     firing (costs are charged after), so sim runs price durations from
-     the cost model; the domains transport reads wall time twice. *)
-  if Prov.enabled cfg.wc_prov then begin
-    let dwell_dynamic =
-      if cfg.wc_prov_dwell then Some (Cost.rule_cost Cost.default ~dynamic:true)
-      else None
-    and dwell_static =
-      if cfg.wc_prov_dwell then Some Cost.default.Cost.static_rule else None
-    in
-    Engine.set_prov ~pid:env.Transport.e_id ?dwell_dynamic ?dwell_static
-      ~clock:env.Transport.e_time eng cfg.wc_prov
-  end;
-  cfg.wc_engine_hook eng;
   (* Owned nodes: fragment nodes excluding the stubs. The same walk finds
      the ancestors of cuts: [collect] answers whether a cut lies below [n],
      and every node on the path from the root down to a cut says yes. *)
@@ -159,6 +141,28 @@ let run_protocol (env : Transport.env) cfg task =
         (fun (n : Tree.t) -> Pag_util.Bitset.add spine n.Tree.id)
         !cut_ancestors);
   let on_spine (n : Tree.t) = Pag_util.Bitset.mem spine n.Tree.id in
+  (* The engine resolves the rule instances the item graph names by rid,
+     the spine's (static visits need none), or every owned one when a
+     provenance ring names firings by rid; stubs' rules run elsewhere. *)
+  let eng =
+    Engine.create g store ~rules_for:(fun n ->
+        (not (is_cut n)) && (Prov.enabled cfg.wc_prov || on_spine n))
+  in
+  (* Provenance: one ring per machine, pids are machine ids, the clock is
+     the transport's. The simulator's clock does not advance inside a
+     firing (costs are charged after), so sim runs price durations from
+     the cost model; the domains transport reads wall time twice. *)
+  if Prov.enabled cfg.wc_prov then begin
+    let dwell_dynamic =
+      if cfg.wc_prov_dwell then Some (Cost.rule_cost Cost.default ~dynamic:true)
+      else None
+    and dwell_static =
+      if cfg.wc_prov_dwell then Some Cost.default.Cost.static_rule else None
+    in
+    Engine.set_prov ~pid:env.Transport.e_id ?dwell_dynamic ?dwell_static
+      ~clock:env.Transport.e_time eng cfg.wc_prov
+  end;
+  cfg.wc_engine_hook eng;
   (* ---- 4. Items. ---- *)
   let items = ref [] and n_items = ref 0 in
   (* Producers and boundary sends are keyed by the store's dense instance

@@ -48,55 +48,67 @@ let reg_name = function
   | 13 -> "fp"
   | 14 -> "sp"
   | 15 -> "pc"
-  | n -> Printf.sprintf "r%d" n
+  | n -> "r" ^ string_of_int n
 
-let pp_operand fmt = function
-  | Imm n -> Format.fprintf fmt "$%d" n
-  | Reg r -> Format.pp_print_string fmt (reg_name r)
-  | Deref r -> Format.fprintf fmt "(%s)" (reg_name r)
-  | Disp (d, r) -> Format.fprintf fmt "%d(%s)" d (reg_name r)
-  | PostInc r -> Format.fprintf fmt "(%s)+" (reg_name r)
-  | PreDec r -> Format.fprintf fmt "-(%s)" (reg_name r)
-  | Lbl l -> Format.pp_print_string fmt l
+(* One writer: instructions go straight into a buffer, with no [Format]
+   formatter per instruction; a code attribute prints thousands. *)
+let paren b pre r post =
+  Buffer.add_string b pre;
+  Buffer.add_string b (reg_name r);
+  Buffer.add_string b post
 
-let pp2 fmt op a b =
-  Format.fprintf fmt "\t%s\t%a,%a" op pp_operand a pp_operand b
+let add_operand b = function
+  | Imm n -> Buffer.add_char b '$'; Buffer.add_string b (string_of_int n)
+  | Reg r -> Buffer.add_string b (reg_name r)
+  | Deref r -> paren b "(" r ")"
+  | Disp (d, r) -> Buffer.add_string b (string_of_int d); paren b "(" r ")"
+  | PostInc r -> paren b "(" r ")+"
+  | PreDec r -> paren b "-(" r ")"
+  | Lbl l -> Buffer.add_string b l
 
-let pp3 fmt op a b c =
-  Format.fprintf fmt "\t%s\t%a,%a,%a" op pp_operand a pp_operand b pp_operand c
+(* [\tname], then each operand after a tab (the first) or a comma. *)
+let op b name = Buffer.add_char b '\t'; Buffer.add_string b name
+let arg b sep o = Buffer.add_char b sep; add_operand b o
+let op1 b name a = op b name; arg b '\t' a
+let op2 b name a c = op1 b name a; arg b ',' c
+let op3 b name a c d = op2 b name a c; arg b ',' d
+let br b name l = op b name; Buffer.add_char b '\t'; Buffer.add_string b l
 
-let pp_instr fmt = function
-  | Label l -> Format.fprintf fmt "%s:" l
-  | Comment c -> Format.fprintf fmt "# %s" c
-  | Movl (a, b) -> pp2 fmt "movl" a b
-  | Moval (a, b) -> pp2 fmt "moval" a b
-  | Pushl a -> Format.fprintf fmt "\tpushl\t%a" pp_operand a
-  | Addl2 (a, b) -> pp2 fmt "addl2" a b
-  | Addl3 (a, b, c) -> pp3 fmt "addl3" a b c
-  | Subl2 (a, b) -> pp2 fmt "subl2" a b
-  | Subl3 (a, b, c) -> pp3 fmt "subl3" a b c
-  | Mull2 (a, b) -> pp2 fmt "mull2" a b
-  | Divl2 (a, b) -> pp2 fmt "divl2" a b
-  | Divl3 (a, b, c) -> pp3 fmt "divl3" a b c
-  | Mnegl (a, b) -> pp2 fmt "mnegl" a b
-  | Cmpl (a, b) -> pp2 fmt "cmpl" a b
-  | Tstl a -> Format.fprintf fmt "\ttstl\t%a" pp_operand a
-  | Beql l -> Format.fprintf fmt "\tbeql\t%s" l
-  | Bneq l -> Format.fprintf fmt "\tbneq\t%s" l
-  | Blss l -> Format.fprintf fmt "\tblss\t%s" l
-  | Bleq l -> Format.fprintf fmt "\tbleq\t%s" l
-  | Bgtr l -> Format.fprintf fmt "\tbgtr\t%s" l
-  | Bgeq l -> Format.fprintf fmt "\tbgeq\t%s" l
-  | Brb l -> Format.fprintf fmt "\tbrb\t%s" l
-  | Calls (n, l) -> Format.fprintf fmt "\tcalls\t$%d,%s" n l
-  | Ret -> Format.pp_print_string fmt "\tret"
-  | Halt -> Format.pp_print_string fmt "\thalt"
+let add_instr b = function
+  | Label l -> Buffer.add_string b l; Buffer.add_char b ':'
+  | Comment c -> Buffer.add_string b "# "; Buffer.add_string b c
+  | Movl (a, c) -> op2 b "movl" a c
+  | Moval (a, c) -> op2 b "moval" a c
+  | Pushl a -> op1 b "pushl" a
+  | Addl2 (a, c) -> op2 b "addl2" a c
+  | Addl3 (a, c, d) -> op3 b "addl3" a c d
+  | Subl2 (a, c) -> op2 b "subl2" a c
+  | Subl3 (a, c, d) -> op3 b "subl3" a c d
+  | Mull2 (a, c) -> op2 b "mull2" a c
+  | Divl2 (a, c) -> op2 b "divl2" a c
+  | Divl3 (a, c, d) -> op3 b "divl3" a c d
+  | Mnegl (a, c) -> op2 b "mnegl" a c
+  | Cmpl (a, c) -> op2 b "cmpl" a c
+  | Tstl a -> op1 b "tstl" a
+  | Beql l -> br b "beql" l
+  | Bneq l -> br b "bneq" l
+  | Blss l -> br b "blss" l
+  | Bleq l -> br b "bleq" l
+  | Bgtr l -> br b "bgtr" l
+  | Bgeq l -> br b "bgeq" l
+  | Brb l -> br b "brb" l
+  | Calls (n, l) -> op1 b "calls" (Imm n); arg b ',' (Lbl l)
+  | Ret -> op b "ret"
+  | Halt -> op b "halt"
 
-let to_string instrs =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun i ->
-      Buffer.add_string buf (Format.asprintf "%a" pp_instr i);
-      Buffer.add_char buf '\n')
-    instrs;
-  Buffer.contents buf
+let text add x =
+  let b = Buffer.create 64 in
+  add b x;
+  Buffer.contents b
+
+let pp_operand fmt o = Format.pp_print_string fmt (text add_operand o)
+
+let pp_instr fmt i = Format.pp_print_string fmt (text add_instr i)
+
+let to_string =
+  text (fun b -> List.iter (fun i -> add_instr b i; Buffer.add_char b '\n'))

@@ -54,12 +54,14 @@ type instr =
   | Ret
   | Halt
 
+(** One operand or instruction, as {!to_string}'s writer prints it. *)
 val pp_operand : Format.formatter -> operand -> unit
 
 val pp_instr : Format.formatter -> instr -> unit
 
 (** Render a program as assembly text, one instruction per line, labels
-    outdented — the textual code attribute the compiler produces. *)
+    outdented — the textual code attribute the compiler produces. Written
+    straight into one buffer: no [Format] formatter per instruction. *)
 val to_string : instr list -> string
 
 val reg_name : reg -> string

@@ -523,6 +523,14 @@ let prop_pp_roundtrip =
       let p, _ = Progen.gen (Random.State.make [| seed |]) Progen.small in
       Parser.parse_program (Pp.program_to_string p) = p)
 
+(* The paper program's sequential assembly, byte for byte: label-masked
+   comparisons elsewhere would not notice a drift in the printer. *)
+let test_paper_program_digest () =
+  let asm = (Driver.compile (Progen.paper_program ())).Driver.c_asm in
+  check_int "bytes" 1_364_966 (String.length asm);
+  check_str "md5" "2b30e4f2cc8e863a88ac334769811084"
+    (Digest.to_hex (Digest.string asm))
+
 let suite =
   [
     ( "pascal-front",
@@ -568,6 +576,8 @@ let suite =
         Alcotest.test_case "evaluator agreement" `Quick
           test_all_evaluators_compile_identically;
         Alcotest.test_case "peephole" `Quick test_peephole_preserves_behaviour;
+        Alcotest.test_case "paper program digest" `Quick
+          test_paper_program_digest;
         prop_differential;
         prop_differential_optimized;
         prop_pp_roundtrip;

@@ -56,13 +56,13 @@ let env_of _sim id =
   }
 
 (* Run a worker against a scripted coordinator; return the worker's error. *)
-let run_scripted script =
+let run_scripted ?(cfg = worker_config ()) ?(task = simple_task ()) script =
   let sim = S.create () in
   let failure = ref None in
   let _coord = S.spawn sim ~name:"coord" (fun () -> script (env_of sim 0)) in
   let _worker =
     S.spawn sim ~name:"worker" (fun () ->
-        match Worker.run (env_of sim 1) (worker_config ()) (simple_task ()) with
+        match Worker.run (env_of sim 1) cfg task with
         | _ -> ()
         | exception Worker.Stuck msg -> failure := Some msg)
   in
@@ -188,6 +188,107 @@ let test_librarian_resolve_before_fragments () =
   S.run sim;
   Alcotest.(check string) "assembled after late fragments" "hello world" !final
 
+(* Rule-instance rows exist only where a rule id is read. The static
+   evaluator fires from the rules' references, so it resolves none unless
+   a provenance ring names its firings by rid. A worker's item graph names
+   its spine's rules: the root fragment of a 2-machine split has a cut, so
+   its combined worker resolves exactly the rules of the cut ancestors,
+   while a dynamic worker, or a combined one recording provenance,
+   resolves every owned rule. *)
+let test_rows_where_rids_are_read () =
+  let check_int = Alcotest.(check int) in
+  let open Pascal in
+  let prog = fst (Progen.gen (Random.State.make [| 5 |]) Progen.small) in
+  let static ~prov =
+    let eng = ref None in
+    ignore
+      (Driver.compile ~evaluator:`Static ~prov
+         ~engine_out:(fun e -> eng := Some e)
+         prog);
+    Pag_eval.Engine.rule_count (Option.get !eng)
+  in
+  let rules (n : Tree.t) =
+    match n.Tree.prod with Some p -> Array.length p.Grammar.p_rules | None -> 0
+  in
+  let tree = Pascal_ag.tree_of_program Pascal_ag.grammar prog in
+  let all = ref 0 in
+  Tree.iter (fun n -> all := !all + rules n) tree;
+  check_int "static, no provenance" 0 (static ~prov:Pag_obs.Prov.disabled);
+  check_int "static with a ring" !all
+    (static
+       ~prov:
+         (Pag_obs.Prov.create
+            ~arity:(Pag_eval.Causal.arity_for Pascal_ag.grammar)
+            ()));
+  (* The combined worker of the root fragment, against a coordinator that
+     answers the stubs' synthesized attributes from a sequential run. *)
+  let g = Stackcode_ag.grammar in
+  let t =
+    Stackcode_ag.random_program (Random.State.make [| 1 |]) ~depth:8 ~blocks:4
+  in
+  ignore (Tree.number t);
+  let seq, _ = Pag_eval.Static_eval.eval (Lazy.force plan) t in
+  let sp = Split.decompose g t ~machines:2 ~granularity:1.0 in
+  let root = (Split.fragments sp).(0).Split.fr_root in
+  let cuts = Split.cut_nodes sp 0 in
+  check_bool "root fragment has cuts" true (cuts <> []);
+  let is_cut n = List.memq n cuts in
+  let rec cut_below (n : Tree.t) =
+    Array.exists (fun c -> is_cut c || cut_below c) n.Tree.children
+  in
+  let rec owned keep (n : Tree.t) =
+    if is_cut n then 0
+    else
+      (if keep n then rules n else 0)
+      + Array.fold_left (fun a c -> a + owned keep c) 0 n.Tree.children
+  in
+  let worker_rows cfg =
+    let eng = ref None in
+    let cfg = { cfg with Worker.wc_engine_hook = (fun e -> eng := Some e) } in
+    let task =
+      {
+        Worker.t_frag_id = 0;
+        t_root = root;
+        t_cuts = List.map (fun c -> (c, 0)) cuts;
+        t_parent_machine = 0;
+        t_root_is_tree_root = true;
+      }
+    in
+    let failure =
+      run_scripted ~cfg ~task (fun env ->
+          env.Transport.e_send ~dst:1
+            (Message.Subtree { frag = 0; bytes = 100; uid_base = Uid.stride });
+          List.iter
+            (fun (c : Tree.t) ->
+              Array.iter
+                (fun (a : Grammar.attr_decl) ->
+                  if a.Grammar.a_kind = Grammar.Syn then
+                    env.Transport.e_send ~dst:1
+                      (Message.Attr
+                         {
+                           node = c.Tree.id;
+                           attr = a.Grammar.a_name;
+                           value = Pag_eval.Store.get seq c a.Grammar.a_name;
+                         }))
+                (Grammar.symbol g c.Tree.sym).Grammar.s_attrs)
+            cuts)
+    in
+    check_bool "worker finished" true (failure = None);
+    Pag_eval.Engine.rule_count (Option.get !eng)
+  in
+  let spine = owned cut_below root and every = owned (fun _ -> true) root in
+  check_bool "spine is a strict part" true (0 < spine && spine < every);
+  check_int "combined: the spine's rules" spine (worker_rows (worker_config ()));
+  check_int "dynamic: every owned rule" every
+    (worker_rows { (worker_config ()) with Worker.wc_mode = `Dynamic });
+  check_int "combined with a ring: every owned rule" every
+    (worker_rows
+       {
+         (worker_config ()) with
+         Worker.wc_prov =
+           Pag_obs.Prov.create ~arity:(Pag_eval.Causal.arity_for g) ();
+       })
+
 let suite =
   [
     ( "protocol",
@@ -199,5 +300,7 @@ let suite =
         Alcotest.test_case "librarian garbage" `Quick test_librarian_rejects_garbage;
         Alcotest.test_case "resolve before fragments" `Quick
           test_librarian_resolve_before_fragments;
+        Alcotest.test_case "rows only where a rid is read" `Quick
+          test_rows_where_rids_are_read;
       ] );
   ]

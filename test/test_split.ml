@@ -197,6 +197,38 @@ let prop_gapped_ids =
       List.sort compare !ids
       = List.init n (fun i -> 5 + (spread * i)))
 
+(* [Split.wire_size] counts exactly the bytes [Split.encode] writes, with
+   and without sharing, on every fragment: random Pascal programs at 2-4
+   machines and the paper program at 2. *)
+let test_wire_size_is_encoded_length () =
+  let g = Pascal.Pascal_ag.grammar in
+  let check_tree name prog machines =
+    let tree = Pascal.Pascal_ag.tree_of_program g prog in
+    ignore (Tree.number tree);
+    let plan = Split.decompose g tree ~machines ~granularity:1.0 in
+    let sh = Tree.sharing tree in
+    check_bool (name ^ ": split") true (Split.count plan > 1);
+    Array.iter
+      (fun (f : Split.fragment) ->
+        List.iter
+          (fun sharing ->
+            check_int
+              (Printf.sprintf "%s, %d machines, fragment %d%s" name machines
+                 f.Split.fr_id
+                 (if sharing = None then "" else ", shared"))
+              (String.length (Split.encode ?sharing plan f))
+              (Split.wire_size ?sharing plan f))
+          [ None; Some sh ])
+      (Split.fragments plan)
+  in
+  for seed = 1 to 6 do
+    let prog, _ =
+      Pascal.Progen.gen (Random.State.make [| seed |]) Pascal.Progen.medium
+    in
+    check_tree (Printf.sprintf "seed %d" seed) prog (2 + (seed mod 3))
+  done;
+  check_tree "paper program" (Pascal.Progen.paper_program ()) 2
+
 let suite =
   [
     ( "split",
@@ -209,6 +241,8 @@ let suite =
         Alcotest.test_case "granularity" `Quick test_granularity_disables_splitting;
         Alcotest.test_case "balance" `Quick test_balance_quality;
         Alcotest.test_case "pp" `Quick test_pp_runs;
+        Alcotest.test_case "wire_size = encoded length" `Quick
+          test_wire_size_is_encoded_length;
         prop_residuals_sum_to_total;
         prop_fragments_disjoint;
         prop_gapped_ids;

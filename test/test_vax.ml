@@ -299,6 +299,52 @@ let prop_roundtrip =
        QCheck.Gen.(list_size (int_bound 20) arb_instr))
     (fun prog -> Asm_parser.parse (Isa.to_string prog) = prog)
 
+(* The printer's text, byte for byte: every instruction constructor and
+   every operand form, including negative immediates and displacements, the
+   named registers and labels. *)
+let test_printer_text () =
+  let cases =
+    Isa.
+      [
+        (Label "L12", "L12:");
+        (Comment "frame of p", "# frame of p");
+        (Movl (Imm (-5), Reg 0), "\tmovl\t$-5,r0");
+        (Moval (Disp (-8, fp), Reg 11), "\tmoval\t-8(fp),r11");
+        (Pushl (Deref ap), "\tpushl\t(ap)");
+        (Addl2 (PostInc sp, Reg 15), "\taddl2\t(sp)+,pc");
+        (Addl3 (Imm 2, Disp (4, ap), PreDec sp), "\taddl3\t$2,4(ap),-(sp)");
+        (Subl2 (Lbl "_g", Reg 2), "\tsubl2\t_g,r2");
+        (Subl3 (Imm 0, Deref fp, Reg 1), "\tsubl3\t$0,(fp),r1");
+        (Mull2 (Disp (0, r0), PostInc r1), "\tmull2\t0(r0),(r1)+");
+        (Divl2 (PreDec fp, Deref sp), "\tdivl2\t-(fp),(sp)");
+        (Divl3 (Reg 12, Reg 13, Reg 14), "\tdivl3\tap,fp,sp");
+        (Mnegl (Imm 123456, Disp (-123, 10)), "\tmnegl\t$123456,-123(r10)");
+        (Cmpl (Lbl "L3", Imm 7), "\tcmpl\tL3,$7");
+        (Tstl (PreDec r2), "\ttstl\t-(r2)");
+        (Beql "L1", "\tbeql\tL1");
+        (Bneq "L2", "\tbneq\tL2");
+        (Blss "L3", "\tblss\tL3");
+        (Bleq "L4", "\tbleq\tL4");
+        (Bgtr "L5", "\tbgtr\tL5");
+        (Bgeq "L6", "\tbgeq\tL6");
+        (Brb "L7", "\tbrb\tL7");
+        (Calls (2, "P9"), "\tcalls\t$2,P9");
+        (Calls (0, "_print_int"), "\tcalls\t$0,_print_int");
+        (Ret, "\tret");
+        (Halt, "\thalt");
+      ]
+  in
+  List.iter
+    (fun (i, want) ->
+      check_str want (want ^ "\n") (Isa.to_string [ i ]);
+      check_str want want (Format.asprintf "%a" Isa.pp_instr i))
+    cases;
+  check_str "program"
+    (String.concat "" (List.map (fun (_, w) -> w ^ "\n") cases))
+    (Isa.to_string (List.map fst cases));
+  check_str "empty" "" (Isa.to_string []);
+  check_str "pp_operand" "-4(fp)" (Format.asprintf "%a" Isa.pp_operand (Isa.Disp (-4, Isa.fp)))
+
 let suite =
   [
     ( "vax",
@@ -321,6 +367,7 @@ let suite =
         Alcotest.test_case "asm round trip" `Quick test_asm_roundtrip_manual;
         Alcotest.test_case "asm comments" `Quick test_asm_comments_blank;
         Alcotest.test_case "asm errors" `Quick test_asm_errors;
+        Alcotest.test_case "printer text" `Quick test_printer_text;
         prop_roundtrip;
       ] );
   ]
