@@ -3,7 +3,8 @@
 
     A code attribute is a rope-like tree whose leaves are either local text
     or references to fragments held by the string librarian process. The
-    semantic rules of a grammar only ever concatenate ({!concat} is O(1)), so
+    semantic rules of a grammar only ever concatenate ({!concat} makes one
+    node, or joins two local texts with {!Rope.concat} in O(log n)), so
     switching between naive and librarian-based result propagation needs no
     grammar change: the boundary conversion function either flattens the
     whole text ({!to_rope}) or ships the text to the librarian and passes a

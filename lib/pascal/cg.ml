@@ -1,7 +1,8 @@
 (* Code-generation helpers shared by the semantic rules of the Pascal
    attribute grammar. All code values are Codestr (rope-backed assembly
-   text), so concatenation in semantic rules is O(1) and the string
-   librarian can take code attributes apart at fragment boundaries. *)
+   text), so concatenation in semantic rules is a balanced join, O(log n)
+   with no text copied, and the string librarian can take code attributes
+   apart at fragment boundaries. *)
 
 open Pag_core
 open Pag_util

@@ -37,9 +37,6 @@ let rec concat_balanced rs n =
       let l, r = split half [] rs in
       cat (concat_balanced l half) (concat_balanced r (n - half))
 
-(* All traversals carry an explicit work list so deep ropes (built by long
-   left- or right-leaning concatenation chains) cannot overflow the stack. *)
-
 let iter_chunks f r =
   let rec go = function
     | [] -> ()
@@ -62,103 +59,61 @@ let leaf_count r = fold_chunks (fun n _ -> n + 1) 0 r
 (* Balancing                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Appending many small fragments (code attributes are built exactly that
-   way) is kept cheap by two measures working together:
+(* Every rope is height-balanced at all times: the children of a node
+   differ in height by at most 2, the invariant of OCaml's [Set], so a rope
+   of n leaves is at most about 1.81 log2 n deep. [concat] keeps it with
+   [Set]'s join: operands whose heights differ by at most 2 become one
+   node; otherwise the join descends the inner spine of the taller operand
+   until the two sides are that close, and single or double rotations
+   restore the bound on the way back up. A concat thus allocates
+   O(height difference) nodes and never copies text beyond a short seam
+   leaf.
 
-   - short-leaf merging: when the rightmost leaf and the appended string
-     fit in [max_leaf] bytes together, they are merged into one leaf, so a
-     long fold grows the tree depth once per ~[max_leaf] bytes instead of
-     once per fragment;
-   - a depth-triggered rebuild: a concat whose result is deeper than
-     [depth_trigger] yet shorter than the Fibonacci bound for that depth
-     (Boehm's balance criterion) is flattened into a balanced tree.
-
-   Rebuilds copy the text once, and between two rebuilds the rope must
-   re-accumulate depth proportional to the trigger, so the copying cost
-   amortizes over the bytes appended; ordinary concats stay O(1). *)
+   Code attributes are built by appending many small fragments, so the
+   node made at the bottom of a join also merges the leaves on either side
+   of the seam when they fit in [max_leaf] bytes together: a long fold of
+   fragments grows the tree once per ~[max_leaf] bytes instead of once per
+   fragment. *)
 
 let max_leaf = 128
 
-let depth_trigger = 32
+let short a b = String.length a + String.length b <= max_leaf
 
-(* fib.(d): minimum length at which depth d counts as balanced. *)
-let fib =
-  let a = Array.make 91 1 in
-  for i = 2 to 90 do
-    a.(i) <- a.(i - 1) + a.(i - 2)
-  done;
-  a
+(* One node over ropes whose heights differ by at most 2. *)
+let node a b =
+  match (a, b) with
+  | Leaf sa, Leaf sb when short sa sb -> Leaf (sa ^ sb)
+  | Cat ({ right = Leaf sr; _ } as c), Leaf sb when short sr sb ->
+      Cat { c with right = Leaf (sr ^ sb); len = c.len + String.length sb }
+  | Leaf sa, Cat ({ left = Leaf sl; _ } as c) when short sa sl ->
+      Cat { c with left = Leaf (sa ^ sl); len = String.length sa + c.len }
+  | _ -> cat a b
 
-let balanced r =
-  let d = depth r in
-  d <= depth_trigger || length r >= fib.(min d 90)
+(* [bal l r] is a node over ropes whose heights differ by at most 3,
+   rotated so that every child pair differs by at most 2. *)
+let bal l r =
+  let hl = depth l and hr = depth r in
+  if hl > hr + 2 then
+    match l with
+    | Cat { left = ll; right = Cat lr; _ } when depth ll < lr.dep ->
+        cat (cat ll lr.left) (cat lr.right r)
+    | Cat { left = ll; right = lr; _ } -> cat ll (cat lr r)
+    | Leaf _ -> assert false
+  else if hr > hl + 2 then
+    match r with
+    | Cat { left = Cat rl; right = rr; _ } when depth rr < rl.dep ->
+        cat (cat l rl.left) (cat rl.right rr)
+    | Cat { left = rl; right = rr; _ } -> cat (cat l rl) rr
+    | Leaf _ -> assert false
+  else cat l r
 
-let rebalance r =
-  let leaves = ref [] and n = ref 0 in
-  let buf = Buffer.create max_leaf in
-  let push l =
-    leaves := l :: !leaves;
-    incr n
-  in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      push (Leaf (Buffer.contents buf));
-      Buffer.clear buf
-    end
-  in
-  iter_chunks
-    (fun s ->
-      if String.length s >= max_leaf then begin
-        flush ();
-        push (Leaf s)
-      end
-      else begin
-        if Buffer.length buf + String.length s > max_leaf then flush ();
-        Buffer.add_string buf s
-      end)
-    r;
-  flush ();
-  concat_balanced (List.rev !leaves) !n
+let rec join a b =
+  match (a, b) with
+  | Cat c, _ when c.dep > depth b + 2 -> bal c.left (join c.right b)
+  | _, Cat c when c.dep > depth a + 2 -> bal (join a c.left) c.right
+  | _ -> node a b
 
-let concat a b =
-  if is_empty a then b
-  else if is_empty b then a
-  else
-    let merged =
-      (* Merge short rightmost leaves so folds of small fragments do not
-         deepen the tree one level per fragment. *)
-      match (a, b) with
-      | Leaf sa, Leaf sb when String.length sa + String.length sb <= max_leaf
-        ->
-          Some (Leaf (sa ^ sb))
-      | Cat c, Leaf sb -> (
-          match c.right with
-          | Leaf sr when String.length sr + String.length sb <= max_leaf ->
-              Some
-                (Cat
-                   {
-                     left = c.left;
-                     right = Leaf (sr ^ sb);
-                     len = c.len + String.length sb;
-                     dep = c.dep;
-                   })
-          | _ -> None)
-      | Leaf sa, Cat c -> (
-          match c.left with
-          | Leaf sl when String.length sa + String.length sl <= max_leaf ->
-              Some
-                (Cat
-                   {
-                     left = Leaf (sa ^ sl);
-                     right = c.right;
-                     len = String.length sa + c.len;
-                     dep = c.dep;
-                   })
-          | _ -> None)
-      | _ -> None
-    in
-    let r = match merged with Some r -> r | None -> cat a b in
-    if balanced r then r else rebalance r
+let concat a b = if is_empty a then b else if is_empty b then a else join a b
 
 let concat_list rs = concat_balanced rs (List.length rs)
 

@@ -1,13 +1,16 @@
 (** Ropes: strings as binary trees with the text in the leaves.
 
     This is the string representation of Boehm & Zwaenepoel (1987), section
-    4.3: concatenation is a constant-time operation, which makes building a
-    large code attribute from many fragments cheap, and it is the data type
-    whose conversion function is replaced to implement the string librarian.
-    Concatenation merges short edge leaves and rebuilds the tree when its
-    depth exceeds the Fibonacci balance bound, so long fragment folds keep
-    the depth logarithmic at O(1) amortized cost per concat; all traversals
-    are stack-safe regardless. *)
+    4.3, which makes building a large code attribute from many fragments
+    cheap, and it is the data type whose conversion function is replaced to
+    implement the string librarian. The paper concatenates in O(1) by
+    making one node; here every rope is height-balanced at all times
+    (the children of a node differ in height by at most 2, as in OCaml's
+    [Set]), so a rope of n leaves is O(log n) deep however it was built and
+    the recursive walks of interning and DAG pricing stay shallow on long
+    one-sided code chains. {!concat} keeps the balance with an AVL join in
+    O(log n), copying no text beyond merging two short leaves at the seam.
+    Traversals are stack-safe. *)
 
 type t
 
@@ -16,7 +19,12 @@ val empty : t
 val of_string : string -> t
 
 (** [concat a b] is the rope denoting the text of [a] followed by the text of
-    [b]. O(1). *)
+    [b]. Operands whose heights differ by at most 2 become one node;
+    otherwise the join descends the inner spine of the taller operand and
+    rotates on the way back up, so the result is balanced and the cost is
+    O(height difference), at most O(log n), nodes. No text is copied except
+    where the leaves on either side of the seam are short enough to merge
+    into one. *)
 val concat : t -> t -> t
 
 (** [concat_list rs] concatenates left to right, producing a balanced rope. *)

@@ -14,8 +14,8 @@ let check_int = Alcotest.(check int)
 (* --------------- rope balance --------------- *)
 
 (* Repeated one-sided concatenation is the worst case for rope depth: a
-   naive implementation degenerates into a 100k-deep list. The
-   depth-triggered rebalance must keep the tree logarithmic. *)
+   naive implementation degenerates into a 100k-deep list. The balanced
+   join must keep the tree logarithmic. *)
 
 let test_rope_append_depth () =
   let r = ref Rope.empty in

@@ -531,6 +531,15 @@ let test_paper_program_digest () =
   check_str "md5" "2b30e4f2cc8e863a88ac334769811084"
     (Digest.to_hex (Digest.string asm))
 
+(* The same for compile_skewed's program: its four 1,600-step expression
+   chains build code ropes by long one-sided concatenation, a shape the
+   paper program lacks. *)
+let test_skewed_program_digest () =
+  let asm = (Driver.compile (Progen.skewed_program ~chain:1600 ())).Driver.c_asm in
+  check_int "bytes" 1_069_252 (String.length asm);
+  check_str "md5" "ab12ce946f8ea800bf0ed953117f055b"
+    (Digest.to_hex (Digest.string asm))
+
 let suite =
   [
     ( "pascal-front",
@@ -578,6 +587,8 @@ let suite =
         Alcotest.test_case "peephole" `Quick test_peephole_preserves_behaviour;
         Alcotest.test_case "paper program digest" `Quick
           test_paper_program_digest;
+        Alcotest.test_case "skewed program digest" `Quick
+          test_skewed_program_digest;
         prop_differential;
         prop_differential_optimized;
         prop_pp_roundtrip;

@@ -2,9 +2,10 @@
    edit waves is reduced to text rows — every simulated number printed with
    %h, so a row matches only if the number is bit-identical — and compared
    with the rows recorded in sim_pin.expected. A refactor of the runner or
-   of the session wave must leave every row unchanged; the first row that
-   differs is printed. A deliberate pricing change re-records the file from
-   the sim_pin.actual the failing run writes next to it.
+   of the session wave must leave every row unchanged; a failing run prints
+   the first row that differs, how many rows moved, and each moved row's
+   key with the fields that moved. A deliberate pricing change re-records
+   the file from the sim_pin.actual the failing run writes next to it.
 
    Local propagation time ([er_prop_ms]) is measured CPU time, not
    simulated, so it is the one report field left out. *)
@@ -445,6 +446,38 @@ let read_lines file =
   in
   go []
 
+(* A row's key is the text before its first ':'; the [name=value] tokens
+   after it are its fields. *)
+let split_row row =
+  match String.index_opt row ':' with
+  | Some i -> (String.sub row 0 i, String.sub row (i + 1) (String.length row - i - 1))
+  | None -> (row, "")
+
+let fields body =
+  List.filter_map
+    (fun tok ->
+      match String.index_opt tok '=' with
+      | Some i -> Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
+      | None -> None)
+    (String.split_on_char ' ' body)
+
+(* "key: the fields whose values differ", naming both keys when the rows
+   are of different runs. *)
+let describe_move e a =
+  let ke, be = split_row e and ka, ba = split_row a in
+  if not (String.equal ke ka) then Printf.sprintf "%s: now %s" ke ka
+  else
+    let fa = fields ba in
+    let moved =
+      List.filter_map
+        (fun (n, v) ->
+          match List.assoc_opt n fa with
+          | Some v' when String.equal v v' -> None
+          | _ -> Some n)
+        (fields be)
+    in
+    Printf.sprintf "%s: %s" ke (String.concat " " moved)
+
 let test_pin () =
   let prog = Pascal.Progen.repetitive ~routines:2 ~reps:4 () in
   let rows =
@@ -453,15 +486,15 @@ let test_pin () =
   in
   let expected_file = Lazy.force expected_file in
   let expected = read_lines expected_file in
-  let rec first_diff i = function
-    | [], [] -> None
-    | e :: es, a :: as_ -> if e = a then first_diff (i + 1) (es, as_) else Some (i, e, a)
-    | e :: _, [] -> Some (i, e, "<missing>")
-    | [], a :: _ -> Some (i, "<missing>", a)
+  let rec pairs i = function
+    | [], [] -> []
+    | e :: es, a :: as_ -> (i, e, a) :: pairs (i + 1) (es, as_)
+    | e :: es, [] -> (i, e, "<missing>") :: pairs (i + 1) (es, [])
+    | [], a :: as_ -> (i, "<missing>", a) :: pairs (i + 1) ([], as_)
   in
-  match first_diff 1 (expected, rows) with
-  | None -> ()
-  | Some (i, e, a) ->
+  match List.filter (fun (_, e, a) -> e <> a) (pairs 1 (expected, rows)) with
+  | [] -> ()
+  | (i, e, a) :: _ as moved ->
       let actual_file =
         Filename.concat (Filename.dirname expected_file) "sim_pin.actual"
       in
@@ -469,9 +502,15 @@ let test_pin () =
       List.iter (fun l -> output_string oc (l ^ "\n")) rows;
       close_out oc;
       Alcotest.failf
-        "simulated numbers moved at row %d of %d\n  expected: %s\n  actual:   %s\n\
+        "simulated numbers moved in %d of %d rows, first at row %d\n\
+        \  expected: %s\n\
+        \  actual:   %s\n\
+         moved rows (key: fields):\n\
+         %s\n\
          (all rows written to %s)"
-        i (List.length rows) e a actual_file
+        (List.length moved) (List.length rows) i e a
+        (String.concat "\n" (List.map (fun (_, e, a) -> "  " ^ describe_move e a) moved))
+        actual_file
 
 let suite =
   [ ("pin", [ Alcotest.test_case "simulated numbers" `Quick test_pin ]) ]

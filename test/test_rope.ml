@@ -147,6 +147,58 @@ let prop_assoc =
         (Rope.concat (Rope.concat a b) c)
         (Rope.concat a (Rope.concat b c)))
 
+(* A rope built through [concat] alone, with its text: a random concat
+   tree over leaves of up to 90 bytes (so some seams merge), or a left- or
+   right-leaning chain of two-leaf pieces whose leaves are too long to
+   merge, the shape of a long code chain. *)
+let built_rope =
+  let open QCheck.Gen in
+  let leaf n = map (fun s -> (Rope.of_string s, s)) (string_size ~gen:printable n) in
+  let cat (ra, sa) (rb, sb) = (Rope.concat ra rb, sa ^ sb) in
+  let rec tree d =
+    if d = 0 then leaf (int_bound 90)
+    else
+      frequency [ (1, leaf (int_bound 90)); (3, map2 cat (tree (d - 1)) (tree (d - 1))) ]
+  in
+  let piece = map2 cat (leaf (int_range 65 80)) (leaf (int_range 65 80)) in
+  let chain step =
+    let* n = int_bound 300 in
+    let+ ps = list_repeat n piece in
+    List.fold_left step (Rope.empty, "") ps
+  in
+  oneof [ tree 8; chain cat; chain (fun acc p -> cat p acc) ]
+
+(* Children differ in height by at most 2, so a rope of n leaves is at most
+   about 1.81 log2 n deep; 2 log2 (n + 1) bounds every such height. *)
+let prop_balanced =
+  qc "concat keeps text and a logarithmic depth"
+    (QCheck.make
+       ~print:(fun (r, s) ->
+         Printf.sprintf "%d bytes, depth %d, %d leaves" (String.length s)
+           (Rope.depth r) (Rope.leaf_count r))
+       built_rope)
+    (fun (r, s) ->
+      Rope.to_string r = s
+      && float_of_int (Rope.depth r)
+         <= 2. *. Float.log2 (float_of_int (Rope.leaf_count r + 1)))
+
+(* A left-leaning chain costs O(log n) per step, not a copy of the text so
+   far: 6,400 steps allocated about 155M minor words when concat rebuilt
+   deep ropes by flattening them. *)
+let test_chain_cost () =
+  let a = Rope.of_string (String.make 100 'a')
+  and b = Rope.of_string (String.make 100 'b') in
+  let before = Gc.minor_words () in
+  let r = ref Rope.empty in
+  for _ = 1 to 6400 do
+    r := Rope.concat !r (Rope.concat a b)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "length" (6400 * 200) (Rope.length !r);
+  check_bool
+    (Printf.sprintf "%.0f minor words under 2M" words)
+    true (words < 2e6)
+
 (* Rope pairs for the comparison kernels: a base text over a small
    alphabet (long equal runs, bytes on both sides of 0x80) and a variant —
    the same text, one byte changed, a prefix or an extension, each cut
@@ -242,11 +294,13 @@ let suite =
         Alcotest.test_case "compare shapes" `Quick
           test_compare_chunk_boundaries;
         Alcotest.test_case "output" `Quick test_output;
+        Alcotest.test_case "chain cost" `Quick test_chain_cost;
         prop_flatten_concat;
         prop_length;
         prop_equal_content;
         prop_compare_content;
         prop_assoc;
+        prop_balanced;
         prop_kernels_match_strings;
       ] );
   ]
