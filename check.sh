@@ -35,6 +35,29 @@ dune build
 dune runtest
 dune build @fmt
 dune exec bench/main.exe -- --smoke
+# Front-end smoke: each malformed program gets a located diagnostic
+# (FILE:LINE: lexical error: / syntax error:) and exit status 1, never an
+# uncaught exception (cmdliner's "internal error", exit 125).
+fe=/tmp/pagc_frontend_smoke
+for case in overflow:4:lexical brace:5:lexical char:3:lexical colon:2:syntax; do
+  name=${case%%:*}
+  expect=${case#*:}
+  line=${expect%%:*}
+  kind=${expect#*:}
+  case $name in
+    overflow) printf 'program t;\nvar x : integer;\nbegin\n  x := 99999999999999999999999\nend.\n' ;;
+    brace) printf 'program t;\nbegin\n  { never closed\nend.\n' ;;
+    char) printf 'program t;\nbegin\n  writeln(1 ? 2)\nend.\n' ;;
+    colon) printf 'program t;\nvar x integer;\nbegin\nend.\n' ;;
+  esac >"$fe.$name.pas"
+  status=0
+  out=$(dune exec bin/pagc.exe -- "$fe.$name.pas" -o "$fe.s" 2>&1) || status=$?
+  if [ "$status" != 1 ] || ! printf '%s\n' "$out" | grep -q "^$fe.$name.pas:$line: $kind error: " \
+    || printf '%s\n' "$out" | grep -q "internal error"; then
+    echo "check.sh: $name: expected '$fe.$name.pas:$line: $kind error:' and exit 1, got exit $status: $out" >&2
+    exit 1
+  fi
+done
 # Telemetry smoke: a traced parallel compile must produce parseable
 # Chrome-trace JSON with at least one event.
 trace=/tmp/pagc_trace_smoke.json

@@ -11,48 +11,78 @@ exception Error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-let node g prod_name children =
+type prod = {
+  pr_prod : Grammar.production option;  (** [Some p], shared by p's nodes *)
+  pr_lhs : int;
+  pr_rhs : int array;  (** {!Grammar.sym_id} of each right-hand symbol *)
+}
+
+let resolve g prod_name =
   let p = Grammar.find_production g prod_name in
-  let children = Array.of_list children in
-  if Array.length children <> Array.length p.p_rhs then
-    error "node %S: expected %d children, got %d" prod_name
-      (Array.length p.p_rhs) (Array.length children);
-  Array.iteri
-    (fun i c ->
-      if c.sym <> p.p_rhs.(i) then
-        error "node %S: child %d should be %S, got %S" prod_name (i + 1)
-          p.p_rhs.(i) c.sym)
-    children;
+  {
+    pr_prod = Some p;
+    pr_lhs = Grammar.sym_id g p.p_lhs;
+    pr_rhs = Array.map (Grammar.sym_id g) p.p_rhs;
+  }
+
+let build r children =
+  let p = Option.get r.pr_prod in
+  if Array.length children <> Array.length r.pr_rhs then
+    error "node %S: expected %d children, got %d" p.p_name
+      (Array.length r.pr_rhs) (Array.length children);
+  for i = 0 to Array.length children - 1 do
+    let c = children.(i) in
+    if c.sym_id <> r.pr_rhs.(i) then
+      error "node %S: child %d should be %S, got %S" p.p_name (i + 1)
+        p.p_rhs.(i) c.sym
+  done;
   {
     id = -1;
     sym = p.p_lhs;
-    sym_id = Grammar.sym_id g p.p_lhs;
-    prod = Some p;
+    sym_id = r.pr_lhs;
+    prod = r.pr_prod;
     children;
     term_attrs = [];
   }
 
-let leaf g term attrs =
+let node g prod_name children =
+  build (resolve g prod_name) (Array.of_list children)
+
+type terminal = { tm_sym : string; tm_sym_id : int; tm_names : string list }
+
+let terminal g term names =
   let s = Grammar.symbol g term in
   if not s.Grammar.s_term then error "leaf: %S is not a terminal" term;
   Array.iter
     (fun (a : Grammar.attr_decl) ->
-      if not (List.mem_assoc a.a_name attrs) then
+      if not (List.mem a.a_name names) then
         error "leaf %S: missing intrinsic attribute %S" term a.a_name)
     s.Grammar.s_attrs;
   List.iter
-    (fun (name, _) ->
+    (fun name ->
       if Grammar.find_attr s name = None then
         error "leaf %S: unknown attribute %S" term name)
-    attrs;
+    names;
+  { tm_sym = term; tm_sym_id = Grammar.sym_id g term; tm_names = names }
+
+let make_leaf tm term_attrs =
   {
     id = -1;
-    sym = term;
-    sym_id = Grammar.sym_id g term;
+    sym = tm.tm_sym;
+    sym_id = tm.tm_sym_id;
     prod = None;
     children = [||];
-    term_attrs = attrs;
+    term_attrs;
   }
+
+let leaf_of tm values =
+  match List.combine tm.tm_names values with
+  | attrs -> make_leaf tm attrs
+  | exception Invalid_argument _ ->
+      error "leaf %S: %d attribute names, %d values" tm.tm_sym
+        (List.length tm.tm_names) (List.length values)
+
+let leaf g term attrs = make_leaf (terminal g term (List.map fst attrs)) attrs
 
 let iter f t =
   (* Explicit stack: trees of large programs are deep. *)

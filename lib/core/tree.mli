@@ -17,9 +17,36 @@ type t = {
 
 exception Error of string
 
-(** [node g prod_name children] builds an interior node. Children must match
-    the production's right-hand side left to right. *)
+(** A production resolved against its grammar: its node symbol and the
+    {!Grammar.sym_id} of each right-hand symbol. Resolve once, then build
+    any number of nodes without a name lookup; {!node} does both per
+    call. *)
+type prod
+
+(** Raises {!Grammar.Error} on an unknown production name. *)
+val resolve : Grammar.t -> string -> prod
+
+(** [build r children] builds an interior node of [r]'s production; it is
+    the one place where children are validated. Children must match the
+    right-hand side left to right, compared by [sym_id]. The array becomes
+    the node's [children]. *)
+val build : prod -> t array -> t
+
+(** [node g prod_name children] = [build (resolve g prod_name)]. *)
 val node : Grammar.t -> string -> t list -> t
+
+(** A terminal resolved against its grammar, with the names of the
+    attributes its leaves carry; {!leaf} resolves and builds per call. *)
+type terminal
+
+(** [terminal g term names] checks once that [term] is a terminal and that
+    [names] covers its intrinsic attributes and names no other. *)
+val terminal : Grammar.t -> string -> string list -> terminal
+
+(** [leaf_of tm values] builds a leaf whose attributes pair [tm]'s names
+    with [values], in order. Values are not copied: leaves built from one
+    value share it, while each leaf is its own record with its own [id]. *)
+val leaf_of : terminal -> Value.t list -> t
 
 (** [leaf g term attrs] builds a terminal leaf; all of the terminal's
     intrinsic attributes must be supplied. *)

@@ -405,14 +405,23 @@ let decode g s =
         Value.Pair (x, y)
     | c -> raise (Malformed (Printf.sprintf "bad value tag %C" c))
   in
+  (* each production is resolved once per message *)
+  let prods = Hashtbl.create 64 in
+  let resolve name =
+    match Hashtbl.find prods name with
+    | r -> r
+    | exception Not_found ->
+        let r = Tree.resolve g name in
+        Hashtbl.add prods name r;
+        r
+  in
   (* class id -> first decoded occurrence; backreferences expand to fresh
      copies (the receiver materializes a tree, not a graph) *)
   let classes : (int, Tree.t) Hashtbl.t = Hashtbl.create 16 in
   let rec copy (n : Tree.t) =
     match n.Tree.prod with
     | Some pr ->
-        Tree.node g pr.Grammar.p_name
-          (Array.to_list (Array.map copy n.Tree.children))
+        Tree.build (resolve pr.Grammar.p_name) (Array.map copy n.Tree.children)
     | None -> Tree.leaf g n.Tree.sym n.Tree.term_attrs
   in
   let rec node () =
@@ -430,7 +439,7 @@ let decode g s =
     | 'P' ->
         let name = str16 () in
         let k = u16 () in
-        Tree.node g name (List.init k (fun _ -> node ()))
+        Tree.build (resolve name) (Array.init k (fun _ -> node ()))
     | 'L' ->
         let sym = str16 () in
         let k = u16 () in

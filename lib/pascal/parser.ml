@@ -2,16 +2,23 @@ open Ast
 
 exception Parse_error of int * string
 
-type state = { mutable toks : (Token.t * int) list }
+(* The grammar needs one token of lookahead: [tok] is the current token,
+   [line] its line, and [lx] scans the rest of the text on demand. *)
+type state = { lx : Lexer.t; mutable tok : Token.t; mutable line : int }
+
+let start src =
+  let lx = Lexer.create src in
+  let tok = Lexer.next lx in
+  { lx; tok; line = Lexer.line lx }
 
 let error st fmt =
-  let line = match st.toks with (_, l) :: _ -> l | [] -> 0 in
-  Printf.ksprintf (fun s -> raise (Parse_error (line, s))) fmt
+  Printf.ksprintf (fun s -> raise (Parse_error (st.line, s))) fmt
 
-let peek st = match st.toks with (t, _) :: _ -> t | [] -> Token.EOF
+let peek st = st.tok
 
 let advance st =
-  match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
+  st.tok <- Lexer.next st.lx;
+  st.line <- Lexer.line st.lx
 
 let eat st t =
   if peek st = t then advance st
@@ -462,7 +469,7 @@ let rec parse_block st =
   { b_decls = List.rev !decls; b_body = body }
 
 let parse_program src =
-  let st = { toks = Lexer.tokenize src } in
+  let st = start src in
   eat st Token.PROGRAM;
   let name = ident st in
   eat st Token.SEMI;
@@ -472,7 +479,7 @@ let parse_program src =
   { prog_name = name; prog_block = block }
 
 let parse_expr src =
-  let st = { toks = Lexer.tokenize src } in
+  let st = start src in
   let e = parse_expr_prec st in
   eat st Token.EOF;
   e

@@ -435,78 +435,116 @@ let grammar_threaded = make `Threaded
 (* AST -> attribute-grammar tree                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Each production is resolved once per call, and every leaf of one
+   identifier or one integer shares its attribute value. *)
 let tree_of_program g (p : Ast.program) =
-  let id_leaf name = Tree.leaf g "ID" [ ("name", v_str name) ] in
-  let num_leaf v = Tree.leaf g "NUMT" [ ("value", v_int v) ] in
-  let char_leaf c = Tree.leaf g "CHART" [ ("value", v_int (Char.code c)) ] in
-  let node = Tree.node g in
+  let r = Tree.resolve g and node = Tree.build in
+  let shared tbl make key =
+    match Hashtbl.find tbl key with
+    | v -> v
+    | exception Not_found ->
+        let v = [ make key ] in
+        Hashtbl.add tbl key v;
+        v
+  in
+  let names = Hashtbl.create 256 and ints = Hashtbl.create 64 in
+  let id_t = Tree.terminal g "ID" [ "name" ] in
+  let num_t = Tree.terminal g "NUMT" [ "value" ] in
+  let char_t = Tree.terminal g "CHART" [ "value" ] in
+  let id_leaf name = Tree.leaf_of id_t (shared names v_str name) in
+  let num_leaf v = Tree.leaf_of num_t (shared ints v_int v) in
+  let char_leaf c = Tree.leaf_of char_t (shared ints v_int (Char.code c)) in
+  let ty_int = r "ty_int" and ty_bool = r "ty_bool" and ty_char = r "ty_char"
+  and ty_array = r "ty_array" and ty_record = r "ty_record" in
+  let fields_nil = r "fields_nil" and fields_cons = r "fields_cons"
+  and field = r "field" in
   let rec typ_tree = function
-    | TInt -> node "ty_int" []
-    | TBool -> node "ty_bool" []
-    | TChar -> node "ty_char" []
-    | TArray (lo, hi, e) -> node "ty_array" [ num_leaf lo; num_leaf hi; typ_tree e ]
+    | TInt -> node ty_int [||]
+    | TBool -> node ty_bool [||]
+    | TChar -> node ty_char [||]
+    | TArray (lo, hi, e) ->
+        node ty_array [| num_leaf lo; num_leaf hi; typ_tree e |]
     | TRecord fs ->
         let fields =
           List.fold_left
             (fun acc (n, t) ->
-              node "fields_cons" [ acc; node "field" [ id_leaf n; typ_tree t ] ])
-            (node "fields_nil" []) fs
+              node fields_cons [| acc; node field [| id_leaf n; typ_tree t |] |])
+            (node fields_nil [||]) fs
         in
-        node "ty_record" [ fields ]
+        node ty_record [| fields |]
   in
+  let lv_id = r "lv_id" and lv_index = r "lv_index" and lv_field = r "lv_field" in
+  let e_int = r "e_int" and e_true = r "e_true" and e_false = r "e_false"
+  and e_char = r "e_char" and e_lval = r "e_lval" and e_neg = r "e_neg"
+  and e_not = r "e_not" and e_call = r "e_call" in
+  let e_add = r "e_add" and e_sub = r "e_sub" and e_mul = r "e_mul"
+  and e_div = r "e_div" and e_mod = r "e_mod" and e_and = r "e_and"
+  and e_or = r "e_or" and e_eq = r "e_eq" and e_ne = r "e_ne" and e_lt = r "e_lt"
+  and e_le = r "e_le" and e_gt = r "e_gt" and e_ge = r "e_ge" in
+  let args_nil = r "args_nil" and args_cons = r "args_cons" in
   let rec lvalue_tree = function
-    | LId n -> node "lv_id" [ id_leaf n ]
-    | LIndex (b, e) -> node "lv_index" [ lvalue_tree b; expr_tree e ]
-    | LField (b, f) -> node "lv_field" [ lvalue_tree b; id_leaf f ]
+    | LId n -> node lv_id [| id_leaf n |]
+    | LIndex (b, e) -> node lv_index [| lvalue_tree b; expr_tree e |]
+    | LField (b, f) -> node lv_field [| lvalue_tree b; id_leaf f |]
   and expr_tree = function
-    | EInt n -> node "e_int" [ num_leaf n ]
-    | EBool true -> node "e_true" []
-    | EBool false -> node "e_false" []
-    | EChar c -> node "e_char" [ char_leaf c ]
-    | ELval lv -> node "e_lval" [ lvalue_tree lv ]
+    | EInt n -> node e_int [| num_leaf n |]
+    | EBool true -> node e_true [||]
+    | EBool false -> node e_false [||]
+    | EChar c -> node e_char [| char_leaf c |]
+    | ELval lv -> node e_lval [| lvalue_tree lv |]
     | EBin (op, a, b) ->
-        let name =
+        let prod =
           match op with
-          | Add -> "e_add"
-          | Sub -> "e_sub"
-          | Mul -> "e_mul"
-          | Div -> "e_div"
-          | Mod -> "e_mod"
-          | And -> "e_and"
-          | Or -> "e_or"
-          | Eq -> "e_eq"
-          | Ne -> "e_ne"
-          | Lt -> "e_lt"
-          | Le -> "e_le"
-          | Gt -> "e_gt"
-          | Ge -> "e_ge"
+          | Add -> e_add
+          | Sub -> e_sub
+          | Mul -> e_mul
+          | Div -> e_div
+          | Mod -> e_mod
+          | And -> e_and
+          | Or -> e_or
+          | Eq -> e_eq
+          | Ne -> e_ne
+          | Lt -> e_lt
+          | Le -> e_le
+          | Gt -> e_gt
+          | Ge -> e_ge
         in
-        node name [ expr_tree a; expr_tree b ]
-    | EUn (Neg, e) -> node "e_neg" [ expr_tree e ]
-    | EUn (Not, e) -> node "e_not" [ expr_tree e ]
-    | ECall (f, args) -> node "e_call" [ id_leaf f; args_tree args ]
+        node prod [| expr_tree a; expr_tree b |]
+    | EUn (Neg, e) -> node e_neg [| expr_tree e |]
+    | EUn (Not, e) -> node e_not [| expr_tree e |]
+    | ECall (f, args) -> node e_call [| id_leaf f; args_tree args |]
   and args_tree = function
-    | [] -> node "args_nil" []
-    | e :: rest -> node "args_cons" [ expr_tree e; args_tree rest ]
+    | [] -> node args_nil [||]
+    | e :: rest -> node args_cons [| expr_tree e; args_tree rest |]
   in
+  let wargs_nil = r "wargs_nil" and wargs_cons = r "wargs_cons" in
   let wargs_tree args =
     List.fold_right
-      (fun e acc -> node "wargs_cons" [ expr_tree e; acc ])
-      args (node "wargs_nil" [])
+      (fun e acc -> node wargs_cons [| expr_tree e; acc |])
+      args (node wargs_nil [||])
   in
+  let stmts_nil = r "stmts_nil" and stmts_cons = r "stmts_cons" in
+  let s_assign = r "s_assign" and s_if = r "s_if" and s_while = r "s_while"
+  and s_repeat = r "s_repeat" and s_for_up = r "s_for_up"
+  and s_for_down = r "s_for_down" and s_case = r "s_case" and s_call = r "s_call"
+  and s_write = r "s_write" and s_writeln = r "s_writeln" and s_read = r "s_read" in
+  let cases_nil = r "cases_nil" and cases_cons = r "cases_cons"
+  and case1 = r "case1" and newlab = r "newlab" and consts_one = r "consts_one"
+  and consts_cons = r "consts_cons" and optelse_none = r "optelse_none"
+  and optelse_some = r "optelse_some" in
   let rec stmts_tree stmts =
     List.fold_left
-      (fun acc s -> node "stmts_cons" [ acc; stmt_tree s ])
-      (node "stmts_nil" []) stmts
+      (fun acc s -> node stmts_cons [| acc; stmt_tree s |])
+      (node stmts_nil [||]) stmts
   and stmt_tree = function
-    | SAssign (lv, e) -> node "s_assign" [ lvalue_tree lv; expr_tree e ]
-    | SIf (c, t, e) -> node "s_if" [ expr_tree c; stmts_tree t; stmts_tree e ]
-    | SWhile (c, body) -> node "s_while" [ expr_tree c; stmts_tree body ]
-    | SRepeat (body, c) -> node "s_repeat" [ stmts_tree body; expr_tree c ]
+    | SAssign (lv, e) -> node s_assign [| lvalue_tree lv; expr_tree e |]
+    | SIf (c, t, e) -> node s_if [| expr_tree c; stmts_tree t; stmts_tree e |]
+    | SWhile (c, body) -> node s_while [| expr_tree c; stmts_tree body |]
+    | SRepeat (body, c) -> node s_repeat [| stmts_tree body; expr_tree c |]
     | SFor (v, e1, up, e2, body) ->
         node
-          (if up then "s_for_up" else "s_for_down")
-          [ id_leaf v; expr_tree e1; expr_tree e2; stmts_tree body ]
+          (if up then s_for_up else s_for_down)
+          [| id_leaf v; expr_tree e1; expr_tree e2; stmts_tree body |]
     | SCase (e, arms, default) ->
         let cases =
           List.fold_left
@@ -516,60 +554,66 @@ let tree_of_program g (p : Ast.program) =
                 | [] -> invalid_arg "case arm with no constants"
                 | c0 :: rest ->
                     List.fold_left
-                      (fun a c -> node "consts_cons" [ a; num_leaf c ])
-                      (node "consts_one" [ num_leaf c0 ])
+                      (fun a c -> node consts_cons [| a; num_leaf c |])
+                      (node consts_one [| num_leaf c0 |])
                       rest
               in
-              node "cases_cons"
-                [ acc; node "case1" [ node "newlab" []; ctree; stmts_tree body ] ])
-            (node "cases_nil" []) arms
+              node cases_cons
+                [| acc; node case1 [| node newlab [||]; ctree; stmts_tree body |] |])
+            (node cases_nil [||]) arms
         in
         let optelse =
           match default with
-          | None -> node "optelse_none" []
-          | Some body -> node "optelse_some" [ stmts_tree body ]
+          | None -> node optelse_none [||]
+          | Some body -> node optelse_some [| stmts_tree body |]
         in
-        node "s_case" [ node "newlab" []; expr_tree e; cases; optelse ]
-    | SCall (f, args) -> node "s_call" [ id_leaf f; args_tree args ]
-    | SWrite (args, false) -> node "s_write" [ wargs_tree args ]
-    | SWrite (args, true) -> node "s_writeln" [ wargs_tree args ]
-    | SRead lv -> node "s_read" [ lvalue_tree lv ]
+        node s_case [| node newlab [||]; expr_tree e; cases; optelse |]
+    | SCall (f, args) -> node s_call [| id_leaf f; args_tree args |]
+    | SWrite (args, false) -> node s_write [| wargs_tree args |]
+    | SWrite (args, true) -> node s_writeln [| wargs_tree args |]
+    | SRead lv -> node s_read [| lvalue_tree lv |]
   in
+  let decls_nil = r "decls_nil" and decls_cons = r "decls_cons"
+  and block = r "block" and decl_const = r "decl_const" and decl_var = r "decl_var"
+  and decl_proc = r "decl_proc" and decl_func = r "decl_func"
+  and rlabel = r "rlabel" and params_nil = r "params_nil"
+  and params_cons = r "params_cons" and param_ref = r "param_ref"
+  and param_val = r "param_val" in
   let rec block_tree (b : Ast.block) =
     let decls =
       List.fold_left
-        (fun acc d -> node "decls_cons" [ acc; decl_tree d ])
-        (node "decls_nil" []) b.b_decls
+        (fun acc d -> node decls_cons [| acc; decl_tree d |])
+        (node decls_nil [||]) b.b_decls
     in
-    node "block" [ decls; stmts_tree b.b_body ]
+    node block [| decls; stmts_tree b.b_body |]
   and decl_tree = function
-    | DConst (n, v) -> node "decl_const" [ id_leaf n; num_leaf v ]
-    | DVar (n, t) -> node "decl_var" [ id_leaf n; typ_tree t ]
+    | DConst (n, v) -> node decl_const [| id_leaf n; num_leaf v |]
+    | DVar (n, t) -> node decl_var [| id_leaf n; typ_tree t |]
     | DRoutine rt ->
         let params =
           List.fold_left
             (fun acc (p : Ast.param) ->
-              node "params_cons"
-                [
+              node params_cons
+                [|
                   acc;
                   node
-                    (if p.p_ref then "param_ref" else "param_val")
-                    [ id_leaf p.p_name; typ_tree p.p_ty ];
-                ])
-            (node "params_nil" []) rt.r_params
+                    (if p.p_ref then param_ref else param_val)
+                    [| id_leaf p.p_name; typ_tree p.p_ty |];
+                |])
+            (node params_nil [||]) rt.r_params
         in
         (match rt.r_ret with
         | None ->
-            node "decl_proc"
-              [ id_leaf rt.r_name; node "rlabel" []; params; block_tree rt.r_block ]
+            node decl_proc
+              [| id_leaf rt.r_name; node rlabel [||]; params; block_tree rt.r_block |]
         | Some t ->
-            node "decl_func"
-              [
-                id_leaf rt.r_name; node "rlabel" []; params; typ_tree t;
+            node decl_func
+              [|
+                id_leaf rt.r_name; node rlabel [||]; params; typ_tree t;
                 block_tree rt.r_block;
-              ])
+              |])
   in
-  node "program" [ id_leaf p.prog_name; block_tree p.prog_block ]
+  node (r "program") [| id_leaf p.prog_name; block_tree p.prog_block |]
 
 let code_of_attrs attrs =
   match List.assoc_opt "code" attrs with

@@ -41,6 +41,286 @@ let test_lexer_error () =
   | exception Lexer.Lex_error (1, _) -> ()
   | _ -> Alcotest.fail "expected lex error"
 
+(* The list lexer the pull lexer replaced, kept as the oracle it must
+   agree with: [List.assoc_opt] over the keywords, [int_of_string] on
+   numbers, and a token list built before parsing. *)
+let reference_keywords =
+  [
+    ("program", Token.PROGRAM); ("const", Token.CONST); ("var", Token.VAR);
+    ("procedure", Token.PROCEDURE); ("function", Token.FUNCTION);
+    ("begin", Token.BEGIN); ("end", Token.END); ("if", Token.IF);
+    ("then", Token.THEN); ("else", Token.ELSE); ("while", Token.WHILE);
+    ("do", Token.DO); ("repeat", Token.REPEAT); ("until", Token.UNTIL);
+    ("for", Token.FOR); ("to", Token.TO); ("downto", Token.DOWNTO);
+    ("case", Token.CASE); ("of", Token.OF); ("array", Token.ARRAY);
+    ("record", Token.RECORD); ("integer", Token.INTEGER);
+    ("boolean", Token.BOOLEAN); ("char", Token.CHAR); ("true", Token.TRUE);
+    ("false", Token.FALSE); ("div", Token.DIV); ("mod", Token.MOD);
+    ("and", Token.AND); ("or", Token.OR); ("not", Token.NOT);
+    ("write", Token.WRITE); ("writeln", Token.WRITELN); ("read", Token.READ);
+  ]
+
+let reference_tokenize src =
+  let error line fmt =
+    Printf.ksprintf (fun s -> raise (Lexer.Lex_error (line, s))) fmt
+  in
+  let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
+  let is_digit c = c >= '0' && c <= '9' in
+  let n = String.length src in
+  let line = ref 1 in
+  let pos = ref 0 in
+  let toks = ref [] in
+  let emit t = toks := (t, !line) :: !toks in
+  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
+  while !pos < n do
+    let c = src.[!pos] in
+    if c = '\n' then begin
+      incr line;
+      incr pos
+    end
+    else if c = ' ' || c = '\t' || c = '\r' then incr pos
+    else if c = '{' then begin
+      incr pos;
+      while !pos < n && src.[!pos] <> '}' do
+        if src.[!pos] = '\n' then incr line;
+        incr pos
+      done;
+      if !pos >= n then error !line "unterminated { comment" else incr pos
+    end
+    else if c = '(' && peek 1 = Some '*' then begin
+      pos := !pos + 2;
+      let fin = ref false in
+      while not !fin do
+        if !pos + 1 >= n then error !line "unterminated (* comment"
+        else if src.[!pos] = '*' && src.[!pos + 1] = ')' then begin
+          pos := !pos + 2;
+          fin := true
+        end
+        else begin
+          if src.[!pos] = '\n' then incr line;
+          incr pos
+        end
+      done
+    end
+    else if is_digit c then begin
+      let start = !pos in
+      while !pos < n && is_digit src.[!pos] do
+        incr pos
+      done;
+      emit (Token.NUM (int_of_string (String.sub src start (!pos - start))))
+    end
+    else if is_alpha c then begin
+      let start = !pos in
+      while !pos < n && (is_alpha src.[!pos] || is_digit src.[!pos]) do
+        incr pos
+      done;
+      let word = String.lowercase_ascii (String.sub src start (!pos - start)) in
+      match List.assoc_opt word reference_keywords with
+      | Some kw -> emit kw
+      | None -> emit (Token.IDENT word)
+    end
+    else if c = '\'' then begin
+      if
+        !pos + 2 < n
+        && src.[!pos + 1] = '\''
+        && src.[!pos + 2] = '\''
+        && peek 3 = Some '\''
+      then begin
+        emit (Token.CHARLIT '\'');
+        pos := !pos + 4
+      end
+      else if !pos + 2 < n && src.[!pos + 2] = '\'' then begin
+        emit (Token.CHARLIT src.[!pos + 1]);
+        pos := !pos + 3
+      end
+      else error !line "bad character literal"
+    end
+    else begin
+      let two t =
+        emit t;
+        pos := !pos + 2
+      in
+      let one t =
+        emit t;
+        incr pos
+      in
+      match (c, peek 1) with
+      | ':', Some '=' -> two Token.ASSIGN
+      | '<', Some '=' -> two Token.LE
+      | '<', Some '>' -> two Token.NE
+      | '>', Some '=' -> two Token.GE
+      | '.', Some '.' -> two Token.DOTDOT
+      | '+', _ -> one Token.PLUS
+      | '-', _ -> one Token.MINUS
+      | '*', _ -> one Token.STAR
+      | '=', _ -> one Token.EQ
+      | '<', _ -> one Token.LT
+      | '>', _ -> one Token.GT
+      | ';', _ -> one Token.SEMI
+      | ':', _ -> one Token.COLON
+      | ',', _ -> one Token.COMMA
+      | '.', _ -> one Token.DOT
+      | '(', _ -> one Token.LPAREN
+      | ')', _ -> one Token.RPAREN
+      | '[', _ -> one Token.LBRACKET
+      | ']', _ -> one Token.RBRACKET
+      | _ -> error !line "unexpected character %C" c
+    end
+  done;
+  emit Token.EOF;
+  List.rev !toks
+
+(* Random token soups: mixed-case keywords, identifiers (some extending a
+   keyword), numbers with leading zeros, character literals (good and
+   bad), both comment styles spanning lines (some unterminated), every
+   operator, [\r\t] and stray characters. Fragments are glued by optional
+   whitespace, so neighbours can fuse into one token, except that digits
+   stay below 19 in a row: the oracle fails on an out-of-range literal
+   without a line (the lexer's range is tested on its own below). *)
+let gen_soup =
+  let open QCheck.Gen in
+  let mixed_case w =
+    map
+      (fun flips ->
+        String.mapi
+          (fun i c -> if List.nth flips i then Char.uppercase_ascii c else c)
+          w)
+      (list_repeat (String.length w) bool)
+  in
+  let keyword = oneofl (List.map fst reference_keywords) >>= mixed_case in
+  let word_char =
+    oneof [ char_range 'a' 'z'; char_range 'A' 'Z'; char_range '0' '9'; return '_' ]
+  in
+  let ident =
+    oneof
+      [
+        map2
+          (fun c rest -> String.make 1 c ^ rest)
+          (oneof [ char_range 'a' 'z'; char_range 'A' 'Z'; return '_' ])
+          (string_size ~gen:word_char (int_bound 6));
+        map2 ( ^ ) keyword (string_size ~gen:word_char (int_range 1 3));
+      ]
+  in
+  let number =
+    map2
+      (fun zeros digits -> String.make zeros '0' ^ digits)
+      (int_bound 3)
+      (string_size ~gen:(char_range '0' '9') (int_range 1 15))
+  in
+  let comment_text =
+    string_size
+      ~gen:(oneof [ char_range 'a' 'z'; oneofl [ ' '; '\n'; '*'; '('; ')'; '{'; '\'' ] ])
+      (int_bound 12)
+  in
+  let no_close_brace = String.map (fun c -> if c = '}' then ' ' else c) in
+  let comment =
+    frequency
+      [
+        (4, map (fun t -> "{" ^ no_close_brace t ^ "}") comment_text);
+        ( 4,
+          map
+            (fun t -> "(*" ^ String.map (fun c -> if c = ')' then ' ' else c) t ^ "*)")
+            comment_text );
+        (1, map (fun t -> "{" ^ no_close_brace t) comment_text);
+        (1, map (fun t -> "(*" ^ t) comment_text);
+      ]
+  in
+  let char_lit =
+    frequency
+      [
+        (4, map (fun c -> Printf.sprintf "'%c'" c) (char_range ' ' '~'));
+        (2, return "''''");
+        (1, oneofl [ "'"; "''"; "'''"; "'ab'"; "'\n'" ]);
+      ]
+  in
+  let operator =
+    oneofl
+      [ ":="; "<="; "<>"; ">="; ".."; "+"; "-"; "*"; "="; "<"; ">"; ";"; ":";
+        ","; "."; "("; ")"; "["; "]" ]
+  in
+  let stray =
+    oneofl [ "?"; "!"; "@"; "#"; "$"; "%"; "&"; "}"; "\""; "\\"; "\200"; "\000"; "\012" ]
+  in
+  let other = map (fun f -> (false, f)) in
+  let fragment =
+    frequency
+      [
+        (6, other keyword); (6, other ident); (4, map (fun f -> (true, f)) number);
+        (2, other char_lit); (2, other comment); (6, other operator); (1, other stray);
+      ]
+  in
+  let space = string_size ~gen:(oneofl [ ' '; '\t'; '\r'; '\n' ]) (int_bound 2) in
+  (* a space between two numbers, so digits never fuse past 18 *)
+  let rec glue = function
+    | ((true, a), "") :: (((true, _), _) :: _ as rest) -> a :: " " :: glue rest
+    | ((_, a), sp) :: rest -> a :: sp :: glue rest
+    | [] -> []
+  in
+  map
+    (fun parts -> String.concat "" (glue parts))
+    (list_size (int_bound 30) (pair fragment space))
+
+let lex_outcome tokenize src =
+  match tokenize src with
+  | toks -> Ok toks
+  | exception Lexer.Lex_error (line, msg) -> Error (line, msg)
+
+let prop_lexer_differential =
+  qc ~count:1000 "pull lexer = list lexer on token soups"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_soup)
+    (fun src -> lex_outcome Lexer.tokenize src = lex_outcome reference_tokenize src)
+
+(* An integer literal is accepted exactly when [int_of_string] accepts its
+   digits: up to [max_int]. Beyond, it is a located lexical error. *)
+let lex_number s =
+  match Lexer.tokenize s with
+  | [ (Token.NUM n, 1); (Token.EOF, 1) ] -> Some n
+  | _ -> Alcotest.failf "%S: not one number" s
+  | exception Lexer.Lex_error (1, "integer literal out of range") -> None
+
+let test_literal_range () =
+  List.iter
+    (fun s -> check_bool s true (lex_number s = int_of_string_opt s))
+    [
+      "0"; "007"; "4611686018427387903"; "4611686018427387904";
+      "4611686018427387900"; "4611686018427387910"; "9223372036854775807";
+      "9223372036854775808"; "18446744073709551615";
+      "0000000000000000000000000004611686018427387903";
+      "99999999999999999999999";
+    ];
+  match
+    Parser.parse_program
+      "program t;\nvar x : integer;\nbegin\n  x := 99999999999999999999999\nend."
+  with
+  | exception Lexer.Lex_error (4, "integer literal out of range") -> ()
+  | exception Lexer.Lex_error (l, m) -> Alcotest.failf "line %d: %s" l m
+  | _ -> Alcotest.fail "expected a lexical error on line 4"
+
+let prop_literal_range =
+  let gen =
+    let open QCheck.Gen in
+    let max_digits = string_of_int max_int in
+    let near_max =
+      map2
+        (fun k zeros -> String.make zeros '0' ^ string_of_int (max_int - k))
+        (int_bound 20) (int_bound 3)
+    in
+    (* max_int's digits with one digit changed, or one digit appended *)
+    let edited_max =
+      map2
+        (fun i d ->
+          if i = String.length max_digits then max_digits ^ String.make 1 d
+          else String.mapi (fun j c -> if i = j then d else c) max_digits)
+        (int_bound (String.length max_digits))
+        (char_range '0' '9')
+    in
+    oneof
+      [ near_max; edited_max; string_size ~gen:(char_range '0' '9') (int_range 1 25) ]
+  in
+  qc ~count:500 "literals accepted as int_of_string accepts them"
+    (QCheck.make ~print:Fun.id gen)
+    (fun s -> lex_number s = int_of_string_opt s)
+
 (* ---------------- parser ---------------- *)
 
 let test_parse_precedence () =
@@ -82,6 +362,20 @@ let test_parse_error_reports_line () =
   | exception Parser.Parse_error (l, m) ->
       Alcotest.failf "wrong line %d: %s" l m
   | _ -> Alcotest.fail "expected parse error"
+
+(* Lexing is interleaved with parsing, so the first error in the text
+   wins: the missing ':' on line 2, not the stray '?' on line 5 that a
+   lexer run before the parser would have reported first. *)
+let test_first_error_wins () =
+  match
+    Parser.parse_program "program t;\nvar x integer;\nbegin\n\n  x := ?\nend."
+  with
+  | exception Parser.Parse_error (2, _) -> ()
+  | exception Parser.Parse_error (l, m) ->
+      Alcotest.failf "syntax error on line %d: %s" l m
+  | exception Lexer.Lex_error (l, m) ->
+      Alcotest.failf "lexical error on line %d: %s" l m
+  | _ -> Alcotest.fail "expected a syntax error on line 2"
 
 let test_pp_roundtrip_manual () =
   let src =
@@ -540,6 +834,69 @@ let test_skewed_program_digest () =
   check_str "md5" "ab12ce946f8ea800bf0ed953117f055b"
     (Digest.to_hex (Digest.string asm))
 
+(* ---------------- trees ---------------- *)
+
+(* The AG tree of a program re-parsed from its text, pinned by its
+   printed form: the front end may change how it builds the tree, not the
+   tree. *)
+let tree_pin prog ~nodes ~classes ~bytes ~md5 =
+  let open Pag_core in
+  let t =
+    Pascal_ag.tree_of_program Pascal_ag.grammar
+      (Parser.parse_program (Pp.program_to_string prog))
+  in
+  check_int "nodes" nodes (Tree.number t);
+  check_int "classes" classes (Tree.sharing t).Tree.sh_classes;
+  let s = Format.asprintf "%a" Tree.pp t in
+  check_int "bytes" bytes (String.length s);
+  check_str "md5" md5 (Digest.to_hex (Digest.string s))
+
+let test_paper_tree_pin () =
+  tree_pin (Progen.paper_program ()) ~nodes:69_996 ~classes:18_667
+    ~bytes:4_645_526 ~md5:"8e545b2c23d465e2f8177ad657261f43"
+
+let test_skewed_tree_pin () =
+  tree_pin
+    (Progen.skewed_program ~chain:1600 ())
+    ~nodes:49_780 ~classes:10_934 ~bytes:3_783_173
+    ~md5:"709f1288ab8664cbc1b4998deabf3438"
+
+(* Leaves of one identifier, or of one integer, share their attribute
+   value; each is still its own node with its own preorder id. *)
+let test_leaves_share_values () =
+  let open Pag_core in
+  let t =
+    Pascal_ag.tree_of_program Pascal_ag.grammar
+      (Parser.parse_program
+         "program t; var x : integer; begin x := x + 1; x := 1 end.")
+  in
+  let n = Tree.number t in
+  let leaves sym attr v =
+    Tree.fold
+      (fun acc l ->
+        if l.Tree.sym = sym && Value.equal (Tree.term_attr l attr) v then
+          l :: acc
+        else acc)
+      [] t
+  in
+  let check_shared what attr ls =
+    check_bool (what ^ ": one value") true
+      (List.for_all
+         (fun l -> Tree.term_attr l attr == Tree.term_attr (List.hd ls) attr)
+         ls);
+    check_int (what ^ ": distinct ids") (List.length ls)
+      (List.length (List.sort_uniq compare (List.map (fun l -> l.Tree.id) ls)))
+  in
+  let xs = leaves "ID" "name" (Value.str "x") in
+  check_int "x leaves" 4 (List.length xs);
+  check_shared "x" "name" xs;
+  let ones = leaves "NUMT" "value" (Value.Int 1) in
+  check_int "1 leaves" 2 (List.length ones);
+  check_shared "1" "value" ones;
+  check_int "distinct ids" n
+    (List.length
+       (List.sort_uniq compare (Tree.fold (fun acc l -> l.Tree.id :: acc) [] t)))
+
 let suite =
   [
     ( "pascal-front",
@@ -550,11 +907,18 @@ let suite =
         Alcotest.test_case "lexer chars" `Quick test_lexer_char_literals;
         Alcotest.test_case "lexer operators" `Quick test_lexer_operators;
         Alcotest.test_case "lexer error" `Quick test_lexer_error;
+        prop_lexer_differential;
+        Alcotest.test_case "literal range" `Quick test_literal_range;
+        prop_literal_range;
         Alcotest.test_case "precedence" `Quick test_parse_precedence;
         Alcotest.test_case "relational" `Quick test_parse_relational;
         Alcotest.test_case "program shape" `Quick test_parse_program_shape;
         Alcotest.test_case "parse error line" `Quick test_parse_error_reports_line;
+        Alcotest.test_case "first error wins" `Quick test_first_error_wins;
         Alcotest.test_case "pp round trip" `Quick test_pp_roundtrip_manual;
+        Alcotest.test_case "paper tree pin" `Quick test_paper_tree_pin;
+        Alcotest.test_case "skewed tree pin" `Quick test_skewed_tree_pin;
+        Alcotest.test_case "leaves share values" `Quick test_leaves_share_values;
       ] );
     ( "pascal-interp",
       [
