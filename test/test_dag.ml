@@ -451,39 +451,6 @@ let test_dag_parallel_parity () =
         [ (`Static, "static"); (`Dynamic, "dynamic"); (`Steal, "steal") ])
     [ (`Sim, "sim"); (`Domains, "domains") ]
 
-(* Steal + sim is where the DAG is the native substrate: on a repetitive
-   workload the instance table must shrink (one rule-instance set per
-   class, parked occurrences own none) and the priced wire must not grow
-   (class bodies cross once per machine). *)
-let test_dag_steal_instances_and_wire () =
-  let prog = Pascal.Progen.repetitive ~routines:3 ~reps:12 () in
-  let o =
-    {
-      Pag_parallel.Runner.default_options with
-      Pag_parallel.Runner.machines = 4;
-      schedule = `Steal;
-      phase_label = Pascal.Driver.phase_label;
-    }
-  in
-  let r_plain, plain = Pascal.Driver.compile_parallel_sim o prog in
-  let r_dag, dagged =
-    Pascal.Driver.compile_parallel_sim
-      { o with Pag_parallel.Runner.use_dag = true }
-      prog
-  in
-  check_string "masked code agrees"
-    (Pascal.Driver.mask_labels plain.Pascal.Driver.c_asm)
-    (Pascal.Driver.mask_labels dagged.Pascal.Driver.c_asm);
-  let instances r =
-    Array.fold_left
-      (fun a (s : Pag_parallel.Worker.stats) -> a + s.Pag_parallel.Worker.ws_graph_nodes)
-      0 r.Pag_parallel.Runner.r_worker_stats
-  in
-  check_bool "one instance set per class shrinks the table" true
-    (instances r_dag < instances r_plain);
-  check_bool "shared shipping does not inflate the wire" true
-    (r_dag.Pag_parallel.Runner.r_bytes <= r_plain.Pag_parallel.Runner.r_bytes)
-
 let suite =
   [
     ( "dag",
@@ -508,7 +475,5 @@ let suite =
         Alcotest.test_case
           "parallel parity: {static,dynamic,steal} x {sim,domains} x dag"
           `Quick test_dag_parallel_parity;
-        Alcotest.test_case "steal+sim: fewer instances, no wire inflation"
-          `Quick test_dag_steal_instances_and_wire;
       ] );
   ]

@@ -6,4 +6,4 @@ let () =
    @ Test_store.suite @ Test_faults.suite @ Test_obs.suite
    @ Test_hashcons.suite @ Test_incr.suite @ Test_session.suite
    @ Test_steal.suite @ Test_service.suite @ Test_causal.suite
-   @ Test_dag.suite @ Test_pin.suite)
+   @ Test_dag.suite @ Test_pin.suite @ Test_gates.suite)

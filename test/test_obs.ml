@@ -536,6 +536,22 @@ let test_report_render () =
 
 (* --------------- qcheck properties --------------- *)
 
+(* The registry is incremented independently of the worker stats records
+   at the same code points; any divergence is an instrumentation bug. *)
+let registry_matches_stats (r : Runner.result) =
+  let reg = r.Runner.r_report.Obs.Report.rp_metrics in
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 r.Runner.r_worker_stats in
+  Obs.Metrics.counter_value reg "worker.dynamic_rules"
+  = sum (fun s -> s.Worker.ws_dynamic_rules)
+  && Obs.Metrics.counter_value reg "worker.static_rules"
+     = sum (fun s -> s.Worker.ws_static_rules)
+  && Obs.Metrics.counter_value reg "worker.visits"
+     = sum (fun s -> s.Worker.ws_visits)
+  && Obs.Metrics.counter_value reg "worker.sends"
+     = sum (fun s -> s.Worker.ws_sends)
+  && Obs.Metrics.counter_value reg "net.bytes"
+     = sum (fun s -> s.Worker.ws_bytes_flattened)
+
 let prop_registry_equals_stats =
   qc ~count:5 "telemetry registry = legacy worker stats"
     QCheck.(int_bound 1000)
@@ -553,19 +569,22 @@ let prop_registry_equals_stats =
       let opts =
         { Runner.default_options with Runner.machines = 3; telemetry = true }
       in
-      let r = Runner.run_sim opts Stackcode_ag.grammar (Some plan) t in
-      let reg = r.Runner.r_report.Obs.Report.rp_metrics in
-      let sum f = Array.fold_left (fun a s -> a + f s) 0 r.Runner.r_worker_stats in
-      Obs.Metrics.counter_value reg "worker.dynamic_rules"
-      = sum (fun s -> s.Worker.ws_dynamic_rules)
-      && Obs.Metrics.counter_value reg "worker.static_rules"
-         = sum (fun s -> s.Worker.ws_static_rules)
-      && Obs.Metrics.counter_value reg "worker.visits"
-         = sum (fun s -> s.Worker.ws_visits)
-      && Obs.Metrics.counter_value reg "worker.sends"
-         = sum (fun s -> s.Worker.ws_sends)
-      && Obs.Metrics.counter_value reg "net.bytes"
-         = sum (fun s -> s.Worker.ws_bytes_flattened))
+      registry_matches_stats
+        (Runner.run_sim opts Stackcode_ag.grammar (Some plan) t))
+
+(* E11's input (EXPERIMENTS.md): bench --quick's Pascal workload compiled
+   by the combined evaluator at 4 machines. *)
+let test_registry_pascal () =
+  let prog =
+    fst (Pascal.Progen.gen (Random.State.make [| 7 |]) Pascal.Progen.medium)
+  in
+  let opts =
+    Session.options (Session.spec ~phase_label:Pascal.Driver.phase_label 4)
+  in
+  let r, _ =
+    Pascal.Driver.compile_parallel_sim { opts with Runner.telemetry = true } prog
+  in
+  check_bool "registry = worker stats" true (registry_matches_stats r)
 
 let prop_reliable_counters_match =
   qc ~count:3 "reliable.* counters mirror Reliable.stats under faults"
@@ -622,6 +641,8 @@ let suite =
           test_chrome_export_real_run;
         Alcotest.test_case "report" `Quick test_report_render;
         prop_registry_equals_stats;
+        Alcotest.test_case "E11 registry = worker stats" `Quick
+          test_registry_pascal;
         prop_reliable_counters_match;
       ] );
   ]
