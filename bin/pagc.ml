@@ -739,8 +739,10 @@ let schedule_arg =
         ~doc:
           "Instance schedule: static = the paper's Split placement with \
            the combined evaluator, dynamic = the same protocol \
-           all-dynamic, steal = work-stealing deques over the unified \
-           engine with Split owner-affinity seeding.")
+           all-dynamic, steal = work-stealing deques: on sim over every \
+           rule instance with Split owner-affinity seeding, on domains \
+           over the combined evaluator's tasks (spine rule instances and \
+           static visits).")
 
 let transport_arg =
   Arg.(
@@ -780,8 +782,9 @@ let dag_arg =
                  rule-instance set per (repeated-subtree class, inherited \
                  context); the other occurrences carry no instances and \
                  receive their attributes by projection. On domains the \
-                 steal schedule ignores --dag and runs its plain \
-                 per-occurrence instance table. --edit-session and --serve keep \
+                 steal schedule ignores --dag and runs the same combined \
+                 task graph as without it: rule instances on the spine, \
+                 static visit tasks off it. --edit-session and --serve keep \
                  resident sessions on that projection runtime and split a \
                  class only where an edit diverges. Rules that allocate \
                  unique labels fall back to per-occurrence evaluation, so \

@@ -88,15 +88,33 @@ dune exec bin/pagc.exe -- --machines 3 --schedule steal \
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_seq_smoke.s > /tmp/pagc_seq_smoke.masked
 sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_steal_smoke.s > /tmp/pagc_steal_smoke.masked
 cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_steal_smoke.masked
-# The same steal loop on real domains: one domain, two, two under --dag
-# (which domains steal ignores: no plan, the plain instance table), and
-# four machines, which run on min(4, cores) domains.
+# The same steal loop on real domains: one domain, two, two under --dag,
+# and four machines, which run on min(4, cores) domains. Domains steal
+# runs the combined evaluator's task graph (spine rule instances plus
+# static visit tasks) and ignores --dag: the DAG runtime's projection
+# bookkeeping is single-threaded.
 for flags in "--machines 1" "--machines 2" "--machines 2 --dag" "--machines 4"; do
   dune exec bin/pagc.exe -- --transport domains --schedule steal $flags \
     examples/primes.pas -o /tmp/pagc_steal_domains_smoke.s 2>/dev/null
   sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_steal_domains_smoke.s > /tmp/pagc_steal_domains_smoke.masked
   cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_steal_domains_smoke.masked
 done
+# A long spine: examples/skewed.pas is Progen.skewed_program ~chain:200,
+# whose 200-step expression chains put most rule instances on the spine
+# and leave the side expressions to static visit tasks. Its domains steal
+# compile at 2 and 4 machines must emit the sequential compile's masked
+# assembly, and --explain on domains steal (provenance puts every node
+# on the spine) must verify its slice.
+dune exec bin/pagc.exe -- examples/skewed.pas -o /tmp/pagc_skewed_seq.s 2>/dev/null
+sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_skewed_seq.s > /tmp/pagc_skewed_seq.masked
+for m in 2 4; do
+  dune exec bin/pagc.exe -- --transport domains --schedule steal --machines $m \
+    examples/skewed.pas -o /tmp/pagc_skewed_steal.s 2>/dev/null
+  sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_skewed_steal.s > /tmp/pagc_skewed_steal.masked
+  cmp /tmp/pagc_skewed_seq.masked /tmp/pagc_skewed_steal.masked
+done
+dune exec bin/pagc.exe -- --transport domains --schedule steal --machines 2 \
+  --explain root.code examples/skewed.pas >/dev/null 2>&1
 # Domains transport smoke: the static protocol on real domains (all
 # machines on the calling domain at 1, one fragment per core beyond) must
 # emit the sequential compile's masked assembly.

@@ -10,9 +10,10 @@ open Pag_obs
    core once: a flat table of rule instances (rule, owning node, target
    slot, argument codes). Schedulers differ only in the order they call
    {!fire}/{!fire_at} — the ready-queue topological order here
-   ({!run_topo}), the plan's visit sequences ({!Static_eval}), the worker's
-   item graph, the dirty cone of an edit ({!Incr}), or the work-stealing
-   loop here ({!steal_loop}) over a machine set.
+   ({!run_topo}), the plan's visit sequences ({!Static_eval}), the combined
+   evaluator's task graph ({!Taskgraph}), the dirty cone of an edit
+   ({!Incr}), or the work-stealing loop here ({!steal_loop}) over a
+   machine set.
 
    Layout mirrors the store's dense slot ids: instances of one node are
    consecutive, [rid_base] maps a node's dense index to its first rule id,
@@ -595,26 +596,49 @@ let run_topo e gr =
 (* ------------------------------------------------------------------ *)
 
 (* Same data-driven fixed point as {!run_topo}, parallel across a machine
-   set. One loop serves every set: real domains ({!run_steal}) and the
-   network simulator's machine fibers (the runner's simulated steal
-   schedule) differ only in how machines start, how one fires an instance
-   and what that costs, how a probe moves work and how a failed probe
-   waits.
+   set and over a task graph. One loop serves every set: real domains
+   ({!run_tasks}) and the network simulator's machine fibers (the runner's
+   simulated steal schedule) differ only in how machines start, how one
+   runs a task and what that costs, how a probe moves work and how a
+   failed probe waits. A task is a rule instance ({!rule_tasks}) or a task
+   of the combined evaluator's graph ({!Taskgraph}): a spine rule instance
+   or a static visit.
 
-   Readiness lives in per-instance atomic dependency counters; ready rids
+   Readiness lives in per-task atomic dependency counters; ready task ids
    sit in per-machine Chase-Lev deques ({!Steal}). A machine pops its own
    deque LIFO, and when empty probes a pseudo-randomly chosen victim,
    backing off exponentially between failed probes.
 
-   Termination is an exact task census: [pending] counts rule instances
-   that are ready-but-unfired or currently executing. A finishing instance
-   increments [pending] for each consumer it releases {e before} pushing
-   it and decrements itself only {e after} all pushes, so [pending] can
-   only reach zero when no task exists anywhere and none can appear —
-   which is either completion or a dependency cycle, distinguished after
-   the run by comparing firings against the live-instance count. A
-   machine whose firing raises poisons the census so the others drain and
-   exit; the exception is re-raised once every machine has returned. *)
+   Termination is an exact task census: [pending] counts tasks that are
+   ready-but-unrun or currently executing. A finishing task increments
+   [pending] for each consumer it releases {e before} pushing it and
+   decrements itself only {e after} all pushes, so [pending] can only
+   reach zero when no task exists anywhere and none can appear — which is
+   either completion or a dependency cycle, distinguished after the run by
+   comparing runs against the live-task count. A machine whose task raises
+   poisons the census so the others drain and exit; the exception is
+   re-raised once every machine has returned. *)
+
+type tasks = {
+  tk_count : int;
+  tk_unmet : int -> int;
+  tk_release : int -> (int -> unit) -> unit;
+}
+
+let unset_args e rid =
+  let w = ref 0 in
+  iter_slot_args e rid (fun slot ->
+      if not (Store.slot_is_set e.e_store slot) then incr w);
+  !w
+
+(* A dead instance is never added, so its counter stays at zero and no
+   release can bring it to one: releasing a slot need not skip it. *)
+let rule_tasks e gr =
+  {
+    tk_count = e.e_n;
+    tk_unmet = (fun rid -> if is_dead e rid then -1 else unset_args e rid);
+    tk_release = (fun slot f -> iter_consumers gr slot f);
+  }
 
 type machines = {
   ms_count : int;
@@ -630,25 +654,28 @@ type machines = {
   ms_refill : int -> bool;
 }
 
-let steal_loop e gr ~owner ms =
+let steal_loop e tasks ~owner ms =
   let count = max 1 ms.ms_count in
-  (* growable: work added mid-run ([seed]) appends rule ids *)
-  let waiting = ref (Array.init (max 1 e.e_n) (fun _ -> Atomic.make 0)) in
+  (* growable: work added mid-run ([seed]) appends task ids *)
+  let waiting =
+    ref (Array.init (max 1 tasks.tk_count) (fun _ -> Atomic.make 0))
+  in
   let deques = Array.init count (fun _ -> Steal.create ()) in
   let stats = Array.init count (fun _ -> Steal.zero_stats ()) in
-  (* count a live instance's unset arguments; queue it on [d] when none *)
+  (* count a live task's unmet dependencies; queue it on [d] when none *)
   let live = ref 0 in
-  let add d rid =
-    incr live;
-    let w = ref 0 in
-    iter_slot_args e rid (fun slot ->
-        if not (Store.slot_is_set e.e_store slot) then incr w);
-    Atomic.set !waiting.(rid) !w;
-    !w = 0 && (Steal.push deques.(d) rid; true)
+  let add d t =
+    let w = tasks.tk_unmet t in
+    w >= 0
+    && begin
+         incr live;
+         Atomic.set !waiting.(t) w;
+         w = 0 && (Steal.push deques.(d) t; true)
+       end
   in
   let seeded = ref 0 in
-  for rid = 0 to e.e_n - 1 do
-    if (not (is_dead e rid)) && add (owner rid) rid then incr seeded
+  for t = 0 to tasks.tk_count - 1 do
+    if add (owner t) t then incr seeded
   done;
   let pending = Atomic.make !seeded in
   let seed d lo hi =
@@ -658,22 +685,21 @@ let steal_loop e gr ~owner ms =
       waiting :=
         Array.init (max hi (2 * len)) (fun i ->
             if i < len then w.(i) else Atomic.make 0);
-    for rid = lo to hi - 1 do
-      if (not (is_dead e rid)) && add d rid then Atomic.incr pending
+    for t = lo to hi - 1 do
+      if add d t then Atomic.incr pending
     done
   in
   let release d =
     let my = deques.(d) and st = stats.(d) in
-    fun slot ->
-      let w = !waiting in
-      iter_consumers gr slot (fun c ->
-          if (not (is_dead e c)) && Atomic.fetch_and_add w.(c) (-1) = 1
-          then begin
-            Atomic.incr pending;
-            Steal.push my c;
-            let depth = Steal.size my in
-            if depth > st.st_hwm then st.st_hwm <- depth
-          end)
+    let met c =
+      if Atomic.fetch_and_add !waiting.(c) (-1) = 1 then begin
+        Atomic.incr pending;
+        Steal.push my c;
+        let depth = Steal.size my in
+        if depth > st.st_hwm then st.st_hwm <- depth
+      end
+    in
+    fun key -> tasks.tk_release key met
   in
   let failure = Atomic.make None in
   let body d =
@@ -697,8 +723,8 @@ let steal_loop e gr ~owner ms =
     let rec loop backoff =
       if more () then
         match Steal.pop my with
-        | Some rid ->
-            fire rid;
+        | Some t ->
+            fire t;
             st.st_fired <- st.st_fired + 1;
             Atomic.decr pending;
             loop 0
@@ -732,14 +758,6 @@ let steal_loop e gr ~owner ms =
   let fired =
     Array.fold_left (fun a (st : Steal.stats) -> a + st.st_fired) 0 stats
   in
-  (* sequential epilogue: restore store invariants for every fired target
-     (a live rid fired iff its dependency counter drained to zero) — a
-     set that pokes values leaves the byte-granular set-bits behind *)
-  let w = !waiting in
-  for rid = 0 to e.e_n - 1 do
-    if (not (is_dead e rid)) && Atomic.get w.(rid) <= 0 then
-      Store.commit_slot e.e_store e.e_target.(rid)
-  done;
   if fired < !live then
     raise
       (Cycle
@@ -749,54 +767,42 @@ let steal_loop e gr ~owner ms =
             (Store.missing e.e_store)));
   (fired, stats)
 
-(* The domains machine set. Firing writes targets with {!Store.poke} — the
-   store's set-bitset is byte-granular, so bits are restored by the
-   loop's sequential epilogue. Publication is sound: the non-atomic target
-   write precedes the atomic counter decrement, and a consumer only reads
-   the slot after observing the counter reach zero through that same
-   atomic. *)
+(* The domains machine set. Tasks write slots with {!Store.poke}: the
+   store's set-bitset is byte-granular, so marking bits from several
+   domains would race. A task marks each slot it writes in [written], one
+   byte per slot, and once every domain has returned the calling domain
+   sets the bits of exactly those slots, so a slot that no task wrote
+   still counts in {!Store.missing}. Publication is sound: the non-atomic
+   writes precede the atomic counter decrement that releases a consumer,
+   and the consumer reads the slot only after observing that counter
+   reach zero. *)
 
-let gather_quiet e rid =
-  let lo = e.e_arg_off.(rid) and hi = e.e_arg_off.(rid + 1) in
-  let args = Array.make (hi - lo) Value.Unit in
-  for k = lo to hi - 1 do
-    let c = e.e_arg_code.(k) in
-    args.(k - lo) <-
-      (if c >= 0 then Store.peek e.e_store c else e.e_consts.(-c - 1))
-  done;
-  args
-
-let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
-    ?(prov_clock = fun () -> 0.0) e gr =
-  let n = e.e_n in
+let run_tasks ?(domains = 2) ?owner ?(uid_base = 0) e tasks ~fire =
+  let n = tasks.tk_count in
   let d_count = Pag_util.Placement.count domains in
   let owner =
     match owner with
-    | Some f -> fun rid -> min (d_count - 1) (max 0 (f rid))
-    | None -> fun rid -> if n = 0 then 0 else rid * d_count / n
+    | Some f -> fun t -> min (d_count - 1) (max 0 (f t))
+    | None -> fun t -> if n = 0 then 0 else t * d_count / n
   in
+  let slots = Store.slot_count e.e_store in
+  let written = Bytes.make slots '\000' in
   let start ~seed:_ ~release:_ body =
     (* fresh domains have no ambient uid base; give each its own stripe *)
     ignore
       (Pag_util.Placement.run d_count (fun d ->
            Uid.with_counter (ref (uid_base + (d * Uid.stride))) (fun () ->
-               body d)))
+               body d)));
+    for slot = 0 to slots - 1 do
+      if Bytes.unsafe_get written slot <> '\000' then
+        Store.commit_slot e.e_store slot
+    done
   in
-  let fire d ~release =
-    (* each domain records into its own ring; pid = domain id *)
-    let ring = match prov with Some ps -> ps.(d) | None -> Prov.disabled in
-    fun rid ->
-      let tgt = e.e_target.(rid) in
-      let t0 = if Prov.enabled ring then prov_clock () else 0.0 in
-      Store.poke e.e_store tgt
-        (e.e_rules.(rid).Grammar.r_fn (gather_quiet e rid));
-      if Prov.enabled ring then begin
-        Prov.record ring ~rid ~pid:d ~target:tgt ~t0 ~t1:(prov_clock ())
-          ~replay:false;
-        iter_slot_args e rid (fun slot -> Prov.arg ring slot)
-      end;
-      release tgt
+  let poke slot v =
+    Store.poke e.e_store slot v;
+    Bytes.set written slot '\001'
   in
+  let fire d ~release = fire d ~poke ~release in
   (* a failed probe spins, doubling up to 2^10 rounds; the idle time
      reported is the wall-clock time spent spinning *)
   let wait _ backoff =
@@ -806,16 +812,45 @@ let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
     done;
     Unix.gettimeofday () -. t0
   in
+  steal_loop e tasks ~owner
+    {
+      ms_count = d_count;
+      ms_start = start;
+      ms_fire = fire;
+      ms_probe = (fun _ _ ~victim:_ v ~into -> Steal.steal_half v ~into);
+      ms_wait = wait;
+      ms_refill = (fun _ -> false);
+    }
+
+(* The parallel phase's firing: arguments are peeked, the target goes to
+   the machine set's [poke], and an enabled [ring] (the domain's own)
+   records the firing under [pid] with [clock]. *)
+let fire_quiet e ~ring ~pid ~clock ~poke rid =
+  let t0 = if Prov.enabled ring then clock () else 0.0 in
+  let lo = e.e_arg_off.(rid) and hi = e.e_arg_off.(rid + 1) in
+  let args = Array.make (hi - lo) Value.Unit in
+  for k = lo to hi - 1 do
+    let c = e.e_arg_code.(k) in
+    args.(k - lo) <-
+      (if c >= 0 then Store.peek e.e_store c else e.e_consts.(-c - 1))
+  done;
+  let tgt = e.e_target.(rid) in
+  poke tgt (e.e_rules.(rid).Grammar.r_fn args);
+  if Prov.enabled ring then begin
+    Prov.record ring ~rid ~pid ~target:tgt ~t0 ~t1:(clock ()) ~replay:false;
+    iter_slot_args e rid (fun slot -> Prov.arg ring slot)
+  end
+
+let run_steal ?domains ?owner ?uid_base ?prov ?(prov_clock = fun () -> 0.0) e
+    gr =
+  let fire d ~poke ~release =
+    let ring = match prov with Some ps -> ps.(d) | None -> Prov.disabled in
+    fun rid ->
+      fire_quiet e ~ring ~pid:d ~clock:prov_clock ~poke rid;
+      release e.e_target.(rid)
+  in
   let fired, stats =
-    steal_loop e gr ~owner
-      {
-        ms_count = d_count;
-        ms_start = start;
-        ms_fire = fire;
-        ms_probe = (fun _ _ ~victim:_ v ~into -> Steal.steal_half v ~into);
-        ms_wait = wait;
-        ms_refill = (fun _ -> false);
-      }
+    run_tasks ?domains ?owner ?uid_base e (rule_tasks e gr) ~fire
   in
   e.e_fired <- e.e_fired + fired;
   (fired, stats)

@@ -7,11 +7,13 @@
     codes) over a store, plus the slot-level dependency graph. Evaluators are just schedules
     over it: the data-driven topological order ({!run_topo}, used by
     {!Dynamic}), the plan's visit sequences ({!Static_eval}, which fire
-    from the rules' references and need no table), the parallel
-    worker's item graph ({!Pag_parallel.Worker}), the dirty cone of an
-    edit ({!Incr}), and the work-stealing loop ({!steal_loop}), written
-    once and run over a machine set — real domains ({!run_steal}) or the
-    network simulator's machine fibers ({!Pag_parallel.Runner}).
+    from the rules' references and need no table), the combined
+    evaluator's task graph of spine rule instances and static visits
+    ({!Taskgraph}, run by the parallel worker and by the steal loop), the
+    dirty cone of an edit ({!Incr}), and the work-stealing loop
+    ({!steal_loop}), written once and run over a machine set — real
+    domains ({!run_tasks}) or the network simulator's machine fibers
+    ({!Pag_parallel.Runner}).
 
     Instances of one node are consecutive and keyed by the store's dense
     preorder index, so [(node, rule index)] resolves to a rule id with two
@@ -197,27 +199,46 @@ val run_topo : t -> graph -> int
 (** {1 Work-stealing schedule}
 
     One loop fires the same fixed point as {!run_topo} across a set of
-    machines: per-machine Chase-Lev deques of ready instance ids
-    ({!Steal}), atomic dependency counters, xorshift victim choice with
-    exponential backoff between failed probes, and an exact task-census
-    termination barrier. The loop owns all of that; a machine set says
-    only where machines run and what their work costs. {!run_steal} runs
-    the loop on real domains; the runner's simulated steal schedule runs
-    it on network-simulator fibers. *)
+    machines: per-machine Chase-Lev deques of ready task ids ({!Steal}),
+    atomic dependency counters, xorshift victim choice with exponential
+    backoff between failed probes, and an exact task-census termination
+    barrier. The loop owns all of that; a task graph says what the tasks
+    are, and a machine set says only where machines run and what their
+    work costs. {!run_tasks} runs the loop on real domains; the runner's
+    simulated steal schedule runs it on network-simulator fibers. *)
+
+(** A task graph: tasks [0 .. tk_count - 1].
+
+    - [tk_unmet t] is task [t]'s count of unmet dependencies at the start,
+      negative when [t] is no task (a dead rule instance).
+    - [tk_release key f] calls [f] once per dependency a released [key]
+      meets, naming the task that has it. What a key is belongs to the
+      graph: a slot for {!rule_tasks}, a task id for {!Taskgraph}. *)
+type tasks = {
+  tk_count : int;
+  tk_unmet : int -> int;
+  tk_release : int -> (int -> unit) -> unit;
+}
+
+(** One task per live rule instance, task id = rule id: a task waits for
+    its unset slot arguments, and releasing a slot releases the instances
+    that read it. Grows with the engine: rule ids {!append}ed or
+    materialized mid-run are tasks too. *)
+val rule_tasks : t -> graph -> tasks
 
 (** A machine set. Machines are numbered [0 .. ms_count - 1]; machine [d]
     seeds its victim choice from [d + 1].
 
     - [ms_start ~seed ~release body] runs [body d] for every machine to
-      completion (a body never raises). [seed d lo hi] registers rule ids
-      [lo .. hi - 1] appended mid-run and queues the ready ones on [d]'s
-      deque; [release d slot] queues the consumers a slot defined outside
-      any firing made ready. A set whose work never grows ignores both.
+      completion (a body never raises). [seed d lo hi] registers tasks
+      [lo .. hi - 1] added mid-run and queues the ready ones on [d]'s
+      deque; [release d key] queues the tasks a key released outside any
+      task made ready. A set whose work never grows ignores both.
     - [ms_fire d ~release] is machine [d]'s firing closure, built once per
-      machine. It fires one instance, charges its cost, and calls
-      [release target] to queue the consumers that became ready.
+      machine. It runs one task, charges its cost, and calls
+      [release key] to queue the tasks that became ready.
     - [ms_probe d stats ~victim deque ~into] moves work from [victim]'s
-      [deque] into [d]'s deque [into] and returns the number of instances
+      [deque] into [d]'s deque [into] and returns the number of tasks
       moved; a probe that itself idles adds the time to [stats.st_idle].
     - [ms_wait d round] waits after a failed probe ([round] counts the
       consecutive failures, capped at 16) and returns the idle seconds.
@@ -238,24 +259,63 @@ type machines = {
   ms_refill : int -> bool;
 }
 
-(** [steal_loop e gr ~owner ms] seeds every live instance whose arguments
-    are set on machine [owner rid]'s deque (an affinity hint — stealing
-    overrides it), runs the machine set, then marks every fired target set
-    in the store. Returns the number of firings and the per-machine
-    scheduler statistics. Re-raises the first exception a firing raised;
-    raises {!Cycle} when live instances remain unfired. *)
+(** [steal_loop e tasks ~owner ms] seeds every live task with no unmet
+    dependency on machine [owner t]'s deque (an affinity hint — stealing
+    overrides it) and runs the machine set. Returns the number of tasks
+    run and the per-machine scheduler statistics. Re-raises the first
+    exception a task raised; raises {!Cycle} when live tasks remain
+    unrun. *)
 val steal_loop :
-  t -> graph -> owner:(int -> int) -> machines -> int * Steal.stats array
+  t -> tasks -> owner:(int -> int) -> machines -> int * Steal.stats array
 
-(** [run_steal ~domains ~owner ~uid_base e gr] runs {!steal_loop} on
-    [D = Pag_util.Placement.count domains] machines, one per domain (the
-    caller's hosting machine 0). [owner] maps a rule-instance id to a
-    machine (clamped); the default block-partitions the instance table. Each
-    domain [d] allocates uids from its own stripe
-    [uid_base + d * Uid.stride], so label numbers depend on the schedule
-    (compare label-masked output across schedules, or use a grammar that
-    consumes no uids for bit-identical stores). A failed probe spins with
-    exponential backoff; [st_idle] is the wall-clock time spent spinning.
+(** [run_tasks ~domains ~owner ~uid_base e tasks ~fire] runs {!steal_loop}
+    on [D = Pag_util.Placement.count domains] machines, one per domain (the
+    caller's hosting machine 0). [owner] maps a task to a machine
+    (clamped); the default block-partitions the task ids. Each domain [d]
+    allocates uids from its own stripe [uid_base + d * Uid.stride], so
+    label numbers depend on the schedule.
+
+    [fire d ~poke ~release] builds domain [d]'s firing closure: it runs one
+    task, writes every slot the task defines through [poke] (never through
+    the store's checked setters, whose set-bits are not domain-safe), and
+    calls [release] on the task's key. Once every domain has returned, the
+    calling domain marks the poked slots set; a slot no task poked stays
+    unset and counts in {!Store.missing}. A failed probe spins with
+    exponential backoff; [st_idle] is the wall-clock time spent
+    spinning. *)
+val run_tasks :
+  ?domains:int ->
+  ?owner:(int -> int) ->
+  ?uid_base:int ->
+  t ->
+  tasks ->
+  fire:
+    (int ->
+    poke:(int -> Value.t -> unit) ->
+    release:(int -> unit) ->
+    int ->
+    unit) ->
+  int * Steal.stats array
+
+(** [fire_quiet e ~ring ~pid ~clock ~poke rid] is {!fire} for a task of
+    {!run_tasks}: it reads the arguments with {!Store.peek}, hands the
+    target slot and value to [poke], and, when [ring] is enabled, records
+    the firing under [pid] timed by [clock]. *)
+val fire_quiet :
+  t ->
+  ring:Pag_obs.Prov.t ->
+  pid:int ->
+  clock:(unit -> float) ->
+  poke:(int -> Value.t -> unit) ->
+  int ->
+  unit
+
+(** [run_steal ~domains ~owner ~uid_base e gr] is {!run_tasks} over
+    {!rule_tasks}: every live rule instance of a fully-rowed engine is one
+    task, fired by {!fire_quiet}. [owner] maps a rule-instance id to a
+    machine; the default block-partitions the instance table. Compare
+    label-masked output across schedules, or use a grammar that consumes
+    no uids for bit-identical stores.
 
     The engine-attached provenance ring is not used here (it is not
     domain-safe): pass [prov], one ring per domain (at least [D]), and

@@ -35,6 +35,29 @@ let visit ?memo plan eng node v =
   go node v;
   (!visits, !evals)
 
+(* [visit] for a task of the steal schedule, which runs visits of disjoint
+   subtrees on several domains at once: no memo, and every rule fires
+   through {!Store.poke_rule}, so the walk touches no set-bit or
+   counter. *)
+let visit_poked plan store ~poke node v =
+  let visits = ref 0 and evals = ref 0 in
+  let rec go node v =
+    match node.Tree.prod with
+    | None -> ()
+    | Some p ->
+        incr visits;
+        List.iter
+          (function
+            | Kastens.Eval r ->
+                Store.poke_rule store node p.Grammar.p_rules.(r) ~poke;
+                incr evals
+            | Kastens.Visit { child; visit } ->
+                go node.Tree.children.(child) visit)
+          (Kastens.visit_seq plan ~prod:p.Grammar.p_id ~visit:v)
+  in
+  go node v;
+  (!visits, !evals)
+
 let eval ?(obs = Obs.null_ctx) ?root_inh ?(dag = false) ?(prov = Prov.disabled)
     ?prov_clock ?(engine_out = fun _ -> ()) plan t =
   let r, _ =

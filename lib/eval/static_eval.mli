@@ -50,3 +50,16 @@ val eval :
     a memoized subtree replay counts as one visit and no evals. *)
 val visit :
   ?memo:Memo.t -> Kastens.plan -> Engine.t -> Tree.t -> int -> int * int
+
+(** [visit_poked plan store ~poke node v] is {!visit} for a task of the
+    steal schedule ({!Taskgraph.run_steal}), whose domains run visits of
+    disjoint subtrees at once: it reads arguments with {!Store.peek} and
+    writes every target through [poke] ({!Store.poke_rule}), touching no
+    set-bit or counter. No memo. Returns (visits, evals). *)
+val visit_poked :
+  Kastens.plan ->
+  Store.t ->
+  poke:(int -> Value.t -> unit) ->
+  Tree.t ->
+  int ->
+  int * int

@@ -378,6 +378,22 @@ let apply_rule s node (rule : Grammar.rule) =
     v;
   v
 
+(* [apply_rule] for the parallel phase: arguments are peeked, and the
+   target slot and value go to the caller's [poke]. *)
+let poke_rule s node (rule : Grammar.rule) ~poke =
+  let deps = rule.Grammar.r_rdeps in
+  let args = Array.make (Array.length deps) Value.Unit in
+  for k = 0 to Array.length deps - 1 do
+    let d = deps.(k) in
+    let dn = node_of_pos node d.Grammar.rr_pos in
+    args.(k) <-
+      (if d.Grammar.rr_term then Tree.term_attr dn d.Grammar.rr_name
+       else peek s (s.base.(dense_index s dn) + d.Grammar.rr_attr))
+  done;
+  let t = rule.Grammar.r_rtarget in
+  let tn = node_of_pos node t.Grammar.rr_pos in
+  poke (s.base.(dense_index s tn) + t.Grammar.rr_attr) (rule.Grammar.r_fn args)
+
 (* ------------------------------------------------------------------ *)
 (* Slot ranges (subtree memoization support)                           *)
 (* ------------------------------------------------------------------ *)

@@ -124,7 +124,7 @@ val define_slot : t -> int -> Value.t -> unit
 
 (** {2 Parallel-phase primitives}
 
-    The work-stealing evaluator ({!Pag_eval.Engine.run_steal}) writes
+    The work-stealing evaluator ({!Pag_eval.Engine.run_tasks}) writes
     slots from several domains at once. The set-bitset is byte-granular —
     marking bits concurrently would be a read-modify-write race — so the
     parallel phase uses these unchecked primitives and tracks readiness
@@ -141,6 +141,12 @@ val peek : t -> int -> Value.t
 (** Mark a poked slot as set (idempotent; counts in {!sets} once). Must be
     called sequentially, after the parallel phase has joined. *)
 val commit_slot : t -> int -> unit
+
+(** [poke_rule store node rule ~poke] is {!apply_rule} for the parallel
+    phase: it reads the arguments with {!peek} and hands the target slot
+    and the computed value to [poke] instead of setting the slot. *)
+val poke_rule :
+  t -> Tree.t -> Grammar.rule -> poke:(int -> Value.t -> unit) -> unit
 
 (** Overwrite a slot unconditionally — the change-propagation primitive of
     incremental re-evaluation. Returns [true] when the stored value

@@ -731,7 +731,7 @@ let run_sim_steal opts g tree =
     | _ -> false
   in
   let _, stats =
-    Eng.steal_loop eng gr ~owner
+    Eng.steal_loop eng (Eng.rule_tasks eng gr) ~owner
       {
         Eng.ms_count = m;
         ms_start = start;
@@ -849,29 +849,43 @@ let domains_row ~fragments ~horizon (worker_stats : Worker.stats array) pid =
     rm_max_queue = -1;
   }
 
-(* Work-stealing evaluation on real domains: {!Eng.run_steal} over
-   [D = min m cores] loop machines, fragment [f] seeded on machine
-   [f mod D] (owner affinity from the Split placement). The CPU does the
-   actual work, so no cost model applies; [st_idle] is the wall-clock time
-   each domain spent backing off. *)
-let run_domains_steal opts g tree =
+(* The steal schedule's spine on domains: a node whose subtree holds more
+   than [1 / (spine_parts * D)] of the tree's rule instances. On the
+   skewed program (1600-step chains) at two domains of a 2-core machine,
+   8 and 16 parts per domain evaluate within 4% of each other, 32 and 64
+   parts 2-10% slower; 16, the finer of the two, leaves more tasks to
+   steal. *)
+let spine_parts = 16
+
+(* Work-stealing evaluation on real domains: the combined evaluator's task
+   graph ({!Pag_eval.Taskgraph}) on {!Eng.run_tasks} over [D = min m cores]
+   loop machines. The spine's rule instances are tasks of their own, and
+   every subtree hanging off the spine is one task per static visit. The
+   CPU does the actual work, so no cost model applies; [st_idle] is the
+   wall-clock time each domain spent backing off. *)
+let run_domains_steal opts g plan tree =
   let t0 = Unix.gettimeofday () in
-  let split = decompose opts g tree in
+  (* Stealing places no fragments: the plan is the unsplit tree, which
+     also numbers a tree built without ids. *)
+  let split =
+    Split.decompose g tree ~machines:1 ~granularity:opts.granularity
+  in
   let m = max 1 opts.machines in
   let d = Pag_util.Placement.count m in
   let store = ESt.create_shared g tree in
-  (* No DAG plan here, even under [use_dag]: the DAG runtime's projection
-     bookkeeping is single-threaded and [Engine.run_steal] owns the whole
-     schedule on this transport, so a plan could only be materialized
-     region by region up front — all of its cost and none of its sharing.
-     [--dag] on domains steal therefore runs the plain per-occurrence
-     instance table. *)
-  let eng = Eng.create g store in
-  let gr = Eng.graph eng in
-  let node_frag = fragment_affinity split store in
-  let owner rid =
-    node_frag.(ESt.dense_index store (Eng.node_of eng rid)) mod d
+  (* Without a plan, or with provenance (whose rings name firings by rule
+     id), every node is on the spine: one task per rule instance. No DAG
+     plan either, even under [use_dag]: the DAG runtime's projection
+     bookkeeping is single-threaded, so [--dag] on domains steal runs the
+     same graph as without it. *)
+  let plan = if opts.provenance then None else plan in
+  let spine =
+    match plan with
+    | Some _ -> Pag_eval.Taskgraph.heavy store ~parts:(spine_parts * d)
+    | None -> fun _ -> true
   in
+  let eng = Eng.create ~rules_for:spine g store in
+  let tg = Pag_eval.Taskgraph.of_store eng plan in
   (* One ring per domain (the shared engine's attached ring is not
      domain-safe); pids are domain ids, timestamps wall-clock relative to
      the run start. *)
@@ -881,23 +895,30 @@ let run_domains_steal opts g tree =
       Some (Array.init d (fun _ -> Prov.create ~arity ()))
     else None
   in
-  let _, stats =
-    Eng.run_steal ~domains:d ~owner ~uid_base:Uid.stride ?prov:provs
+  let ts = Unix.gettimeofday () in
+  let stats, fired =
+    Pag_eval.Taskgraph.run_steal ~domains:d ~uid_base:Uid.stride ?prov:provs
       ~prov_clock:(fun () -> Unix.gettimeofday () -. t0)
-      eng gr
+      tg
   in
   let t1 = Unix.gettimeofday () in
   let ctxs =
     make_ctxs opts ~n:(d + 1) ~clock:(fun () -> Unix.gettimeofday () -. t0)
   in
   steal_metrics ctxs stats;
+  (* The set-up before the loop runs on domain 0 alone: the other domains
+     do not exist yet, so it is idle time on theirs. *)
+  let setup = ts -. t0 in
   let worker_stats =
-    Array.map
-      (fun (st : Steal.stats) ->
+    Array.mapi
+      (fun k (st : Steal.stats) ->
+        let f = fired.(k) in
         {
           Worker.zero_stats with
-          ws_dynamic_rules = st.Steal.st_fired;
-          ws_idle_wait = st.Steal.st_idle;
+          ws_dynamic_rules = f.Pag_eval.Taskgraph.f_rules;
+          ws_static_rules = f.f_static_rules;
+          ws_visits = f.f_visits;
+          ws_idle_wait = (st.Steal.st_idle +. if k = 0 then 0.0 else setup);
         })
       stats
   in
@@ -923,7 +944,7 @@ let run_domains_steal opts g tree =
     r_bytes = 0;
     r_fragments = m;
     r_split = split;
-    r_dynamic_fraction = 1.0;
+    r_dynamic_fraction = Obs.Report.dynamic_fraction report;
     r_retransmits = 0;
     r_recovered = false;
     r_fault_stats = None;
@@ -1045,5 +1066,5 @@ let run_domains_static opts g plan tree =
 
 let run_domains opts g plan tree =
   match opts.schedule with
-  | `Steal -> run_domains_steal opts g tree
+  | `Steal -> run_domains_steal opts g plan tree
   | `Static | `Dynamic -> run_domains_static opts g plan tree

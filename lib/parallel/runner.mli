@@ -28,13 +28,21 @@
     The work-stealing schedule is written once as well:
     {!Pag_eval.Engine.steal_loop} owns the readiness counters, deques,
     census, victim choice, backoff and termination, and each transport
-    supplies only a machine set. On domains that is
-    {!Pag_eval.Engine.run_steal} over [D = min machines cores] machines,
-    fragment [f] seeded on machine [f mod D]; on the simulator it is one
-    [Sim] fiber per machine plus the parser, with firings charged at
-    [Cost.steal_rule], probes priced as Ethernet frames under the fault
-    plan, and backoff as virtual delay. Domains report each of the [D]
-    evaluators' measured backoff time as its idle time.
+    supplies only a task graph and a machine set. On the simulator the
+    tasks are every rule instance ({!Pag_eval.Engine.rule_tasks}), fragment
+    [f] seeding machine [f mod machines], and the machines are one [Sim]
+    fiber each plus the parser, with firings charged at [Cost.steal_rule],
+    probes priced as Ethernet frames under the fault plan, and backoff as
+    virtual delay. On domains the tasks are the combined evaluator's
+    ({!Pag_eval.Taskgraph}): a node whose subtree holds more than
+    [1 / (16 * D)] of the tree's rule instances is on the spine and its
+    rule instances are tasks; every subtree hanging off the spine is one
+    task per static visit. [D = min machines cores] domains run them
+    ({!Pag_eval.Engine.run_tasks}). Without a plan, or with provenance
+    (whose rings name firings by rule id), every node is on the spine.
+    Domains report each of the [D] evaluators' measured backoff time as
+    its idle time, plus, on every domain but the caller's, the serial
+    set-up before the loop starts.
 
     With [machines = 1] the combined evaluator degenerates to the sequential
     static evaluator and the dynamic evaluator to the sequential dynamic
@@ -51,13 +59,15 @@ type options = {
       (** [`Static] (default) and [`Dynamic] run the paper's protocol —
           fragment shipping plus per-fragment workers — with the combined
           static/dynamic evaluator resp. the all-dynamic one ({!Worker.mode}).
-          [`Steal] runs the work-stealing instance scheduler instead:
-          per-machine Chase-Lev deques over the unified engine's flat
-          rule-instance table, seeded by Split owner affinity, with
-          steal-half victim selection and exponential backoff. In steal
-          mode [machines] counts evaluator machines directly (fragment [i]
-          seeds machine [i mod machines]; extra machines start empty and
-          steal; on domains [min machines cores] of them run), the
+          [`Steal] runs the work-stealing scheduler instead:
+          per-machine Chase-Lev deques with steal-half victim selection
+          and exponential backoff, over every rule instance of the
+          unified engine on the simulator (seeded by Split owner
+          affinity: fragment [i] seeds machine [i mod machines], extra
+          machines start empty and steal), and over the combined
+          evaluator's spine rule instances and static visit tasks on
+          domains, where [min machines cores] machines run. In steal mode
+          [machines] counts evaluator machines directly, the
           librarian/priority options are ignored, and fault plans are
           priced against steal probes only. *)
   granularity : float;
@@ -83,8 +93,9 @@ type options = {
             assignments are priced as their shared wire encoding
             ({!Split.dag_bytes}).
           - [`Steal] on domains: no sharing — the projection bookkeeping
-            is single-threaded, so the run builds the plain per-occurrence
-            instance table, exactly as without [use_dag].
+            is single-threaded, so the run builds the same task graph
+            (spine rule instances, static visit tasks) as without
+            [use_dag].
 
           Uid-consuming rules taint their classes and fall back to
           per-occurrence evaluation, so output is unchanged up to label

@@ -1,7 +1,9 @@
-(** Chase-Lev-style work-stealing deque of rule-instance ids.
+(** Chase-Lev-style work-stealing deque of task ids: rule-instance ids, or
+    the combined evaluator's task ids (spine rule instances and static
+    visits, {!Pag_eval.Taskgraph}).
 
     One deque per domain (or per simulated machine). The owner pushes and
-    pops ready instance ids at the bottom in LIFO order — newly-released
+    pops ready task ids at the bottom in LIFO order — newly-released
     consumers are hot in cache, so depth-first execution keeps locality.
     Thieves remove from the top in FIFO order, which tends to transfer the
     oldest (and, for tree-shaped dependency graphs, largest) pending
@@ -14,8 +16,8 @@
     are plain [int array] cells — a slot written by the owner is published
     to thieves by the subsequent [Atomic.set] on [bottom], and a slot is
     never reused until [top] has advanced past it, so the usual ABA
-    argument applies. Payloads are immediate ints (rule-instance ids), so
-    no torn reads are possible.
+    argument applies. Payloads are immediate ints (task ids), so no torn
+    reads are possible.
 
     This module lives in its own tiny library ([pag_steal]) so that both
     [pag_eval] (the engine's steal loop) and [pag_parallel] (the
@@ -62,7 +64,7 @@ val size : t -> int
 (** {1 Per-domain scheduler statistics} *)
 
 type stats = {
-  mutable st_fired : int;      (** rule instances executed by this domain *)
+  mutable st_fired : int;      (** tasks executed by this domain *)
   mutable st_attempts : int;   (** steal probes issued *)
   mutable st_successes : int;  (** probes that transferred ≥ 1 task *)
   mutable st_stolen : int;     (** total tasks transferred in *)

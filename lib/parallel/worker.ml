@@ -59,11 +59,6 @@ let zero_stats =
     ws_bytes_flattened = 0;
   }
 
-type item =
-  | IRule of int  (** rule id in the shared {!Engine} *)
-  | IVisit of Tree.t * int
-  | IRecv of Tree.t * string
-
 let run_protocol (env : Transport.env) cfg task =
   let g = cfg.wc_grammar in
   let obs = cfg.wc_obs in
@@ -163,27 +158,9 @@ let run_protocol (env : Transport.env) cfg task =
       ~clock:env.Transport.e_time eng cfg.wc_prov
   end;
   cfg.wc_engine_hook eng;
-  (* ---- 4. Items. ---- *)
-  let items = ref [] and n_items = ref 0 in
-  (* Producers and boundary sends are keyed by the store's dense instance
-     (slot) ids: flat int arrays instead of (node id, attr) hash tables. *)
+  (* ---- 4. Items and wiring: the combined evaluator's task graph. ---- *)
   let slot_of (n : Tree.t) attr =
     Store.slot_of store n ~attr_idx:(Grammar.attr_pos g ~sym:n.Tree.sym ~attr)
-  in
-  let producers = Array.make (max 1 (Store.slot_count store)) (-1) in
-  let new_item it =
-    let id = !n_items in
-    incr n_items;
-    items := it :: !items;
-    id
-  in
-  let register_producer item_id (n : Tree.t) attr =
-    producers.(slot_of n attr) <- item_id
-  in
-  let visit_count_of sym =
-    match plan with
-    | Some p -> Kastens.visit_count p sym
-    | None -> 0
   in
   (* Static roots: non-spine, non-stub interior children of spine nodes,
      plus the fragment root itself when there is no spine at all. *)
@@ -202,107 +179,38 @@ let run_protocol (env : Transport.env) cfg task =
     && (not (on_spine task.t_root))
     && task.t_root.Tree.prod <> None
   then static_roots := [ task.t_root ];
-  (* Rule items for spine nodes. *)
-  List.iter
-    (fun (n : Tree.t) ->
-      if on_spine n then
-        match n.Tree.prod with
-        | None -> ()
-        | Some p ->
-            Array.iteri
-              (fun ridx _ ->
-                let rid = Engine.rid_at eng n ridx in
-                let id = new_item (IRule rid) in
-                producers.(Engine.target_slot eng rid) <- id)
-              p.Grammar.p_rules)
-    owned;
-  (* Visit items for static roots. *)
-  List.iter
-    (fun (c : Tree.t) ->
-      let m = visit_count_of c.Tree.sym in
-      for v = 1 to m do
-        let id = new_item (IVisit (c, v)) in
-        match plan with
-        | None -> assert false
-        | Some p ->
-            let _, syn_attrs = Kastens.visit_attrs p ~sym:c.Tree.sym ~visit:v in
-            List.iter (fun a -> register_producer id c a) syn_attrs
-      done)
-    !static_roots;
   (* Receive items: inherited attrs of the fragment root (unless it is the
      whole tree's root), synthesized attrs of every stub. *)
   let root_sym = Grammar.symbol g task.t_root.Tree.sym in
-  if task.t_root_is_tree_root then
-    Array.iter
-      (fun (a : Grammar.attr_decl) ->
-        if a.a_kind = Grammar.Inh then
-          stuck "the start symbol has inherited attribute %S with no producer"
-            a.a_name)
-      root_sym.Grammar.s_attrs
-  else
-    Array.iter
-      (fun (a : Grammar.attr_decl) ->
-        if a.a_kind = Grammar.Inh then begin
-          let id = new_item (IRecv (task.t_root, a.a_name)) in
-          register_producer id task.t_root a.a_name
-        end)
-      root_sym.Grammar.s_attrs;
-  List.iter
-    (fun ((c : Tree.t), _) ->
+  let attrs_of kind (n : Tree.t) =
+    Array.to_list (Grammar.symbol g n.Tree.sym).Grammar.s_attrs
+    |> List.filter_map (fun (a : Grammar.attr_decl) ->
+           if a.a_kind = kind then Some (n, a.a_name) else None)
+  in
+  let recvs =
+    if task.t_root_is_tree_root then begin
       Array.iter
         (fun (a : Grammar.attr_decl) ->
-          if a.a_kind = Grammar.Syn then begin
-            let id = new_item (IRecv (c, a.a_name)) in
-            register_producer id c a.a_name
-          end)
-        (Grammar.symbol g c.Tree.sym).Grammar.s_attrs)
-    task.t_cuts;
-  let items = Array.of_list (List.rev !items) in
-  let total = Array.length items in
-  (* ---- 5. Wiring. ---- *)
-  let waiting = Array.make total 0 in
-  let consumers = Array.make total [] in
-  let edge_count = ref 0 in
-  let add_edge ~from ~on =
-    consumers.(from) <- on :: consumers.(from);
-    waiting.(on) <- waiting.(on) + 1;
-    incr edge_count
+          if a.a_kind = Grammar.Inh then
+            stuck "the start symbol has inherited attribute %S with no producer"
+              a.a_name)
+        root_sym.Grammar.s_attrs;
+      []
+    end
+    else attrs_of Grammar.Inh task.t_root
   in
-  let producer_of (n : Tree.t) attr =
-    if n.Tree.prod = None then None (* terminal: always available *)
-    else
-      match producers.(slot_of n attr) with
-      | -1 -> stuck "no producer for %s.%s (node %d)" n.Tree.sym attr n.Tree.id
-      | id -> Some id
+  let recvs =
+    recvs @ List.concat_map (fun (c, _) -> attrs_of Grammar.Syn c) task.t_cuts
   in
-  Array.iteri
-    (fun id it ->
-      match it with
-      | IRule rid ->
-          List.iter
-            (fun (dn, dattr) ->
-              match producer_of dn dattr with
-              | Some p -> add_edge ~from:p ~on:id
-              | None -> ())
-            (Store.rule_deps store (Engine.node_of eng rid)
-               (Engine.rule_of eng rid))
-      | IVisit (c, v) ->
-          (match plan with
-          | None -> assert false
-          | Some p ->
-              let inh_attrs, _ = Kastens.visit_attrs p ~sym:c.Tree.sym ~visit:v in
-              List.iter
-                (fun a ->
-                  match producer_of c a with
-                  | Some pr -> add_edge ~from:pr ~on:id
-                  | None -> ())
-                inh_attrs);
-          (* IVisit items of one static root are consecutive, so the
-             previous visit is the previous item. *)
-          if v > 1 then add_edge ~from:(id - 1) ~on:id
-      | IRecv _ -> ())
-    items;
-  (* ---- 6. Boundary sends. ---- *)
+  let tg =
+    try
+      Taskgraph.build eng plan ~rules:(List.filter on_spine owned)
+        ~visits:!static_roots ~recvs
+    with Engine.Cycle msg -> stuck "%s" msg
+  in
+  let total = Taskgraph.count tg in
+  let waiting = Array.init total (Taskgraph.unmet tg) in
+  (* ---- 5. Boundary sends. ---- *)
   let sends = Array.make (max 1 (Store.slot_count store)) (-1) in
   Array.iter
     (fun (a : Grammar.attr_decl) ->
@@ -352,46 +260,47 @@ let run_protocol (env : Transport.env) cfg task =
     if obs_on then Obs.Metrics.observe bytes_hist (float_of_int sz);
     env.Transport.e_send ~dst m
   in
-  (* ---- 7. Charge graph-construction cost. ---- *)
+  (* ---- 6. Charge graph-construction cost. ---- *)
   env.Transport.e_delay
     ((float_of_int total *. Cost.default.Cost.build_node)
-    +. (float_of_int !edge_count *. Cost.default.Cost.build_edge));
+    +. (float_of_int (Taskgraph.edges tg) *. Cost.default.Cost.build_edge));
   if obs_on then
     Obs.span obs.Obs.x_rec ~pid:obs.Obs.x_pid ~t0:graph_t0
       ~t1:(obs.Obs.x_clock ()) "graph-build";
-  (* ---- 8. Execution. ---- *)
+  (* ---- 7. Execution. ---- *)
   let hi = Queue.create () and lo = Queue.create () in
   let is_priority_item = function
-    | IRule rid ->
+    | Taskgraph.Rule rid ->
         let tnode, tattr = Engine.target_instance eng rid in
         Grammar.is_priority g ~sym:tnode.Tree.sym ~attr:tattr
-    | IVisit _ | IRecv _ -> false
+    | Taskgraph.Visit _ | Taskgraph.Recv _ -> false
   in
   let enqueue id =
-    if cfg.wc_use_priority && is_priority_item items.(id) then Queue.add id hi
+    if cfg.wc_use_priority && is_priority_item (Taskgraph.item tg id) then
+      Queue.add id hi
     else Queue.add id lo
   in
-  Array.iteri
-    (fun id it ->
-      match it with
-      | IRecv _ -> ()
-      | IRule _ | IVisit _ -> if waiting.(id) = 0 then enqueue id)
-    items;
+  for id = 0 to total - 1 do
+    match Taskgraph.item tg id with
+    | Taskgraph.Recv _ -> ()
+    | Taskgraph.Rule _ | Taskgraph.Visit _ ->
+        if waiting.(id) = 0 then enqueue id
+  done;
   let completed = ref 0 in
   let dynamic_rules = ref 0
   and static_rules = ref 0
   and visits = ref 0 in
   let marked = Hashtbl.create 4 in
   let products_of id =
-    match items.(id) with
-    | IRule rid -> [ Engine.target_instance eng rid ]
-    | IVisit (c, v) -> (
+    match Taskgraph.item tg id with
+    | Taskgraph.Rule rid -> [ Engine.target_instance eng rid ]
+    | Taskgraph.Visit (c, v) -> (
         match plan with
         | None -> assert false
         | Some p ->
             let _, syn_attrs = Kastens.visit_attrs p ~sym:c.Tree.sym ~visit:v in
             List.map (fun a -> (c, a)) syn_attrs)
-    | IRecv (n, a) -> [ (n, a) ]
+    | Taskgraph.Recv (n, a) -> [ (n, a) ]
   in
   let complete id =
     incr completed;
@@ -401,15 +310,13 @@ let run_protocol (env : Transport.env) cfg task =
         | -1 -> ()
         | dst -> send_instance n attr dst)
       (products_of id);
-    List.iter
-      (fun c ->
+    Taskgraph.iter_consumers tg id (fun c ->
         waiting.(c) <- waiting.(c) - 1;
         if waiting.(c) = 0 then enqueue c)
-      consumers.(id)
   in
   let execute id =
-    match items.(id) with
-    | IRule rid ->
+    match Taskgraph.item tg id with
+    | Taskgraph.Rule rid ->
         Uid.with_counter uid_cursor (fun () -> Engine.fire eng rid);
         env.Transport.e_delay (Cost.rule_cost Cost.default ~dynamic:true);
         incr dynamic_rules;
@@ -419,7 +326,7 @@ let run_protocol (env : Transport.env) cfg task =
             ~t:(obs.Obs.x_clock ())
             (Printf.sprintf "dyn-rule %s.%s" tnode.Tree.sym tattr)
         end
-    | IVisit (c, v) ->
+    | Taskgraph.Visit (c, v) ->
         (match cfg.wc_phase_label v with
         | Some lbl when not (Hashtbl.mem marked v) ->
             Hashtbl.replace marked v ();
@@ -440,7 +347,8 @@ let run_protocol (env : Transport.env) cfg task =
             (Printf.sprintf "visit %s/%d" c.Tree.sym v);
         static_rules := !static_rules + ne;
         visits := !visits + nv
-    | IRecv (n, a) -> stuck "receive item %s.%s executed locally" n.Tree.sym a
+    | Taskgraph.Recv (n, a) ->
+        stuck "receive item %s.%s executed locally" n.Tree.sym a
   in
   let handle_msg = function
     | Message.Attr { node; attr; value } -> (
@@ -448,7 +356,7 @@ let run_protocol (env : Transport.env) cfg task =
         | None -> stuck "received attribute for unknown node %d" node
         | Some n -> (
             Store.set store n attr value;
-            match producers.(slot_of n attr) with
+            match Taskgraph.producer tg (slot_of n attr) with
             | -1 -> stuck "no receive item for %s.%s" n.Tree.sym attr
             | id -> complete id))
     | Message.Stop -> raise Aborted
@@ -493,7 +401,7 @@ let run_protocol (env : Transport.env) cfg task =
     bump "worker.visits" !visits;
     bump "worker.sends" !n_sends;
     bump "worker.graph_nodes" total;
-    bump "worker.graph_edges" !edge_count;
+    bump "worker.graph_edges" (Taskgraph.edges tg);
     bump "worker.spine_nodes" spine_len;
     bump "net.bytes" !bytes_flattened;
     (match memo with
@@ -512,7 +420,7 @@ let run_protocol (env : Transport.env) cfg task =
     ws_static_rules = !static_rules;
     ws_visits = !visits;
     ws_graph_nodes = total;
-    ws_graph_edges = !edge_count;
+    ws_graph_edges = Taskgraph.edges tg;
     ws_sends = !n_sends;
     ws_spine_len = spine_len;
     ws_idle_wait = !idle_wait;

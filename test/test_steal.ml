@@ -200,7 +200,8 @@ let circ_tree g =
   Tree.node g "root" [ Tree.node g "leaf" [ Tree.leaf g "T" [] ] ]
 
 let test_run_steal_cycle () =
-  (* a cyclic instance graph must raise, not deadlock *)
+  (* a cyclic instance graph must raise, not deadlock, and the slots no
+     task defined stay unset *)
   let g = circ_grammar () in
   let store = Store.create g (circ_tree g) in
   let e = Engine.create g store in
@@ -208,7 +209,16 @@ let test_run_steal_cycle () =
     (try
        ignore (Engine.run_steal ~domains:2 e (Engine.graph e));
        false
-     with Engine.Cycle _ -> true)
+     with Engine.Cycle _ -> true);
+  check_int "no slot committed" 3 (Store.missing store);
+  let store = Store.create g (circ_tree g) in
+  let e = Engine.create g store in
+  check_bool "task graph: cycle detected" true
+    (try
+       ignore (Taskgraph.run_steal ~domains:2 (Taskgraph.of_store e None));
+       false
+     with Engine.Cycle _ -> true);
+  check_int "task graph: no slot committed" 3 (Store.missing store)
 
 (* A sum over a chain of leaves where the rule of one production raises:
    the loop's failure exit. *)
@@ -286,8 +296,11 @@ let test_sim_steal_cycle () =
      with Engine.Cycle _ -> true)
 
 (* Domains steal reports measured idle time: each evaluator's row splits
-   the horizon into its measured idle wait and the rest, and the
-   backoff gauge is in seconds. *)
+   the horizon into its idle wait and the rest, and the backoff gauge is
+   in seconds. The serial set-up before the loop (store, rows, task
+   graph) runs on domain 0 while the other domains do not exist yet, so
+   it is busy time on domain 0's row and idle time on every other row:
+   their idle waits exceed the measured backoffs by the same set-up. *)
 let test_domains_steal_rows () =
   let prog =
     fst (Pascal.Progen.gen (Random.State.make [| 7 |]) Pascal.Progen.small)
@@ -307,25 +320,36 @@ let test_domains_steal_rows () =
           (close (row.R.rm_active +. row.R.rm_idle) horizon);
         check_bool (name ^ ": util = active / horizon") true
           (close row.R.rm_util (row.R.rm_active /. horizon));
-        check_bool (name ^ ": idle is the measured wait") true
+        check_bool (name ^ ": idle is the idle wait") true
           (row.R.rm_idle
           = Float.min horizon st.Pag_parallel.Worker.ws_idle_wait)
       end)
     rp.R.rp_machines;
-  check_int "one row per evaluator plus the parser"
-    (1 + min 4 (Domain.recommended_domain_count ()))
+  let d = min 4 (Domain.recommended_domain_count ()) in
+  check_int "one row per evaluator plus the parser" (1 + d)
     (List.length rp.R.rp_machines);
+  check_bool "telemetry keeps static visit tasks" true
+    (r.Pag_parallel.Runner.r_dynamic_fraction < 1.0);
   let gauge name = Pag_obs.Obs.Metrics.gauge_value rp.R.rp_metrics name in
   let waited =
     Array.fold_left
       (fun a st -> a +. st.Pag_parallel.Worker.ws_idle_wait)
       0.0 r.Pag_parallel.Runner.r_worker_stats
   in
-  check_bool "steal.idle_wait sums the measured waits" true
-    (match gauge "steal.idle_wait" with
-    | Some v -> close v waited
-    | None -> false);
-  check_bool "no spin-count gauge" true (gauge "steal.idle_spins" = None)
+  match gauge "steal.idle_wait" with
+  | None -> Alcotest.fail "no steal.idle_wait gauge"
+  | Some backoff ->
+      let setup = (waited -. backoff) /. float_of_int (max 1 (d - 1)) in
+      if d = 1 then
+        check_bool "one domain: the idle wait is the backoff" true
+          (close waited backoff)
+      else
+        check_bool
+          (Printf.sprintf "set-up %.6fs is idle on the other %d domains" setup
+             (d - 1))
+          true
+          (setup > 0.0 && setup < horizon);
+      check_bool "no spin-count gauge" true (gauge "steal.idle_spins" = None)
 
 (* Domains steal runs min(m, cores) loop machines, one per domain: the
    report's domain count, the per-machine stats and the rows (one per
@@ -379,6 +403,208 @@ let test_sim_steal_under_faults () =
        (Pascal.Driver.mask_labels c.Pascal.Driver.c_asm)
        (Pascal.Driver.mask_labels seq.Pascal.Driver.c_asm))
 
+(* ---------------- the combined task graph on domains ---------------- *)
+
+let plan_of g =
+  match Pag_analysis.Kastens.analyze g with
+  | Ok p -> p
+  | Error f ->
+      Alcotest.failf "analysis failed: %a" Pag_analysis.Kastens.pp_failure f
+
+(* The three spine shapes, as [rules_for] over a store: no spine (the
+   root is one static task per visit), the nodes holding more than half
+   of the tree's instances, and those holding more than 1/200 of them. *)
+let shapes =
+  [
+    ("whole tree static", fun _ _ -> false);
+    ("short spine", fun store -> Taskgraph.heavy store ~parts:2);
+    ("long spine", fun store -> Taskgraph.heavy store ~parts:200);
+  ]
+
+(* Runs [tree]'s combined task graph on two domains with the given spine;
+   returns the store and the spine rules fired. *)
+let run_combined g plan tree spine =
+  let store = Store.create g tree in
+  let eng = Engine.create ~rules_for:(spine store) g store in
+  let _, fired =
+    Taskgraph.run_steal ~domains:2 ~uid_base:Uid.stride
+      (Taskgraph.of_store eng (Some plan))
+  in
+  (store, Array.fold_left (fun a f -> a + f.Taskgraph.f_rules) 0 fired)
+
+let pascal_case (skewed, seed, chain) =
+  if skewed then Pascal.Progen.skewed_program ~seed ~chain ()
+  else
+    fst (Pascal.Progen.gen (Random.State.make [| seed |]) Pascal.Progen.small)
+
+let prop_combined_pascal =
+  qc ~count:12 "2-domain task graph = oracle (progen, skewed; 3 spine shapes)"
+    QCheck.(triple bool (int_bound 10_000) (int_range 20 300))
+    (fun case ->
+      let prog = pascal_case case in
+      let g = Pascal.Pascal_ag.grammar in
+      let plan = Lazy.force Pascal.Driver.plan in
+      let masked = Pascal.Driver.mask_labels in
+      let oracle = Pascal.Driver.compile ~evaluator:`Oracle prog in
+      let oracle = masked oracle.Pascal.Driver.c_asm in
+      let rows =
+        List.map
+          (fun (_, spine) ->
+            let tree = Pascal.Pascal_ag.tree_of_program g prog in
+            let store, rows = run_combined g plan tree spine in
+            let code =
+              masked (Pascal.Pascal_ag.code_of_attrs (Store.root_attrs store))
+            in
+            if Store.missing store = 0 && String.equal code oracle then rows
+            else -1)
+          shapes
+      in
+      match rows with
+      | [ whole; short; long ] -> whole = 0 && 0 < short && short < long
+      | _ -> false)
+
+(* Grammars without labels: every slot is bit-identical to the sequential
+   static evaluator's. Repmin's nodes take two visits, so its static
+   roots are two tasks chained by the visit edge. *)
+let prop_combined_slots =
+  qc ~count:30 "2-domain task graph: no slot missing, each = Static_eval's"
+    QCheck.(pair bool (int_bound 10_000))
+    (fun (repmin, seed) ->
+      let g, tree =
+        if repmin then
+          ( Pag_grammars.Repmin_ag.grammar,
+            fun () ->
+              Pag_grammars.Repmin_ag.random_tree (Random.State.make [| seed |])
+                ~depth:7 )
+        else
+          ( Pag_grammars.Expr_ag.grammar,
+            fun () ->
+              Pag_grammars.Expr_ag.random_program (Random.State.make [| seed |])
+                ~depth:7 )
+      in
+      let plan = plan_of g in
+      let reference, _ = Static_eval.eval plan (tree ()) in
+      List.for_all
+        (fun (_, spine) ->
+          let store, _ = run_combined g plan (tree ()) spine in
+          Store.missing store = 0 && stores_bit_identical reference store)
+        shapes)
+
+(* A rule raising inside a static visit: the bad leaf hangs below the
+   spine, and its failure surfaces once both domains have returned. *)
+let test_combined_failure () =
+  let g = boom_grammar in
+  let store = Store.create g (boom_tree ()) in
+  let eng = Engine.create ~rules_for:(Taskgraph.heavy store ~parts:4) g store in
+  let bad = ref None in
+  Store.iter_nodes store (fun n ->
+      match n.Tree.prod with
+      | Some p when p.Grammar.p_name = "bad" -> bad := Some n
+      | _ -> ());
+  check_bool "the bad leaf is off the spine" false
+    (Engine.has_rules eng (Option.get !bad));
+  check_bool "rule failure re-raised" true
+    (raises_boom (fun () ->
+         ignore
+           (Taskgraph.run_steal ~domains:2
+              (Taskgraph.of_store eng (Some (plan_of g))))))
+
+(* A two-visit symbol whose second visit's inherited attribute is, in the
+   [free] context, a constant: only the visit edge keeps visit 2, which
+   reads the child's [s] that visit 1 computes, behind visit 1. On one
+   domain the deque pops visit 2 first when that edge is missing. *)
+let two_visits =
+  let open Grammar in
+  let int v = Value.as_int ~ctx:"two visits" v in
+  make ~name:"two-visits" ~start:"r"
+    [
+      terminal "T" [];
+      terminal "C" [];
+      nonterminal "r" [ syn "out" ];
+      nonterminal "x" [ inh "i1"; syn "s1"; inh "i2"; syn "s2" ];
+      nonterminal "y" [ inh "i"; syn "s" ];
+    ]
+    [
+      production ~name:"fed" ~lhs:"r" ~rhs:[ "x" ]
+        [
+          rule (rhs 1 "i1") ~deps:[] (fun _ -> Value.Int 1);
+          rule (rhs 1 "i2") ~deps:[ rhs 1 "s1" ] (fun a ->
+              Value.Int (int a.(0) + 1));
+          rule (lhs "out") ~deps:[ rhs 1 "s2" ] (fun a -> a.(0));
+        ];
+      production ~name:"free" ~lhs:"r" ~rhs:[ "C"; "x" ]
+        [
+          rule (rhs 2 "i1") ~deps:[] (fun _ -> Value.Int 1);
+          rule (rhs 2 "i2") ~deps:[] (fun _ -> Value.Int 5);
+          rule (lhs "out") ~deps:[ rhs 2 "s2" ] (fun a -> a.(0));
+        ];
+      production ~name:"x" ~lhs:"x" ~rhs:[ "y" ]
+        [
+          rule (rhs 1 "i") ~deps:[ lhs "i1" ] (fun a -> a.(0));
+          rule (lhs "s1") ~deps:[ rhs 1 "s" ] (fun a -> a.(0));
+          rule (lhs "s2") ~deps:[ lhs "i2"; rhs 1 "s" ] (fun a ->
+              Value.Int (int a.(0) + int a.(1)));
+        ];
+      production ~name:"y" ~lhs:"y" ~rhs:[ "T" ]
+        [
+          rule (lhs "s") ~deps:[ lhs "i" ] (fun a -> Value.Int (2 * int a.(0)));
+        ];
+    ]
+
+let test_combined_visit_order () =
+  let g = two_visits in
+  let plan = plan_of g in
+  check_int "x takes two visits" 2 (Pag_analysis.Kastens.visit_count plan "x");
+  List.iter
+    (fun domains ->
+      let tree =
+        Tree.node g "free"
+          [
+            Tree.leaf g "C" [];
+            Tree.node g "x" [ Tree.node g "y" [ Tree.leaf g "T" [] ] ];
+          ]
+      in
+      let store = Store.create g tree in
+      let eng = Engine.create ~rules_for:(fun n -> n == tree) g store in
+      let tg = Taskgraph.of_store eng (Some plan) in
+      ignore (Taskgraph.run_steal ~domains tg);
+      check_int (Printf.sprintf "%d domains: nothing missing" domains) 0
+        (Store.missing store);
+      check_bool (Printf.sprintf "%d domains: out = 5 + 2" domains) true
+        (Store.get store tree "out" = Value.Int 7))
+    [ 1; 2 ]
+
+(* On domains steal only the spine resolves rows: on the skewed program,
+   fewer than a third of the instances; all of them once provenance,
+   whose rings name firings by rule id, is attached. *)
+let test_domains_steal_row_count () =
+  let prog = Pascal.Progen.skewed_program ~chain:400 () in
+  let sum f (r : Pag_parallel.Runner.result) =
+    Array.fold_left (fun a s -> a + f s) 0 r.Pag_parallel.Runner.r_worker_stats
+  in
+  let dynamic = sum (fun s -> s.Pag_parallel.Worker.ws_dynamic_rules)
+  and static = sum (fun s -> s.Pag_parallel.Worker.ws_static_rules) in
+  let r, _ = Pascal.Driver.compile_parallel_domains (steal_opts 2) prog in
+  let total = dynamic r + static r in
+  check_bool
+    (Printf.sprintf "%d of %d instances are rows" (dynamic r) total)
+    true
+    (3 * dynamic r < total);
+  check_bool "dynamic fraction from the report" true
+    (r.Pag_parallel.Runner.r_dynamic_fraction
+    = float_of_int (dynamic r) /. float_of_int total);
+  let opts = { (steal_opts 2) with Pag_parallel.Runner.provenance = true } in
+  let r, _ = Pascal.Driver.compile_parallel_domains opts prog in
+  let rows =
+    match r.Pag_parallel.Runner.r_prov with
+    | (_, e) :: _ -> Engine.rule_count e
+    | [] -> -1
+  in
+  check_int "provenance: every instance a row" total rows;
+  check_int "provenance: every instance fired on the spine" total (dynamic r);
+  check_bool "provenance: dynamic fraction 1" true
+    (r.Pag_parallel.Runner.r_dynamic_fraction = 1.0)
+
 let suite =
   [
     ( "steal",
@@ -401,5 +627,13 @@ let suite =
         Alcotest.test_case "domains steal on min(m, cores) domains" `Quick
           test_domains_steal_placement;
         Alcotest.test_case "sim steal under faults" `Quick test_sim_steal_under_faults;
+        prop_combined_pascal;
+        prop_combined_slots;
+        Alcotest.test_case "task graph re-raises a visit's failure" `Quick
+          test_combined_failure;
+        Alcotest.test_case "task graph: a visit waits for the one before" `Quick
+          test_combined_visit_order;
+        Alcotest.test_case "domains steal rows only on the spine" `Quick
+          test_domains_steal_row_count;
       ] );
   ]
