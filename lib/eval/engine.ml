@@ -841,16 +841,12 @@ let fire_quiet e ~ring ~pid ~clock ~poke rid =
     iter_slot_args e rid (fun slot -> Prov.arg ring slot)
   end
 
-let run_steal ?domains ?owner ?uid_base ?prov ?(prov_clock = fun () -> 0.0) e
-    gr =
-  let fire d ~poke ~release =
-    let ring = match prov with Some ps -> ps.(d) | None -> Prov.disabled in
-    fun rid ->
-      fire_quiet e ~ring ~pid:d ~clock:prov_clock ~poke rid;
-      release e.e_target.(rid)
+let run_steal ?domains ?owner e gr =
+  let clock () = 0.0 in
+  let fire d ~poke ~release rid =
+    fire_quiet e ~ring:Prov.disabled ~pid:d ~clock ~poke rid;
+    release e.e_target.(rid)
   in
-  let fired, stats =
-    run_tasks ?domains ?owner ?uid_base e (rule_tasks e gr) ~fire
-  in
+  let fired, stats = run_tasks ?domains ?owner e (rule_tasks e gr) ~fire in
   e.e_fired <- e.e_fired + fired;
   (fired, stats)

@@ -310,25 +310,18 @@ val fire_quiet :
   int ->
   unit
 
-(** [run_steal ~domains ~owner ~uid_base e gr] is {!run_tasks} over
-    {!rule_tasks}: every live rule instance of a fully-rowed engine is one
-    task, fired by {!fire_quiet}. [owner] maps a rule-instance id to a
-    machine; the default block-partitions the instance table. Compare
-    label-masked output across schedules, or use a grammar that consumes
-    no uids for bit-identical stores.
-
-    The engine-attached provenance ring is not used here (it is not
-    domain-safe): pass [prov], one ring per domain (at least [D]), and
-    each domain records its own firings with its domain id as pid and
-    [prov_clock] (typically wall time) as the clock. Returns the number of
-    firings and the [D] per-domain scheduler statistics. Raises
-    {!Cycle} as {!run_topo} does. *)
+(** [run_steal ~domains ~owner e gr] is {!run_tasks} over {!rule_tasks}:
+    every live rule instance of a fully-rowed engine is one task, fired by
+    {!fire_quiet} with no provenance ring. [owner] maps a rule-instance id
+    to a machine; the default block-partitions the instance table. Domain
+    [d] allocates uids from stripe [d * Uid.stride]: compare label-masked
+    output across schedules, or use a grammar that consumes no uids for
+    bit-identical stores. Returns the number of firings and the [D]
+    per-domain scheduler statistics. Raises {!Cycle} as {!run_topo}
+    does. *)
 val run_steal :
   ?domains:int ->
   ?owner:(int -> int) ->
-  ?uid_base:int ->
-  ?prov:Pag_obs.Prov.t array ->
-  ?prov_clock:(unit -> float) ->
   t ->
   graph ->
   int * Steal.stats array

@@ -16,7 +16,7 @@
     its instrumentation permanently.
 
     Not domain-safe: give each domain its own ring and analyze them
-    together (see {!Pag_eval.Engine.run_steal}). *)
+    together (see {!Pag_eval.Taskgraph.run_steal}). *)
 
 type t
 

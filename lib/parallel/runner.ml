@@ -852,10 +852,10 @@ let domains_row ~fragments ~horizon (worker_stats : Worker.stats array) pid =
 (* The steal schedule's spine on domains: a node whose subtree holds more
    than [1 / (spine_parts * D)] of the tree's rule instances. On the
    skewed program (1600-step chains) at two domains of a 2-core machine,
-   8 and 16 parts per domain evaluate within 4% of each other, 32 and 64
-   parts 2-10% slower; 16, the finer of the two, leaves more tasks to
-   steal. *)
-let spine_parts = 16
+   8 parts per domain evaluated as fast as 16 or faster in every
+   measurement, 32 and 64 parts 2-10% slower. The scaling by [D] is
+   measured only at [D = 2]. *)
+let spine_parts = 8
 
 (* Work-stealing evaluation on real domains: the combined evaluator's task
    graph ({!Pag_eval.Taskgraph}) on {!Eng.run_tasks} over [D = min m cores]

@@ -35,7 +35,7 @@
     probes priced as Ethernet frames under the fault plan, and backoff as
     virtual delay. On domains the tasks are the combined evaluator's
     ({!Pag_eval.Taskgraph}): a node whose subtree holds more than
-    [1 / (16 * D)] of the tree's rule instances is on the spine and its
+    [1 / (8 * D)] of the tree's rule instances is on the spine and its
     rule instances are tasks; every subtree hanging off the spine is one
     task per static visit. [D = min machines cores] domains run them
     ({!Pag_eval.Engine.run_tasks}). Without a plan, or with provenance

@@ -209,6 +209,7 @@ let run_protocol (env : Transport.env) cfg task =
     with Engine.Cycle msg -> stuck "%s" msg
   in
   let total = Taskgraph.count tg in
+  let items = Array.init total (Taskgraph.item tg) in
   let waiting = Array.init total (Taskgraph.unmet tg) in
   (* ---- 5. Boundary sends. ---- *)
   let sends = Array.make (max 1 (Store.slot_count store)) (-1) in
@@ -276,12 +277,12 @@ let run_protocol (env : Transport.env) cfg task =
     | Taskgraph.Visit _ | Taskgraph.Recv _ -> false
   in
   let enqueue id =
-    if cfg.wc_use_priority && is_priority_item (Taskgraph.item tg id) then
+    if cfg.wc_use_priority && is_priority_item items.(id) then
       Queue.add id hi
     else Queue.add id lo
   in
   for id = 0 to total - 1 do
-    match Taskgraph.item tg id with
+    match items.(id) with
     | Taskgraph.Recv _ -> ()
     | Taskgraph.Rule _ | Taskgraph.Visit _ ->
         if waiting.(id) = 0 then enqueue id
@@ -292,7 +293,7 @@ let run_protocol (env : Transport.env) cfg task =
   and visits = ref 0 in
   let marked = Hashtbl.create 4 in
   let products_of id =
-    match Taskgraph.item tg id with
+    match items.(id) with
     | Taskgraph.Rule rid -> [ Engine.target_instance eng rid ]
     | Taskgraph.Visit (c, v) -> (
         match plan with
@@ -315,7 +316,7 @@ let run_protocol (env : Transport.env) cfg task =
         if waiting.(c) = 0 then enqueue c)
   in
   let execute id =
-    match Taskgraph.item tg id with
+    match items.(id) with
     | Taskgraph.Rule rid ->
         Uid.with_counter uid_cursor (fun () -> Engine.fire eng rid);
         env.Transport.e_delay (Cost.rule_cost Cost.default ~dynamic:true);
