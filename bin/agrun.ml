@@ -18,8 +18,13 @@ let read_file path =
   close_in ic;
   s
 
-let run_agrun builtin spec_file machines schedule show_plan profile batch
-    sentences =
+let run_agrun builtin machines schedule show_plan profile batch args =
+  (* Under --builtin-appendix every positional argument is a sentence. *)
+  let spec_file, sentences =
+    match args with
+    | f :: tl when not builtin -> (Some f, tl)
+    | _ -> (None, args)
+  in
   try
     let t =
       if builtin then Lazy.force Appendix.translator
@@ -142,14 +147,11 @@ let builtin_arg =
     & info [ "builtin-appendix" ]
         ~doc:"Use the built-in specification from the paper's appendix.")
 
-let spec_arg =
+let machines_arg =
   Arg.(
     value
-    & pos 0 (some string) None
-    & info [] ~docv:"SPEC" ~doc:"Attribute-grammar specification file.")
-
-let machines_arg =
-  Arg.(value & opt int 1 & info [ "machines"; "m" ] ~docv:"N" ~doc:"Evaluator machines.")
+    & opt Cli.positive_int 1
+    & info [ "machines"; "m" ] ~docv:"N" ~doc:"Evaluator machines.")
 
 let schedule_arg =
   Arg.(
@@ -177,7 +179,8 @@ let profile_arg =
 
 let batch_edits_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt Cli.positive_int 1
     & info [ "batch-edits" ] ~docv:"N"
         ~doc:
           "Treat the sentences as one incremental session: the first stays \
@@ -187,15 +190,21 @@ let batch_edits_arg =
            Prints the final root attributes. Default 1 = evaluate each \
            sentence from scratch.")
 
-let sentences_arg =
-  Arg.(value & pos_right 0 string [] & info [] ~docv:"SENTENCE" ~doc:"Sentences to evaluate.")
+let args_arg =
+  Arg.(
+    value & pos_all string []
+    & info [] ~docv:"SPEC SENTENCE"
+        ~doc:
+          "The attribute-grammar specification file, then the sentences to \
+           evaluate. With $(b,--builtin-appendix) there is no file: every \
+           argument is a sentence.")
 
 let cmd =
   let doc = "generate and run an attribute-grammar translator" in
   Cmd.v
     (Cmd.info "agrun" ~doc)
     Term.(
-      const run_agrun $ builtin_arg $ spec_arg $ machines_arg $ schedule_arg
-      $ plan_arg $ profile_arg $ batch_edits_arg $ sentences_arg)
+      const run_agrun $ builtin_arg $ machines_arg $ schedule_arg $ plan_arg
+      $ profile_arg $ batch_edits_arg $ args_arg)
 
 let () = exit (Cmd.eval cmd)

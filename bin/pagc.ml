@@ -727,7 +727,10 @@ let file_arg =
         ~doc:"Pascal source file (required except with --serve).")
 
 let machines_arg =
-  Arg.(value & opt int 1 & info [ "machines"; "m" ] ~docv:"N" ~doc:"Number of evaluator machines.")
+  Arg.(
+    value
+    & opt Cli.positive_int 1
+    & info [ "machines"; "m" ] ~docv:"N" ~doc:"Number of evaluator machines.")
 
 let schedule_arg =
   Arg.(
@@ -752,7 +755,8 @@ let transport_arg =
 
 let granularity_arg =
   Arg.(
-    value & opt float 1.0
+    value
+    & opt Cli.positive_float 1.0
     & info [ "granularity"; "g" ]
         ~doc:"Scale factor on the minimum split size (the paper's runtime argument).")
 
@@ -877,7 +881,8 @@ let serve_arg =
 
 let batch_edits_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt Cli.positive_int 1
     & info [ "batch-edits" ] ~docv:"N"
         ~doc:
           "Apply up to $(docv) queued edits as one merged re-evaluation \

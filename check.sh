@@ -58,6 +58,53 @@ for case in overflow:4:lexical brace:5:lexical char:3:lexical colon:2:syntax; do
     exit 1
   fi
 done
+# agrun smoke: README's two generator commands must print their values
+# sequentially and on three machines under every schedule; under
+# --builtin-appendix every positional argument is a sentence.
+for m in 1 3; do
+  for sched in static dynamic steal; do
+    out=$(dune exec bin/agrun.exe -- --builtin-appendix --machines $m \
+      --schedule $sched "let x = 2 in 1 + 2 * x ni" 2>/dev/null)
+    printf '%s\n' "$out" | grep -q "^  value = 5$" || {
+      echo "check.sh: agrun --builtin-appendix -m $m --schedule $sched: expected value = 5, got: $out" >&2
+      exit 1
+    }
+    out=$(dune exec bin/agrun.exe -- examples/expr.ag --machines $m \
+      --schedule $sched "1 + 2 * 3" 2>/dev/null)
+    printf '%s\n' "$out" | grep -q "^  value = 7$" || {
+      echo "check.sh: agrun examples/expr.ag -m $m --schedule $sched: expected value = 7, got: $out" >&2
+      exit 1
+    }
+  done
+done
+# CLI-range smoke: a run size out of range (machines or batch below 1, a
+# granularity not finite and positive) is a usage error naming its flag,
+# never an uncaught exception (cmdliner's "internal error", exit 125).
+range=/tmp/pagc_range_smoke
+for args in "--machines 0" "--machines 0 --schedule steal" \
+  "--machines 0 --transport domains" \
+  "--machines 0 --edit-session examples/primes.edits" \
+  "--machines 3 --granularity=0" "--machines 3 --granularity=-1" \
+  "--machines 3 --granularity=nan" "--machines 3 --granularity=inf" \
+  "--machines 3 --batch-edits=-2 --edit-session examples/primes.edits"; do
+  status=0
+  out=$(dune exec bin/pagc.exe -- $args examples/primes.pas -o "$range.s" 2>&1) || status=$?
+  case $args in *granularity*) flag=granularity ;; *batch-edits*) flag=batch-edits ;; *) flag=machines ;; esac
+  if [ "$status" = 0 ] || [ "$status" = 125 ] || printf '%s\n' "$out" | grep -q "internal error" \
+    || ! printf '%s\n' "$out" | grep -q -- "--$flag"; then
+    echo "check.sh: pagc $args: expected a usage error naming --$flag, got exit $status: $out" >&2
+    exit 1
+  fi
+done
+for args in "--machines 0" "--batch-edits 0"; do
+  status=0
+  out=$(dune exec bin/agrun.exe -- $args --builtin-appendix "1 + 2" 2>&1) || status=$?
+  if [ "$status" = 0 ] || [ "$status" = 125 ] || printf '%s\n' "$out" | grep -q "internal error" \
+    || ! printf '%s\n' "$out" | grep -q -- "${args% *}"; then
+    echo "check.sh: agrun $args: expected a usage error naming ${args% *}, got exit $status: $out" >&2
+    exit 1
+  fi
+done
 # Telemetry smoke: a traced parallel compile must produce parseable
 # Chrome-trace JSON with at least one event.
 trace=/tmp/pagc_trace_smoke.json

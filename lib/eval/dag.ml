@@ -286,6 +286,8 @@ type t = {
   (* linearized cascade processing *)
   r_queue : int Queue.t;
   mutable r_processing : bool;
+  (* where projected slots and materialized rule ranges go: the loop's
+     [release] and [seed], set when a wired machine set starts *)
   mutable r_on_defined : int -> unit;
   mutable r_on_new_rids : int -> int -> unit;
   (* stats *)
@@ -352,10 +354,6 @@ let make p eng gr =
     r_tainted_classes = 0;
   }
 
-let set_hooks rt ~on_defined ~on_new_rids =
-  rt.r_on_defined <- on_defined;
-  rt.r_on_new_rids <- on_new_rids
-
 let lead_complete rt = function
   | LCand ci ->
       let cd = rt.r_plan.p_cands.(ci) in
@@ -416,8 +414,8 @@ let prov_project rt dst =
 let push_slot rt s = Queue.add s rt.r_queue
 
 (* The mutually recursive resolution machinery. Everything below runs
-   inside [process]'s drain loop (or from [prime], which guards the same
-   way), so cascaded slot definitions are handled iteratively. *)
+   inside [process] (from [note_define] or [prime]), so cascaded slot
+   definitions are handled iteratively. *)
 
 let rec handle_slot rt s =
   let p = rt.r_plan in
@@ -584,10 +582,13 @@ and materialize rt ri =
   rt.r_materialized_rids <- rt.r_materialized_rids + (rid_hi - rid_lo);
   rt.r_on_new_rids rid_lo rid_hi
 
-let process rt =
+(* Run [f], then every slot definition queued meanwhile, cascades
+   included. A call made while another is processing only queues. *)
+let process rt f =
   if not rt.r_processing then begin
     rt.r_processing <- true;
     (try
+       f ();
        while not (Queue.is_empty rt.r_queue) do
          handle_slot rt (Queue.take rt.r_queue)
        done
@@ -599,7 +600,7 @@ let process rt =
 
 let note_define rt slot =
   push_slot rt slot;
-  process rt
+  process rt ignore
 
 (* Demand materialization: a grammar can feed a subtree's own synthesized
    output back into its inherited context (repmin's gmin), in which case a
@@ -642,25 +643,14 @@ let note_taint rt id =
    plan (preorder) order: representatives first, so followers of a
    zero-inherited class find their leader registered. *)
 let prime rt =
-  if not rt.r_processing then begin
-    rt.r_processing <- true;
-    (try
-       let nc = Array.length rt.r_plan.p_cands in
-       for ci = 0 to nc - 1 do
-         if rt.r_cgate.(ci) = 0 then complete_lead_gate rt ci
-       done;
-       for ri = 0 to Array.length rt.r_plan.p_regions - 1 do
-         if rt.r_rgate.(ri) = 0 && rt.r_state.(ri) = st_parked then
-           complete_follow_gate rt ri
-       done;
-       while not (Queue.is_empty rt.r_queue) do
-         handle_slot rt (Queue.take rt.r_queue)
-       done
-     with e ->
-       rt.r_processing <- false;
-       raise e);
-    rt.r_processing <- false
-  end
+  process rt (fun () ->
+      for ci = 0 to Array.length rt.r_plan.p_cands - 1 do
+        if rt.r_cgate.(ci) = 0 then complete_lead_gate rt ci
+      done;
+      for ri = 0 to Array.length rt.r_plan.p_regions - 1 do
+        if rt.r_rgate.(ri) = 0 && rt.r_state.(ri) = st_parked then
+          complete_follow_gate rt ri
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental editing support                                         *)
@@ -728,75 +718,57 @@ let revive_gate rt gr slot =
       | Follow ri -> revive_chain rt gr ri
 
 (* ------------------------------------------------------------------ *)
-(* Sequential driver                                                   *)
+(* Scheduler wiring                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_topo rt e gr =
-  let store = Engine.store e in
-  let n0 = Engine.rule_count e in
-  let waiting = ref (Array.make (max 1 n0) 0) in
-  let queue = ref (Array.make (max 1 (2 * n0)) 0) in
-  let head = ref 0 and tail = ref 0 in
-  let push rid =
-    if !tail >= Array.length !queue then begin
-      let q = Array.make (2 * Array.length !queue) 0 in
-      Array.blit !queue 0 q 0 !tail;
-      queue := q
-    end;
-    !queue.(!tail) <- rid;
-    incr tail
+(* The runtime inside a machine set of {!Engine.steal_loop} over
+   {!Engine.rule_tasks}. Machine [d]'s firing marks the uid cursor inside
+   the set's bracket, so a rule that draws labels taints the class
+   evaluations around its node; its released target then reaches the
+   runtime. Projected slots and materialized rule ranges land on the
+   machine whose firing began last, which on the simulator need not be
+   the one whose release cascaded: a fiber's firing suspends for its cost
+   before it releases. *)
+let machines rt build =
+  let eng = rt.r_eng in
+  let fire rid =
+    let u0 = Uid.mark () in
+    Engine.fire eng rid;
+    if Uid.mark () <> u0 then note_taint rt (Engine.node_of eng rid).Tree.id
   in
-  let seed rid =
-    let w = ref 0 in
-    Engine.iter_slot_args e rid (fun slot ->
-        if not (Store.slot_is_set store slot) then incr w);
-    !waiting.(rid) <- !w;
-    if !w = 0 then push rid
-  in
-  let release slot =
-    Engine.iter_consumers gr slot (fun c ->
-        if not (Engine.is_dead e c) then begin
-          !waiting.(c) <- !waiting.(c) - 1;
-          if !waiting.(c) = 0 then push c
-        end)
-  in
-  set_hooks rt ~on_defined:release ~on_new_rids:(fun lo hi ->
-      if hi > Array.length !waiting then begin
-        let w = Array.make (max hi (2 * Array.length !waiting)) 0 in
-        Array.blit !waiting 0 w 0 (Array.length !waiting);
-        waiting := w
-      end;
-      for rid = lo to hi - 1 do
-        seed rid
-      done);
-  for rid = 0 to n0 - 1 do
-    if not (Engine.is_dead e rid) then seed rid
-  done;
-  prime rt;
-  let fired0 = Engine.fired e in
-  let running = ref true in
-  while !running do
-    while !head < !tail do
-      let rid = !queue.(!head) in
-      incr head;
-      if not (Engine.is_dead e rid) then begin
-        let u0 = Uid.mark () in
-        Engine.fire e rid;
-        if Uid.mark () <> u0 then
-          note_taint rt (Engine.node_of e rid).Tree.id;
-        let tgt = Engine.target_slot e rid in
-        release tgt;
-        note_define rt tgt
-      end
-    done;
-    if Store.missing store = 0 || not (force_stalled rt) then running := false
-  done;
-  let left = Store.missing store in
-  if left > 0 then
-    raise
-      (Engine.Cycle
-         (Printf.sprintf
-            "DAG evaluation stuck: %d attribute instances unevaluated \
-             (circular tree or missing root attributes)"
-            left));
-  Engine.fired e - fired0
+  let ms = build ~fire in
+  let cur = ref 0 in
+  {
+    ms with
+    Engine.ms_start =
+      (fun ~seed ~release body ->
+        rt.r_on_defined <- (fun slot -> release !cur slot);
+        rt.r_on_new_rids <- (fun lo hi -> seed !cur lo hi);
+        prime rt;
+        ms.Engine.ms_start ~seed ~release body);
+    ms_fire =
+      (fun d ~release ->
+        let fire =
+          ms.Engine.ms_fire d ~release:(fun slot ->
+              release slot;
+              note_define rt slot)
+        in
+        fun rid ->
+          cur := d;
+          fire rid);
+    ms_refill =
+      (fun d ->
+        Store.missing (Engine.store eng) > 0
+        && begin
+             cur := d;
+             force_stalled rt
+           end);
+  }
+
+let run_topo rt =
+  let eng = rt.r_eng in
+  fst
+    (Engine.steal_loop eng
+       (Engine.rule_tasks eng rt.r_gr)
+       ~owner:(fun _ -> 0)
+       (machines rt (Engine.one_machine eng)))

@@ -23,13 +23,14 @@
       occurrence registers as the leader for its own (class × fingerprint),
       so further occurrences with that context project from it.
 
-    The runtime is scheduler-agnostic: a scheduler reports every slot
-    definition through {!note_define} (and uid consumption through
-    {!note_taint}); the runtime answers through two hooks — newly projected
-    slots (release their consumers) and newly materialized rule ranges
-    (seed their readiness). {!run_topo} is the sequential driver used by
-    the dynamic schedule and incremental sessions; the simulated steal
-    schedule drives the same hooks from its machine fibers. *)
+    The runtime is scheduler-agnostic: {!machines} wires it into any
+    machine set of {!Engine.steal_loop}. A firing reports its target slot
+    and whether it drew unique identifiers; the runtime answers with newly
+    projected slots (their consumers are released) and newly materialized
+    rule ranges (their readiness is seeded). {!run_topo} runs the wired
+    loop on the calling domain, for the dynamic schedule and incremental
+    sessions; the simulated steal schedule wires its machine fibers the
+    same way. *)
 
 open Pag_core
 
@@ -61,43 +62,6 @@ type t
 
 val make : plan -> Engine.t -> Engine.graph -> t
 
-(** Install the scheduler hooks. [on_defined slot] fires once per slot the
-    runtime defines by projection (the scheduler releases that slot's
-    consumers); [on_new_rids lo hi] fires once per materialized rule range
-    (the scheduler seeds their readiness — some may be immediately ready).
-    Hooks are invoked from within {!note_define}/{!prime} and must not fire
-    rules reentrantly. *)
-val set_hooks :
-  t -> on_defined:(int -> unit) -> on_new_rids:(int -> int -> unit) -> unit
-
-(** Resolve gates that are complete before any firing (roots with no
-    inherited attributes). Call once after {!set_hooks}, before
-    scheduling. *)
-val prime : t -> unit
-
-(** Report one slot definition (a fire's target). Processes gate
-    completions, leader registration/completion, projections and
-    materializations transitively; cascaded definitions come back through
-    the hooks. *)
-val note_define : t -> int -> unit
-
-(** Report that the rule evaluation at node [id] consumed unique
-    identifiers ({!Pag_core.Uid.mark} moved across the firing): every
-    class evaluation whose range contains the node is tainted and will
-    never be projected. *)
-val note_taint : t -> int -> unit
-
-(** Demand materialization for stalled schedules. A grammar can feed a
-    subtree's own synthesized output back into its inherited context
-    (repmin's [gmin]); a parked occurrence's gate then never completes and
-    the evaluation stalls. When the scheduler runs dry with the store
-    incomplete, [force_stalled rt] materializes the lowest-index
-    unresolved region (deterministic) and returns [true]; [false] when
-    every region is already resolved (a genuine cycle). Occurrences on
-    such a feedback path evaluate per occurrence — correct, just not
-    shared. *)
-val force_stalled : t -> bool
-
 (** {1 Incremental editing support}
 
     After the initial evaluation, resident sessions ({!Incr}) keep the
@@ -117,15 +81,38 @@ val revive_node : t -> Engine.graph -> int -> (int * int) option
     gates no region or the region is live. *)
 val revive_gate : t -> Engine.graph -> int -> (int * int) option
 
-(** {1 Sequential driver}
+(** {1 Scheduler wiring} *)
 
-    [run_topo rt eng gr] — the data-driven topological schedule of
-    {!Engine.run_topo}, DAG-aware: fires through the engine, reports
-    definitions and uid consumption to the runtime, extends its ready set
-    with materialized ranges, and releases consumers of projected slots.
-    Returns the number of firings. Raises {!Engine.Cycle} when instances
-    remain unevaluated. *)
-val run_topo : t -> Engine.t -> Engine.graph -> int
+(** [machines rt build] is the machine set [build ~fire] with the runtime
+    wired in, for {!Engine.steal_loop} over {!Engine.rule_tasks} of the
+    runtime's engine and graph. The set's machines must run a rule
+    instance by calling [fire] inside their uid bracket and then release
+    its target slot. The wired set:
+
+    - resolves gates that are complete before any firing (roots with no
+      inherited attributes) when it starts;
+    - taints every class evaluation whose range holds the node of a rule
+      that drew unique identifiers ({!Pag_core.Uid.mark} moved across
+      [fire]): those are never projected;
+    - reports each released target to the runtime, which resolves gates,
+      completes leaders, and projects or materializes regions
+      transitively; projected slots are released and materialized rule
+      ranges seeded on the machine whose firing began last;
+    - when a machine runs dry with the store incomplete, materializes the
+      lowest-index unresolved region and keeps going. A grammar can feed a
+      subtree's own synthesized output back into its inherited context
+      (repmin's [gmin]); a parked occurrence's gate then never completes.
+      Occurrences on such a feedback path evaluate per occurrence —
+      correct, just not shared. With every region resolved, the loop
+      stops and raises {!Engine.Cycle} as for any stuck run. *)
+val machines :
+  t -> (fire:(int -> unit) -> Engine.machines) -> Engine.machines
+
+(** [run_topo rt] runs {!Engine.steal_loop} over {!Engine.rule_tasks} on
+    the wired one-machine set ({!Engine.one_machine}): the DAG-aware
+    sequential schedule. Returns the number of firings; raises
+    {!Engine.Cycle} when the store stays incomplete. *)
+val run_topo : t -> int
 
 (** {1 Statistics} *)
 

@@ -7,8 +7,9 @@ exception Cycle = Engine.Cycle
 (* The dynamic evaluator is the engine's data-driven topological schedule:
    build the instance table and the slot-level consumer graph, then fire
    every ready rule until the store is complete. All the flat-array
-   machinery (CSR edges, argument codes, the ready ring) lives in
-   {!Engine}; this module only adds telemetry and the stats record. *)
+   machinery (CSR edges, argument codes) and the loop itself
+   ({!Engine.steal_loop} on one machine) live in {!Engine}; this module
+   only adds telemetry and the stats record. *)
 
 let eval_inner ?(obs = Obs.null_ctx) ?root_inh ?(dag = false)
     ?(dag_out = fun _ -> ()) ?(prov = Prov.disabled) ?prov_clock
@@ -38,7 +39,7 @@ let eval_inner ?(obs = Obs.null_ctx) ?root_inh ?(dag = false)
     | None -> Engine.run_topo eng gr
     | Some p ->
         let rt = Dag.make p eng gr in
-        let n = Dag.run_topo rt eng gr in
+        let n = Dag.run_topo rt in
         dag_out rt;
         if Obs.ctx_enabled obs then begin
           let st = Dag.stats rt in

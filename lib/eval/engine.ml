@@ -9,11 +9,11 @@ open Pag_obs
    slots and defining a target slot in a flat {!Store}. The engine owns that
    core once: a flat table of rule instances (rule, owning node, target
    slot, argument codes). Schedulers differ only in the order they call
-   {!fire}/{!fire_at} — the ready-queue topological order here
-   ({!run_topo}), the plan's visit sequences ({!Static_eval}), the combined
-   evaluator's task graph ({!Taskgraph}), the dirty cone of an edit
-   ({!Incr}), or the work-stealing loop here ({!steal_loop}) over a
-   machine set.
+   {!fire}/{!fire_at} — the plan's visit sequences ({!Static_eval}), the
+   dirty cone of an edit ({!Incr}), the parallel worker's message-driven
+   loop, or the dependency-counting loop here ({!steal_loop}) over a
+   machine set: the calling domain alone ({!run_topo}), real domains or
+   simulated machines.
 
    Layout mirrors the store's dense slot ids: instances of one node are
    consecutive, [rid_base] maps a node's dense index to its first rule id,
@@ -545,79 +545,36 @@ let reresolve_node e ?graph (node : Tree.t) =
         p.Grammar.p_rules
 
 (* ------------------------------------------------------------------ *)
-(* Topological schedule                                                *)
+(* The dependency-counting loop                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Data-driven evaluation to a fixed point: fire every rule whose argument
-   slots are all set, defining targets and releasing consumers. Each live
-   rule enqueues exactly once, so a flat ring suffices. *)
-let run_topo e gr =
-  let n = e.e_n in
-  let waiting = Array.make (max 1 n) 0 in
-  let queue = Array.make (max 1 n) 0 in
-  let head = ref 0 and tail = ref 0 in
-  for rid = 0 to n - 1 do
-    if not (is_dead e rid) then begin
-      iter_slot_args e rid (fun slot ->
-          if not (Store.slot_is_set e.e_store slot) then
-            waiting.(rid) <- waiting.(rid) + 1);
-      if waiting.(rid) = 0 then begin
-        queue.(!tail) <- rid;
-        incr tail
-      end
-    end
-  done;
-  let fired0 = e.e_fired in
-  while !head < !tail do
-    let rid = queue.(!head) in
-    incr head;
-    fire e rid;
-    iter_consumers gr e.e_target.(rid) (fun c ->
-        if not (is_dead e c) then begin
-          waiting.(c) <- waiting.(c) - 1;
-          if waiting.(c) = 0 then begin
-            queue.(!tail) <- c;
-            incr tail
-          end
-        end)
-  done;
-  let left = Store.missing e.e_store in
-  if left > 0 then
-    raise
-      (Cycle
-         (Printf.sprintf
-            "dynamic evaluation stuck: %d attribute instances unevaluated \
-             (circular tree or missing root attributes)"
-            left));
-  e.e_fired - fired0
+(* The data-driven fixed point, written once: fire every task whose
+   dependencies are all met, releasing the tasks that wait on it, until
+   none is left. One loop serves every machine set: the calling domain
+   alone ({!run_topo}), real domains ({!run_tasks}) and the network
+   simulator's machine fibers (the runner's simulated steal schedule)
+   differ only in how machines start, how one runs a task and what that
+   costs, how a probe moves work and how a failed probe waits. A task is a
+   rule instance ({!rule_tasks}) or a task of the combined evaluator's
+   graph ({!Taskgraph}): a spine rule instance or a static visit.
 
-(* ------------------------------------------------------------------ *)
-(* Work-stealing schedule                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Same data-driven fixed point as {!run_topo}, parallel across a machine
-   set and over a task graph. One loop serves every set: real domains
-   ({!run_tasks}) and the network simulator's machine fibers (the runner's
-   simulated steal schedule) differ only in how machines start, how one
-   runs a task and what that costs, how a probe moves work and how a
-   failed probe waits. A task is a rule instance ({!rule_tasks}) or a task
-   of the combined evaluator's graph ({!Taskgraph}): a spine rule instance
-   or a static visit.
-
-   Readiness lives in per-task atomic dependency counters; ready task ids
-   sit in per-machine Chase-Lev deques ({!Steal}). A machine pops its own
-   deque LIFO, and when empty probes a pseudo-randomly chosen victim,
-   backing off exponentially between failed probes.
+   Readiness lives in atomic dependency counters; ready task ids sit in
+   per-machine Chase-Lev deques ({!Steal}), except the one a machine holds
+   to run next. A machine pops its own deque LIFO, and when empty probes a
+   pseudo-randomly chosen victim, backing off exponentially between failed
+   probes.
 
    Termination is an exact task census: [pending] counts tasks that are
    ready-but-unrun or currently executing. A finishing task increments
-   [pending] for each consumer it releases {e before} pushing it and
-   decrements itself only {e after} all pushes, so [pending] can only
+   [pending] for each consumer it releases {e before} pushing it (a held
+   task runs on the releasing task's unit instead) and decrements itself
+   only {e after} all pushes, so [pending] can only
    reach zero when no task exists anywhere and none can appear — which is
-   either completion or a dependency cycle, distinguished after the run by
-   comparing runs against the live-task count. A machine whose task raises
-   poisons the census so the others drain and exit; the exception is
-   re-raised once every machine has returned. *)
+   either completion or a stuck run (a dependency cycle, or a slot no task
+   defines), told apart after the run by the store: any slot still unset
+   raises {!Cycle}. A machine whose task raises poisons the census so the
+   others drain and exit; the exception is re-raised once every machine
+   has returned. *)
 
 type tasks = {
   tk_count : int;
@@ -627,12 +584,14 @@ type tasks = {
 
 let unset_args e rid =
   let w = ref 0 in
-  iter_slot_args e rid (fun slot ->
-      if not (Store.slot_is_set e.e_store slot) then incr w);
+  for k = e.e_arg_off.(rid) to e.e_arg_off.(rid + 1) - 1 do
+    let c = e.e_arg_code.(k) in
+    if c >= 0 && not (Store.slot_is_set e.e_store c) then incr w
+  done;
   !w
 
-(* A dead instance is never added, so its counter stays at zero and no
-   release can bring it to one: releasing a slot need not skip it. *)
+(* A dead instance is never added: the loop gives it a counter no release
+   meets, so releasing a slot need not skip it. *)
 let rule_tasks e gr =
   {
     tk_count = e.e_n;
@@ -656,55 +615,92 @@ type machines = {
 
 let steal_loop e tasks ~owner ms =
   let count = max 1 ms.ms_count in
-  (* growable: work added mid-run ([seed]) appends task ids *)
-  let waiting =
-    ref (Array.init (max 1 tasks.tk_count) (fun _ -> Atomic.make 0))
-  in
+  (* Dependency counters. Every dependency is released exactly once, so a
+     task that waits on one needs no count: the release that meets it makes
+     it ready. Those tasks, and the ones that wait on nothing, share [one];
+     a dead task shares [zero], which no release meets; only a task that
+     waits on two or more gets a counter of its own. Growable: work added
+     mid-run ([seed]) appends task ids. *)
+  let zero = Atomic.make 0 and one = Atomic.make 1 in
+  let waiting = ref (Array.make (max 1 tasks.tk_count) one) in
   let deques = Array.init count (fun _ -> Steal.create ()) in
   let stats = Array.init count (fun _ -> Steal.zero_stats ()) in
+  (* [held.(d)]: the task that machine [d]'s running task released last,
+     -1 when none. The machine pops its deque LIFO, so that task would run
+     next anyway: holding it out of the deque changes no order and costs no
+     deque or census traffic — it runs on the running task's census unit,
+     which it inherits. [lower d] moves it onto the deque, with a unit of
+     its own, before anything else is queued on [d]. *)
+  let held = Array.make count (-1) in
+  let pending = Atomic.make 0 in
+  let lower d =
+    let t = held.(d) in
+    if t >= 0 then begin
+      held.(d) <- -1;
+      Atomic.incr pending;
+      Steal.push deques.(d) t
+    end
+  in
+  let note_depth d =
+    let st = stats.(d) in
+    let depth = Steal.size deques.(d) + if held.(d) >= 0 then 1 else 0 in
+    if depth > st.st_hwm then st.st_hwm <- depth
+  in
   (* count a live task's unmet dependencies; queue it on [d] when none *)
-  let live = ref 0 in
   let add d t =
     let w = tasks.tk_unmet t in
-    w >= 0
-    && begin
-         incr live;
-         Atomic.set !waiting.(t) w;
-         w = 0 && (Steal.push deques.(d) t; true)
-       end
+    if w < 0 then !waiting.(t) <- zero
+    else if w > 1 then !waiting.(t) <- Atomic.make w;
+    w = 0 && (Steal.push deques.(d) t; true)
   in
   let seeded = ref 0 in
   for t = 0 to tasks.tk_count - 1 do
     if add (owner t) t then incr seeded
   done;
-  let pending = Atomic.make !seeded in
+  Atomic.set pending !seeded;
   let seed d lo hi =
     let w = !waiting in
     let len = Array.length w in
-    if hi > len then
-      waiting :=
-        Array.init (max hi (2 * len)) (fun i ->
-            if i < len then w.(i) else Atomic.make 0);
+    if hi > len then begin
+      let w' = Array.make (max hi (2 * len)) one in
+      Array.blit w 0 w' 0 len;
+      waiting := w'
+    end;
+    lower d;
     for t = lo to hi - 1 do
       if add d t then Atomic.incr pending
     done
   in
-  let release d =
-    let my = deques.(d) and st = stats.(d) in
-    let met c =
-      if Atomic.fetch_and_add !waiting.(c) (-1) = 1 then begin
-        Atomic.incr pending;
-        Steal.push my c;
-        let depth = Steal.size my in
-        if depth > st.st_hwm then st.st_hwm <- depth
-      end
-    in
-    fun key -> tasks.tk_release key met
+  let met c =
+    let a = !waiting.(c) in
+    a == one || (a != zero && Atomic.fetch_and_add a (-1) = 1)
+  in
+  (* a release from outside machine [d]'s firing: straight onto its deque *)
+  let release d key =
+    tasks.tk_release key (fun c ->
+        if met c then begin
+          lower d;
+          Atomic.incr pending;
+          Steal.push deques.(d) c;
+          note_depth d
+        end)
   in
   let failure = Atomic.make None in
   let body d =
     let my = deques.(d) and st = stats.(d) in
-    let fire = ms.ms_fire d ~release:(release d) in
+    let hold c =
+      if met c then begin
+        lower d;
+        held.(d) <- c;
+        note_depth d
+      end
+    in
+    let fire = ms.ms_fire d ~release:(fun key -> tasks.tk_release key hold) in
+    let run t =
+      fire t;
+      st.st_fired <- st.st_fired + 1;
+      if held.(d) < 0 then Atomic.decr pending
+    in
     (* deterministic per-machine xorshift for victim selection *)
     let rng = ref ((((d + 1) * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
     let next_victim () =
@@ -722,30 +718,35 @@ let steal_loop e tasks ~owner ms =
     in
     let rec loop backoff =
       if more () then
-        match Steal.pop my with
-        | Some t ->
-            fire t;
-            st.st_fired <- st.st_fired + 1;
-            Atomic.decr pending;
-            loop 0
-        | None ->
-            let moved =
-              if count = 1 then 0
-              else begin
-                st.st_attempts <- st.st_attempts + 1;
-                let v = next_victim () in
-                ms.ms_probe d st ~victim:v deques.(v) ~into:my
-              end
-            in
-            if moved > 0 then begin
-              st.st_successes <- st.st_successes + 1;
-              st.st_stolen <- st.st_stolen + moved;
+        let t = held.(d) in
+        if t >= 0 then begin
+          held.(d) <- -1;
+          run t;
+          loop 0
+        end
+        else
+          match Steal.pop my with
+          | Some t ->
+              run t;
               loop 0
-            end
-            else begin
-              st.st_idle <- st.st_idle +. ms.ms_wait d backoff;
-              loop (min 16 (backoff + 1))
-            end
+          | None ->
+              let moved =
+                if count = 1 then 0
+                else begin
+                  st.st_attempts <- st.st_attempts + 1;
+                  let v = next_victim () in
+                  ms.ms_probe d st ~victim:v deques.(v) ~into:my
+                end
+              in
+              if moved > 0 then begin
+                st.st_successes <- st.st_successes + 1;
+                st.st_stolen <- st.st_stolen + moved;
+                loop 0
+              end
+              else begin
+                st.st_idle <- st.st_idle +. ms.ms_wait d backoff;
+                loop (min 16 (backoff + 1))
+              end
     in
     try loop 0
     with exn ->
@@ -755,17 +756,37 @@ let steal_loop e tasks ~owner ms =
   in
   ms.ms_start ~seed ~release body;
   (match Atomic.get failure with Some exn -> raise exn | None -> ());
-  let fired =
-    Array.fold_left (fun a (st : Steal.stats) -> a + st.st_fired) 0 stats
-  in
-  if fired < !live then
+  let left = Store.missing e.e_store in
+  if left > 0 then
     raise
       (Cycle
          (Printf.sprintf
-            "dynamic evaluation stuck: %d attribute instances unevaluated \
-             (circular tree or missing root attributes)"
-            (Store.missing e.e_store)));
-  (fired, stats)
+            "evaluation stuck: %d attribute instances unevaluated (circular \
+             tree or missing root attributes)"
+            left));
+  (Array.fold_left (fun a (st : Steal.stats) -> a + st.st_fired) 0 stats, stats)
+
+(* The calling domain alone: one machine, nothing to probe or wait for.
+   [fire] defines its slots through the store's checked setters, so the
+   store is complete the moment the loop ends. *)
+let one_machine e ~fire =
+  {
+    ms_count = 1;
+    ms_start = (fun ~seed:_ ~release:_ body -> body 0);
+    ms_fire =
+      (fun _ ~release rid ->
+        fire rid;
+        release e.e_target.(rid));
+    ms_probe = (fun _ _ ~victim:_ _ ~into:_ -> 0);
+    ms_wait = (fun _ _ -> 0.0);
+    ms_refill = (fun _ -> false);
+  }
+
+let run_topo e gr =
+  fst
+    (steal_loop e (rule_tasks e gr)
+       ~owner:(fun _ -> 0)
+       (one_machine e ~fire:(fire e)))
 
 (* The domains machine set. Tasks write slots with {!Store.poke}: the
    store's set-bitset is byte-granular, so marking bits from several

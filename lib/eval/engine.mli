@@ -4,16 +4,17 @@
     instance at one node, reading argument slots and defining a target slot
     in a flat {!Store}. The engine owns that core once — a flat table of
     rule instances (rule, owning node, target slot, resolved argument
-    codes) over a store, plus the slot-level dependency graph. Evaluators are just schedules
-    over it: the data-driven topological order ({!run_topo}, used by
-    {!Dynamic}), the plan's visit sequences ({!Static_eval}, which fire
-    from the rules' references and need no table), the combined
-    evaluator's task graph of spine rule instances and static visits
-    ({!Taskgraph}, run by the parallel worker and by the steal loop), the
-    dirty cone of an edit ({!Incr}), and the work-stealing loop
-    ({!steal_loop}), written once and run over a machine set — real
-    domains ({!run_tasks}) or the network simulator's machine fibers
-    ({!Pag_parallel.Runner}).
+    codes) over a store, plus the slot-level dependency graph. Evaluators
+    are just schedules over it: the plan's visit sequences
+    ({!Static_eval}, which fire from the rules' references and need no
+    table), the dirty cone of an edit ({!Incr}), the parallel worker's
+    message-driven loop over the combined evaluator's task graph of spine
+    rule instances and static visits ({!Taskgraph}), and one
+    dependency-counting loop ({!steal_loop}) that fires rule instances or
+    task-graph tasks as their dependencies are met. That loop is written
+    once and run over three machine sets: the calling domain alone
+    ({!run_topo}, the {!Dynamic} schedule), real domains ({!run_tasks}),
+    and the network simulator's machine fibers ({!Pag_parallel.Runner}).
 
     Instances of one node are consecutive and keyed by the store's dense
     preorder index, so [(node, rule index)] resolves to a rule id with two
@@ -24,8 +25,9 @@ open Pag_core
 
 type t
 
-(** Raised by {!run_topo} when instances remain unevaluated (circular
-    dependencies or missing root attributes). *)
+(** Raised by {!steal_loop}, on every machine set, when a run ends with
+    attribute instances unevaluated: circular dependencies, or a slot no
+    rule defines and nothing preset (a missing root attribute). *)
 exception Cycle of string
 
 (** [create ?rules_for g store] resolves the rule instances (rows) of every
@@ -188,24 +190,18 @@ val graph_note_range : t -> graph -> rid_lo:int -> rid_hi:int -> unit
     redefined). *)
 val reresolve_node : t -> ?graph:graph -> Tree.t -> unit
 
-(** {1 Topological schedule}
+(** {1 The dependency-counting loop}
 
-    [run_topo e gr] fires every live instance whose arguments are all set,
-    in data-driven topological order, until the store is complete. Returns
-    the number of firings. Raises {!Cycle} when instances remain
-    unevaluated. *)
-val run_topo : t -> graph -> int
-
-(** {1 Work-stealing schedule}
-
-    One loop fires the same fixed point as {!run_topo} across a set of
-    machines: per-machine Chase-Lev deques of ready task ids ({!Steal}),
-    atomic dependency counters, xorshift victim choice with exponential
-    backoff between failed probes, and an exact task-census termination
-    barrier. The loop owns all of that; a task graph says what the tasks
-    are, and a machine set says only where machines run and what their
-    work costs. {!run_tasks} runs the loop on real domains; the runner's
-    simulated steal schedule runs it on network-simulator fibers. *)
+    One loop fires the data-driven fixed point — any topological order of
+    the dependency graph is valid — on a set of machines: per-machine
+    Chase-Lev deques of ready task ids ({!Steal}), atomic dependency
+    counters, xorshift victim choice with exponential backoff between
+    failed probes, and an exact task-census termination barrier. The loop
+    owns all of that; a task graph says what the tasks are, and a machine
+    set says only where machines run and what their work costs. Three
+    sets run it: the calling domain alone ({!one_machine}, {!run_topo}),
+    real domains ({!run_tasks}), and the runner's simulated steal
+    schedule on network-simulator fibers. *)
 
 (** A task graph: tasks [0 .. tk_count - 1].
 
@@ -233,7 +229,9 @@ val rule_tasks : t -> graph -> tasks
       completion (a body never raises). [seed d lo hi] registers tasks
       [lo .. hi - 1] added mid-run and queues the ready ones on [d]'s
       deque; [release d key] queues the tasks a key released outside any
-      task made ready. A set whose work never grows ignores both.
+      task made ready. Both act as [d]'s owner, so only a set whose
+      machines share one thread may call them; a set whose work never
+      grows ignores both.
     - [ms_fire d ~release] is machine [d]'s firing closure, built once per
       machine. It runs one task, charges its cost, and calls
       [release key] to queue the tasks that became ready.
@@ -263,10 +261,24 @@ type machines = {
     dependency on machine [owner t]'s deque (an affinity hint — stealing
     overrides it) and runs the machine set. Returns the number of tasks
     run and the per-machine scheduler statistics. Re-raises the first
-    exception a task raised; raises {!Cycle} when live tasks remain
-    unrun. *)
+    exception a task raised. Once the set has returned, a store with
+    slots still unset ({!Store.missing} > 0) raises {!Cycle}: tasks that
+    never ran, and slots no task defines. *)
 val steal_loop :
   t -> tasks -> owner:(int -> int) -> machines -> int * Steal.stats array
+
+(** [one_machine e ~fire] is the one-machine set on the calling domain,
+    for {!rule_tasks}: machine 0 runs a rule instance with [fire], which
+    defines the target through the store's checked setters, then
+    releases the target slot. It never probes or waits. *)
+val one_machine : t -> fire:(int -> unit) -> machines
+
+(** [run_topo e gr] is {!steal_loop} over {!rule_tasks} on
+    [one_machine e ~fire:(fire e)]: every live instance fires once its
+    arguments are set, depth-first (the deque pops LIFO), until the store
+    is complete. Returns the number of firings; raises {!Cycle} as
+    {!steal_loop} does. *)
+val run_topo : t -> graph -> int
 
 (** [run_tasks ~domains ~owner ~uid_base e tasks ~fire] runs {!steal_loop}
     on [D = Pag_util.Placement.count domains] machines, one per domain (the
@@ -280,7 +292,7 @@ val steal_loop :
     the store's checked setters, whose set-bits are not domain-safe), and
     calls [release] on the task's key. Once every domain has returned, the
     calling domain marks the poked slots set; a slot no task poked stays
-    unset and counts in {!Store.missing}. A failed probe spins with
+    unset, so the loop raises {!Cycle}. A failed probe spins with
     exponential backoff; [st_idle] is the wall-clock time spent
     spinning. *)
 val run_tasks :
@@ -318,7 +330,8 @@ val fire_quiet :
     output across schedules, or use a grammar that consumes no uids for
     bit-identical stores. Returns the number of firings and the [D]
     per-domain scheduler statistics. Raises {!Cycle} as {!run_topo}
-    does. *)
+    does: the loop checks the store once the poked slots are marked
+    set. *)
 val run_steal :
   ?domains:int ->
   ?owner:(int -> int) ->

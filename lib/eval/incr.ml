@@ -131,7 +131,7 @@ let evaluate ~obs ~prov ~dag ~cursor g tree =
   Uid.with_counter cursor (fun () ->
       match rt with
       | None -> ignore (Engine.run_topo eng gr)
-      | Some rt -> ignore (Dag.run_topo rt eng gr));
+      | Some rt -> ignore (Dag.run_topo rt));
   (store, eng, gr, rt)
 
 let build s =

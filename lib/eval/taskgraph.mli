@@ -86,8 +86,9 @@ type fired = {
     the [Rule] firings; attach it only to a graph without visits, since a
     ring names firings by rule id. Returns the per-domain scheduler
     statistics and work. Re-raises a rule's exception once every domain
-    has returned; raises {!Engine.Cycle} when tasks remain unrun. A graph
-    with [Recv] items cannot run here. *)
+    has returned; raises {!Engine.Cycle} when the store stays incomplete,
+    as {!Engine.steal_loop} does. A graph with [Recv] items cannot run
+    here. *)
 val run_steal :
   ?domains:int ->
   ?uid_base:int ->

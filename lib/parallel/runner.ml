@@ -161,6 +161,8 @@ let build_report ~label ~clock ~horizon ~machines ~worker_stats ~messages
    fragment, the librarian, their telemetry and provenance slots, and each
    machine's env — {!Reliable} under a fault plan, then {!Intern} with
    [use_dag] on the simulator — layered over the transport's [raw] env.
+   [mode] is the workers' evaluator: [`Combined] for the static schedule,
+   [`Dynamic] for the dynamic one.
    The transport supplies only what differs: [now] clocks telemetry,
    [rto], [max_tries] and [watchdog] time the reliable layer and the
    coordinator's liveness probes, and [sim] says [raw] is the network
@@ -173,8 +175,8 @@ let build_report ~label ~clock ~horizon ~machines ~worker_stats ~messages
    start its own way, and [collect], which assembles the result once every
    started body has returned. [row stats pid] is the transport's report
    row for machine [pid]. *)
-let static_machines ?max_tries opts g plan tree split ~now ~raw ~rto ~watchdog
-    ~sim =
+let static_machines ?max_tries opts g ~mode plan tree split ~now ~raw ~rto
+    ~watchdog ~sim =
   let nfrags = Split.count split in
   let n = nfrags + 2 in
   let librarian = if opts.use_librarian then Some (nfrags + 1) else None in
@@ -234,10 +236,7 @@ let static_machines ?max_tries opts g plan tree split ~now ~raw ~rto ~watchdog
       {
         Worker.wc_grammar = g;
         wc_plan = plan;
-        wc_mode =
-          (match opts.schedule with
-          | `Dynamic -> `Dynamic
-          | `Static | `Steal -> `Combined);
+        wc_mode = mode;
         wc_use_priority = opts.use_priority;
         wc_librarian = librarian;
         wc_phase_label = opts.phase_label;
@@ -391,14 +390,14 @@ let sim_row sim ~fragments ~sends pid =
     rm_max_queue = S.max_queue_depth sim pid;
   }
 
-let run_sim_static opts g plan tree =
+let run_sim_static opts g ~mode plan tree =
   let split = decompose opts g tree in
   let nfrags = Split.count split in
   let sim = S.create () in
   Option.iter (S.set_faults sim) opts.faults;
   let rto, watchdog = auto_timeouts opts tree in
   let bodies, collect =
-    static_machines ~max_tries:sim_max_tries opts g plan tree split
+    static_machines ~max_tries:sim_max_tries opts g ~mode plan tree split
       ~now:(fun () -> S.time ())
       ~raw:(sim_env sim) ~rto ~watchdog ~sim:true
   in
@@ -521,9 +520,10 @@ let run_sim_steal opts g tree =
      subtrees get one rule-instance set per (class × inherited
      fingerprint), parked occurrences own no instances at all, and their
      synthesized attributes arrive by projection when the leader's region
-     completes. The loop drains the same deques; the DAG runtime only adds
-     work through its two hooks (projection releases consumers,
-     materialization seeds fresh instances). *)
+     completes. The loop drains the same deques; the DAG runtime, wired
+     into the machine set ({!Pag_eval.Dag.machines}), only adds work
+     (projection releases consumers, materialization seeds fresh
+     instances). *)
   let dag = if opts.use_dag then Some (Tree.dag tree) else None in
   let dplan = Option.map (fun d -> Pag_eval.Dag.plan g store d) dag in
   let eng =
@@ -576,11 +576,9 @@ let run_sim_steal opts g tree =
   let ctxs = make_ctxs opts ~n:(m + 1) ~clock:(fun () -> S.time ()) in
   let attrs = ref [] in
   let finish = ref 0.0 in
-  (* [cur] is the loop machine whose fiber runs: work the DAG runtime adds
-     lands on its deque. [last] fired most recently: once the store is
-     complete it ships the root attributes. Fibers share one OS thread, so
-     both are race-free. *)
-  let cur = ref 0 and last = ref (-1) in
+  (* [last] fired most recently: once the store is complete it ships the
+     root attributes. Fibers share one OS thread, so it is race-free. *)
+  let last = ref (-1) in
   let send_from k msg =
     sends.(k) <- sends.(k) + 1;
     S.send ~dst:0 ~size:(Message.size msg) ~label:(Message.label msg) msg
@@ -610,14 +608,7 @@ let run_sim_steal opts g tree =
     attrs := List.rev !acc;
     finish := S.time ()
   in
-  let start ~seed ~release body =
-    Option.iter
-      (fun rt ->
-        Pag_eval.Dag.set_hooks rt
-          ~on_defined:(fun slot -> release !cur slot)
-          ~on_new_rids:(fun lo hi -> seed !cur lo hi);
-        Pag_eval.Dag.prime rt)
-      rt;
+  let start ~seed:_ ~release:_ body =
     ignore (S.spawn sim ~name:"parser" parser);
     for k = 1 to m do
       ignore
@@ -648,32 +639,17 @@ let run_sim_steal opts g tree =
     done;
     S.run sim
   in
-  let fire d ~release =
+  let fire_rule ~fire d ~release =
     let k = d + 1 in
     let cursor = ref (k * Uid.stride) in
     fun rid ->
-      cur := d;
       if opts.provenance then Eng.set_prov_pid eng k;
       (* Fibers interleave on one thread, so each firing brackets its own
          uid cursor. *)
-      Uid.with_counter cursor (fun () ->
-          match rt with
-          | None -> Eng.fire eng rid
-          | Some rt ->
-              (* Mark inside the bracket: the fiber draws labels from its
-                 own cursor, so that is the cursor whose motion witnesses
-                 a uid-consuming (untaintable) rule. *)
-              let u0 = Uid.mark () in
-              Eng.fire eng rid;
-              if Uid.mark () <> u0 then
-                Pag_eval.Dag.note_taint rt (Eng.node_of eng rid).Tree.id);
+      Uid.with_counter cursor (fun () -> fire rid);
       S.delay Cost.default.Cost.steal_rule;
       last := d;
-      let tgt = Eng.target_slot eng rid in
-      release tgt;
-      (* Projections and materializations cascade back through the hooks,
-         landing on this machine's deque. *)
-      Option.iter (fun rt -> Pag_eval.Dag.note_define rt tgt) rt
+      release (Eng.target_slot eng rid)
   in
   let probe d (st : Steal.stats) ~victim deque ~into =
     let k = d + 1 and v = victim + 1 in
@@ -719,37 +695,22 @@ let run_sim_steal opts g tree =
     S.delay w;
     w
   in
-  (* When the deques run dry with the store incomplete, a parked
-     occurrence's gate is fed by its own class's output (repmin shape):
-     demand-materialize the lowest stalled region and keep going. Any
-     fiber may hit this; the choice is deterministic. *)
-  let refill d =
-    match rt with
-    | Some rt when ESt.missing store > 0 ->
-        cur := d;
-        Pag_eval.Dag.force_stalled rt
-    | _ -> false
+  let machines ~fire =
+    {
+      Eng.ms_count = m;
+      ms_start = start;
+      ms_fire = fire_rule ~fire;
+      ms_probe = probe;
+      ms_wait = wait;
+      ms_refill = (fun _ -> false);
+    }
   in
   let _, stats =
     Eng.steal_loop eng (Eng.rule_tasks eng gr) ~owner
-      {
-        Eng.ms_count = m;
-        ms_start = start;
-        ms_fire = fire;
-        ms_probe = probe;
-        ms_wait = wait;
-        ms_refill = refill;
-      }
+      (match rt with
+      | None -> machines ~fire:(Eng.fire eng)
+      | Some rt -> Pag_eval.Dag.machines rt machines)
   in
-  (* Projected slots have no firing: under the DAG, completion is the
-     store's. *)
-  if Option.is_some rt && ESt.missing store > 0 then
-    raise
-      (Eng.Cycle
-         (Printf.sprintf
-            "dynamic evaluation stuck: %d attribute instances unevaluated \
-             (circular tree or missing root attributes)"
-            (ESt.missing store)));
   (match rt with
   | Some rt when Obs.ctx_enabled ctxs.(0) ->
       let s = Pag_eval.Dag.stats rt in
@@ -817,7 +778,8 @@ let run_sim_steal opts g tree =
 let run_sim opts g plan tree =
   match opts.schedule with
   | `Steal -> run_sim_steal opts g tree
-  | `Static | `Dynamic -> run_sim_static opts g plan tree
+  | `Static -> run_sim_static opts g ~mode:`Combined plan tree
+  | `Dynamic -> run_sim_static opts g ~mode:`Dynamic plan tree
 
 (* ------------------------- domains ------------------------- *)
 
@@ -966,7 +928,7 @@ let home_domain ~fragments ~domains machine =
   if frag < 1 || frag >= fragments || domains = 1 then 0
   else 1 + ((frag - 1) mod (domains - 1))
 
-let run_domains_static opts g plan tree =
+let run_domains_static opts g ~mode plan tree =
   let split = decompose opts g tree in
   let nfrags = Split.count split in
   let nmachines = nfrags + 2 in
@@ -1025,7 +987,7 @@ let run_domains_static opts g plan tree =
   in
   let start = Unix.gettimeofday () in
   let bodies, collect =
-    static_machines opts g plan tree split
+    static_machines opts g ~mode plan tree split
       ~now:(fun () -> Unix.gettimeofday () -. start)
       ~raw ~rto:dom_rto ~watchdog:dom_watchdog ~sim:false
   in
@@ -1067,4 +1029,5 @@ let run_domains_static opts g plan tree =
 let run_domains opts g plan tree =
   match opts.schedule with
   | `Steal -> run_domains_steal opts g plan tree
-  | `Static | `Dynamic -> run_domains_static opts g plan tree
+  | `Static -> run_domains_static opts g ~mode:`Combined plan tree
+  | `Dynamic -> run_domains_static opts g ~mode:`Dynamic plan tree

@@ -26,14 +26,18 @@
     {!Fibers.run} with crashed machines skipped) and the report rows.
 
     The work-stealing schedule is written once as well:
-    {!Pag_eval.Engine.steal_loop} owns the readiness counters, deques,
-    census, victim choice, backoff and termination, and each transport
-    supplies only a task graph and a machine set. On the simulator the
-    tasks are every rule instance ({!Pag_eval.Engine.rule_tasks}), fragment
-    [f] seeding machine [f mod machines], and the machines are one [Sim]
-    fiber each plus the parser, with firings charged at [Cost.steal_rule],
-    probes priced as Ethernet frames under the fault plan, and backoff as
-    virtual delay. On domains the tasks are the combined evaluator's
+    {!Pag_eval.Engine.steal_loop}, the same loop the sequential dynamic
+    schedule runs on one machine, owns the readiness counters, deques,
+    census, victim choice, backoff, termination and the stuck check, and
+    each transport supplies only a task graph and a machine set. On the
+    simulator the tasks are every rule instance
+    ({!Pag_eval.Engine.rule_tasks}), fragment [f] seeding machine
+    [f mod machines], and the machines are one [Sim] fiber each plus the
+    parser, with firings charged at [Cost.steal_rule], probes priced as
+    Ethernet frames under the fault plan, and backoff as virtual delay;
+    with [use_dag] the DAG runtime is wired into that machine set by one
+    call ({!Pag_eval.Dag.machines}). On domains the tasks are the combined
+    evaluator's
     ({!Pag_eval.Taskgraph}): a node whose subtree holds more than
     [1 / (8 * D)] of the tree's rule instances is on the spine and its
     rule instances are tasks; every subtree hanging off the spine is one

@@ -72,7 +72,8 @@ let preorder tree =
 
 let decompose g tree ~machines ~granularity =
   if machines < 1 then invalid_arg "Split.decompose: machines < 1";
-  if granularity <= 0.0 then invalid_arg "Split.decompose: granularity <= 0";
+  if not (Float.is_finite granularity && granularity > 0.0) then
+    invalid_arg "Split.decompose: granularity not finite and positive";
   let nodes, pre = preorder tree in
   let n = Array.length nodes in
   let counts = Array.make n 1 in

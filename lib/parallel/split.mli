@@ -29,8 +29,8 @@ type plan
     are — gapped or out of preorder, as edits leave them — unless they are
     negative or duplicate, in which case the tree is numbered in preorder
     first. Time is linear in the tree for a fixed fragment count.
-    [machines] ≥ 1; granularity > 0 scales every split symbol's minimum
-    size. *)
+    [machines] ≥ 1; a finite granularity > 0 scales every split symbol's
+    minimum size. Raises [Invalid_argument] otherwise. *)
 val decompose :
   Grammar.t -> Tree.t -> machines:int -> granularity:float -> plan
 

@@ -1,10 +1,12 @@
 (** Directed graphs over nodes [0 .. n-1].
 
-    The workhorse of attribute-grammar analysis and dynamic evaluation:
-    dependency graphs are built once, then topologically sorted, closed
-    transitively (Kastens' IDP/IDS fixpoint), or searched for cycles (to
-    report circular grammars). Graphs are immutable once built; duplicate
-    edges are coalesced. *)
+    Kastens' visit-sequence construction orders each production's action
+    graph with one, and the reference IDP/IDS closure that test_kastens
+    checks the plan against closes graphs transitively and searches them
+    for cycles. The analysis's own IDP/IDS fixpoint runs on bit rows, and
+    the evaluators keep flat dependency tables ({!Pag_eval.Engine}), so
+    neither builds a graph here. Graphs are immutable once built;
+    duplicate edges are coalesced. *)
 
 type t
 

@@ -295,6 +295,56 @@ let test_sim_steal_cycle () =
        false
      with Engine.Cycle _ -> true)
 
+(* A run that ends with a slot no rule defines is stuck on every machine
+   set: here the start symbol's inherited [ctx], which no rule reads and
+   nothing presets. Every task runs, so only the store can tell. *)
+let unread_grammar () =
+  let open Grammar in
+  make ~name:"unread" ~start:"r"
+    [
+      terminal "T" [];
+      nonterminal "r" [ syn "out"; inh "ctx" ];
+      nonterminal "x" [ syn "s" ];
+    ]
+    [
+      production ~name:"root" ~lhs:"r" ~rhs:[ "x" ]
+        [ rule (lhs "out") ~deps:[ rhs 1 "s" ] (fun a -> a.(0)) ];
+      production ~name:"leaf" ~lhs:"x" ~rhs:[ "T" ]
+        [ rule (lhs "s") ~deps:[] (fun _ -> Value.Int 1) ];
+    ]
+
+let unread_tree g =
+  Tree.node g "root" [ Tree.node g "leaf" [ Tree.leaf g "T" [] ] ]
+
+let test_stuck_every_set () =
+  let g = unread_grammar () in
+  let stuck name f =
+    check_bool name true
+      (try
+         f ();
+         false
+       with Engine.Cycle _ -> true)
+  in
+  let engine () =
+    let e = Engine.create g (Store.create g (unread_tree g)) in
+    (e, Engine.graph e)
+  in
+  stuck "run_topo" (fun () ->
+      let e, gr = engine () in
+      ignore (Engine.run_topo e gr));
+  stuck "Dynamic.eval" (fun () -> ignore (Dynamic.eval g (unread_tree g)));
+  stuck "Dynamic.eval ~dag" (fun () ->
+      ignore (Dynamic.eval ~dag:true g (unread_tree g)));
+  stuck "run_steal on 2 domains" (fun () ->
+      let e, gr = engine () in
+      ignore (Engine.run_steal ~domains:2 e gr));
+  stuck "Taskgraph.run_steal" (fun () ->
+      let e, _ = engine () in
+      ignore (Taskgraph.run_steal ~domains:2 (Taskgraph.of_store e None)));
+  stuck "sim steal" (fun () ->
+      ignore
+        (Pag_parallel.Runner.run_sim (steal_opts 2) g None (unread_tree g)))
+
 (* Domains steal reports measured idle time: each evaluator's row splits
    the horizon into its idle wait and the rest, and the backoff gauge is
    in seconds. The serial set-up before the loop (store, rows, task
@@ -622,6 +672,8 @@ let suite =
         Alcotest.test_case "sim steal re-raises a rule failure" `Quick
           test_sim_steal_failure;
         Alcotest.test_case "sim steal detects cycles" `Quick test_sim_steal_cycle;
+        Alcotest.test_case "an unset slot is stuck on every machine set" `Quick
+          test_stuck_every_set;
         Alcotest.test_case "domains steal rows are measured" `Quick
           test_domains_steal_rows;
         Alcotest.test_case "domains steal on min(m, cores) domains" `Quick
