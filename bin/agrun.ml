@@ -128,18 +128,15 @@ let run_agrun builtin machines schedule show_plan profile batch args =
     else List.iter eval sentences;
     exit 0
   with
-  | Spec_parser.Error (line, msg) ->
-      Printf.eprintf "spec:%d: %s\n" line msg;
-      exit 1
-  | Compile.Error msg | Pag_core.Grammar.Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-  | Compile.Scan_error msg ->
-      Printf.eprintf "scan error: %s\n" msg;
-      exit 1
   | Sys_error msg ->
       Printf.eprintf "%s\n" msg;
       exit 1
+  | exn -> (
+      match Compile.diagnostic exn with
+      | Some d ->
+          prerr_endline d;
+          exit 1
+      | None -> raise exn)
 
 let builtin_arg =
   Arg.(

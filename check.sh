@@ -5,10 +5,11 @@ cd "$(dirname "$0")"
 # Process-wide mutable state: every top-level binding in lib whose value
 # (on its line or the next) starts with a mutable constructor must be on
 # this allowlist, so a new process-wide table fails here. Each entry is
-# domain-safe or written only at module initialization.
+# domain-safe or written only at module initialization (Engine.one and
+# Engine.zero, the loop's shared counters, are never written at all).
 allowed="Appendix.spec Appendix.translator Driver.plan Driver.plan_threaded
-Primitives.table Rope.arena Uid.key Value.arena Value.ext_registry
-Value.tables"
+Engine.one Engine.zero Primitives.table Rope.arena Uid.key Value.arena
+Value.ext_registry Value.tables"
 for f in $(git ls-files 'lib/*.ml'); do
   awk -v file="$f" '
     function check(rhs) {
@@ -75,6 +76,43 @@ for m in 1 3; do
       echo "check.sh: agrun examples/expr.ag -m $m --schedule $sched: expected value = 7, got: $out" >&2
       exit 1
     }
+  done
+done
+# agrun malformed-input smoke: a spec calling an unknown function, one
+# calling a function with the wrong arity, one naming an undeclared
+# precedence terminal, one with an overflowing %split size, a sentence
+# with an overflowing literal, and an unbound identifier (sequentially and
+# under every machine count and schedule) each get a diagnostic (spec:LINE:,
+# error: or scan error:) and exit 1, never an uncaught exception
+# (cmdliner's "internal error", exit 125).
+bad=/tmp/agrun_malformed_smoke
+sed 's/st_create()/st_creat()/' examples/expr.ag >"$bad.function.ag"
+sed 's/mul(\$1.value, \$3.value)/mul($1.value)/' examples/expr.ag >"$bad.arity.ag"
+sed 's/%left TIMES/%left TIMEZ/' examples/expr.ag >"$bad.prec.ag"
+sed 's/%split 64/%split 99999999999999999999999/' examples/expr.ag >"$bad.split.ag"
+malformed() {
+  expect=$1
+  shift
+  status=0
+  out=$(dune exec bin/agrun.exe -- "$@" 2>&1) || status=$?
+  if [ "$status" != 1 ] || ! printf '%s\n' "$out" | grep -q -- "^$expect" \
+    || printf '%s\n' "$out" | grep -q "internal error"; then
+    echo "check.sh: agrun $*: expected '$expect' and exit 1, got exit $status: $out" >&2
+    exit 1
+  fi
+}
+malformed "error: production main_expr -> expr: unknown function st_creat" \
+  "$bad.function.ag" "1 + 2"
+malformed "error: production expr -> expr TIMES expr: mul expects 2 arguments" \
+  "$bad.arity.ag" "1 + 2"
+malformed "spec:19: " "$bad.prec.ag" "1 + 2"
+malformed "spec:14: " "$bad.split.ag" "1 + 2"
+malformed "scan error: character 0: " examples/expr.ag "99999999999999999999999 + 1"
+malformed "error: st_lookup: unbound identifier x" examples/expr.ag "x + 1"
+for m in 1 3; do
+  for sched in static dynamic steal; do
+    malformed "error: st_lookup: unbound identifier x" --builtin-appendix \
+      --machines $m --schedule $sched x
   done
 done
 # CLI-range smoke: a run size out of range (machines or batch below 1, a

@@ -34,21 +34,31 @@ let deps_of_expr e =
   go e;
   List.rev !out
 
-let compile_expr e =
+(* Calls are resolved here, once per rule: an unknown function or a wrong
+   argument count is an error naming the production [prod], and a firing
+   does no name lookup. *)
+let compile_expr ~prod e =
   (* args arrive in deps_of_expr order *)
   let deps = deps_of_expr e in
   let index = Hashtbl.create 8 in
   List.iteri (fun i d -> Hashtbl.add index d i) deps;
-  let rec go e (args : Value.t array) =
-    match e with
-    | SAttr (pos, attr) -> args.(Hashtbl.find index (pos, attr))
-    | SInt n -> Value.Int n
-    | SStr s -> Value.str s
-    | SCall (f, es) ->
-        let fn = Primitives.lookup f in
-        fn (List.map (fun e -> go e args) es)
+  let rec comp = function
+    | SAttr (pos, attr) ->
+        let i = Hashtbl.find index (pos, attr) in
+        fun (args : Value.t array) -> args.(i)
+    | SInt n -> fun _ -> Value.Int n
+    | SStr s -> fun _ -> Value.str s
+    | SCall (f, es) -> (
+        match Primitives.find f with
+        | None -> error "production %s: unknown function %s" prod f
+        | Some (k, fn) ->
+            if List.length es <> k then
+              error "production %s: %s expects %d arguments, got %d" prod f k
+                (List.length es);
+            let cs = Array.of_list (List.map comp es) in
+            fun args -> fn (Array.map (fun c -> c args) cs))
   in
-  (deps, fun args -> go e args)
+  (deps, comp e)
 
 (* ---------------- grammar construction ---------------- *)
 
@@ -87,7 +97,11 @@ let translator spec =
         let rules =
           List.map
             (fun r ->
-              let deps, fn = compile_expr r.r_expr in
+              let deps, fn =
+                compile_expr
+                  ~prod:(String.concat " " ((p.p_lhs ^ " ->") :: p.p_rhs))
+                  r.r_expr
+              in
               let target =
                 if r.r_pos = 0 then Grammar.lhs r.r_attr
                 else Grammar.rhs r.r_pos r.r_attr
@@ -134,11 +148,13 @@ let translator spec =
       spec.s_prec
   in
   let cfg =
-    Lrgen.Cfg.make
-      ~terminals:
-        (List.map (fun ns -> ns.n_term) spec.s_names
-        @ List.map (fun kw -> kw.k_term) spec.s_keywords)
-      ~start:spec.s_start ~prec cfg_prods
+    try
+      Lrgen.Cfg.make
+        ~terminals:
+          (List.map (fun ns -> ns.n_term) spec.s_names
+          @ List.map (fun kw -> kw.k_term) spec.s_keywords)
+        ~start:spec.s_start ~prec cfg_prods
+    with Lrgen.Cfg.Error msg -> error "invalid grammar: %s" msg
   in
   let tables = Lrgen.Lalr.build cfg in
   let plan =
@@ -159,7 +175,13 @@ let plan t = t.c_plan
 (* ---------------- scanner ---------------- *)
 
 (* Generic scanner driven by the %name/%keyword declarations: longest-match
-   keywords (so "<=" beats "<"), identifiers, decimal numbers. *)
+   keywords (so "<=" beats "<"), identifiers, decimal numbers. An error
+   names the character offset where its token starts. *)
+let scan_error at fmt =
+  Printf.ksprintf
+    (fun s -> raise (Scan_error (Printf.sprintf "character %d: %s" at s)))
+    fmt
+
 let scan spec src =
   let kws =
     List.sort
@@ -209,13 +231,13 @@ let scan spec src =
             while !i < n && is_digit src.[!i] do
               incr i
             done;
-            match number_term with
-            | Some ns ->
-                out :=
-                  ( ns.n_term,
-                    Some (ns.n_attr, Value.Int (int_of_string (String.sub src start (!i - start)))) )
-                  :: !out
-            | None -> raise (Scan_error "no %name number terminal declared")
+            let text = String.sub src start (!i - start) in
+            match (number_term, int_of_string_opt text) with
+            | Some ns, Some n ->
+                out := (ns.n_term, Some (ns.n_attr, Value.Int n)) :: !out
+            | Some _, None ->
+                scan_error start "integer literal %s out of range" text
+            | None, _ -> scan_error start "no %%name number terminal declared"
           end
           else if is_alpha c then begin
             let start = !i in
@@ -228,9 +250,9 @@ let scan spec src =
                   ( ns.n_term,
                     Some (ns.n_attr, Value.str (String.sub src start (!i - start))) )
                   :: !out
-            | None -> raise (Scan_error "no %name ident terminal declared")
+            | None -> scan_error start "no %%name ident terminal declared"
           end
-          else raise (Scan_error (Printf.sprintf "unexpected character %C" c))
+          else scan_error !i "unexpected character %C" c
     end
   done;
   List.rev !out
@@ -272,3 +294,15 @@ let evaluate_parallel t opts tree =
         | `Static | `Dynamic -> `Dynamic
       in
       Pag_parallel.Runner.run_sim { opts with schedule } t.c_grammar None tree
+
+let diagnostic = function
+  | Spec_parser.Error (line, msg) ->
+      Some (Printf.sprintf "spec:%d: %s" line msg)
+  | Scan_error msg -> Some ("scan error: " ^ msg)
+  | Error msg
+  | Grammar.Error msg
+  | Primitives.Runtime_error msg
+  | Value.Type_error msg
+  | Pag_eval.Engine.Cycle msg ->
+      Some ("error: " ^ msg)
+  | _ -> None

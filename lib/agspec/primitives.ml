@@ -7,8 +7,6 @@
 open Pag_core
 open Pag_util
 
-exception Unknown_function of string
-
 exception Runtime_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
@@ -17,14 +15,10 @@ let as_int = Value.as_int
 
 let as_str ~ctx v = Rope.to_string (Value.as_str ~ctx v)
 
-let arity name k f args =
-  if List.length args <> k then
-    err "%s expects %d arguments, got %d" name k (List.length args)
-  else f (Array.of_list args)
+let table : (string, int * (Value.t array -> Value.t)) Hashtbl.t =
+  Hashtbl.create 32
 
-let table : (string, Value.t list -> Value.t) Hashtbl.t = Hashtbl.create 32
-
-let register name k f = Hashtbl.replace table name (arity name k f)
+let register name k f = Hashtbl.replace table name (k, f)
 
 let () =
   register "st_create" 0 (fun _ -> Value.Tab Symtab.empty);
@@ -65,9 +59,6 @@ let () =
   register "pair" 2 (fun a -> Value.Pair (a.(0), a.(1)));
   register "fresh_label" 0 (fun _ -> Value.Int (Uid.fresh ()))
 
-let lookup name =
-  match Hashtbl.find_opt table name with
-  | Some f -> f
-  | None -> raise (Unknown_function name)
+let find name = Hashtbl.find_opt table name
 
 let names () = Hashtbl.fold (fun k _ acc -> k :: acc) table []

@@ -8,12 +8,14 @@
     [code_concat/2], [nil/0], [cons/2], [append/2], [pair/2],
     [fresh_label/0] (draws from the evaluator's {!Pag_core.Uid} base). *)
 
-exception Unknown_function of string
-
+(** Raised by a function that cannot compute its result, such as
+    [st_lookup] of an unbound identifier. *)
 exception Runtime_error of string
 
-(** Resolve a function by name; the returned function checks its arity. *)
-val lookup : string -> Pag_core.Value.t list -> Pag_core.Value.t
+(** [find name] is the function's arity and body, [None] when no function
+    has that name. The body reads exactly [arity] arguments:
+    {!Compile.translator} resolves every call and checks its arity once. *)
+val find : string -> (int * (Pag_core.Value.t array -> Pag_core.Value.t)) option
 
 (** [register name arity fn] adds a custom primitive (e.g. for a client
     grammar's own attribute payloads). *)

@@ -45,6 +45,11 @@ let tok_name = function
   | TRbrace -> "}"
   | TEOF -> "end of file"
 
+let number line text =
+  match int_of_string_opt text with
+  | Some n -> n
+  | None -> error line "integer %s out of range" text
+
 let tokenize src =
   let n = String.length src in
   let toks = ref [] in
@@ -101,14 +106,14 @@ let tokenize src =
           incr i
         done;
         if !i = start then error !line "expected $$ or $<number>";
-        emit (TDollar (int_of_string (String.sub src start (!i - start))))
+        emit (TDollar (number !line (String.sub src start (!i - start))))
       end
     else if c >= '0' && c <= '9' then begin
       let start = !i in
       while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do
         incr i
       done;
-      emit (TNum (int_of_string (String.sub src start (!i - start))))
+      emit (TNum (number !line (String.sub src start (!i - start))))
     end
     else if is_word c then begin
       let start = !i in
@@ -248,6 +253,7 @@ let parse st =
   let nts = ref [] in
   let start = ref None in
   let prec = ref [] in
+  let prec_terms = ref [] in
   let rec directives () =
     match peek st with
     | TSep ->
@@ -318,6 +324,7 @@ let parse st =
         let rec terms acc =
           match peek st with
           | TIdent t ->
+              prec_terms := (cur_line st, t) :: !prec_terms;
               advance st;
               terms (t :: acc)
           | _ -> List.rev acc
@@ -328,6 +335,17 @@ let parse st =
     | other -> error (cur_line st) "expected a directive or %%%%, found %s" (tok_name other)
   in
   directives ();
+  (* a precedence declaration may precede the terminal's declaration *)
+  List.iter
+    (fun (line, t) ->
+      if
+        not
+          (List.exists (fun ns -> ns.n_term = t) !names
+          || List.exists (fun kw -> kw.k_term = t) !keywords)
+      then
+        error line "precedence declaration names %s, which is not a terminal"
+          t)
+    (List.rev !prec_terms);
   (* productions *)
   let prods = ref [] in
   let rec productions () =

@@ -2,7 +2,9 @@
     {!Spec_ast} for the concrete syntax). *)
 
 exception Error of int * string
-(** line, message *)
+(** line, message: a malformed token (an integer literal out of range
+    among them), a syntax error, a missing [%start], or a precedence
+    declaration naming no declared terminal. *)
 
 val parse : string -> Spec_ast.t
 

@@ -771,4 +771,4 @@ let run_topo rt =
     (Engine.steal_loop eng
        (Engine.rule_tasks eng rt.r_gr)
        ~owner:(fun _ -> 0)
-       (machines rt (Engine.one_machine eng)))
+       (machines rt (Engine.one_machine ~key:(Engine.target_slot eng))))

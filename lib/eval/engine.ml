@@ -9,11 +9,11 @@ open Pag_obs
    slots and defining a target slot in a flat {!Store}. The engine owns that
    core once: a flat table of rule instances (rule, owning node, target
    slot, argument codes). Schedulers differ only in the order they call
-   {!fire}/{!fire_at} — the plan's visit sequences ({!Static_eval}), the
-   dirty cone of an edit ({!Incr}), the parallel worker's message-driven
-   loop, or the dependency-counting loop here ({!steal_loop}) over a
-   machine set: the calling domain alone ({!run_topo}), real domains or
-   simulated machines.
+   {!fire}/{!fire_at}/{!refire} — the plan's visit sequences
+   ({!Static_eval}), the parallel worker's message-driven loop, or the
+   dependency-counting loop here ({!steal_loop}) over a machine set: the
+   calling domain alone ({!run_topo}, and the dirty cone of an edit in
+   {!Incr}), real domains or simulated machines.
 
    Layout mirrors the store's dense slot ids: instances of one node are
    consecutive, [rid_base] maps a node's dense index to its first rule id,
@@ -85,30 +85,24 @@ let target_instance e rid =
   in
   (tn, t.Grammar.rr_name)
 
-let is_dead e rid =
-  Char.code (Bytes.unsafe_get e.e_dead (rid lsr 3)) land (1 lsl (rid land 7))
-  <> 0
+(* Byte bitsets: bit [i] is bit [i land 7] of byte [i lsr 3]. The dead
+   and suppressed-node flags use them, and so do {!Incr}'s wave sets. *)
+let bit_mem b i =
+  Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let mark_dead e rid =
-  let b = rid lsr 3 in
-  Bytes.set e.e_dead b
-    (Char.chr (Char.code (Bytes.get e.e_dead b) lor (1 lsl (rid land 7))))
+let bit_add b i =
+  let k = i lsr 3 in
+  Bytes.set b k (Char.chr (Char.code (Bytes.get b k) lor (1 lsl (i land 7))))
 
-let norules_bit e i =
-  Char.code (Bytes.unsafe_get e.e_norules (i lsr 3)) land (1 lsl (i land 7))
-  <> 0
+let bit_clear b i =
+  let k = i lsr 3 in
+  Bytes.set b k
+    (Char.chr (Char.code (Bytes.get b k) land lnot (1 lsl (i land 7))))
 
-let set_norules e i =
-  let b = i lsr 3 in
-  Bytes.set e.e_norules b
-    (Char.chr (Char.code (Bytes.get e.e_norules b) lor (1 lsl (i land 7))))
+let is_dead e rid = bit_mem e.e_dead rid
 
-let clear_norules e i =
-  let b = i lsr 3 in
-  Bytes.set e.e_norules b
-    (Char.chr (Char.code (Bytes.get e.e_norules b) land lnot (1 lsl (i land 7))))
-
-let has_rules e node = not (norules_bit e (Store.dense_index e.e_store node))
+let has_rules e node =
+  not (bit_mem e.e_norules (Store.dense_index e.e_store node))
 
 let rid_at e node ridx =
   e.e_rid_base.(Store.dense_index e.e_store node) + ridx
@@ -132,7 +126,7 @@ let grow a used need def =
     a'
   end
 
-let grow_bytes b need =
+let bits_cover b need =
   let bytes_needed = (need + 7) / 8 in
   if Bytes.length b >= bytes_needed then b
   else begin
@@ -206,7 +200,7 @@ let add_rows e i (node : Tree.t) (p : Grammar.production) =
   e.e_arg_off <- grow e.e_arg_off (e.e_n + 1) nr 0;
   e.e_arg_code <- grow e.e_arg_code e.e_args !na 0;
   e.e_consts <- grow e.e_consts e.e_nconsts !nt Value.Unit;
-  e.e_dead <- grow_bytes e.e_dead (e.e_n + nr);
+  e.e_dead <- bits_cover e.e_dead (e.e_n + nr);
   e.e_rid_base.(i) <- e.e_n;
   resolve_node e node
 
@@ -214,12 +208,12 @@ let add_rows e i (node : Tree.t) (p : Grammar.production) =
 let add_node e ~rules_for (node : Tree.t) =
   let i = e.e_nodes_covered in
   e.e_rid_base <- grow e.e_rid_base (i + 1) 1 0;
-  e.e_norules <- grow_bytes e.e_norules (i + 1);
+  e.e_norules <- bits_cover e.e_norules (i + 1);
   e.e_rid_base.(i) <- e.e_n;
   e.e_nodes_covered <- i + 1;
   (match node.Tree.prod with
   | None -> ()
-  | Some _ when not (rules_for node) -> set_norules e i
+  | Some _ when not (rules_for node) -> bit_add e.e_norules i
   | Some p -> add_rows e i node p);
   e.e_rid_base.(i + 1) <- e.e_n
 
@@ -283,8 +277,8 @@ let materialize_subtree ?(prune = fun _ -> false) e sub =
     | None -> ()
     | Some p ->
         let i = Store.dense_index e.e_store node in
-        if norules_bit e i then begin
-          clear_norules e i;
+        if bit_mem e.e_norules i then begin
+          bit_clear e.e_norules i;
           add_rows e i node p
         end
   in
@@ -305,10 +299,10 @@ let kill_subtree e sub =
       | None -> ()
       | Some p ->
           let i = Store.dense_index e.e_store node in
-          if not (norules_bit e i) then begin
+          if not (bit_mem e.e_norules i) then begin
             let base = e.e_rid_base.(i) in
             for ridx = 0 to Array.length p.Grammar.p_rules - 1 do
-              mark_dead e (base + ridx)
+              bit_add e.e_dead (base + ridx)
             done
           end)
     sub
@@ -498,7 +492,7 @@ let reresolve_node e ?graph (node : Tree.t) =
   match node.Tree.prod with
   | None -> ()
   | Some p ->
-      if norules_bit e (Store.dense_index e.e_store node) then
+      if bit_mem e.e_norules (Store.dense_index e.e_store node) then
         invalid_arg
           "Engine.reresolve_node: node has suppressed rules (materialize \
            the occurrence first)";
@@ -555,8 +549,9 @@ let reresolve_node e ?graph (node : Tree.t) =
    simulator's machine fibers (the runner's simulated steal schedule)
    differ only in how machines start, how one runs a task and what that
    costs, how a probe moves work and how a failed probe waits. A task is a
-   rule instance ({!rule_tasks}) or a task of the combined evaluator's
-   graph ({!Taskgraph}): a spine rule instance or a static visit.
+   rule instance ({!rule_tasks}), a member of an edit wave's cone
+   ({!Incr}), or a task of the combined evaluator's graph ({!Taskgraph}):
+   a spine rule instance or a static visit.
 
    Readiness lives in atomic dependency counters; ready task ids sit in
    per-machine Chase-Lev deques ({!Steal}), except the one a machine holds
@@ -613,15 +608,19 @@ type machines = {
   ms_refill : int -> bool;
 }
 
+(* Shared dependency counters. Every dependency is released exactly once,
+   so a task that waits on one needs no count: it shares [one] with the
+   tasks that wait on nothing; a dead task shares [zero], which no release
+   meets. The loop tests them by address and never writes them. Allocated
+   once: filling an array of over 256 words with a young value makes the
+   runtime run a minor collection first. *)
+let zero = Atomic.make 0
+
+let one = Atomic.make 1
+
 let steal_loop e tasks ~owner ms =
   let count = max 1 ms.ms_count in
-  (* Dependency counters. Every dependency is released exactly once, so a
-     task that waits on one needs no count: the release that meets it makes
-     it ready. Those tasks, and the ones that wait on nothing, share [one];
-     a dead task shares [zero], which no release meets; only a task that
-     waits on two or more gets a counter of its own. Growable: work added
-     mid-run ([seed]) appends task ids. *)
-  let zero = Atomic.make 0 and one = Atomic.make 1 in
+  (* growable: work added mid-run ([seed]) appends task ids *)
   let waiting = ref (Array.make (max 1 tasks.tk_count) one) in
   let deques = Array.init count (fun _ -> Steal.create ()) in
   let stats = Array.init count (fun _ -> Steal.zero_stats ()) in
@@ -769,14 +768,14 @@ let steal_loop e tasks ~owner ms =
 (* The calling domain alone: one machine, nothing to probe or wait for.
    [fire] defines its slots through the store's checked setters, so the
    store is complete the moment the loop ends. *)
-let one_machine e ~fire =
+let one_machine ~key ~fire =
   {
     ms_count = 1;
     ms_start = (fun ~seed:_ ~release:_ body -> body 0);
     ms_fire =
-      (fun _ ~release rid ->
-        fire rid;
-        release e.e_target.(rid));
+      (fun _ ~release t ->
+        fire t;
+        release (key t));
     ms_probe = (fun _ _ ~victim:_ _ ~into:_ -> 0);
     ms_wait = (fun _ _ -> 0.0);
     ms_refill = (fun _ -> false);
@@ -786,7 +785,7 @@ let run_topo e gr =
   fst
     (steal_loop e (rule_tasks e gr)
        ~owner:(fun _ -> 0)
-       (one_machine e ~fire:(fire e)))
+       (one_machine ~key:(target_slot e) ~fire:(fire e)))
 
 (* The domains machine set. Tasks write slots with {!Store.poke}: the
    store's set-bitset is byte-granular, so marking bits from several

@@ -7,14 +7,13 @@
     codes) over a store, plus the slot-level dependency graph. Evaluators
     are just schedules over it: the plan's visit sequences
     ({!Static_eval}, which fire from the rules' references and need no
-    table), the dirty cone of an edit ({!Incr}), the parallel worker's
-    message-driven loop over the combined evaluator's task graph of spine
-    rule instances and static visits ({!Taskgraph}), and one
-    dependency-counting loop ({!steal_loop}) that fires rule instances or
-    task-graph tasks as their dependencies are met. That loop is written
-    once and run over three machine sets: the calling domain alone
-    ({!run_topo}, the {!Dynamic} schedule), real domains ({!run_tasks}),
-    and the network simulator's machine fibers ({!Pag_parallel.Runner}).
+    table), the parallel worker's message-driven loop over the combined
+    evaluator's task graph of spine rule instances and static visits
+    ({!Taskgraph}), and one dependency-counting loop ({!steal_loop}) that
+    fires tasks as their dependencies are met. It is written once and run
+    over three machine sets: the calling domain alone ({!run_topo}, the
+    {!Dynamic} schedule, and every {!Incr} edit wave), real domains
+    ({!run_tasks}), and the simulator's fibers ({!Pag_parallel.Runner}).
 
     Instances of one node are consecutive and keyed by the store's dense
     preorder index, so [(node, rule index)] resolves to a rule id with two
@@ -72,6 +71,15 @@ val iter_slot_args : t -> int -> (int -> unit) -> unit
 
 (** Rule instances detached by an edit: skipped by every schedule. *)
 val is_dead : t -> int -> bool
+
+(** Byte bitsets over rule ids, in the layout of {!is_dead} ({!Incr}'s
+    wave keeps its sets in them): bit [i] is bit [i land 7] of byte
+    [i lsr 3]. [bits_cover b n] is [b] when it holds [n] bits, else a copy
+    at least twice as long with the fresh bits clear. *)
+val bit_mem : Bytes.t -> int -> bool
+val bit_add : Bytes.t -> int -> unit
+val bit_clear : Bytes.t -> int -> unit
+val bits_cover : Bytes.t -> int -> Bytes.t
 
 (** {1 Firing} *)
 
@@ -199,9 +207,9 @@ val reresolve_node : t -> ?graph:graph -> Tree.t -> unit
     failed probes, and an exact task-census termination barrier. The loop
     owns all of that; a task graph says what the tasks are, and a machine
     set says only where machines run and what their work costs. Three
-    sets run it: the calling domain alone ({!one_machine}, {!run_topo}),
-    real domains ({!run_tasks}), and the runner's simulated steal
-    schedule on network-simulator fibers. *)
+    sets run it: the calling domain alone ({!one_machine}: {!run_topo},
+    {!Dag.run_topo}, {!Incr}'s edit waves), real domains ({!run_tasks}),
+    and the runner's simulated steal schedule on simulator fibers. *)
 
 (** A task graph: tasks [0 .. tk_count - 1].
 
@@ -262,22 +270,23 @@ type machines = {
     overrides it) and runs the machine set. Returns the number of tasks
     run and the per-machine scheduler statistics. Re-raises the first
     exception a task raised. Once the set has returned, a store with
-    slots still unset ({!Store.missing} > 0) raises {!Cycle}: tasks that
-    never ran, and slots no task defines. *)
+    slots still unset ({!Store.missing} > 0, an O(1) count) raises
+    {!Cycle}: tasks that never ran, and slots no task defines. An edit
+    wave, whose slots were set before, also counts the tasks run. *)
 val steal_loop :
   t -> tasks -> owner:(int -> int) -> machines -> int * Steal.stats array
 
-(** [one_machine e ~fire] is the one-machine set on the calling domain,
-    for {!rule_tasks}: machine 0 runs a rule instance with [fire], which
-    defines the target through the store's checked setters, then
-    releases the target slot. It never probes or waits. *)
-val one_machine : t -> fire:(int -> unit) -> machines
+(** [one_machine ~key ~fire] is the one-machine set on the calling domain:
+    machine 0 runs task [t] with [fire t], which defines its slots through
+    the store's checked setters, then releases [key t] ({!target_slot}
+    over {!rule_tasks}; {!Incr}'s cone members release themselves). *)
+val one_machine : key:(int -> int) -> fire:(int -> unit) -> machines
 
 (** [run_topo e gr] is {!steal_loop} over {!rule_tasks} on
-    [one_machine e ~fire:(fire e)]: every live instance fires once its
-    arguments are set, depth-first (the deque pops LIFO), until the store
-    is complete. Returns the number of firings; raises {!Cycle} as
-    {!steal_loop} does. *)
+    [one_machine ~key:(target_slot e) ~fire:(fire e)]: every live instance
+    fires once its arguments are set, depth-first (the deque pops LIFO),
+    until the store is complete. Returns the number of firings; raises
+    {!Cycle} as {!steal_loop} does. *)
 val run_topo : t -> graph -> int
 
 (** [run_tasks ~domains ~owner ~uid_base e tasks ~fire] runs {!steal_loop}

@@ -16,10 +16,11 @@ open Pag_obs
    - each graft extends the wave's dirty cone: every rule instance
      reachable from the seed rules (the appended subtree's rules plus the
      parent's) through consumer edges;
-   - the wave re-fires its cone in local topological order, with an
-     equality cutoff — a rule whose argument slots all kept their values is
-     skipped, and a re-fired rule whose target value is unchanged
-     ({!Store.redefine_slot}) stops propagation below it.
+   - the wave re-fires its cone in local topological order, on the one
+     dependency-counting loop ({!Engine.steal_loop}) every from-scratch
+     run uses, with an equality cutoff — a rule whose argument slots all
+     kept their values is skipped, and a re-fired rule whose target value
+     is unchanged ({!Store.redefine_slot}) stops propagation below it.
 
    When the dirty cone exceeds a fraction of all live rules the session
    falls back to from-scratch evaluation: past that point propagation
@@ -75,6 +76,8 @@ type session = {
                               {!changed} answers for stamps above it, so a
                               multi-wave batch reports every wave's changes *)
   mutable s_changed : int array;  (* slot -> epoch its value last changed *)
+  mutable s_seeds : Bytes.t;  (* the pending wave's seeds and cone, *)
+  mutable s_cone : Bytes.t;  (* by rule id: see {!reset_wave} *)
   mutable s_last_fallback : bool;
   mutable s_edits : int;
   mutable s_dirty : int;
@@ -174,6 +177,8 @@ let start ?(obs = Obs.null_ctx) ?(dag = false) ?(prov = Prov.disabled)
     s_epoch = 0;
     s_epoch0 = 0;
     s_changed = Array.make (max 1 (Store.slot_count store)) 0;
+    s_seeds = Bytes.empty;
+    s_cone = Bytes.empty;
     s_last_fallback = false;
     s_edits = 0;
     s_dirty = 0;
@@ -181,23 +186,6 @@ let start ?(obs = Obs.null_ctx) ?(dag = false) ?(prov = Prov.disabled)
     s_cutoff = 0;
     s_fallbacks = 0;
   }
-
-let in_set set rid =
-  Char.code (Bytes.unsafe_get set (rid lsr 3)) land (1 lsl (rid land 7)) <> 0
-
-let add_set set rid =
-  let b = rid lsr 3 in
-  Bytes.set set b (Char.chr (Char.code (Bytes.get set b) lor (1 lsl (rid land 7))))
-
-(* [b] grown to cover [n] rule ids. *)
-let ensure b n =
-  let need = max 1 ((n + 7) / 8) in
-  if Bytes.length b >= need then b
-  else begin
-    let nb = Bytes.make (max need (2 * Bytes.length b)) '\000' in
-    Bytes.blit b 0 nb 0 (Bytes.length b);
-    nb
-  end
 
 (* Rule instances a detached subtree actually owned: parked occurrences
    inside it never had theirs resolved. *)
@@ -249,10 +237,10 @@ let revive_slot s gr slot =
 
    Semantic rules are pure, so change propagation is confluent: as long as
    two co-grafted edits are structurally compatible — neither grafts into
-   a region the other replaced — a single Kahn pass over the union of
-   their dirty cones reaches exactly the store the serial application
-   would, in any order. Overlapping cones (every edit's cone reaches the
-   root's synthesized attributes) therefore MERGE; what forces
+   a region the other replaced — a single dependency-counting pass over
+   the union of their dirty cones reaches exactly the store the serial
+   application would, in any order. Overlapping cones (every edit's cone
+   reaches the root's synthesized attributes) therefore MERGE; what forces
    serialization is structural interference only:
 
    - the new edit's graft site lies inside a region an accepted edit
@@ -274,11 +262,9 @@ let revive_slot s gr slot =
    second edit arrives. *)
 
 type wave = {
-  (* the pending wave: rule-id bitsets (grown with the engine, empty until
-     the wave's first graft), the merged cone, and the accepted edits'
+  (* the pending wave: the merged cone (its bits set in the session's
+     [s_cone], its seeds' also in [s_seeds]), and the accepted edits'
      (parent, old, replacement) not yet entered in [w_touched] *)
-  mutable w_seed : Bytes.t;
-  mutable w_dirty : Bytes.t;
   mutable w_cone : int list;
   mutable w_cone_n : int;
   mutable w_grafts : int;
@@ -296,9 +282,13 @@ type wave = {
   mutable w_bytes : int;
 }
 
-let reset_wave w =
-  w.w_seed <- Bytes.empty;
-  w.w_dirty <- Bytes.empty;
+(* The session's wave bitsets are kept between waves with only the cone's
+   bits set, so clearing them costs the cone: sets sized to the rule table
+   anew cost the session on every wave (about 0.9 ms on the paper's). *)
+let reset_wave s w =
+  List.iter
+    (fun r -> Engine.bit_clear s.s_seeds r; Engine.bit_clear s.s_cone r)
+    w.w_cone;
   w.w_cone <- [];
   w.w_cone_n <- 0;
   w.w_grafts <- 0;
@@ -307,11 +297,11 @@ let reset_wave w =
 
 (* Grow the wave's bitsets to cover every rule id. DAG sessions
    materialize instances mid-edit (see {!revive_site}), so the rule table
-   can outgrow bitsets sized at the wave's first graft. *)
-let cover s w =
+   can outgrow bitsets covered at the wave's first graft. *)
+let cover s =
   let n = Engine.rule_count s.s_engine in
-  w.w_seed <- ensure w.w_seed n;
-  w.w_dirty <- ensure w.w_dirty n
+  s.s_seeds <- Engine.bits_cover s.s_seeds n;
+  s.s_cone <- Engine.bits_cover s.s_cone n
 
 (* From-scratch fallback subsuming whatever wave is pending: renumber and
    rebuild, compacting away dead instances accumulated by previous edits. *)
@@ -320,7 +310,7 @@ let rebuild s w ~dirty =
   w.w_dirty_n <- w.w_dirty_n + dirty;
   build s;
   w.w_refired <- w.w_refired + Engine.rule_count s.s_engine;
-  reset_wave w
+  reset_wave s w
 
 (* Graft one accepted edit and extend the pending wave's cone. *)
 let graft s w ~parent ~pos repl =
@@ -357,21 +347,21 @@ let graft s w ~parent ~pos repl =
     Engine.reresolve_node eng ~graph:gr parent;
     s.s_live_rules <- s.s_live_rules + (rid_hi - rid_lo) - killed;
     w.w_grafts <- w.w_grafts + 1;
-    cover s w;
+    cover s;
     (* Seeds: the appended instances (their slots are all unset) and the
        edit site's own instances (their references moved). The dirty cone
        is their consumer-edge closure. *)
     let stack = ref [] in
     let push rid =
-      if not (in_set w.w_dirty rid) then begin
-        add_set w.w_dirty rid;
+      if not (Engine.bit_mem s.s_cone rid) then begin
+        Engine.bit_add s.s_cone rid;
         w.w_cone <- rid :: w.w_cone;
         w.w_cone_n <- w.w_cone_n + 1;
         stack := rid :: !stack
       end
     in
     let seed rid =
-      add_set w.w_seed rid;
+      Engine.bit_add s.s_seeds rid;
       push rid
     in
     for rid = rid_lo to rid_hi - 1 do
@@ -392,7 +382,7 @@ let graft s w ~parent ~pos repl =
           (match revive_slot s gr tgt with
           | None -> ()
           | Some (lo, hi) ->
-              cover s w;
+              cover s;
               for r = lo to hi - 1 do
                 push r
               done);
@@ -446,101 +436,99 @@ let conflicts s w ~parent ~pos =
              and must not be consulted. *)
           if Engine.has_rules eng n then
             for ridx = 0 to Array.length p.Grammar.p_rules - 1 do
-              if in_set w.w_dirty (Engine.rid_at eng n ridx) then bad := true
+              if Engine.bit_mem s.s_cone (Engine.rid_at eng n ridx) then
+                bad := true
             done)
     parent.Tree.children.(pos);
   !bad
 
-(* Re-fire the pending wave's merged cone: a local Kahn pass where a
-   member waits only on its cone producers, tested against the wave's
-   dirty bitset. The initially ready members fire in ascending rule-id
-   order, the rest first-in first-out. Cutoff: a member that is not a seed
-   and none of whose arguments changed this epoch is skipped, and a
-   re-fired member stamps its target changed only when the stored value
-   actually moved ({!Store.redefine_slot}). Members fire through
-   {!Engine.refire}, provenance recording included, which is what lets
-   [--profile] blame across a wave.
+(* Re-fire the pending wave's merged cone on {!Engine.steal_loop}'s
+   one-machine set. Task [t] is member [cone.(t)] of the sorted cone, found
+   from a rule id by binary search; it waits only on its cone producers.
+   Cutoff: a member that is not a seed and none of whose arguments changed
+   this epoch is skipped, and a re-fired member stamps its target changed
+   only when the stored value moved ({!Store.redefine_slot}). Members fire
+   through {!Engine.refire}, provenance included, so [--profile] blames
+   across a wave. The loop fires depth-first and labels follow that order.
 
-   First-in first-out order fires the cone level by level: a member
-   released while level [r] fires has its last cone producer on level [r],
-   so it sits on level [r + 1] — one plus the highest level among its cone
-   producers. The per-level refire counts are therefore those of a
-   level-synchronous schedule, which prices a merged wave's parallel
-   rounds. *)
+   A member's round, one plus the highest round among its cone producers,
+   is its longest-path depth in the cone, which no order changes: a
+   release raises the consumer's round before the consumer can fire. The
+   per-round refire counts are those of a level-synchronous schedule,
+   which prices a merged wave's parallel rounds. *)
 let flush s w =
   if w.w_cone_n > 0 then begin
     s.s_epoch <- s.s_epoch + 1;
     let epoch = s.s_epoch in
     let eng = s.s_engine and gr = s.s_graph in
-    let seed = w.w_seed and dirty = w.w_dirty in
+    let seed = s.s_seeds and dirty = s.s_cone in
     let cone = Array.of_list w.w_cone in
     Array.sort compare cone;
     let m = Array.length cone in
-    let waiting = Hashtbl.create (2 * m) in
-    let queue = Array.make m 0 and tail = ref 0 in
-    Array.iter
-      (fun rid ->
-        let n = ref 0 in
+    (* the cone's bits name live instances: a graft that would kill one
+       conflicts, and the pending wave is flushed first *)
+    let member ~self c = c >= 0 && c <> self && Engine.bit_mem dirty c in
+    let task rid =
+      let lo = ref 0 and hi = ref (m - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cone.(mid) < rid then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    in
+    let round = Array.make m 0 and refires = Array.make m 0 in
+    let unmet t =
+      let rid = cone.(t) and n = ref 0 in
+      Engine.iter_slot_args eng rid (fun slot ->
+          if member ~self:rid (Engine.producer gr slot) then incr n);
+      !n
+    in
+    let release t f =
+      let rid = cone.(t) and r = round.(t) + 1 in
+      Engine.iter_consumers gr (Engine.target_slot eng rid) (fun c ->
+          if member ~self:rid c then begin
+            let u = task c in
+            if round.(u) < r then round.(u) <- r;
+            f u
+          end)
+    in
+    let fire t =
+      let rid = cone.(t) in
+      if
+        Engine.bit_mem seed rid
+        ||
+        let hit = ref false in
         Engine.iter_slot_args eng rid (fun slot ->
-            let p = Engine.producer gr slot in
-            if p >= 0 && p <> rid && in_set dirty p && not (Engine.is_dead eng p)
-            then incr n);
-        if !n = 0 then begin
-          queue.(!tail) <- rid;
-          incr tail
-        end
-        else Hashtbl.replace waiting rid n)
-      cone;
-    let refired = ref 0 and cutoff = ref 0 in
-    let head = ref 0 and level_end = ref !tail and level = ref 0 in
-    let levels = ref [] in
-    Uid.with_counter s.s_cursor (fun () ->
-        while !head < !tail do
-          let rid = queue.(!head) in
-          incr head;
-          let must =
-            in_set seed rid
-            ||
-            let hit = ref false in
-            Engine.iter_slot_args eng rid (fun slot ->
-                if s.s_changed.(slot) = epoch then hit := true);
-            !hit
-          in
-          (if must then begin
-             incr refired;
-             incr level;
-             if Engine.refire eng rid then
-               s.s_changed.(Engine.target_slot eng rid) <- epoch
-           end
-           else incr cutoff);
-          Engine.iter_consumers gr (Engine.target_slot eng rid) (fun c ->
-              if c <> rid && in_set dirty c && not (Engine.is_dead eng c) then
-                match Hashtbl.find waiting c with
-                | n ->
-                    decr n;
-                    if !n = 0 then begin
-                      queue.(!tail) <- c;
-                      incr tail
-                    end
-                | exception Not_found -> ());
-          if !head = !level_end then begin
-            levels := !level :: !levels;
-            level := 0;
-            level_end := !tail
-          end
-        done);
-    if !head < m then
-      (* A cycle through the dirty set (possible only for pathological
-         grammars): give up on propagation and rebuild. *)
-      rebuild s w ~dirty:w.w_cone_n
-    else begin
-      w.w_dirty_n <- w.w_dirty_n + w.w_cone_n;
-      w.w_refired <- w.w_refired + !refired;
-      w.w_cutoff <- w.w_cutoff + !cutoff;
-      w.w_rounds <- !levels @ w.w_rounds;
-      w.w_waves <- w.w_waves + 1;
-      reset_wave w
-    end
+            if s.s_changed.(slot) = epoch then hit := true);
+        !hit
+      then begin
+        refires.(round.(t)) <- refires.(round.(t)) + 1;
+        if Engine.refire eng rid then
+          s.s_changed.(Engine.target_slot eng rid) <- epoch
+      end
+    in
+    match
+      Uid.with_counter s.s_cursor (fun () ->
+          Engine.steal_loop eng
+            { Engine.tk_count = m; tk_unmet = unmet; tk_release = release }
+            ~owner:(fun _ -> 0)
+            (Engine.one_machine ~key:Fun.id ~fire))
+    with
+    | fired, _ when fired = m ->
+        let refired = Array.fold_left ( + ) 0 refires in
+        w.w_dirty_n <- w.w_dirty_n + m;
+        w.w_refired <- w.w_refired + refired;
+        w.w_cutoff <- w.w_cutoff + m - refired;
+        for r = 0 to Array.fold_left max 0 round do
+          w.w_rounds <- refires.(r) :: w.w_rounds
+        done;
+        w.w_waves <- w.w_waves + 1;
+        reset_wave s w
+    | _ | (exception Engine.Cycle _) ->
+        (* A cycle through the dirty set (possible only for pathological
+           grammars): give up on propagation and rebuild, which raises
+           {!Engine.Cycle} when the tree itself is circular. *)
+        rebuild s w ~dirty:m
   end
 
 (* Run one call's edits through the wave, flush it, and record the call. *)
@@ -549,8 +537,6 @@ let run s feed =
   s.s_epoch0 <- s.s_epoch;
   let w =
     {
-      w_seed = Bytes.empty;
-      w_dirty = Bytes.empty;
       w_cone = [];
       w_cone_n = 0;
       w_grafts = 0;
@@ -567,8 +553,8 @@ let run s feed =
       w_bytes = 0;
     }
   in
-  feed w;
-  flush s w;
+  (* a call that raises leaves no bit set for the next *)
+  Fun.protect ~finally:(fun () -> reset_wave s w) (fun () -> feed w; flush s w);
   let rounds = Array.of_list (List.rev w.w_rounds) in
   let wv =
     {

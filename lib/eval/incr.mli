@@ -44,7 +44,8 @@ type wave_stats = {
   wv_rounds : int;  (** level-synchronous refire rounds, all waves *)
   wv_round_refired : int array;
       (** refires per round, in wave order; a member's round is one plus
-          the highest round among its cone producers *)
+          the highest round among its cone producers: its depth in the
+          cone, whatever the firing order *)
   wv_bytes : int;
       (** bytes the edits ship: each grafted replacement subtree, and the
           whole new tree for a root-level change *)
@@ -136,8 +137,11 @@ val replace : session -> next:Tree.t -> Tree.delta -> wave_stats
     frontier overflow fall back to a from-scratch rebuild, which subsumes
     the pending wave.
 
-    Each wave re-fires its cone sequentially with provenance recording,
-    so [--profile] blames across waves. After the call {!changed} answers
+    Each wave re-fires its cone depth-first on the one-machine set of
+    {!Engine.steal_loop}, with provenance recording, so [--profile] blames
+    across waves; the labels a wave draws follow that order. A cone the
+    loop cannot finish falls back to a rebuild, which raises
+    {!Engine.Cycle} on a circular tree. After the call {!changed} answers
     for the whole batch. *)
 val edit_batch : session -> Tree.t list -> wave_stats
 

@@ -26,7 +26,8 @@ type t = {
       (* dense index -> first slot id; entries 0 .. n_nodes *)
   mutable vals : Value.t array;  (* slot id -> value (valid iff bit set) *)
   mutable bits : Bytes.t;  (* slot id -> set? *)
-  mutable n_sets : int;
+  mutable n_sets : int;  (* set bits, presets aside: each is counted once *)
+  mutable n_preset : int;  (* set bits of preset root attributes *)
   mutable n_reads : int;
 }
 
@@ -37,6 +38,16 @@ let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
+
+let slot_is_set s slot =
+  Char.code (Bytes.unsafe_get s.bits (slot lsr 3)) land (1 lsl (slot land 7))
+  <> 0
+
+let mark_set s slot =
+  let b = slot lsr 3 in
+  Bytes.unsafe_set s.bits b
+    (Char.unsafe_chr
+       (Char.code (Bytes.unsafe_get s.bits b) lor (1 lsl (slot land 7))))
 
 (* Covered nodes in preorder (= increasing id order for numbered trees),
    optionally stopping below stub nodes. *)
@@ -102,6 +113,7 @@ let create_shared ?(root_inh = []) ?stop g root =
       vals = Array.make total Value.Unit;
       bits = Bytes.make ((total + 7) / 8) '\000';
       n_sets = 0;
+      n_preset = 0;
       n_reads = 0;
     }
   in
@@ -110,9 +122,10 @@ let create_shared ?(root_inh = []) ?stop g root =
       let idx = Grammar.attr_pos g ~sym:root.Tree.sym ~attr in
       let slot = base.(index_of.(root.Tree.id - id_lo)) + idx in
       store.vals.(slot) <- v;
-      let b = slot lsr 3 in
-      Bytes.set store.bits b
-        (Char.chr (Char.code (Bytes.get store.bits b) lor (1 lsl (slot land 7)))))
+      if not (slot_is_set store slot) then begin
+        mark_set store slot;
+        store.n_preset <- store.n_preset + 1
+      end)
     root_inh;
   store
 
@@ -191,16 +204,6 @@ let dense_index s (node : Tree.t) =
 let slot_count s = s.base.(s.n_nodes)
 
 let slot_of s node ~attr_idx = s.base.(dense_index s node) + attr_idx
-
-let slot_is_set s slot =
-  Char.code (Bytes.unsafe_get s.bits (slot lsr 3)) land (1 lsl (slot land 7))
-  <> 0
-
-let mark_set s slot =
-  let b = slot lsr 3 in
-  Bytes.unsafe_set s.bits b
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get s.bits b) lor (1 lsl (slot land 7))))
 
 let slot_value s slot =
   s.n_reads <- s.n_reads + 1;
@@ -459,9 +462,5 @@ let iter_instances s f =
           let sym = Grammar.symbol_of_id s.g node.Tree.sym_id in
           Array.iter (fun a -> f node a) sym.Grammar.s_attrs)
 
-let missing s =
-  let n = ref 0 in
-  for slot = 0 to slot_count s - 1 do
-    if not (slot_is_set s slot) then incr n
-  done;
-  !n
+(* every set bit is counted once, in [n_sets] or [n_preset], never cleared *)
+let missing s = slot_count s - s.n_sets - s.n_preset

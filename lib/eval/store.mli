@@ -69,7 +69,8 @@ val reads : t -> int
 val root_attrs : t -> (string * Value.t) list
 
 (** Count of instances that are still unevaluated (terminal intrinsics do
-    not count; preset root attributes do not count as missing). *)
+    not count; preset root attributes do not count as missing), in O(1);
+    a slot written with {!poke} is missing until {!commit_slot}. *)
 val missing : t -> int
 
 (** [apply_rule store node rule] evaluates one semantic rule of [node]'s

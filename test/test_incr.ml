@@ -301,6 +301,354 @@ let prop_batched_random_ag =
               values_agree g (Incr.store sb) (Incr.tree sb) (Incr.store ss)
                 (Incr.tree ss)))
 
+(* A call whose wave raises (an unbound identifier fails its rule) leaves
+   the session's wave sets clear: the next edit runs as a wave of its own
+   cone (a stale member would leave its consumers waiting and force a
+   rebuild), and its values equal a from-scratch evaluation. *)
+let test_raising_wave_leaves_no_bits () =
+  let g = Expr_ag.grammar in
+  (* the padding keeps the edited block small against the tree, so the
+     second edit is a wave, not a compacting rebuild *)
+  let rec pad k =
+    if k = 0 then Expr_ag.num 1 else Expr_ag.add (pad (k - 1)) (Expr_ag.num k)
+  in
+  let prog n v =
+    Expr_ag.(main (add (let_in "x" (num n) (mul (var v) (num 2))) (pad 40)))
+  in
+  let s = Incr.start ~frontier:1.1 g (prog 4 "x") in
+  check_bool "an unbound identifier raises" true
+    (match Incr.edit s (prog 4 "y") with
+    | _ -> false
+    | exception Value.Type_error _ -> true);
+  let wv = Incr.edit s (prog 5 "x") in
+  check_int "a wave, no rebuild" 0 wv.Incr.wv_fallbacks;
+  check_bool "values = scratch" true (agrees_with_scratch g s (prog 5 "x"))
+
+(* ---------------- wave rounds against a level-synchronous pass ---------------- *)
+
+(* The cone pass the wave ran before it moved onto the one
+   dependency-counting loop, kept as the oracle for the four fields that
+   price a wave: a level-synchronous pass in which every member waits on
+   its cone producers, and level [r + 1] is what level [r] released.
+
+   The cone of a call that ran one wave with no fallback is rebuilt from
+   the session's engine. The seeds are the grafted subtrees' instances
+   (their nodes are numbered past the [old_n] ids the session had) and
+   their parents'. A DAG session materializes parked occurrences: those
+   around a graft parent before the graft, whose instances join the cone
+   only through consumer edges, and those whose inherited gate the cone
+   reaches, whose instances all join it. The first are the occurrences
+   under the highest ancestor of the parent reachable through nodes that
+   had no rules ([ruled] holds the ids that had); with several grafts
+   the two are not told apart, and [None] skips the call. The cone is the
+   consumer closure. A member re-fires when it is a seed or one of its
+   arguments changed in the call ({!Incr.changed}), which no firing order
+   moves. *)
+let fifo_wave s ~old_n ~old_rules ~ruled =
+  let eng = Incr.engine s and store = Incr.store s in
+  let g = Store.grammar store in
+  let gr = Engine.graph eng in
+  let n = Engine.rule_count eng in
+  let seed = Array.make n false and dirty = Array.make n false in
+  let stack = ref [] in
+  let push rid =
+    if (not dirty.(rid)) && not (Engine.is_dead eng rid) then begin
+      dirty.(rid) <- true;
+      stack := rid :: !stack
+    end
+  in
+  let rules_of (node : Tree.t) f =
+    match node.Tree.prod with
+    | Some p when Engine.has_rules eng node ->
+        for ridx = 0 to Array.length p.Grammar.p_rules - 1 do
+          f (Engine.rid_at eng node ridx)
+        done
+    | _ -> ()
+  in
+  let revived (m : Tree.t) =
+    m.Tree.id < old_n
+    && (not (Hashtbl.mem ruled m.Tree.id))
+    && Engine.has_rules eng m
+  in
+  let grafts = ref [] and late = ref [] in
+  (* [path]: the ancestors of [node], innermost first *)
+  let rec walk path (node : Tree.t) =
+    Array.iter
+      (fun (c : Tree.t) ->
+        if node.Tree.id < old_n && c.Tree.id >= old_n then begin
+          grafts := (node :: path) :: !grafts;
+          rules_of node (fun rid -> seed.(rid) <- true);
+          Tree.iter (fun m -> rules_of m (fun rid -> seed.(rid) <- true)) c
+        end
+        else walk (node :: path) c)
+      node.Tree.children
+  in
+  walk [] (Incr.tree s);
+  let top = function
+    | [] -> None
+    | p :: _ as path when revived p ->
+        let rec up last = function
+          | a :: rest when revived a -> up a rest
+          | _ -> Some last
+        in
+        up p path
+    | _ -> None
+  in
+  let site = Hashtbl.create 16 in
+  (match !grafts with
+  | [ path ] ->
+      Option.iter
+        (Tree.iter (fun (m : Tree.t) -> Hashtbl.replace site m.Tree.id ()))
+        (top path)
+  | _ -> ());
+  let rec gather (node : Tree.t) =
+    if revived node && not (Hashtbl.mem site node.Tree.id) then
+      rules_of node (fun rid -> late := rid :: !late);
+    Array.iter gather node.Tree.children
+  in
+  gather (Incr.tree s);
+  let materialized = ref false in
+  for rid = old_rules to n - 1 do
+    if not seed.(rid) then materialized := true
+  done;
+  if List.length !grafts > 1 && !materialized then None
+  else begin
+    for rid = 0 to n - 1 do
+      if seed.(rid) then push rid
+    done;
+    List.iter push !late;
+    let rec close () =
+      match !stack with
+      | [] -> ()
+      | rid :: rest ->
+          stack := rest;
+          Engine.iter_consumers gr (Engine.target_slot eng rid) push;
+          close ()
+    in
+    close ();
+    let changed slot =
+      let node, k = Store.slot_owner store slot in
+      let sym = Grammar.symbol g node.Tree.sym in
+      Incr.changed s node sym.Grammar.s_attrs.(k).Grammar.a_name
+    in
+    let waiting = Hashtbl.create 16 and ready = ref [] and members = ref 0 in
+    for rid = 0 to n - 1 do
+      if dirty.(rid) then begin
+        incr members;
+        let k = ref 0 in
+        Engine.iter_slot_args eng rid (fun slot ->
+            let p = Engine.producer gr slot in
+            if p >= 0 && p <> rid && dirty.(p) then incr k);
+        if !k = 0 then ready := rid :: !ready else Hashtbl.replace waiting rid k
+      end
+    done;
+    let rounds = ref [] and refired = ref 0 and cutoff = ref 0 in
+    let fired = ref 0 in
+    let rec level = function
+      | [] -> ()
+      | now ->
+          let next = ref [] and count = ref 0 in
+          List.iter
+            (fun rid ->
+              incr fired;
+              let must = ref seed.(rid) in
+              Engine.iter_slot_args eng rid (fun slot ->
+                  if changed slot then must := true);
+              if !must then incr count else incr cutoff;
+              Engine.iter_consumers gr (Engine.target_slot eng rid) (fun c ->
+                  if c <> rid && dirty.(c) then
+                    match Hashtbl.find_opt waiting c with
+                    | Some k ->
+                        decr k;
+                        if !k = 0 then next := c :: !next
+                    | None -> ()))
+            now;
+          refired := !refired + !count;
+          rounds := !count :: !rounds;
+          level !next
+    in
+    level !ready;
+    if !fired < !members then None
+    else Some (!refired, !cutoff, Array.of_list (List.rev !rounds))
+  end
+
+(* Run one call and hold its wave to the oracle; a call that ran several
+   waves or fell back is checked only for its values. *)
+let oracle_call s call =
+  let old_n = Store.node_count (Incr.store s)
+  and old_rules = Engine.rule_count (Incr.engine s) in
+  let ruled = Hashtbl.create 64 in
+  Tree.iter
+    (fun (m : Tree.t) ->
+      if m.Tree.prod <> None && Engine.has_rules (Incr.engine s) m then
+        Hashtbl.replace ruled m.Tree.id ())
+    (Incr.tree s);
+  let wv = call () in
+  wv.Incr.wv_waves <> 1
+  || wv.Incr.wv_fallbacks > 0
+  ||
+  match fifo_wave s ~old_n ~old_rules ~ruled with
+  | None -> true
+  | Some (refired, cutoff, rounds) ->
+      let ok =
+        wv.Incr.wv_refired = refired
+        && wv.Incr.wv_cutoff = cutoff
+        && wv.Incr.wv_rounds = Array.length rounds
+        && wv.Incr.wv_round_refired = rounds
+      in
+      if not ok then
+        QCheck.Test.fail_reportf
+          "wave: refired %d cutoff %d rounds [%s]; level-synchronous: \
+           refired %d cutoff %d rounds [%s]"
+          wv.Incr.wv_refired wv.Incr.wv_cutoff
+          (String.concat ";"
+             (Array.to_list (Array.map string_of_int wv.Incr.wv_round_refired)))
+          refired cutoff
+          (String.concat ";" (Array.to_list (Array.map string_of_int rounds)));
+      ok
+
+(* A random-AG tree with the subtree at preorder position [k] regrown
+   from [st]: a subtree edit, where two whole random trees mostly differ
+   at the root. *)
+let regrow g st tree k =
+  let pos = ref (-1) in
+  let rec grow nt budget =
+    let prods = Grammar.prods_for g nt in
+    let p =
+      if budget <= 0 then List.hd prods
+      else List.nth prods (Random.State.int st (List.length prods))
+    in
+    Tree.node g p.Grammar.p_name
+      (List.map
+         (fun sym ->
+           if sym = "T" then
+             Tree.leaf g "T" [ ("v", Value.Int (Random.State.int st 10)) ]
+           else grow sym (budget / 2))
+         (Array.to_list p.Grammar.p_rhs))
+  in
+  let rec copy (t : Tree.t) =
+    incr pos;
+    match t.Tree.prod with
+    | None -> Tree.leaf g "T" [ ("v", Tree.term_attr t "v") ]
+    | Some p ->
+        if !pos = k then grow t.Tree.sym 4
+        else
+          Tree.node g p.Grammar.p_name
+            (List.map copy (Array.to_list t.Tree.children))
+  in
+  copy tree
+
+let prop_random_ag_rounds dag =
+  qc ~count:60
+    (Printf.sprintf "random AG waves = level-synchronous pass (dag %b)" dag)
+    (QCheck.make
+       ~print:(fun (gs, ts, edits) ->
+         Printf.sprintf "grammar %d, base %d, edits [%s]" gs ts
+           (String.concat ";"
+              (List.map (fun (k, e) -> Printf.sprintf "%d@%d" e k) edits)))
+       QCheck.Gen.(
+         triple (int_bound 1_000_000) (int_bound 1_000_000)
+           (list_size (1 -- 6) (pair (int_bound 40) (int_bound 1_000_000)))))
+    (fun (gseed, tseed, edits) ->
+      let g = Test_random_ag.build_grammar (Random.State.make [| gseed |]) in
+      let base = Test_random_ag.build_tree (Random.State.make [| tseed |]) g in
+      match Incr.start ~dag ~frontier:1.1 g base with
+      | exception Engine.Cycle _ -> true
+      | s ->
+          let rec go = function
+            | [] -> true
+            | (k, e) :: rest -> (
+                let next = regrow g (Random.State.make [| e |]) (Incr.tree s) k in
+                match oracle_call s (fun () -> Incr.edit s next) with
+                | ok -> ok && go rest
+                | exception Engine.Cycle _ -> true)
+          in
+          go edits)
+
+(* An Expr program over literal leaves: [let x = l0 in <a balanced add/mul
+   tree over the rest, every third leaf reading x> ni]. Literals drawn
+   from a few values repeat subtrees, which a DAG session shares. *)
+let lits_tree lits =
+  let n = Array.length lits in
+  let rec body lo hi d =
+    if lo = hi then
+      if lo mod 3 = 0 then Expr_ag.var "x" else Expr_ag.num lits.(lo)
+    else
+      let mid = (lo + hi) / 2 in
+      (if d mod 2 = 0 then Expr_ag.add else Expr_ag.mul)
+        (body lo mid (d + 1))
+        (body (mid + 1) hi (d + 1))
+  in
+  Expr_ag.(main (let_in "x" (num lits.(0)) (body 1 (n - 1) 0)))
+
+let prop_expr_batch_rounds dag =
+  qc ~count:60
+    (Printf.sprintf "expr batches: waves = level-synchronous pass (dag %b)" dag)
+    (QCheck.make
+       ~print:(fun (base, batches) ->
+         Printf.sprintf "base [%s], batches [%s]"
+           (String.concat ";" (List.map string_of_int base))
+           (String.concat " | "
+              (List.map
+                 (fun b ->
+                   String.concat ";"
+                     (List.map (fun (k, v) -> Printf.sprintf "%d:=%d" k v) b))
+                 batches)))
+       QCheck.Gen.(
+         pair
+           (list_size (12 -- 24) (int_bound 3))
+           (list_size (1 -- 4)
+              (list_size (1 -- 4) (pair (int_bound 23) (int_bound 3))))))
+    (fun (base, batches) ->
+      let lits = Array.of_list base in
+      let g = Expr_ag.grammar in
+      let s = Incr.start ~dag ~frontier:1.1 g (lits_tree lits) in
+      List.for_all
+        (fun batch ->
+          let nexts =
+            List.map
+              (fun (k, v) ->
+                lits.(k mod Array.length lits) <- v;
+                lits_tree lits)
+              batch
+          in
+          oracle_call s (fun () -> Incr.edit_batch s nexts)
+          && agrees_with_scratch g s (lits_tree lits))
+        batches)
+
+(* A replacement that closes a dependency cycle: [pass] copies its
+   inherited [i] to its synthesized [s], and the root feeds [s] back into
+   [i]. The wave's cone has no ready member, so the loop fires nothing;
+   the rebuild then evaluates the circular tree and raises. *)
+let loop_grammar =
+  let open Grammar in
+  make ~name:"loop" ~start:"r"
+    [
+      terminal "T" [];
+      nonterminal "r" [ syn "out" ];
+      nonterminal "x" [ syn "s"; inh "i" ];
+    ]
+    [
+      production ~name:"root" ~lhs:"r" ~rhs:[ "x" ]
+        [
+          rule (rhs 1 "i") ~deps:[ rhs 1 "s" ] (fun a -> a.(0));
+          rule (lhs "out") ~deps:[ rhs 1 "s" ] (fun a -> a.(0));
+        ];
+      production ~name:"const" ~lhs:"x" ~rhs:[ "T" ]
+        [ rule (lhs "s") ~deps:[] (fun _ -> Value.Int 0) ];
+      production ~name:"pass" ~lhs:"x" ~rhs:[ "T" ]
+        [ rule (lhs "s") ~deps:[ lhs "i" ] (fun a -> a.(0)) ];
+    ]
+
+let test_cycle_edit_raises () =
+  let g = loop_grammar in
+  let tree x = Tree.node g "root" [ Tree.node g x [ Tree.leaf g "T" [] ] ] in
+  let s = Incr.start ~frontier:1.1 g (tree "const") in
+  check_bool "the cycle raises" true
+    (match Incr.edit s (tree "pass") with
+    | _ -> false
+    | exception Engine.Cycle _ -> true)
+
 let suite =
   [
     ( "incr",
@@ -329,5 +677,13 @@ let suite =
         prop_batched_matches_serial false;
         prop_batched_matches_serial true;
         prop_batched_random_ag;
+        Alcotest.test_case "an edit closing a cycle raises" `Quick
+          test_cycle_edit_raises;
+        Alcotest.test_case "a raising wave leaves no wave bit set" `Quick
+          test_raising_wave_leaves_no_bits;
+        prop_random_ag_rounds false;
+        prop_random_ag_rounds true;
+        prop_expr_batch_rounds false;
+        prop_expr_batch_rounds true;
       ] );
   ]

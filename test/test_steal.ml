@@ -345,6 +345,26 @@ let test_stuck_every_set () =
       ignore
         (Pag_parallel.Runner.run_sim (steal_opts 2) g None (unread_tree g)))
 
+(* The loop's two shared counters are allocated once. An array of more
+   than 256 words filled with a young value makes the runtime collect the
+   minor heap first, so a counter array built around a fresh counter cost
+   a minor collection on every run over 256 tasks. This run over about
+   1,600 tasks allocates far less than the minor heap holds. *)
+let test_loop_runs_no_minor_collection () =
+  let open Pag_grammars in
+  let g = Expr_ag.grammar in
+  let rec chain k =
+    if k = 0 then Expr_ag.num 1 else Expr_ag.add (chain (k - 1)) (Expr_ag.num 1)
+  in
+  let e = Engine.create g (Store.create g (Expr_ag.main (chain 400))) in
+  let gr = Engine.graph e in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let fired = Engine.run_topo e gr in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check_bool "over 256 tasks" true (fired > 1000);
+  check_int "minor collections during the run" 0 (after - before)
+
 (* Domains steal reports measured idle time: each evaluator's row splits
    the horizon into its idle wait and the rest, and the backoff gauge is
    in seconds. The serial set-up before the loop (store, rows, task
@@ -672,6 +692,8 @@ let suite =
         Alcotest.test_case "sim steal re-raises a rule failure" `Quick
           test_sim_steal_failure;
         Alcotest.test_case "sim steal detects cycles" `Quick test_sim_steal_cycle;
+        Alcotest.test_case "the loop runs no minor collection" `Quick
+          test_loop_runs_no_minor_collection;
         Alcotest.test_case "an unset slot is stuck on every machine set" `Quick
           test_stuck_every_set;
         Alcotest.test_case "domains steal rows are measured" `Quick

@@ -191,6 +191,49 @@ let test_append_subtree_grows () =
     !appended;
   check_int "missing: the original tree's slots" 2 (Store.missing store)
 
+(* [Store.missing] is kept as a counter; recount it bit by bit after
+   every way a slot gets set: rule firings and edit appends in a resident
+   session, DAG projection, a domains run's commits after the join, and
+   preset root attributes (one attribute preset twice counts once). *)
+let unset_bits st =
+  let k = ref 0 in
+  for slot = 0 to Store.slot_count st - 1 do
+    if not (Store.slot_is_set st slot) then incr k
+  done;
+  !k
+
+let prop_missing_is_a_count =
+  Qc_seed.qc ~count:25 "missing = unset bits, however slots were set"
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "program seeds %d, %d" a b)
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000)))
+    (fun (a, b) ->
+      let open Pag_grammars in
+      let g = Expr_ag.grammar in
+      let prog seed = Expr_ag.random_program (Random.State.make [| seed |]) ~depth:4 in
+      let agrees st = Store.missing st = unset_bits st in
+      (* a session's store after an edit, then with a subtree appended
+         and not yet evaluated *)
+      let s = Incr.start g (prog a) in
+      ignore (Incr.edit s (prog b));
+      let session = agrees (Incr.store s) in
+      let st = Incr.store s in
+      let sub = Expr_ag.random_expr (Random.State.make [| b |]) ~depth:3 ~vars:[] in
+      ignore (Tree.number_from sub (Store.node_count st));
+      Store.append_subtree st sub;
+      let appended = agrees st && Store.missing st > 0 in
+      let dag = agrees (fst (Dynamic.eval ~dag:true g (prog a))) in
+      let st = Store.create g (prog b) in
+      let e = Engine.create g st in
+      ignore (Engine.run_steal ~domains:2 e (Engine.graph e));
+      let domains = agrees st in
+      let stab = Value.Tab Pag_util.Symtab.empty in
+      let root_inh = [ ("stab", stab); ("stab", stab) ] in
+      let expr () = Expr_ag.random_expr (Random.State.make [| a |]) ~depth:4 ~vars:[] in
+      let preset = agrees (Store.create ~root_inh g (expr ())) in
+      let evaluated = agrees (fst (Dynamic.eval ~root_inh g (expr ()))) in
+      session && appended && dag && domains && preset && evaluated)
+
 let suite =
   [
     ( "store",
@@ -210,5 +253,6 @@ let suite =
           test_stub_stopped_populate;
         Alcotest.test_case "append_subtree grows behind logical sizes"
           `Quick test_append_subtree_grows;
+        prop_missing_is_a_count;
       ] );
   ]
